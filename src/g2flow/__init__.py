@@ -15,13 +15,13 @@ from .errors import (
     StepUnderflow,
 )
 from .exterior import KForm, Metric, hodge_star, interior, theta, wedge
-from .g2core import G2Structure, g2_and_q, metric_from_3form, solve_Q
+from .g2core import G2Structure, metric_from_3form
 from .liealg import LieBracket, ce_differential, delta_mu, derivations, hodge_laplacian, jacobi_residual, ricci
 
 __all__ = [
     "almostabelian", "exterior", "flow", "g2core", "liealg",
     "KForm", "Metric", "hodge_star", "interior", "theta", "wedge",
-    "G2Structure", "g2_and_q", "metric_from_3form", "solve_Q",
+    "G2Structure", "metric_from_3form",
     "LieBracket", "ce_differential", "delta_mu", "derivations",
     "hodge_laplacian", "jacobi_residual", "ricci",
     "G2FlowError", "BadMetric", "ComponentError", "DegreeUnderflow",

@@ -10,14 +10,15 @@ complex structure J pairing e1+i e2, e3+i e4, e5+i e6 is the block matrix
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotClosed, NotTraceFree
 from .exterior import DIM, KForm, theta, wedge
-from .flow import IntegratorOptions, _steps
 from .g2core import G2Structure
+from .integrate import IntegratorOptions, drive
 from .liealg import LieBracket
 
 FLAG_TOL = 1e-10
@@ -205,27 +206,37 @@ def laplacian_phi(aa) -> KForm:
     return term1 - term2
 
 
+def _q_formula(A) -> np.ndarray:
+    """Q of the closed form for A in sl(3,C), in the basis order of A with
+    e7 last.  Unchecked: q_operator is the gated entry point."""
+    u = _sym_sq_trace(A)
+    Q = np.zeros((DIM, DIM))
+    Q[:6, :6] = 0.5 * (A @ A.T - A.T @ A) + (u / 12.0) * np.eye(6) \
+        - 0.5 * (A + A.T) @ (A + A.T)
+    Q[6, 6] = -u / 6.0
+    return Q
+
+
+def _torsion_formula(A_nat) -> KForm:
+    """The torsion 2-form for A in sl(3,C), natural basis.  Unchecked:
+    torsion_two_form is the gated entry point."""
+    return theta(_embed7(A_nat).T, omega_form())
+
+
 def q_operator(aa) -> np.ndarray:
     """The symmetric operator with theta(Q) phi equal to the Laplacian,
     in closed form (natural basis)."""
     aa = _as_aa(aa)
     if not aa.in_sl3C:
         raise NotClosed("Q formula needs A in sl(3,C)")
-    A = aa.natural
-    u = _sym_sq_trace(A)
-    Q1 = 0.5 * (A @ A.T - A.T @ A) + (u / 12.0) * np.eye(6) \
-        - 0.5 * (A + A.T) @ (A + A.T)
-    Q = np.zeros((DIM, DIM))
-    Q[:6, :6] = Q1
-    Q[6, 6] = -u / 6.0
-    return Q
+    return _q_formula(aa.natural)
 
 
 def torsion_two_form(aa) -> KForm:
     aa = _as_aa(aa)
     if not aa.in_sl3C:
         raise NotClosed("torsion 2-form formula needs A in sl(3,C)")
-    return theta(_embed7(aa.natural).T, omega_form())
+    return _torsion_formula(aa.natural)
 
 
 def ricci_aa(aa):
@@ -288,6 +299,13 @@ class AAFlowSample:
     R: float
     spectrum: np.ndarray  # complex 3x3 eigenvalues
     membership_residual: float
+    Q: np.ndarray  # 7x7, natural basis
+    torsion_norm: float
+
+    @property
+    def norm_mu(self):
+        """Norm of the bracket, |mu|^2 = 2|A|^2."""
+        return math.sqrt(2.0 * self.norm_sq)
 
 
 @dataclass
@@ -305,42 +323,36 @@ class AATrajectory:
 
 
 def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> AATrajectory:
-    """Integrate the 6x6 reduction of the bracket flow from A0 in sl(3,C)."""
-    from .errors import StepUnderflow
+    """Integrate the 6x6 reduction of the bracket flow from A0 in sl(3,C).
 
+    The flow preserves sl(3,C), so membership is checked on A0 only.
+    Integration error moves A off sl(3,C) by more than FLAG_TOL on long runs
+    (membership_residual says by how much), so the samples take Q and the
+    torsion from the closed forms without the membership check."""
     aa0 = _as_aa(A0)
     if not aa0.in_sl3C:
         raise NotClosed("matrix bracket flow needs A0 in sl(3,C)")
     opts = opts or IntegratorOptions()
+    if opts.normalize != "none":
+        raise ValueError("normalization applies to the bracket flow only")
 
     def rhs(t, y):
         return flow_rhs(y.reshape(6, 6)).reshape(-1)
 
+    def norm_of(y):
+        return float(np.linalg.norm(y))
+
     def make_sample(t, y):
         A = y.reshape(6, 6)
-        u = _sym_sq_trace(A)
-        return AAFlowSample(t, A.copy(), float(np.sum(A ** 2)), -u / 4.0,
+        A_nat = paper_to_natural(A)
+        return AAFlowSample(t, A.copy(), float(np.sum(A ** 2)),
+                            -_sym_sq_trace(A) / 4.0,
                             np.linalg.eigvals(real_to_complex(A)),
-                            sl3c_residual(A))
+                            sl3c_residual(A), _q_formula(A_nat),
+                            _torsion_formula(A_nat).norm())
 
-    samples = []
-    status = "completed"
-    last = None
-    sampled_last = False
-    try:
-        for n, (t, y) in enumerate(_steps(rhs, aa0.A.reshape(-1).copy(), opts)):
-            last = (t, y)
-            blown = float(np.linalg.norm(y)) > opts.blowup_norm
-            sampled_last = (n % opts.sample_every == 0) or blown
-            if sampled_last:
-                samples.append(make_sample(t, y))
-            if blown:
-                status = "blowup-detected"
-                break
-    except StepUnderflow:
-        status = "step-underflow"
-    if last is not None and not sampled_last:
-        samples.append(make_sample(*last))
+    samples, status = drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample,
+                            norm_of)
     return AATrajectory(samples, status)
 
 
@@ -430,9 +442,7 @@ def classify_soliton(A) -> AAClassification:
                                 nform, 0.0, eig)
 
     c, d = _soliton_constants(M)
-    u = _sym_sq_trace(M)
-    Q1 = 0.5 * (M @ M.T - M.T @ M) + (u / 12.0) * np.eye(6) \
-        - 0.5 * (M + M.T) @ (M + M.T)
+    Q1 = _q_formula(M)[:6, :6]
 
     if aa.is_normal:
         return AAClassification("algebraic", c, d, Q1 - c * np.eye(6),

@@ -9,11 +9,9 @@ same data plus options and certificates.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,10 +27,9 @@ from .flow import (
     detect_semialgebraic,
     laplacian_flow,
     lf_diagonal_test,
-    reconstruct_h,
 )
 from .g2core import G2Structure
-from .liealg import LieBracket, ce_differential, delta_mu, hodge_laplacian, ricci
+from .liealg import LieBracket
 
 CSV_SCHEMA = "# g2flow-csv v1"
 
@@ -44,8 +41,10 @@ def _fmt(x) -> str:
 def _load_input(arg):
     if arg is None:
         raise ValueError("--input is required for this command")
-    text = arg if arg.lstrip().startswith("{") else open(arg).read()
-    return json.loads(text)
+    if arg.lstrip().startswith("{"):
+        return json.loads(arg)
+    with open(arg) as fh:
+        return json.load(fh)
 
 
 def _bracket_from_input(data):
@@ -70,74 +69,56 @@ def _aamatrix_from_input(data):
 
 
 def _options_from_args(args) -> IntegratorOptions:
-    return IntegratorOptions(
-        method=args.method, h0=args.h0, atol=args.atol, rtol=args.rtol,
-        t_end=args.t_end, normalize=args.normalize,
-        sample_every=args.sample_every,
-    )
+    fields = {f.name for f in dataclasses.fields(IntegratorOptions)}
+    return IntegratorOptions(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _certificate_dict(cert):
-    def clean(x):
-        if x is None:
-            return None
-        if isinstance(x, float) and math.isnan(x):
-            return None
-        return x
-
-    out = {"kind": cert.kind, "c": clean(cert.c),
+    out = {"kind": cert.kind, "c": None if math.isnan(cert.c) else cert.c,
            "residual": cert.residual, "label": cert.label}
     if cert.D is not None and np.all(np.isfinite(cert.D)):
         out["D"] = np.asarray(cert.D).tolist()
     return out
 
 
-def _trajectory_rows(traj):
-    rows = []
-    for smp in traj.samples:
-        rows.append([smp.t, smp.norm_mu, smp.R, smp.torsion_norm]
-                    + list(np.asarray(smp.Q).reshape(-1)))
-    return rows
+def _certificates(mu, s) -> dict:
+    """Both soliton certificates; a detector that refuses the input reports
+    its error in place of a certificate."""
+    out = {"algebraic": _certificate_dict(detect_algebraic(mu, s))}
+    try:
+        out["semi_algebraic"] = _certificate_dict(detect_semialgebraic(mu, s))
+    except G2FlowError as exc:
+        out["semi_algebraic"] = {"error": str(exc)}
+    return out
 
 
-def _aa_trajectory_rows(traj):
-    rows = []
-    for smp in traj.samples:
-        m = aa.AAMatrix.from_matrix(smp.A)
-        Q = aa.q_operator(m)
-        tau = aa.torsion_two_form(m).norm()
-        rows.append([smp.t, math.sqrt(2.0 * smp.norm_sq), smp.R, tau]
-                    + list(Q.reshape(-1)))
-    return rows
-
-
-def _write_csv(rows, out):
-    header = ["t", "|mu|", "R", "|tau|"] + \
-             [f"Q_{i}{j}" for i in range(1, 8) for j in range(1, 8)]
-    lines = [CSV_SCHEMA, ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    out.write("\n".join(lines) + "\n")
-
-
-def _emit(args, rows, sidecar):
-    if args.format == "csv":
-        if args.out:
-            with open(args.out, "w") as fh:
-                _write_csv(rows, fh)
-            with open(args.out + ".json", "w") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            _write_csv(rows, sys.stdout)
+def _write(path, text):
+    """Write text to the file path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
     else:
-        doc = dict(sidecar)
-        doc["rows"] = rows
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        sys.stdout.write(text)
+
+
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, traj, sidecar):
+    """Write a trajectory's rows, and its sidecar next to a CSV file."""
+    rows = [[smp.t, smp.norm_mu, smp.R, smp.torsion_norm]
+            + list(np.asarray(smp.Q).reshape(-1)) for smp in traj.samples]
+    if args.format == "csv":
+        header = ["t", "|mu|", "R", "|tau|"] + \
+                 [f"Q_{i}{j}" for i in range(1, 8) for j in range(1, 8)]
+        lines = [CSV_SCHEMA, ",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        _write(args.out, "\n".join(lines) + "\n")
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            _write(args.out + ".json", _json_text(sidecar))
+    else:
+        _write(args.out, _json_text({**sidecar, "rows": rows}))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +147,9 @@ def cmd_flow(args):
         "options": _options_dict(opts),
     }
     if kind == "bracket":
-        sidecar["certificates"] = {
-            "algebraic": _certificate_dict(detect_algebraic(mu, s)),
-        }
-        try:
-            sidecar["certificates"]["semi_algebraic"] = _certificate_dict(
-                detect_semialgebraic(mu, s))
-        except G2FlowError as exc:
-            sidecar["certificates"]["semi_algebraic"] = {"error": str(exc)}
+        sidecar["certificates"] = _certificates(mu, s)
         sidecar["laplacian_flow_diagonal"] = lf_diagonal_test(traj)
-    _emit(args, _trajectory_rows(traj), sidecar)
+    _emit(args, traj, sidecar)
     return 0
 
 
@@ -188,7 +162,7 @@ def cmd_aa_flow(args):
         "options": _options_dict(opts),
         "initial": m.to_json_dict(),
     }
-    _emit(args, _aa_trajectory_rows(traj), sidecar)
+    _emit(args, traj, sidecar)
     return 0
 
 
@@ -196,14 +170,8 @@ def cmd_soliton(args):
     data = _load_input(args.input)
     mu, phi = _bracket_from_input(data)
     s = G2Structure(phi)
-    out = {"command": "soliton",
-           "algebraic": _certificate_dict(detect_algebraic(mu, s))}
-    try:
-        out["semi_algebraic"] = _certificate_dict(detect_semialgebraic(mu, s))
-    except G2FlowError as exc:
-        out["semi_algebraic"] = {"error": str(exc)}
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    (open(args.out, "w") if args.out else sys.stdout).write(text)
+    out = {"command": "soliton", **_certificates(mu, s)}
+    _write(args.out, _json_text(out))
     return 0
 
 
@@ -226,8 +194,7 @@ def cmd_aa_classify(args):
         out["D1"] = np.asarray(cls.D1).tolist()
     if cls.eigenvalues is not None:
         out["eigenvalues"] = [[z.real, z.imag] for z in cls.eigenvalues]
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    (open(args.out, "w") if args.out else sys.stdout).write(text)
+    _write(args.out, _json_text(out))
     return 0
 
 
@@ -241,411 +208,30 @@ def _classify_row(m: aa.AAMatrix):
 def cmd_sweep(args):
     data = _load_input(args.input)
     mats = [_aamatrix_from_input(d) for d in data["matrices"]]
-    jobs = args.jobs or os.cpu_count() or 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_classify_row, mats))
     lines = [CSV_SCHEMA, "index,kind,c,R,|tau|"]
-    for i, r in enumerate(results):
+    for i, r in enumerate(map(_classify_row, mats)):
         c = "" if r["c"] is None else _fmt(r["c"])
         lines.append(f"{i},{r['kind']},{c},{_fmt(r['R'])},{_fmt(r['tau'])}")
-    text = "\n".join(lines) + "\n"
-    (open(args.out, "w") if args.out else sys.stdout).write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_verify(args):
-    checks = build_verify_corpus()
-    failures = 0
+    """Run every corpus check; a check that raises counts as a FAIL line."""
+    checks = corpus.build_verify_corpus()
     width = max(len(name) for name, _ in checks)
-    out = open(args.out, "w") if args.out else sys.stdout
+    lines = []
     for name, fn in checks:
         try:
-            residual = fn()
-            ok = True
+            lines.append(f"PASS  {name:<{width}}  residual={fn():.3e}")
         except AssertionError as exc:
-            residual = float("nan")
-            ok = False
-            detail = str(exc)
-        except G2FlowError as exc:
-            residual = float("nan")
-            ok = False
-            detail = f"{type(exc).__name__}: {exc}"
-        if ok:
-            out.write(f"PASS  {name:<{width}}  residual={residual:.3e}\n")
-        else:
-            failures += 1
-            out.write(f"FAIL  {name:<{width}}  {detail}\n")
-    out.write(f"{len(checks) - failures}/{len(checks)} corpus checks passed\n")
-    if args.out:
-        out.close()
+            lines.append(f"FAIL  {name:<{width}}  {exc}")
+        except Exception as exc:  # one failing check must not stop the rest
+            lines.append(f"FAIL  {name:<{width}}  {type(exc).__name__}: {exc}")
+    failures = sum(line.startswith("FAIL") for line in lines)
+    lines.append(f"{len(checks) - failures}/{len(checks)} corpus checks passed")
+    _write(args.out, "\n".join(lines) + "\n")
     return 2 if failures else 0
-
-
-# ---------------------------------------------------------------------------
-# the verification corpus
-# ---------------------------------------------------------------------------
-
-def _seeded_rng():
-    return np.random.default_rng(int(os.environ.get("G2FLOW_SEED", "20260809")))
-
-
-def _random_sl3c(rng, scale=1.0):
-    B = rng.uniform(-1, 1, (3, 3))
-    C = rng.uniform(-1, 1, (3, 3))
-    B -= np.trace(B) / 3 * np.eye(3)
-    C -= np.trace(C) / 3 * np.eye(3)
-    return aa.AAMatrix.from_complex(scale * B, scale * C)
-
-
-def build_verify_corpus():
-    """(name, callable) pairs; each callable asserts and returns a residual."""
-    checks = []
-
-    def check(name):
-        def deco(fn):
-            checks.append((name, fn))
-            return fn
-        return deco
-
-    @check("canonical-form: induced metric and volume")
-    def _():
-        from .g2core import metric_from_3form
-        g, vol = metric_from_3form(phi_canonical())
-        res = float(np.abs(g.gram - np.eye(7)).max())
-        assert res < 1e-12 and abs(vol.coeffs[0] - 1.0) < 1e-12
-        return res
-
-    @check("canonical-form: Hodge dual seven-term expansion")
-    def _():
-        from .exterior import hodge_star
-        got = hodge_star(phi_canonical())
-        want = KForm.from_terms(4, {(4, 5, 6, 7): 1, (2, 3, 6, 7): 1,
-                                    (2, 3, 4, 5): 1, (1, 3, 5, 7): 1,
-                                    (1, 3, 4, 6): -1, (1, 2, 5, 6): -1,
-                                    (1, 2, 4, 7): -1})
-        res = (got - want).norm()
-        assert res < 1e-14
-        return res
-
-    @check("stabilizer splitting: dimensions 14/35/1/7/27")
-    def _():
-        s = G2Structure(phi_canonical())
-        dims = (len(s.g2_basis), len(s.q_basis), len(s.q1_basis),
-                len(s.q7_basis), len(s.q27_basis))
-        assert dims == (14, 35, 1, 7, 27), dims
-        return 0.0
-
-    @check("nilpotent example: induced metric is the identity")
-    def _():
-        from .g2core import metric_from_3form
-        g, _ = metric_from_3form(corpus.phi_nilpotent_example())
-        res = float(np.abs(g.gram - np.eye(7)).max())
-        assert res < 1e-10
-        return res
-
-    @check("nilpotent example: differential displays and closedness")
-    def _():
-        mu = corpus.mu_nilpotent(1, 2, 3, 4)
-        de5 = ce_differential(mu, KForm.basis((5,)))
-        want = KForm.from_terms(2, {(1, 2): 1, (1, 3): 3})
-        res = (de5 - want).norm()
-        dphi = ce_differential(mu, corpus.phi_nilpotent_example())
-        want2 = KForm.from_terms(4, {(1, 2, 3, 7): 3, (1, 2, 3, 4): -5})
-        res = max(res, (dphi - want2).norm())
-        assert res < 1e-12
-        return res
-
-    @check("nilpotent example: Laplacian 2(a^2+b^2)e123 and Q diagonal")
-    def _():
-        a, b = 1.3, -0.4
-        mu = corpus.mu_nilpotent(a, b, -b, a)
-        s = G2Structure(corpus.phi_nilpotent_example())
-        lap = hodge_laplacian(mu, s, s.phi)
-        want = KForm.from_terms(3, {(1, 2, 3): 2 * (a * a + b * b)})
-        res = (lap - want).norm()
-        Q = s.solve_Q(lap)
-        wantQ = (a * a + b * b) * np.diag([-2, -2, -2, 1, 1, 1, 1]) / 3.0
-        res = max(res, float(np.abs(Q - wantQ).max()))
-        assert res < 1e-10
-        return res
-
-    @check("nilpotent example: torsion two-form and Ricci display")
-    def _():
-        a, b = 0.8, 0.5
-        mu = corpus.mu_nilpotent(a, b, -b, a)
-        s = G2Structure(corpus.phi_nilpotent_example())
-        tf = s.torsion_forms(ce_differential(mu, s.phi),
-                             ce_differential(mu, s.psi))
-        want = KForm.from_terms(2, {(3, 5): -a, (2, 5): -b, (3, 6): -b, (2, 6): a})
-        res = (tf.tau2 - want).norm()
-        ric, _ = ricci(mu)
-        wantric = (a * a + b * b) * np.diag([-1, -.5, -.5, 0, .5, .5, 0])
-        res = max(res, float(np.abs(ric - wantric).max()))
-        assert res < 1e-10
-        return res
-
-    @check("nilpotent example: delta(Q) = -(5/3)(a^2+b^2) mu")
-    def _():
-        a, b = 0.9, 0.2
-        mu = corpus.mu_nilpotent(a, b, -b, a)
-        s = G2Structure(corpus.phi_nilpotent_example())
-        Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
-        res = float(np.abs(delta_mu(mu, Q) + (5 / 3) * (a * a + b * b) * mu.c).max())
-        assert res < 1e-10
-        return res
-
-    @check("nilpotent example: algebraic soliton c=-5/3, D=diag(1,1,1,2,2,2,2)")
-    def _():
-        mu = corpus.mu_nilpotent(1, 0, 0, 1)
-        s = G2Structure(corpus.phi_nilpotent_example())
-        cert = detect_algebraic(mu, s)
-        assert cert.kind == "algebraic" and cert.label == "expanding"
-        res = abs(cert.c + 5 / 3)
-        res = max(res, float(np.abs(cert.D - np.diag([1, 1, 1, 2, 2, 2, 2.0])).max()))
-        assert res < 1e-7
-        return res
-
-    @check("bracket flow: scalar-reduction law over [0,10]")
-    def _():
-        mu = corpus.mu_nilpotent(1, 0, 0, 1)
-        s = G2Structure(corpus.phi_nilpotent_example())
-        traj = bracket_flow(mu, s, IntegratorOptions(t_end=10.0, sample_every=20))
-        res = max(abs(smp.norm_mu ** 2 - 4 / (1 + 10 * smp.t / 3))
-                  / (4 / (1 + 10 * smp.t / 3)) for smp in traj.samples)
-        assert traj.status == "completed" and res < 1e-6
-        return res
-
-    @check("direct flow: exact self-similar solution of the soliton")
-    def _():
-        from scipy.linalg import expm
-        from .exterior import pullback_matrix
-        mu = corpus.mu_nilpotent(1, 0, 0, 1)
-        phi = corpus.phi_nilpotent_example()
-        s = G2Structure(phi)
-        cert = detect_algebraic(mu, s)
-        c, D = cert.c, cert.D
-        traj = laplacian_flow(phi, mu, IntegratorOptions(t_end=1.0, sample_every=20))
-        res = 0.0
-        for smp in traj.samples:
-            b = (-2 * c * smp.t + 1) ** 1.5
-            sc = -math.log(-2 * c * smp.t + 1) / (2 * c)
-            exact = b * (pullback_matrix(expm(-sc * D), 3) @ phi.coeffs)
-            res = max(res, float(np.abs(smp.phi.coeffs - exact).max()))
-        assert res < 1e-6
-        return res
-
-    @check("nilpotent example: soliton trajectory is flow diagonal")
-    def _():
-        mu = corpus.mu_nilpotent(1, 0, 0, 1)
-        s = G2Structure(corpus.phi_nilpotent_example())
-        traj = bracket_flow(mu, s, IntegratorOptions(t_end=2.0, sample_every=25))
-        assert lf_diagonal_test(traj)
-        return 0.0
-
-    @check("closed case: Q from Ricci and torsion square, scalar identities")
-    def _():
-        from .exterior import skew_from_form
-        rng = _seeded_rng()
-        s = aa.structure()
-        res = 0.0
-        for _ in range(5):
-            m = _random_sl3c(rng)
-            mu = aa.bracket_of(m)
-            Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
-            tf = s.torsion_forms(ce_differential(mu, s.phi),
-                                 ce_differential(mu, s.psi))
-            T = skew_from_form(tf.tau2)
-            ric, R = ricci(mu, s.metric)
-            want = ric - np.trace(T @ T) / 12.0 * np.eye(7) + 0.5 * (T @ T)
-            res = max(res, float(np.abs(Q - want).max()))
-            res = max(res, abs(R - 1.5 * np.trace(Q)))
-            res = max(res, abs(R + 0.5 * tf.tau2.norm() ** 2))
-            assert R < 0
-        assert res < 1e-9
-        return res
-
-    @check("equivalence maps: cross-residuals of the two flow pictures")
-    def _():
-        rng = _seeded_rng()
-        m = _random_sl3c(rng, 0.8)
-        traj = bracket_flow(aa.bracket_of(m), aa.structure(),
-                            IntegratorOptions(t_end=1.0, sample_every=25))
-        rec = reconstruct_h(traj, side="ii")
-        res = max(rec.max_phi_residual, rec.max_mu_residual)
-        assert res < 1e-5
-        return res
-
-    @check("almost-abelian: unitary matrices give torsion-free structures")
-    def _():
-        rng = _seeded_rng()
-        X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        S = 0.5 * (X - X.conj().T)
-        S -= np.trace(S) / 3 * np.eye(3)
-        m = aa.AAMatrix.from_complex(S)
-        assert m.in_su3
-        s = aa.structure()
-        mu = aa.bracket_of(m)
-        res = max(ce_differential(mu, s.phi).norm(),
-                  ce_differential(mu, s.psi).norm())
-        assert res < 1e-12
-        return res
-
-    @check("almost-abelian: closed forms match the generic pipeline")
-    def _():
-        rng = _seeded_rng()
-        s = aa.structure()
-        res = 0.0
-        for _ in range(10):
-            m = _random_sl3c(rng)
-            mu = aa.bracket_of(m)
-            cf = aa.closed_forms(m)
-            lap = hodge_laplacian(mu, s, s.phi)
-            res = max(res, (lap - cf.Delta).norm())
-            res = max(res, float(np.abs(s.solve_Q(lap) - cf.Q).max()))
-            ric, _ = ricci(mu, s.metric)
-            res = max(res, float(np.abs(ric - cf.Ric).max()))
-        assert res < 1e-9
-        return res
-
-    @check("almost-abelian: one-parameter family Ricci display")
-    def _():
-        t = 0.6
-        m = aa.AAMatrix.from_complex(corpus.aa_n6(t))
-        ric, _ = aa.ricci_aa(m)
-        order = (1, 3, 5, 2, 4, 6, 7)
-        block_diag = 0.5 * np.array([t * t, 1 - t * t, -1,
-                                     t * t, 1 - t * t, -1, -2 * (1 + t * t)])
-        want = np.zeros(7)
-        for pos, e in enumerate(order):
-            want[e - 1] = block_diag[pos]
-        res = float(np.abs(np.diag(ric) - want).max())
-        assert res < 1e-12 and m.is_nilpotent and m.in_sl3C
-        return res
-
-    @check("rotating soliton: classification c=-3, d=1")
-    def _():
-        cls = aa.classify_soliton(aa.AAMatrix.from_complex(corpus.aa_n6_soliton()))
-        assert cls.kind == "semi-algebraic"
-        res = max(abs(cls.c + 3), abs(cls.d - 1))
-        assert res < 1e-10
-        return res
-
-    @check("rotating soliton: not algebraic, not flow diagonal")
-    def _():
-        m = aa.AAMatrix.from_complex(corpus.aa_n6_soliton())
-        s = aa.structure()
-        mu = aa.bracket_of(m)
-        cert = detect_algebraic(mu, s)
-        assert cert.kind == "none"
-        traj = bracket_flow(mu, s, IntegratorOptions(t_end=2.0, sample_every=20))
-        assert not lf_diagonal_test(traj)
-        cs = detect_semialgebraic(mu, s)
-        assert cs.kind == "semi-algebraic" and abs(cs.c + 3) < 1e-8
-        return cert.residual
-
-    @check("rotating soliton: closed-form trajectory over [0,50]")
-    def _():
-        m = aa.AAMatrix.from_complex(corpus.aa_n6_soliton())
-        traj = aa.matrix_bracket_flow(
-            m, IntegratorOptions(t_end=50.0, atol=1e-11, rtol=1e-11,
-                                 sample_every=100))
-        Aperp = aa.complex_to_real(corpus.aa_n6_soliton_partner())
-        res = 0.0
-        for smp in traj.samples:
-            sc = math.log(6 * smp.t + 1) / 6.0
-            exact = (6 * smp.t + 1) ** -0.5 * (
-                math.cos(sc / math.sqrt(2)) * m.A
-                + math.sin(sc / math.sqrt(2)) * Aperp)
-            res = max(res, float(np.abs(smp.A - exact).max()))
-        assert res < 1e-6
-        return res
-
-    @check("matrix flow: four-parameter family reduction")
-    def _():
-        rng = _seeded_rng()
-        res = 0.0
-        for _ in range(50):
-            a, b, c, d = rng.uniform(-1, 1, 4)
-            m = aa.complex_to_real(corpus.aa_family_4d(a, b, c, d))
-            dA = aa.flow_rhs(m)
-            ap, bp, cp, dp = corpus.family_4d_rhs(a, b, c, d)
-            res = max(res, abs(dA[0, 1] - ap), abs(dA[1, 2] - bp),
-                      abs(dA[1, 0] - cp), abs(dA[2, 1] - dp))
-        assert res < 1e-12
-        return res
-
-    @check("matrix flow: two-parameter reduction (corrected coefficients)")
-    def _():
-        rng = _seeded_rng()
-        res = 0.0
-        for _ in range(50):
-            a, b = rng.uniform(-1, 1, 2)
-            dA = aa.flow_rhs(aa.complex_to_real(corpus.aa_family_2d(a, b)))
-            ap, bp = corpus.family_2d_rhs(a, b)
-            res = max(res, abs(dA[0, 1] - ap), abs(dA[1, 0] - bp))
-        assert res < 1e-12
-        return res
-
-    @check("matrix flow: the skew line is fixed")
-    def _():
-        res = 0.0
-        for a in (0.3, 1.0, 2.5):
-            dA = aa.flow_rhs(aa.complex_to_real(corpus.aa_family_2d(a, -a)))
-            res = max(res, float(np.abs(dA).max()))
-        assert res < 1e-12
-        return res
-
-    @check("diagonal representatives are algebraic solitons")
-    def _():
-        cls = aa.classify_soliton(aa.AAMatrix.from_complex(corpus.aa_diag(1, -1, 0)))
-        assert cls.kind == "algebraic" and cls.normal_form == "diagonal-complex"
-        cls2 = aa.classify_soliton(aa.AAMatrix.from_complex(corpus.aa_n2()))
-        assert cls2.kind == "algebraic" and cls2.normal_form == "nilpotent-n2"
-        cls3 = aa.classify_soliton(aa.AAMatrix.from_complex(corpus.aa_n6(1.0)))
-        assert cls3.kind == "none"
-        return 0.0
-
-    @check("commuting-unitary split certifies equivalence")
-    def _():
-        A, A1, A2 = corpus.aa_heber_example()
-        m = aa.AAMatrix.from_complex(A)
-        assert aa.classify_soliton(m).kind == "none"
-        rep = aa.equivalence_checks(m, split=(aa.AAMatrix.from_complex(A1),
-                                              aa.AAMatrix.from_complex(A2)))
-        assert rep.verdict
-        return max(rep.residuals.values())
-
-    @check("norm decay and scalar-curvature monotonicity (corrected bound)")
-    def _():
-        rng = _seeded_rng()
-        res = 0.0
-        for _ in range(3):
-            m = _random_sl3c(rng)
-            traj = aa.matrix_bracket_flow(
-                m, IntegratorOptions(t_end=10.0, sample_every=20))
-            R0 = traj.samples[0].R
-            prev = math.inf
-            for smp in traj.samples:
-                assert smp.norm_sq < prev + 1e-12
-                prev = smp.norm_sq
-                bound = 1.0 / (-(4.0 / 3.0) * smp.t + 1.0 / R0)
-                assert smp.R >= bound - 1e-8 and smp.R < 0
-                res = max(res, max(0.0, bound - smp.R))
-        return res
-
-    @check("moment map: bracket-norm evolution identity")
-    def _():
-        rng = _seeded_rng()
-        res = 0.0
-        for _ in range(5):
-            m = _random_sl3c(rng)
-            dmu2 = 4.0 * float(np.sum(m.A * aa.flow_rhs(m.A)))
-            res = max(res, abs(dmu2 + 8.0 * np.trace(aa.q_operator(m)
-                                                     @ aa.moment_map(m))))
-        assert res < 1e-10
-        return res
-
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -659,25 +245,21 @@ def _build_parser():
                     "bracket flow")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, io=True):
-        if io:
+    parsers = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, q in parsers.items():
+        if name != "verify":
             q.add_argument("--input", help="path to a JSON file, or inline JSON")
         q.add_argument("--out", help="output path (default: stdout)")
+    for q in (parsers["flow"], parsers["aa-flow"]):
         q.add_argument("--format", choices=("csv", "json"), default="csv")
         q.add_argument("--t-end", dest="t_end", type=float, default=10.0)
         q.add_argument("--atol", type=float, default=1e-9)
         q.add_argument("--rtol", type=float, default=1e-9)
         q.add_argument("--h0", type=float, default=1e-3)
         q.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
-        q.add_argument("--normalize", choices=("none", "unit-bracket-norm"),
-                       default="none")
         q.add_argument("--sample-every", dest="sample_every", type=int, default=10)
-        q.add_argument("--jobs", type=int, default=None)
-
-    for name in ("flow", "aa-flow", "soliton", "aa-classify", "sweep"):
-        add_common(sub.add_parser(name))
-    q = sub.add_parser("verify")
-    q.add_argument("--out", help="output path (default: stdout)")
+    parsers["flow"].add_argument("--normalize", default="none",
+                                 choices=("none", "unit-bracket-norm"))
     return p
 
 

@@ -336,14 +336,6 @@ def theta(A, a: KForm) -> KForm:
     return KForm(a.degree, np.einsum("jabi,ab,i->j", T, A, a.coeffs))
 
 
-def theta_matrix(A, k: int) -> np.ndarray:
-    """theta(A) restricted to degree k, as a matrix on coefficient vectors."""
-    if k == 0:
-        return np.zeros((1, 1))
-    A = np.asarray(A, dtype=float).reshape(DIM, DIM)
-    return np.einsum("jabi,ab->ji", _theta_tensor(k), A)
-
-
 def pullback_matrix(h, k: int) -> np.ndarray:
     """Matrix of the pullback a -> a(h.,...,h.) on degree-k coefficients."""
     if k == 0:

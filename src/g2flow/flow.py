@@ -4,14 +4,14 @@ reconstruction, and soliton detection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotClosed, PositivityError, StepUnderflow
+from .errors import NotClosed
 from .exterior import DIM, KForm, pullback_matrix, _star_table, _theta_tensor
 from .g2core import G2Structure, metric_from_3form
-from .integrate import rk4_steps, rk45_steps
+from .integrate import IntegratorOptions, drive
 from .liealg import (
     LieBracket,
     bracket_act,
@@ -26,34 +26,6 @@ from .liealg import (
 )
 
 CLOSED_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class IntegratorOptions:
-    """Knobs for the ODE integrators."""
-
-    method: str = "rk45"  # rk45 (adaptive) or rk4 (fixed step)
-    h0: float = 1e-3
-    hmin: float = 1e-12
-    hmax: float = math.inf
-    atol: float = 1e-9
-    rtol: float = 1e-9
-    t_end: float = 10.0
-    normalize: str = "none"  # none | unit-bracket-norm
-    sample_every: int = 10
-    blowup_norm: float = 1e8
-
-    def __post_init__(self):
-        if not (self.hmin <= self.h0 <= self.hmax):
-            raise ValueError("need hmin <= h0 <= hmax")
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.normalize not in ("none", "unit-bracket-norm"):
-            raise ValueError(f"unknown normalization {self.normalize!r}")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
 
 
 @dataclass
@@ -109,60 +81,38 @@ def _soliton_label(kind, c, scale=1.0):
     return "expanding" if c < 0 else "shrinking"
 
 
+def _closed(s: G2Structure, dphi: KForm) -> bool:
+    """Whether dphi, the differential of s.phi, vanishes to CLOSED_TOL."""
+    return s.form_norm(dphi) <= CLOSED_TOL * max(1.0, s.form_norm(s.phi))
+
+
 # ---------------------------------------------------------------------------
 # bracket flow
 # ---------------------------------------------------------------------------
 
-def laplacian_of_bracket(mu: LieBracket, s: G2Structure) -> KForm:
-    """Hodge Laplacian of the fixed 3-form for the evolving bracket."""
-    return hodge_laplacian(mu, s, s.phi)
-
-
-def _steps(rhs, y0, opts):
-    if opts.method == "rk4":
-        return rk4_steps(rhs, y0, 0.0, opts.t_end, opts.h0)
-    return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
-                      opts.atol, opts.rtol)
-
-
-def _collect(kind, rhs, y0, opts, make_sample, norm_of, structure, mu0, phi0):
-    """Drive the integrator, sampling every ``sample_every`` accepted steps."""
-    samples = []
-    status = "completed"
-    last = None
-    sampled_last = False
-    try:
-        for n, (t, y) in enumerate(_steps(rhs, y0, opts)):
-            last = (t, y)
-            blown = norm_of(y) > opts.blowup_norm
-            sampled_last = (n % opts.sample_every == 0) or blown
-            if sampled_last:
-                samples.append(make_sample(t, y))
-            if blown:
-                status = "blowup-detected"
-                break
-    except StepUnderflow:
-        status = "step-underflow"
-    except PositivityError:
-        status = "blowup-detected"
-    if last is not None and not sampled_last:
-        try:
-            samples.append(make_sample(*last))
-        except PositivityError:
-            pass
-    return FlowTrajectory(kind, samples, status, structure, mu0, phi0, opts)
+def _flow_sample(kind, t, mu: LieBracket, st: G2Structure) -> FlowSample:
+    """The sample of the pair (mu, st.phi); a bracket-flow sample keeps mu,
+    a direct-flow sample keeps phi."""
+    delta = hodge_laplacian(mu, st, st.phi)
+    Q = st.solve_Q(delta)
+    dphi = ce_differential(mu, st.phi)
+    dpsi = ce_differential(mu, st.psi)
+    R = 1.5 * float(np.trace(Q)) if _closed(st, dphi) else ricci(mu, st.metric)[1]
+    tau = st.torsion_forms(dphi, dpsi).total_norm()
+    vel = st.form_norm(delta)
+    if kind == "bracket":
+        return FlowSample(t, mu, None, Q, mu.norm(), R, tau, vel, jacobi=mu.jacobi)
+    return FlowSample(t, None, st.phi, Q, mu.norm(), R, tau, vel)
 
 
 def bracket_flow(mu0: LieBracket, s: G2Structure,
                  opts: IntegratorOptions | None = None) -> FlowTrajectory:
     """Integrate d mu/dt = delta_mu(Q_mu) with the 3-form held fixed."""
     opts = opts or IntegratorOptions()
-    phi_n = s.form_norm(s.phi)
 
     def rhs(t, y):
         mu = LieBracket(unpack_constants(y.reshape(21, DIM)), validate=False)
-        delta = laplacian_of_bracket(mu, s)
-        Q = s.solve_Q(delta)
+        Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
         vel = pack_constants(delta_mu(mu, Q)).reshape(-1)
         if opts.normalize == "unit-bracket-norm":
             vel = vel - (vel @ y) / max(y @ y, 1e-300) * y
@@ -173,18 +123,11 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 
     def make_sample(t, y):
         mu = LieBracket(unpack_constants(y.reshape(21, DIM)), validate=False)
-        delta = laplacian_of_bracket(mu, s)
-        Q = s.solve_Q(delta)
-        dphi = ce_differential(mu, s.phi)
-        dpsi = ce_differential(mu, s.psi)
-        closed = s.form_norm(dphi) <= CLOSED_TOL * max(1.0, phi_n)
-        R = 1.5 * float(np.trace(Q)) if closed else ricci(mu, s.metric)[1]
-        tf = s.torsion_forms(dphi, dpsi)
-        return FlowSample(t, mu, None, Q, mu.norm(), R, tf.total_norm(),
-                          s.form_norm(delta), jacobi=mu.jacobi)
+        return _flow_sample("bracket", t, mu, s)
 
-    y0 = mu0.packed().reshape(-1)
-    return _collect("bracket", rhs, y0, opts, make_sample, norm_of, s, mu0, None)
+    samples, status = drive(rhs, mu0.packed().reshape(-1), opts, make_sample,
+                            norm_of)
+    return FlowTrajectory("bracket", samples, status, s, mu0, None, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +165,7 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     opts = opts or IntegratorOptions()
     if opts.normalize != "none":
         raise ValueError("normalization applies to the bracket flow only")
+    s0 = G2Structure(phi0)
     coeff_rhs = _laplacian_coeff_rhs(mu)
 
     def rhs(t, y):
@@ -231,20 +175,10 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
         return float(np.linalg.norm(y))
 
     def make_sample(t, y):
-        phi = KForm(3, y)
-        st = G2Structure(phi)
-        delta = hodge_laplacian(mu, st, phi)
-        Q = st.solve_Q(delta)
-        dphi = ce_differential(mu, phi)
-        dpsi = ce_differential(mu, st.psi)
-        closed = st.form_norm(dphi) <= CLOSED_TOL * max(1.0, st.form_norm(phi))
-        R = 1.5 * float(np.trace(Q)) if closed else ricci(mu, st.metric)[1]
-        tf = st.torsion_forms(dphi, dpsi)
-        return FlowSample(t, None, phi, Q, mu.norm(), R, tf.total_norm(),
-                          st.form_norm(delta))
+        return _flow_sample("laplacian", t, mu, G2Structure(KForm(3, y)))
 
-    return _collect("laplacian", rhs, phi0.coeffs.copy(), opts, make_sample,
-                    norm_of, G2Structure(phi0), mu, phi0)
+    samples, status = drive(rhs, phi0.coeffs.copy(), opts, make_sample, norm_of)
+    return FlowTrajectory("laplacian", samples, status, s0, mu, phi0, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +223,7 @@ class HReconstruction:
     """Equivalence maps h(t) with residuals against both flow pictures."""
 
     side: str
+    status: str  # as for FlowTrajectory
     times: np.ndarray
     h: list
     phi_residuals: np.ndarray
@@ -322,8 +257,7 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     phi_c = s.phi.coeffs
     lap_rhs = _laplacian_coeff_rhs(mu0)
     n_mu = 21 * DIM
-    closed = s.form_norm(ce_differential(mu0, s.phi)) \
-        <= CLOSED_TOL * max(1.0, s.form_norm(s.phi))
+    closed = _closed(s, ce_differential(mu0, s.phi))
 
     def q_of_phi(phi_d):
         if closed:
@@ -336,8 +270,7 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         h = y[n_mu:n_mu + 49].reshape(DIM, DIM)
         phi_d = y[n_mu + 49:]
         mu = LieBracket(unpack_constants(cp), validate=False)
-        delta = laplacian_of_bracket(mu, s)
-        Qmu = s.solve_Q(delta)
+        Qmu = s.solve_Q(hodge_laplacian(mu, s, s.phi))
         dmu = pack_constants(delta_mu(mu, Qmu)).reshape(-1)
         if side == "ii":
             dh = -Qmu @ h
@@ -345,21 +278,22 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
             dh = -h @ q_of_phi(phi_d)
         return np.concatenate([dmu, dh.reshape(-1), lap_rhs(phi_d)])
 
-    y0 = np.concatenate([mu0.packed().reshape(-1), np.eye(DIM).reshape(-1), phi_c])
-    times, hs, res_phi, res_mu = [], [], [], []
-    for n, (t, y) in enumerate(_steps(rhs, y0, opts)):
-        if n % opts.sample_every != 0:
-            continue
+    def norm_of(y):  # the bracket's norm, as in bracket_flow
+        return math.sqrt(2.0) * float(np.linalg.norm(y[:n_mu]))
+
+    def make_sample(t, y):
         cp = y[:n_mu].reshape(21, DIM)
         h = y[n_mu:n_mu + 49].reshape(DIM, DIM)
         phi_d = y[n_mu + 49:]
-        times.append(t)
-        hs.append(h.copy())
         phi_pulled = pullback_matrix(h, 3) @ phi_c  # h(t)^{-1} . phi
-        res_phi.append(float(np.linalg.norm(phi_pulled - phi_d)))
         mu_res = bracket_act(h, mu0.c) - unpack_constants(cp)
-        res_mu.append(float(np.sqrt(np.sum(mu_res ** 2))))
-    return HReconstruction(side, np.array(times), hs,
+        return (t, h.copy(), float(np.linalg.norm(phi_pulled - phi_d)),
+                float(np.sqrt(np.sum(mu_res ** 2))))
+
+    y0 = np.concatenate([mu0.packed().reshape(-1), np.eye(DIM).reshape(-1), phi_c])
+    samples, status = drive(rhs, y0, opts, make_sample, norm_of)
+    times, hs, res_phi, res_mu = zip(*samples)
+    return HReconstruction(side, status, np.array(times), list(hs),
                            np.array(res_phi), np.array(res_mu))
 
 
@@ -373,17 +307,17 @@ def _torsion_free(mu, s):
             and s.form_norm(ce_differential(mu, s.psi)) <= 1e-9 * scale)
 
 
-def detect_algebraic(mu: LieBracket, s: G2Structure,
-                     threshold: float = 1e-7) -> SolitonCertificate:
-    """Least-squares fit of Q over the family {c I + D : D a derivation}."""
-    delta = laplacian_of_bracket(mu, s)
-    Q = s.solve_Q(delta)
+def _fit_soliton(kind, mu, s, threshold, project):
+    """Least-squares fit of Q over the family {c I + project(D) : D a
+    derivation}; a certificate of the given kind when the residual is below
+    threshold, relative to |Q|."""
+    Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
     scale = max(1.0, float(np.linalg.norm(Q)))
     if _torsion_free(mu, s):
         return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
                                   float(np.linalg.norm(Q)), "steady")
     der = derivations(mu)
-    cols = [np.eye(DIM).reshape(-1)] + [D.reshape(-1) for D in der.basis]
+    cols = [np.eye(DIM).reshape(-1)] + [project(D).reshape(-1) for D in der.basis]
     A = np.array(cols).T
     x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
     residual = float(np.linalg.norm(A @ x - Q.reshape(-1)))
@@ -392,8 +326,13 @@ def detect_algebraic(mu: LieBracket, s: G2Structure,
                                   np.full((DIM, DIM), np.nan), residual, "none")
     c = float(x[0])
     D = np.einsum("n,nab->ab", x[1:], der.basis)
-    return SolitonCertificate("algebraic", c, D, residual,
-                              _soliton_label("algebraic", c, scale))
+    return SolitonCertificate(kind, c, D, residual, _soliton_label(kind, c, scale))
+
+
+def detect_algebraic(mu: LieBracket, s: G2Structure,
+                     threshold: float = 1e-7) -> SolitonCertificate:
+    """Least-squares fit of Q over the family {c I + D : D a derivation}."""
+    return _fit_soliton("algebraic", mu, s, threshold, lambda D: D)
 
 
 def detect_semialgebraic(mu: LieBracket, s: G2Structure,
@@ -402,30 +341,12 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure,
 
     On success the skew part (D - D^t)/2, the rotation generator of the
     norm-normalized bracket flow, is reported alongside."""
-    dphi = ce_differential(mu, s.phi)
-    if s.form_norm(dphi) > CLOSED_TOL * max(1.0, s.form_norm(s.phi)):
+    if not _closed(s, ce_differential(mu, s.phi)):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    delta = laplacian_of_bracket(mu, s)
-    Q = s.solve_Q(delta)
-    scale = max(1.0, float(np.linalg.norm(Q)))
-    if _torsion_free(mu, s):
-        return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
-                                  float(np.linalg.norm(Q)), "steady")
-    der = derivations(mu)
-    cols = [np.eye(DIM).reshape(-1)] + \
-           [s.sym_part(D).reshape(-1) for D in der.basis]
-    A = np.array(cols).T
-    x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
-    residual = float(np.linalg.norm(A @ x - Q.reshape(-1)))
-    if residual >= threshold * scale:
-        return SolitonCertificate("none", float("nan"),
-                                  np.full((DIM, DIM), np.nan), residual, "none")
-    c = float(x[0])
-    D = np.einsum("n,nab->ab", x[1:], der.basis)
-    skew = 0.5 * (D - s.transpose(D))
-    return SolitonCertificate("semi-algebraic", c, D, residual,
-                              _soliton_label("semi-algebraic", c, scale),
-                              skew=skew)
+    cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part)
+    if cert.kind == "semi-algebraic":
+        cert = replace(cert, skew=0.5 * (cert.D - s.transpose(cert.D)))
+    return cert
 
 
 def lf_diagonal_test(traj: FlowTrajectory, rel_tol: float = 1e-6) -> bool:

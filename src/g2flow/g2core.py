@@ -18,6 +18,7 @@ from .exterior import (
     _interior_table,
     _star_table,
     _theta_tensor,
+    form_from_skew,
     merge_sign,
     pullback_matrix,
     wedge,
@@ -222,9 +223,6 @@ class G2Structure:
     def q27_basis(self):
         return self._conj_to_e(self._q27_f)
 
-    def star_matrix(self, k):
-        return self._H[k]
-
     def star(self, a: KForm) -> KForm:
         return KForm(DIM - a.degree, self._H[a.degree] @ a.coeffs)
 
@@ -297,7 +295,7 @@ class G2Structure:
             psi_f = KForm(4, _star_table(3) @ self._phi_f)
             # two-form component attached to the stabilizer algebra, already
             # expressed in frame coordinates
-            l2_14 = np.array([self._form_of_skew_e(X).coeffs for X in self._g2_f])
+            l2_14 = np.array([form_from_skew(X).coeffs for X in self._g2_f])
             U, s, Vh = np.linalg.svd(l2_14)
             l2_14 = Vh[: int(np.sum(s > _KERNEL_CUT * s[0]))]
             cols = []
@@ -323,11 +321,6 @@ class G2Structure:
             self._torsion_op = (A, l2_14)
         return self._torsion_op
 
-    @staticmethod
-    def _form_of_skew_e(X):
-        c = np.array([X[j - 1, i - 1] for (i, j) in INDEX_SETS[2]])
-        return KForm(2, c)
-
     def torsion_forms(self, dphi: KForm, dpsi: KForm) -> TorsionForms:
         """Solve dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
         dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components."""
@@ -345,25 +338,3 @@ class G2Structure:
         tau2 = KForm(2, self._Pinv[2] @ (x[8:22] @ l2_14))
         tau3 = KForm(3, self._Pinv[3] @ (x[22:] @ self._l3_27))
         return TorsionForms(tau0, tau1, tau2, tau3, res)
-
-
-def g2_and_q(phi: KForm):
-    """Bases of the stabilizer algebra and its complement for a positive form."""
-    s = G2Structure(phi)
-    return s.g2_basis, s.q_basis, s.q1_basis, s.q7_basis, s.q27_basis
-
-
-def solve_Q(s: G2Structure, psi: KForm) -> np.ndarray:
-    return s.solve_Q(psi)
-
-
-def iop(s: G2Structure, A) -> KForm:
-    return s.iop(A)
-
-
-def jop(s: G2Structure, psi: KForm, strict: bool = False) -> np.ndarray:
-    return s.jop(psi, strict=strict)
-
-
-def torsion_forms(s: G2Structure, dphi: KForm, dpsi: KForm) -> TorsionForms:
-    return s.torsion_forms(dphi, dpsi)

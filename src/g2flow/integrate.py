@@ -1,15 +1,44 @@
 """Small explicit ODE integrators: fixed-step RK4 for reproducibility and an
 embedded Dormand-Prince 5(4) pair with step-size control for everything else.
 State vectors are flat float arrays; integration can run in either time
-direction."""
+direction.  `drive` is the one sampling loop every flow runs through."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import PositivityError, StepUnderflow
+
+
+@dataclass(frozen=True)
+class IntegratorOptions:
+    """Knobs for the ODE integrators."""
+
+    method: str = "rk45"  # rk45 (adaptive) or rk4 (fixed step)
+    h0: float = 1e-3
+    hmin: float = 1e-12
+    hmax: float = math.inf
+    atol: float = 1e-9
+    rtol: float = 1e-9
+    t_end: float = 10.0
+    normalize: str = "none"  # none | unit-bracket-norm
+    sample_every: int = 10
+    blowup_norm: float = 1e8
+
+    def __post_init__(self):
+        if not (self.hmin <= self.h0 <= self.hmax):
+            raise ValueError("need hmin <= h0 <= hmax")
+        if self.atol <= 0 or self.rtol <= 0:
+            raise ValueError("tolerances must be positive")
+        if self.method not in ("rk4", "rk45"):
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.normalize not in ("none", "unit-bracket-norm"):
+            raise ValueError(f"unknown normalization {self.normalize!r}")
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -78,9 +107,42 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol):
             h = max(hmin, h * max(0.2, 0.9 * err ** -0.2))
 
 
-def solve_fixed(f, y0, t0, t1, h):
-    """Convenience driver returning the final state of an RK4 run."""
-    y = np.asarray(y0, dtype=float)
-    for _, y in rk4_steps(f, y0, t0, t1, h):
-        pass
-    return y
+def _steps(rhs, y0, opts):
+    if opts.method == "rk4":
+        return rk4_steps(rhs, y0, 0.0, opts.t_end, opts.h0)
+    return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
+                      opts.atol, opts.rtol)
+
+
+def drive(rhs, y0, opts, make_sample, norm_of):
+    """Integrate y' = rhs(t, y) from t = 0 to opts.t_end.
+
+    Samples make_sample(t, y) every ``sample_every`` accepted steps and at
+    the last state reached.  Returns (samples, status), the status being
+    completed, blowup-detected (norm_of(y) above opts.blowup_norm, or a
+    PositivityError from rhs or make_sample) or step-underflow.
+    """
+    samples = []
+    status = "completed"
+    last = None
+    sampled_last = False
+    try:
+        for n, (t, y) in enumerate(_steps(rhs, y0, opts)):
+            last = (t, y)
+            blown = norm_of(y) > opts.blowup_norm
+            sampled_last = (n % opts.sample_every == 0) or blown
+            if sampled_last:
+                samples.append(make_sample(t, y))
+            if blown:
+                status = "blowup-detected"
+                break
+    except StepUnderflow:
+        status = "step-underflow"
+    except PositivityError:
+        status = "blowup-detected"
+    if last is not None and not sampled_last:
+        try:
+            samples.append(make_sample(*last))
+        except PositivityError:
+            pass
+    return samples, status

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2flow import almostabelian as aa
+from g2flow.corpus import random_sl3c  # noqa: F401 - shared with the tests
 from g2flow.exterior import Metric, phi_canonical, act
 from g2flow.g2core import G2Structure
 
@@ -52,14 +53,6 @@ def random_metric(rng, spread=0.5):
 def random_kform(rng, degree, scale=1.0):
     from g2flow.exterior import KForm, NFORMS
     return KForm(degree, scale * rng.normal(size=NFORMS[degree]))
-
-
-def random_sl3c(rng, scale=1.0):
-    B = rng.uniform(-1, 1, (3, 3))
-    C = rng.uniform(-1, 1, (3, 3))
-    B -= np.trace(B) / 3 * np.eye(3)
-    C -= np.trace(C) / 3 * np.eye(3)
-    return aa.AAMatrix.from_complex(scale * B, scale * C)
 
 
 def random_su3(rng):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from g2flow import cli
 from g2flow import corpus
@@ -120,8 +121,7 @@ def test_sweep_grid(capsys):
         {"B": [[0, 1, 0], [0, 0, 2 ** 0.5], [0, 0, 0]]},
         {"B": np.diag([1.0, -1.0, 0.0]).tolist()},
     ]
-    code, out = run(capsys, "sweep", "--input", json.dumps({"matrices": mats}),
-                    "--jobs", "2")
+    code, out = run(capsys, "sweep", "--input", json.dumps({"matrices": mats}))
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "# g2flow-csv v1"
@@ -149,3 +149,62 @@ def test_missing_input_errors(capsys):
     code, out = run(capsys, "soliton")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_verify_counts_any_exception_as_a_failure(capsys, monkeypatch):
+    def singular():
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(corpus, "build_verify_corpus",
+                        lambda: [("singular", singular), ("fine", lambda: 0.0)])
+    code, out = run(capsys, "verify")
+    assert code == 2
+    lines = out.strip().split("\n")
+    assert [line.split()[0] for line in lines[:2]] == ["FAIL", "PASS"]
+    assert "LinAlgError: SVD did not converge" in lines[0]
+    assert lines[2] == "1/2 corpus checks passed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--input", json.dumps({
+        "mu": corpus.mu_nilpotent(1.0, 0.0, 0.0, 1.0).to_json_dict(),
+        "phi": corpus.phi_nilpotent_example().to_json_dict()})],
+    ["aa-classify", "--input", json.dumps({"B": np.diag([1.0, -1.0, 0.0]).tolist()})],
+    ["sweep", "--input", json.dumps({"matrices": [{"B": np.zeros((3, 3)).tolist()}]})],
+])
+def test_out_file_is_written_and_closed(capsys, tmp_path, argv):
+    # an unclosed file fails this test through the ResourceWarning filter
+    out_path = tmp_path / "out.txt"
+    code, out = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--t-end", "1"],
+    ["sweep", "--jobs", "2"],
+    ["aa-classify", "--method", "rk4"],
+    ["aa-flow", "--normalize", "unit-bracket-norm"],
+    ["verify", "--input", "{}"],
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+def test_aa_flow_nearly_imaginary_spectrum_completes(capsys):
+    # the flow barely contracts and drifts about 1e-9 out of sl(3,C), more
+    # than the membership tolerance; the run must not re-check each sample
+    x = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    y = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    z = 2.0 * (0.05 * x + np.sqrt(1 - 0.05 ** 2) * 1j * y)
+    B = np.diag(z)
+    payload = json.dumps({"B": B.real.tolist(), "C": B.imag.tolist()})
+    code, out = run(capsys, "aa-flow", "--input", payload, "--t-end", "50",
+                    "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "completed"
+    assert doc["rows"][-1][0] == 50.0

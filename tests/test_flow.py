@@ -197,6 +197,40 @@ def test_reconstruct_constant_trajectory_is_matrix_exponential(s_aa, rng):
     assert max(np.abs(h - np.eye(7)).max() for h in rec.h) < 1e-9
 
 
+def test_reconstruct_samples_as_the_trajectory(s_aa, rng):
+    # 100 fixed steps sampled every 30: `drive` adds the final state at
+    # t = 1, so the maps are reported at the trajectory's own sample times
+    mu0 = aa.bracket_of(random_sl3c(rng, 0.8))
+    traj = bracket_flow(mu0, s_aa, IntegratorOptions(method="rk4", h0=1e-2,
+                                                     t_end=1.0, sample_every=30))
+    rec = reconstruct_h(traj, side="ii")
+    assert rec.status == traj.status == "completed"
+    assert len(traj.times) == 5
+    assert np.array_equal(rec.times, traj.times)
+    assert max(rec.max_phi_residual, rec.max_mu_residual) < 1e-5
+
+
+def test_matrix_flow_matches_bracket_flow(s_aa, rng):
+    # the 6x6 reduction and the 7-dimensional bracket flow, run through the
+    # same sampling loop with the same fixed steps, are one flow
+    opts = IntegratorOptions(method="rk4", h0=1e-2, t_end=1.0)
+    for _ in range(3):
+        m = random_sl3c(rng)
+        small = aa.matrix_bracket_flow(m, opts)
+        full = bracket_flow(aa.bracket_of(m), s_aa, opts)
+        assert small.status == full.status == "completed"
+        assert np.array_equal(small.times, full.times)
+        for a, b in zip(small.samples, full.samples):
+            assert abs(a.R - b.R) < 1e-12 * max(1.0, abs(b.R))
+            assert abs(a.norm_mu - b.norm_mu) < 1e-12 * max(1.0, b.norm_mu)
+
+
+def test_matrix_flow_rejects_normalization(rng):
+    with pytest.raises(ValueError):
+        aa.matrix_bracket_flow(random_sl3c(rng),
+                               IntegratorOptions(normalize="unit-bracket-norm"))
+
+
 def test_detect_algebraic_example(s_nilpotent):
     cert = detect_algebraic(mu_nilpotent(1.0, 0.0, 0.0, 1.0), s_nilpotent)
     assert cert.kind == "algebraic" and cert.label == "expanding"

@@ -5,7 +5,7 @@ from g2flow import almostabelian as aa
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import ComponentError, InconsistentTorsion, PositivityError
 from g2flow.exterior import KForm, act, phi_canonical, skew_from_form, theta, wedge
-from g2flow.g2core import G2Structure, g2_and_q, metric_from_3form
+from g2flow.g2core import G2Structure, metric_from_3form
 from g2flow.liealg import ce_differential, hodge_laplacian, ricci
 
 from conftest import random_gl7, random_kform, random_positive_form, random_sl3c
@@ -49,7 +49,8 @@ def test_negative_orientation_forms_are_handled(rng):
 
 
 def test_splitting_dimensions():
-    g2b, qb, q1, q7, q27 = g2_and_q(phi_canonical())
+    s = G2Structure(phi_canonical())
+    g2b, qb, q1, q7, q27 = s.g2_basis, s.q_basis, s.q1_basis, s.q7_basis, s.q27_basis
     assert (len(g2b), len(qb), len(q1), len(q7), len(q27)) == (14, 35, 1, 7, 27)
 
 
