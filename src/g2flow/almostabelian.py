@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotClosed, NotTraceFree
+from .errors import InvalidBracket, NotClosed, NotTraceFree
 from .exterior import DIM, KForm, theta, wedge
 from .g2core import G2Structure
 from .integrate import IntegratorOptions, drive
@@ -110,6 +110,8 @@ class AAMatrix:
     @classmethod
     def from_matrix(cls, A, basis="paper"):
         A = np.array(A, dtype=float).reshape(6, 6)
+        if not np.isfinite(A).all():
+            raise InvalidBracket("matrix entries must be finite")
         if basis == "natural":
             A = natural_to_paper(A)
         elif basis != "paper":

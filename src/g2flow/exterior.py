@@ -365,21 +365,23 @@ def _as_metric(g):
 
 
 def hodge_matrix(g, k: int) -> np.ndarray:
-    """Hodge star on degree k for the metric g, as a coefficient matrix."""
+    """Hodge star on degree k for the metric g, as a coefficient matrix.
+
+    *a = orientation * sqrt(det G) * S_k(a with indices raised by G^{-1}),
+    S_k the identity-metric complement table; the only place a star is built.
+    """
     if g is None:
         return _star_table(k)
     g = _as_metric(g)
-    M = g.frame()
-    Minv = np.linalg.inv(M)
-    return pullback_matrix(Minv, DIM - k) @ _star_table(k) @ pullback_matrix(M, k)
+    vol = g.orientation * np.sqrt(np.linalg.det(g.gram))
+    return vol * (_star_table(k) @ pullback_matrix(np.linalg.inv(g.gram), k))
 
 
 def hodge_star(a: KForm, g=None) -> KForm:
     """Hodge star of a k-form.
 
     With no metric (or the identity metric, positive orientation) this is the
-    signed complement table; general metrics go through an oriented
-    orthonormal frame obtained by Cholesky factorization.
+    signed complement table; see :func:`hodge_matrix` for general metrics.
     """
     return KForm(DIM - a.degree, hodge_matrix(g, a.degree) @ a.coeffs)
 

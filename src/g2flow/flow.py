@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotClosed
-from .exterior import DIM, KForm, pullback_matrix, _star_table, _theta_tensor
+from .exterior import DIM, KForm, hodge_matrix, pullback_matrix
 from .g2core import G2Structure, metric_from_3form
 from .integrate import IntegratorOptions, drive
 from .liealg import (
@@ -139,15 +139,10 @@ def _laplacian_coeff_rhs(mu: LieBracket):
     d2 = ce_matrix(mu, 2)
     d3 = ce_matrix(mu, 3)
     d4 = ce_matrix(mu, 4)
-    S3, S4, S5 = _star_table(3), _star_table(4), _star_table(5)
 
     def rhs_coeffs(y):
         g, _ = metric_from_3form(KForm(3, y))
-        M = g.frame()
-        Minv = np.linalg.inv(M)
-        H3 = pullback_matrix(Minv, 4) @ S3 @ pullback_matrix(M, 3)
-        H4 = pullback_matrix(Minv, 3) @ S4 @ pullback_matrix(M, 4)
-        H5 = pullback_matrix(Minv, 2) @ S5 @ pullback_matrix(M, 5)
+        H3, H4, H5 = (hodge_matrix(g, k) for k in (3, 4, 5))
         t1 = H4 @ (d3 @ (H4 @ (d3 @ y)))
         t2 = d2 @ (H5 @ (d4 @ (H3 @ y)))
         return t1 - t2
@@ -185,39 +180,6 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
 # equivalence maps between the two flows
 # ---------------------------------------------------------------------------
 
-_sym_embed_49x28 = None
-
-
-def _sym_basis():
-    global _sym_embed_49x28
-    if _sym_embed_49x28 is None:
-        out = []
-        for i in range(DIM):
-            for j in range(i, DIM):
-                E = np.zeros((DIM, DIM))
-                E[i, j] = E[j, i] = 1.0
-                out.append(E.reshape(-1))
-        _sym_embed_49x28 = np.array(out).T  # 49 x 28
-    return _sym_embed_49x28
-
-
-def _solve_Q_symmetric(phi_coeffs, rhs_coeffs):
-    """Q with theta(Q) phi = rhs, assuming Q symmetric for the metric of phi.
-
-    Valid for closed structures, where the vector-type component vanishes;
-    this avoids the full splitting construction in inner integration loops.
-    """
-    g, _ = metric_from_3form(KForm(3, phi_coeffs))
-    ginv = np.linalg.inv(g.gram)
-    theta_full = np.einsum("jabi,i->jab", _theta_tensor(3),
-                           phi_coeffs).reshape(35, 49)
-    sym = _sym_basis().reshape(DIM, DIM, 28)
-    embed = np.einsum("am,mbn->abn", ginv, sym).reshape(49, 28)
-    A = theta_full @ embed
-    x, *_ = np.linalg.lstsq(A, rhs_coeffs, rcond=None)
-    return (embed @ x).reshape(DIM, DIM)
-
-
 @dataclass
 class HReconstruction:
     """Equivalence maps h(t) with residuals against both flow pictures."""
@@ -246,24 +208,21 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     Either way h(0) = I.  The bracket flow, the direct flow and h are
     integrated jointly, and the report carries the residuals of
     phi_direct(t) = h(t)^{-1} . phi and mu(t) = h(t) . mu0 along samples.
+    The maps link the unnormalized flows only, so a trajectory of the
+    norm-normalized bracket flow is refused.
     """
     if side not in ("i", "ii"):
         raise ValueError("side must be 'i' or 'ii'")
     if traj.kind != "bracket":
         raise ValueError("reconstruction starts from a bracket-flow trajectory")
+    if traj.opts.normalize != "none":
+        raise ValueError("equivalence maps link the unnormalized flows only")
     s = traj.structure
     mu0 = traj.mu0
     opts = traj.opts
     phi_c = s.phi.coeffs
     lap_rhs = _laplacian_coeff_rhs(mu0)
     n_mu = 21 * DIM
-    closed = _closed(s, ce_differential(mu0, s.phi))
-
-    def q_of_phi(phi_d):
-        if closed:
-            return _solve_Q_symmetric(phi_d, lap_rhs(phi_d))
-        st = G2Structure(KForm(3, phi_d))
-        return st.solve_Q(KForm(3, lap_rhs(phi_d)))
 
     def rhs(t, y):
         cp = y[:n_mu].reshape(21, DIM)
@@ -272,11 +231,12 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         mu = LieBracket(unpack_constants(cp), validate=False)
         Qmu = s.solve_Q(hodge_laplacian(mu, s, s.phi))
         dmu = pack_constants(delta_mu(mu, Qmu)).reshape(-1)
+        lap = lap_rhs(phi_d)
         if side == "ii":
             dh = -Qmu @ h
         else:
-            dh = -h @ q_of_phi(phi_d)
-        return np.concatenate([dmu, dh.reshape(-1), lap_rhs(phi_d)])
+            dh = -h @ G2Structure(KForm(3, phi_d)).solve_Q(KForm(3, lap))
+        return np.concatenate([dmu, dh.reshape(-1), lap])
 
     def norm_of(y):  # the bracket's norm, as in bracket_flow
         return math.sqrt(2.0) * float(np.linalg.norm(y[:n_mu]))

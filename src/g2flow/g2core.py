@@ -5,6 +5,7 @@ i/j maps, and torsion-form extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,12 +17,14 @@ from .exterior import (
     Metric,
     NFORMS,
     _interior_table,
-    _star_table,
     _theta_tensor,
     form_from_skew,
+    hodge_matrix,
+    hodge_star,
     merge_sign,
     pullback_matrix,
-    wedge,
+    skew_from_form,
+    theta,
     wedge_matrix,
 )
 
@@ -65,11 +68,14 @@ def induced_bilinear(phi: KForm) -> np.ndarray:
 def metric_from_3form(phi: KForm):
     """Recover (metric, volume form) from a positive 3-form.
 
-    Raises PositivityError when the induced bilinear form is not definite.
+    Raises PositivityError when the induced bilinear form is not definite
+    or not finite.
     The bilinear form is rescaled so that the volume form is the metric
     volume: g = det(B)^(-1/9) B.
     """
     B = induced_bilinear(phi)
+    if not np.isfinite(B).all():
+        raise PositivityError("3-form coefficients must be finite")
     eig = np.linalg.eigvalsh(B)
     if eig[0] > 0:
         orientation = 1
@@ -101,17 +107,6 @@ def _sym0_basis():
     return np.array(out)
 
 
-def _skew_basis():
-    out = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            E = np.zeros((DIM, DIM))
-            E[i, j] = 1.0 / np.sqrt(2.0)
-            E[j, i] = -1.0 / np.sqrt(2.0)
-            out.append(E)
-    return np.array(out)
-
-
 @dataclass
 class TorsionForms:
     """The four torsion components of a pair (dphi, dpsi)."""
@@ -128,10 +123,15 @@ class TorsionForms:
 
 
 class G2Structure:
-    """A positive 3-form with its induced metric and cached linear algebra.
+    """A positive 3-form with its induced metric and the linear algebra
+    attached to it.
 
-    Construction is pure and the result immutable; all operations are
-    read-only, so instances may be shared freely across threads.
+    Construction computes the metric, an oriented orthonormal frame and the
+    SVD of the theta map X -> theta(X) phi in frame coordinates.  The Hodge
+    dual psi, the frame and star tables of each degree, the q1/q7/q27 split
+    and the torsion operator are filled in on first use.  Like
+    ``LieBracket._d_cache`` they hold idempotent values (a table built twice
+    comes out the same), so instances may be shared across threads.
 
     Attributes:
         phi, psi: the 3-form and its Hodge dual 4-form.
@@ -149,56 +149,69 @@ class G2Structure:
         self.metric, self.vol = metric_from_3form(phi)
         self.frame = self.metric.frame()
         self._frame_inv = np.linalg.inv(self.frame)
-        self._P = {k: pullback_matrix(self.frame, k) for k in range(DIM + 1)}
-        self._Pinv = {k: pullback_matrix(self._frame_inv, k) for k in range(DIM + 1)}
-        self._H = {k: self._Pinv[DIM - k] @ _star_table(k) @ self._P[k]
-                   for k in range(DIM + 1)}
-        self.psi = self.star(phi)
+        self._tables = {}
 
         # frame coordinates of phi: a positive form with identity metric
-        self._phi_f = self._P[3] @ phi.coeffs
-        TH3 = _theta_tensor(3)
-        Tmap = np.einsum("jabi,i->jab", TH3, self._phi_f).reshape(NFORMS[3], DIM * DIM)
+        self._phi_f = self._frame_table(3) @ phi.coeffs
+        Tmap = np.einsum("jabi,i->jab", _theta_tensor(3),
+                         self._phi_f).reshape(NFORMS[3], DIM * DIM)
         U, s, Vh = np.linalg.svd(Tmap)
-        cut = _KERNEL_CUT * s[0]
-        rank = int(np.sum(s > cut))
+        rank = int(np.sum(s > _KERNEL_CUT * s[0]))
         if rank != NFORMS[3]:
             raise SingularSystem(f"theta map has rank {rank}, expected {NFORMS[3]}")
-        kernel = Vh[rank:]
-        if kernel.shape[0] != 14:
-            raise PositivityError("stabilizer algebra does not have dimension 14")
-        self._g2_f = kernel.reshape(14, DIM, DIM)
+        self._Tmap = Tmap
+        self._g2_f = Vh[rank:].reshape(-1, DIM, DIM)
         self._q_f = Vh[:rank].reshape(rank, DIM, DIM)
+        # pseudo-inverse of the theta map: its minimum-norm solutions lie in
+        # the row space q, the orthogonal complement of the kernel g2
+        self._solve_op = (Vh[:rank].T / s) @ U.T
 
-        self._q1_f = (np.eye(DIM) / np.sqrt(DIM))[None, :, :]
-        self._q27_f = _sym0_basis()
-        qrows = Vh[:rank]
-        skew_proj = (_skew_basis().reshape(21, -1) @ qrows.T) @ qrows
-        U7, s7, Vh7 = np.linalg.svd(skew_proj)
-        n7 = int(np.sum(s7 > _KERNEL_CUT * s7[0]))
-        if n7 != 7:
-            raise SingularSystem("skew part of q does not have dimension 7")
-        self._q7_f = Vh7[:7].reshape(7, DIM, DIM)
+    # -- tables filled on first use ----------------------------------------
 
-        # theta restricted to q against degree-3 coordinates, for solve_Q
-        self._theta_q = np.einsum("jabi,nab,i->jn", TH3, self._q_f, self._phi_f)
-        sq = np.linalg.svd(self._theta_q, compute_uv=False)
-        if sq[-1] < 1e-12 * sq[0]:
-            raise SingularSystem("restricted theta map is rank deficient")
+    def _table(self, key, build):
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+        return table
 
-        # irreducible pieces of the 3-forms, in frame coordinates
-        self._l3_7 = self._orthonormal_image(self._q7_f)
-        self._l3_27 = self._orthonormal_image(self._q27_f)
+    def _frame_table(self, k, inverse=False):
+        """Pullback of degree-k coefficients by the frame (e coordinates to
+        frame coordinates), or by its inverse (back again)."""
+        h = self._frame_inv if inverse else self.frame
+        return self._table(("frame", k, inverse), lambda: pullback_matrix(h, k))
 
-        self._torsion_op = None
+    @cached_property
+    def psi(self) -> KForm:
+        return self.star(self.phi)
+
+    @cached_property
+    def _q_split(self):
+        """Frame bases of q1, q7 and q27.  q7, the skew part of q, is spanned
+        by the matrices phi(., ., v), each of Frobenius norm sqrt(6)."""
+        cross = np.einsum("uji,i->uj", _interior_table(3), self._phi_f)
+        q7 = np.array([skew_from_form(KForm(2, c)) for c in cross]) / np.sqrt(6.0)
+        return (np.eye(DIM) / np.sqrt(DIM))[None, :, :], q7, _sym0_basis()
+
+    @cached_property
+    def _torsion_op(self):
+        """Linear map from (tau0, tau1, tau2, tau3) coordinates to frame
+        coordinates of (dphi, dpsi), with the tau2 and tau3 bases."""
+        phi_f = KForm(3, self._phi_f)
+        psi_f = hodge_star(phi_f)
+        # tau2 lies in the 2-forms of the stabilizer algebra, tau3 in the
+        # image of the trace-free symmetric matrices under the theta map
+        l2_14 = np.array([form_from_skew(X).coeffs for X in self._g2_f])
+        l3_27 = self._q_split[2].reshape(27, -1) @ self._Tmap.T
+        n1, n2 = NFORMS[4], NFORMS[5]
+        A = np.block([
+            [psi_f.coeffs[:, None], 3.0 * wedge_matrix(phi_f, 1),
+             np.zeros((n1, 14)), hodge_matrix(None, 3) @ l3_27.T],
+            [np.zeros((n2, 1)), 4.0 * wedge_matrix(psi_f, 1),
+             wedge_matrix(phi_f, 2) @ l2_14.T, np.zeros((n2, 27))],
+        ])
+        return A, l2_14, l3_27
 
     # -- basic operators ---------------------------------------------------
-
-    def _orthonormal_image(self, mats):
-        rows = np.einsum("jabi,nab,i->nj", _theta_tensor(3), mats, self._phi_f)
-        U, s, Vh = np.linalg.svd(rows)
-        n = int(np.sum(s > _KERNEL_CUT * s[0]))
-        return Vh[:n]
 
     def _conj_to_e(self, mats):
         return [self.frame @ X @ self._frame_inv for X in mats]
@@ -213,23 +226,25 @@ class G2Structure:
 
     @property
     def q1_basis(self):
-        return self._conj_to_e(self._q1_f)
+        return self._conj_to_e(self._q_split[0])
 
     @property
     def q7_basis(self):
-        return self._conj_to_e(self._q7_f)
+        return self._conj_to_e(self._q_split[1])
 
     @property
     def q27_basis(self):
-        return self._conj_to_e(self._q27_f)
+        return self._conj_to_e(self._q_split[2])
 
     def star(self, a: KForm) -> KForm:
-        return KForm(DIM - a.degree, self._H[a.degree] @ a.coeffs)
+        k = a.degree
+        H = self._table(("star", k), lambda: hodge_matrix(self.metric, k))
+        return KForm(DIM - k, H @ a.coeffs)
 
     def inner(self, a: KForm, b: KForm) -> float:
         if a.degree != b.degree:
             raise ValueError("degree mismatch")
-        P = self._P[a.degree]
+        P = self._frame_table(a.degree)
         return float((P @ a.coeffs) @ (P @ b.coeffs))
 
     def form_norm(self, a: KForm) -> float:
@@ -247,32 +262,23 @@ class G2Structure:
         """The unique Q in q with theta(Q) phi = psi, for any 3-form psi."""
         if psi.degree != 3:
             raise ValueError("need a 3-form")
-        psi_f = self._P[3] @ psi.coeffs
-        try:
-            x = np.linalg.solve(self._theta_q, psi_f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        res = np.linalg.norm(self._theta_q @ x - psi_f)
-        if res > 1e-9 * max(1.0, np.linalg.norm(psi_f)):
+        psi_f = self._frame_table(3) @ psi.coeffs
+        x = self._solve_op @ psi_f
+        res = np.linalg.norm(self._Tmap @ x - psi_f)
+        if not res <= 1e-9 * max(1.0, np.linalg.norm(psi_f)):  # NaN fails too
             raise SingularSystem(f"Q solve residual {res:g}")
-        Qf = np.einsum("n,nab->ab", x, self._q_f)
-        return self.frame @ Qf @ self._frame_inv
+        return self.frame @ x.reshape(DIM, DIM) @ self._frame_inv
 
     def q_components(self, Q) -> dict:
         """Norms of the q1/q7/q27 components of an endomorphism in q."""
-        Qf = self._frame_inv @ np.asarray(Q) @ self.frame
-        v = Qf.reshape(-1)
-        out = {}
-        for name, basis in (("q1", self._q1_f), ("q7", self._q7_f), ("q27", self._q27_f)):
-            coords = basis.reshape(len(basis), -1) @ v
-            out[name] = float(np.linalg.norm(coords))
-        return out
+        v = (self._frame_inv @ np.asarray(Q) @ self.frame).reshape(-1)
+        return {name: float(np.linalg.norm(basis.reshape(len(basis), -1) @ v))
+                for name, basis in zip(("q1", "q7", "q27"), self._q_split)}
 
     # -- i and j maps ------------------------------------------------------
 
     def iop(self, A) -> KForm:
         """i(A) = -2 theta(A) phi, for symmetric A."""
-        from .exterior import theta
         return -2.0 * theta(np.asarray(A, dtype=float), self.phi)
 
     def jop(self, psi: KForm, strict: bool = False) -> np.ndarray:
@@ -288,53 +294,21 @@ class G2Structure:
 
     # -- torsion forms -----------------------------------------------------
 
-    def _torsion_operator(self):
-        if self._torsion_op is None:
-            n1, n2 = NFORMS[4], NFORMS[5]
-            phi_f = KForm(3, self._phi_f)
-            psi_f = KForm(4, _star_table(3) @ self._phi_f)
-            # two-form component attached to the stabilizer algebra, already
-            # expressed in frame coordinates
-            l2_14 = np.array([form_from_skew(X).coeffs for X in self._g2_f])
-            U, s, Vh = np.linalg.svd(l2_14)
-            l2_14 = Vh[: int(np.sum(s > _KERNEL_CUT * s[0]))]
-            cols = []
-            zero2 = np.zeros(n2)
-            # tau0 column
-            cols.append(np.concatenate([psi_f.coeffs, zero2]))
-            # tau1 columns: 3 tau1 ^ phi and 4 tau1 ^ psi
-            W14 = wedge_matrix(phi_f, 1)
-            W15 = wedge_matrix(psi_f, 1)
-            for i in range(DIM):
-                e = np.zeros(DIM)
-                e[i] = 1.0
-                cols.append(np.concatenate([3.0 * (W14 @ e), 4.0 * (W15 @ e)]))
-            # tau2 columns (in the 14-dimensional two-form component)
-            W25 = wedge_matrix(phi_f, 2)
-            for row in l2_14:
-                cols.append(np.concatenate([np.zeros(n1), W25 @ row]))
-            # tau3 columns (in the 27-dimensional three-form component)
-            S3 = _star_table(3)
-            for row in self._l3_27:
-                cols.append(np.concatenate([S3 @ row, zero2]))
-            A = np.array(cols).T
-            self._torsion_op = (A, l2_14)
-        return self._torsion_op
-
     def torsion_forms(self, dphi: KForm, dpsi: KForm) -> TorsionForms:
         """Solve dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
         dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components."""
         if dphi.degree != 4 or dpsi.degree != 5:
             raise ValueError("need (4-form, 5-form)")
-        A, l2_14 = self._torsion_operator()
-        rhs = np.concatenate([self._P[4] @ dphi.coeffs, self._P[5] @ dpsi.coeffs])
+        A, l2_14, l3_27 = self._torsion_op
+        rhs = np.concatenate([self._frame_table(4) @ dphi.coeffs,
+                              self._frame_table(5) @ dpsi.coeffs])
         x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         res = float(np.linalg.norm(A @ x - rhs))
         scale = max(1.0, float(np.linalg.norm(rhs)))
         if res > 1e-6 * scale:
             raise InconsistentTorsion(f"torsion reconstruction residual {res:g}")
         tau0 = float(x[0])
-        tau1 = KForm(1, self._Pinv[1] @ x[1:8])
-        tau2 = KForm(2, self._Pinv[2] @ (x[8:22] @ l2_14))
-        tau3 = KForm(3, self._Pinv[3] @ (x[22:] @ self._l3_27))
+        tau1 = KForm(1, self._frame_table(1, inverse=True) @ x[1:8])
+        tau2 = KForm(2, self._frame_table(2, inverse=True) @ (x[8:22] @ l2_14))
+        tau3 = KForm(3, self._frame_table(3, inverse=True) @ (x[22:] @ l3_27))
         return TorsionForms(tau0, tau1, tau2, tau3, res)

@@ -51,6 +51,8 @@ class LieBracket:
 
     def __init__(self, c, tol=JACOBI_TOL, validate=True):
         c = np.array(c, dtype=float).reshape(DIM, DIM, DIM)
+        if not np.isfinite(c).all():
+            raise InvalidBracket("structure constants must be finite")
         anti = np.abs(c + c.transpose(1, 0, 2)).max()
         if anti > 1e-12 * max(1.0, np.abs(c).max()):
             raise InvalidBracket(f"constants not antisymmetric (defect {anti:g})")

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from g2flow import almostabelian as aa
 from g2flow.corpus import random_sl3c  # noqa: F401 - shared with the tests
@@ -9,6 +10,10 @@ from g2flow.exterior import Metric, phi_canonical, act
 from g2flow.g2core import G2Structure
 
 SEED = int(os.environ.get("G2FLOW_SEED", "20260809"))
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("g2flow", derandomize=True, deadline=None, database=None)
+settings.load_profile("g2flow")
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 
 from g2flow import almostabelian as aa
 from g2flow import corpus
-from g2flow.errors import NotClosed, NotTraceFree
+from g2flow.errors import InvalidBracket, NotClosed, NotTraceFree
 from g2flow.exterior import KForm, skew_from_form
 from g2flow.flow import (
     IntegratorOptions,
@@ -48,6 +48,16 @@ def test_membership_flags(rng):
     A = np.block([[np.zeros((3, 3)), Bsym], [np.zeros((3, 3)), np.zeros((3, 3))]])
     msp = aa.AAMatrix.from_matrix(A)
     assert msp.in_sp3R and not msp.in_sl3C
+
+
+@pytest.mark.parametrize("basis", ["paper", "natural"])
+def test_matrix_rejects_non_finite_entries(basis):
+    A = np.zeros((6, 6))
+    A[0, 1] = np.nan
+    with pytest.raises(InvalidBracket, match="finite"):
+        aa.AAMatrix.from_matrix(A, basis=basis)
+    with pytest.raises(InvalidBracket, match="finite"):
+        aa.AAMatrix.from_complex(np.full((3, 3), np.inf))
 
 
 def test_fixed_form_matches_display(s_aa):

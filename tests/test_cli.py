@@ -208,3 +208,16 @@ def test_aa_flow_nearly_imaginary_spectrum_completes(capsys):
     doc = json.loads(out)
     assert doc["status"] == "completed"
     assert doc["rows"][-1][0] == 50.0
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("flow", {"mu": {"c": [{"i": 1, "j": 2, "k": 5, "v": float("nan")}]}},
+     "structure constants must be finite"),
+    ("aa-flow", {"B": [[float("nan"), 1, 0], [0, 0, 1], [0, 0, 0]]},
+     "matrix entries must be finite"),
+], ids=["flow", "aa-flow"])
+def test_non_finite_input_is_an_invalid_bracket(capsys, command, payload, message):
+    # json reads NaN; it must fail as bad input, not deep inside a solver
+    code, out = run(capsys, command, "--input", json.dumps(payload))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "InvalidBracket", "message": message}

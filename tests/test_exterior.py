@@ -10,10 +10,12 @@ from g2flow.exterior import (
     act,
     form_from_skew,
     form_inner,
+    hodge_matrix,
     hodge_star,
     interior,
     phi_canonical,
     pullback,
+    pullback_matrix,
     skew_from_form,
     theta,
     wedge,
@@ -109,6 +111,21 @@ def test_hodge_star_is_involution_random_metrics(rng):
             a = random_kform(rng, k)
             back = hodge_star(hodge_star(a, g), g)
             assert (back - a).norm() < 1e-10 * max(1.0, a.norm())
+
+
+def test_hodge_matrix_matches_frame_composition(rng):
+    # oracle: the star through an oriented orthonormal frame M,
+    # Lambda^{7-k}(M^{-1})^* S_k Lambda^k(M)^*, S_k the identity-metric star
+    for _ in range(12):
+        gram = random_metric(rng).gram
+        for orientation in (1, -1):
+            g = Metric(gram, orientation)
+            M = g.frame()
+            for k in range(8):
+                want = (pullback_matrix(np.linalg.inv(M), 7 - k)
+                        @ hodge_matrix(None, k) @ pullback_matrix(M, k))
+                got = hodge_matrix(g, k)
+                assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_hodge_star_negative_orientation():

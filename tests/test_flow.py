@@ -11,7 +11,7 @@ from g2flow.corpus import (
     phi_nilpotent_example,
 )
 from g2flow.errors import NotClosed, StepUnderflow
-from g2flow.exterior import pullback_matrix
+from g2flow.exterior import DIM, KForm, _theta_tensor, phi_canonical, pullback_matrix
 from g2flow.flow import (
     IntegratorOptions,
     bracket_flow,
@@ -21,8 +21,9 @@ from g2flow.flow import (
     lf_diagonal_test,
     reconstruct_h,
 )
+from g2flow.g2core import G2Structure, metric_from_3form
 from g2flow.integrate import rk45_steps
-from g2flow.liealg import LieBracket, bracket_act
+from g2flow.liealg import LieBracket, bracket_act, ce_differential, hodge_laplacian
 
 from conftest import random_sl3c, random_su3
 
@@ -157,7 +158,6 @@ def test_trajectory_samples_satisfy_q_equation(s_nilpotent):
 
 
 def test_laplacian_flow_preserves_closedness(s_aa, rng):
-    from g2flow.liealg import ce_differential
     m = random_sl3c(rng, 0.6)
     mu = aa.bracket_of(m)
     traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=0.5, sample_every=20))
@@ -208,6 +208,78 @@ def test_reconstruct_samples_as_the_trajectory(s_aa, rng):
     assert len(traj.times) == 5
     assert np.array_equal(rec.times, traj.times)
     assert max(rec.max_phi_residual, rec.max_mu_residual) < 1e-5
+
+
+def test_reconstruct_rejects_normalized_trajectory(s_aa, rng):
+    # h(t) links the unnormalized flows; a norm-normalized trajectory is not
+    # h(t) . mu0 for the h that reconstruct_h integrates
+    mu0 = aa.bracket_of(random_sl3c(rng, 0.8))
+    traj = bracket_flow(mu0, s_aa, IntegratorOptions(
+        method="rk4", h0=1e-2, t_end=0.1, normalize="unit-bracket-norm"))
+    for side in ("i", "ii"):
+        with pytest.raises(ValueError):
+            reconstruct_h(traj, side=side)
+
+
+def test_reconstruct_side_i_on_a_pair_that_is_not_closed():
+    # dphi != 0 here, so side "i" needs the full q-solve at every stage
+    mu0 = mu_nilpotent(1.0, 0.5, -0.3, 0.7)
+    s = G2Structure(phi_canonical())
+    assert s.form_norm(ce_differential(mu0, s.phi)) > 1.0
+    traj = bracket_flow(mu0, s, IntegratorOptions(t_end=0.5))
+    rec = reconstruct_h(traj, side="i")
+    assert rec.status == "completed"
+    assert rec.max_phi_residual < 1e-6 and rec.max_mu_residual < 1e-6
+
+
+_sym_embed_49x28 = None
+
+
+def _sym_basis():
+    global _sym_embed_49x28
+    if _sym_embed_49x28 is None:
+        out = []
+        for i in range(DIM):
+            for j in range(i, DIM):
+                E = np.zeros((DIM, DIM))
+                E[i, j] = E[j, i] = 1.0
+                out.append(E.reshape(-1))
+        _sym_embed_49x28 = np.array(out).T  # 49 x 28
+    return _sym_embed_49x28
+
+
+def _solve_Q_symmetric(phi_coeffs, rhs_coeffs):
+    """Q with theta(Q) phi = rhs, assuming Q symmetric for the metric of phi.
+
+    Valid for closed structures, where the vector-type component vanishes;
+    this avoids the full splitting construction in inner integration loops.
+    """
+    g, _ = metric_from_3form(KForm(3, phi_coeffs))
+    ginv = np.linalg.inv(g.gram)
+    theta_full = np.einsum("jabi,i->jab", _theta_tensor(3),
+                           phi_coeffs).reshape(35, 49)
+    sym = _sym_basis().reshape(DIM, DIM, 28)
+    embed = np.einsum("am,mbn->abn", ginv, sym).reshape(49, 28)
+    A = theta_full @ embed
+    x, *_ = np.linalg.lstsq(A, rhs_coeffs, rcond=None)
+    return (embed @ x).reshape(DIM, DIM)
+
+
+def test_solve_q_is_the_symmetric_solve_on_closed_forms(s_aa, rng):
+    # oracle: on closed forms Q is G-symmetric, so the q-solve must equal the
+    # least-squares solve over G-symmetric matrices (the former closed-case
+    # solver of reconstruct_h, kept above as it was)
+    mu = aa.bracket_of(random_sl3c(rng, 0.6))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=0.5, sample_every=5))
+    assert len(traj.samples) > 3
+    for smp in traj.samples:
+        st = G2Structure(smp.phi)
+        delta = hodge_laplacian(mu, st, st.phi)
+        Q = st.solve_Q(delta)
+        scale = max(1.0, float(np.abs(Q).max()))
+        want = _solve_Q_symmetric(smp.phi.coeffs, delta.coeffs)
+        assert np.abs(Q - want).max() < 1e-10 * scale
+        assert np.abs(Q - st.transpose(Q)).max() < 1e-10 * scale
 
 
 def test_matrix_flow_matches_bracket_flow(s_aa, rng):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from g2flow import almostabelian as aa
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import ComponentError, InconsistentTorsion, PositivityError
 from g2flow.exterior import KForm, act, phi_canonical, skew_from_form, theta, wedge
 from g2flow.g2core import G2Structure, metric_from_3form
-from g2flow.liealg import ce_differential, hodge_laplacian, ricci
+from g2flow.liealg import LieBracket, bracket_act, ce_differential, hodge_laplacian, ricci
 
 from conftest import random_gl7, random_kform, random_positive_form, random_sl3c
 
@@ -25,6 +27,13 @@ def test_metric_recovery_nilpotent_example_form():
 def test_degenerate_form_raises():
     with pytest.raises(PositivityError):
         metric_from_3form(KForm.basis((1, 2, 3)))
+
+
+def test_non_finite_form_raises():
+    coeffs = phi_canonical().coeffs.copy()
+    coeffs[0] = np.nan
+    with pytest.raises(PositivityError, match="finite"):
+        G2Structure(KForm(3, coeffs))
 
 
 def test_metric_equivariance(rng):
@@ -130,9 +139,11 @@ def test_solve_q_singular_system_surfaces(s_canonical):
 
     from g2flow.errors import SingularSystem
     broken = copy.copy(s_canonical)
-    broken._theta_q = np.zeros((35, 35))
+    broken._solve_op = np.zeros((49, 35))  # solves nothing: the residual check fires
     with pytest.raises(SingularSystem):
         broken.solve_Q(s_canonical.phi)
+    with pytest.raises(SingularSystem):
+        s_canonical.solve_Q(KForm(3, np.full(35, np.nan)))
 
 
 def test_iop_identity(s_canonical):
@@ -230,3 +241,30 @@ def test_q_identity_against_ricci_and_torsion(s_aa, rng):
         assert abs(R + 0.5 * tf.tau2.norm() ** 2) < 1e-9
         assert abs(R - 0.25 * np.trace(T @ T)) < 1e-9
         assert R <= 0
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@given(consts=st.lists(_unit, min_size=18, max_size=18),
+       entries=st.lists(_unit, min_size=49, max_size=49))
+def test_q_is_gl7_natural_on_two_step_nilpotent_brackets(consts, entries):
+    # [e_i, e_j] in span(e5, e6, e7) for i < j <= 4: Jacobi holds for any
+    # constants.  The pair (h.mu, h.phi) is isomorphic to (mu, phi) through h,
+    # so Q(h.mu, h.phi) = h Q h^-1 and the scalar curvature is unchanged.
+    h = np.eye(7) + 0.6 / np.sqrt(7) * np.reshape(entries, (7, 7))
+    assume(abs(np.linalg.det(h)) > 0.2)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    c = np.zeros((7, 7, 7))
+    for n, (i, j) in enumerate(pairs):
+        c[i, j, 4:] = consts[3 * n:3 * n + 3]
+        c[j, i, 4:] = -c[i, j, 4:]
+    mu, phi = LieBracket(c), phi_canonical()
+    s, sh = G2Structure(phi), G2Structure(act(h, phi))
+    muh = LieBracket(bracket_act(h, c))
+    Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
+    Qh = sh.solve_Q(hodge_laplacian(muh, sh, sh.phi))
+    scale = max(1.0, float(np.abs(Q).max()))
+    assert np.abs(Qh - h @ Q @ np.linalg.inv(h)).max() < 1e-10 * scale
+    R, Rh = ricci(mu, s.metric)[1], ricci(muh, sh.metric)[1]
+    assert abs(Rh - R) < 1e-10 * max(1.0, abs(R))

@@ -48,6 +48,17 @@ def test_jacobi_perturbation_is_positive(rng):
         LieBracket(pert)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_bracket_rejects_non_finite_constants(validate):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidBracket, match="finite"):
+            LieBracket(np.full((7, 7, 7), bad), validate=validate)
+    c = np.zeros((7, 7, 7))
+    c[0, 1, 2], c[1, 0, 2] = np.nan, np.nan
+    with pytest.raises(InvalidBracket, match="finite"):
+        LieBracket(c, validate=validate)
+
+
 def test_bracket_rejects_non_antisymmetric():
     c = np.zeros((7, 7, 7))
     c[0, 1, 2] = 1.0  # missing the (1,0,2) partner
