@@ -12,6 +12,7 @@ from .errors import (
     NotTraceFree,
     PositivityError,
     SingularSystem,
+    StepBudgetExhausted,
     StepUnderflow,
 )
 from .exterior import KForm, Metric, hodge_star, interior, theta, wedge
@@ -26,7 +27,7 @@ __all__ = [
     "hodge_laplacian", "jacobi_residual", "ricci",
     "G2FlowError", "BadMetric", "ComponentError", "DegreeUnderflow",
     "InconsistentTorsion", "InvalidBracket", "NotClosed", "NotTraceFree",
-    "PositivityError", "SingularSystem", "StepUnderflow",
+    "PositivityError", "SingularSystem", "StepBudgetExhausted", "StepUnderflow",
 ]
 
 __version__ = "0.1.0"

@@ -41,5 +41,9 @@ class StepUnderflow(G2FlowError):
     """Adaptive step fell below hmin without meeting the tolerance."""
 
 
+class StepBudgetExhausted(G2FlowError):
+    """An integration took its step budget without reaching its end time."""
+
+
 class InvalidBracket(G2FlowError):
     """Structure constants violate antisymmetry or the Jacobi identity."""

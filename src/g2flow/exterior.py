@@ -30,8 +30,6 @@ NFORMS = {k: len(INDEX_SETS[k]) for k in range(DIM + 1)}
 _IDX0 = {k: np.array([[i - 1 for i in s] for s in INDEX_SETS[k]], dtype=int).reshape(NFORMS[k], k)
          for k in range(1, DIM + 1)}
 
-_PAIRS = INDEX_SETS[2]  # the 21 increasing pairs, used for bracket packing
-
 
 def sort_sign(word):
     """Sort an index word; return (tuple, sign), sign 0 on repeated indices."""

@@ -13,10 +13,12 @@ from .exterior import DIM, KForm, hodge_matrix, pullback_matrix
 from .g2core import G2Structure, metric_from_3form
 from .integrate import IntegratorOptions, drive
 from .liealg import (
+    NCONST,
     LieBracket,
     bracket_act,
     ce_differential,
     ce_matrix,
+    ce_matrix_of_form,
     delta_mu,
     derivations,
     hodge_laplacian,
@@ -45,7 +47,7 @@ class FlowSample:
 class FlowTrajectory:
     kind: str  # bracket | laplacian
     samples: list
-    status: str  # completed | blowup-detected | step-underflow
+    status: str  # as returned by integrate.drive
     structure: G2Structure
     mu0: LieBracket | None
     phi0: KForm | None
@@ -105,15 +107,34 @@ def _flow_sample(kind, t, mu: LieBracket, st: G2Structure) -> FlowSample:
     return FlowSample(t, None, st.phi, Q, mu.norm(), R, tau, vel)
 
 
+def _bracket_velocity(s: G2Structure):
+    """The bracket-flow right side for the fixed form s.phi, on flat packed
+    constants y: velocity(y) = (Q_mu, delta_mu(Q_mu) packed).
+
+    Delta_mu phi = *d*d phi - d*d* phi is quadratic in y.  The inner
+    differentials act on fixed forms, so they are linear maps of y built
+    once: M1 y = *d_y phi and M2 y = *d_y *phi.
+    """
+    H4 = s.star_matrix(4)
+    M1 = H4 @ ce_matrix_of_form(s.phi)
+    M2 = s.star_matrix(5) @ ce_matrix_of_form(s.psi)
+
+    def velocity(y):
+        lap = H4 @ (ce_matrix(y, 3) @ (M1 @ y)) - ce_matrix(y, 2) @ (M2 @ y)
+        Q = s.solve_Q(KForm(3, lap))
+        return Q, pack_constants(delta_mu(unpack_constants(y), Q)).reshape(-1)
+
+    return velocity
+
+
 def bracket_flow(mu0: LieBracket, s: G2Structure,
                  opts: IntegratorOptions | None = None) -> FlowTrajectory:
     """Integrate d mu/dt = delta_mu(Q_mu) with the 3-form held fixed."""
     opts = opts or IntegratorOptions()
+    velocity = _bracket_velocity(s)
 
     def rhs(t, y):
-        mu = LieBracket(unpack_constants(y.reshape(21, DIM)), validate=False)
-        Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
-        vel = pack_constants(delta_mu(mu, Q)).reshape(-1)
+        vel = velocity(y)[1]
         if opts.normalize == "unit-bracket-norm":
             vel = vel - (vel @ y) / max(y @ y, 1e-300) * y
         return vel
@@ -122,7 +143,7 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
         return math.sqrt(2.0) * float(np.linalg.norm(y))
 
     def make_sample(t, y):
-        mu = LieBracket(unpack_constants(y.reshape(21, DIM)), validate=False)
+        mu = LieBracket(unpack_constants(y), validate=False)
         return _flow_sample("bracket", t, mu, s)
 
     samples, status = drive(rhs, mu0.packed().reshape(-1), opts, make_sample,
@@ -134,20 +155,16 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 # direct Laplacian flow
 # ---------------------------------------------------------------------------
 
-def _laplacian_coeff_rhs(mu: LieBracket):
-    """Right side of dphi/dt = Delta_phi phi on degree-3 coefficients."""
-    d2 = ce_matrix(mu, 2)
-    d3 = ce_matrix(mu, 3)
-    d4 = ce_matrix(mu, 4)
+def _direct_laplacian(mu: LieBracket):
+    """Delta_phi phi on degree-3 coefficients y for the fixed bracket mu,
+    given g, the metric of phi."""
+    d2, d3, d4 = (ce_matrix(mu, k) for k in (2, 3, 4))
 
-    def rhs_coeffs(y):
-        g, _ = metric_from_3form(KForm(3, y))
+    def laplacian(y, g):
         H3, H4, H5 = (hodge_matrix(g, k) for k in (3, 4, 5))
-        t1 = H4 @ (d3 @ (H4 @ (d3 @ y)))
-        t2 = d2 @ (H5 @ (d4 @ (H3 @ y)))
-        return t1 - t2
+        return H4 @ (d3 @ (H4 @ (d3 @ y))) - d2 @ (H5 @ (d4 @ (H3 @ y)))
 
-    return rhs_coeffs
+    return laplacian
 
 
 def laplacian_flow(phi0: KForm, mu: LieBracket,
@@ -155,16 +172,16 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     """Integrate dphi/dt = Delta_phi phi with the bracket held fixed.
 
     The metric is recomputed from phi at every stage; loss of positivity
-    aborts the run with status blowup-detected.
+    ends the run with status positivity-lost.
     """
     opts = opts or IntegratorOptions()
     if opts.normalize != "none":
         raise ValueError("normalization applies to the bracket flow only")
     s0 = G2Structure(phi0)
-    coeff_rhs = _laplacian_coeff_rhs(mu)
+    laplacian = _direct_laplacian(mu)
 
     def rhs(t, y):
-        return coeff_rhs(y)
+        return laplacian(y, metric_from_3form(KForm(3, y))[0])
 
     def norm_of(y):
         return float(np.linalg.norm(y))
@@ -221,32 +238,31 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     mu0 = traj.mu0
     opts = traj.opts
     phi_c = s.phi.coeffs
-    lap_rhs = _laplacian_coeff_rhs(mu0)
-    n_mu = 21 * DIM
+    velocity = _bracket_velocity(s)
+    laplacian = _direct_laplacian(mu0)
+    n_mu = NCONST
 
     def rhs(t, y):
-        cp = y[:n_mu].reshape(21, DIM)
         h = y[n_mu:n_mu + 49].reshape(DIM, DIM)
         phi_d = y[n_mu + 49:]
-        mu = LieBracket(unpack_constants(cp), validate=False)
-        Qmu = s.solve_Q(hodge_laplacian(mu, s, s.phi))
-        dmu = pack_constants(delta_mu(mu, Qmu)).reshape(-1)
-        lap = lap_rhs(phi_d)
+        Qmu, dmu = velocity(y[:n_mu])
         if side == "ii":
+            lap = laplacian(phi_d, metric_from_3form(KForm(3, phi_d))[0])
             dh = -Qmu @ h
         else:
-            dh = -h @ G2Structure(KForm(3, phi_d)).solve_Q(KForm(3, lap))
+            st = G2Structure(KForm(3, phi_d))
+            lap = laplacian(phi_d, st.metric)
+            dh = -h @ st.solve_Q(KForm(3, lap))
         return np.concatenate([dmu, dh.reshape(-1), lap])
 
     def norm_of(y):  # the bracket's norm, as in bracket_flow
         return math.sqrt(2.0) * float(np.linalg.norm(y[:n_mu]))
 
     def make_sample(t, y):
-        cp = y[:n_mu].reshape(21, DIM)
         h = y[n_mu:n_mu + 49].reshape(DIM, DIM)
         phi_d = y[n_mu + 49:]
         phi_pulled = pullback_matrix(h, 3) @ phi_c  # h(t)^{-1} . phi
-        mu_res = bracket_act(h, mu0.c) - unpack_constants(cp)
+        mu_res = bracket_act(h, mu0.c) - unpack_constants(y[:n_mu])
         return (t, h.copy(), float(np.linalg.norm(phi_pulled - phi_d)),
                 float(np.sqrt(np.sum(mu_res ** 2))))
 

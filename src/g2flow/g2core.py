@@ -236,10 +236,12 @@ class G2Structure:
     def q27_basis(self):
         return self._conj_to_e(self._q_split[2])
 
+    def star_matrix(self, k):
+        """Matrix of the Hodge star from degree k to degree 7 - k."""
+        return self._table(("star", k), lambda: hodge_matrix(self.metric, k))
+
     def star(self, a: KForm) -> KForm:
-        k = a.degree
-        H = self._table(("star", k), lambda: hodge_matrix(self.metric, k))
-        return KForm(DIM - k, H @ a.coeffs)
+        return KForm(DIM - a.degree, self.star_matrix(a.degree) @ a.coeffs)
 
     def inner(self, a: KForm, b: KForm) -> float:
         if a.degree != b.degree:

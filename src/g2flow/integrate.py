@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError, StepUnderflow
+from .errors import PositivityError, StepBudgetExhausted, StepUnderflow
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class IntegratorOptions:
     normalize: str = "none"  # none | unit-bracket-norm
     sample_every: int = 10
     blowup_norm: float = 1e8
+    max_steps: int = 1_000_000  # accepted steps before a run is stopped
 
     def __post_init__(self):
         if not (self.hmin <= self.h0 <= self.hmax):
@@ -39,6 +40,8 @@ class IntegratorOptions:
             raise ValueError(f"unknown normalization {self.normalize!r}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -54,15 +57,22 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4  # weights of the error estimate y5 - y4
 
 
-def rk4_steps(f, y0, t0, t1, h):
-    """Yield (t, y) after each fixed RK4 step, starting with (t0, y0)."""
+def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
+    """Yield (t, y) after each fixed RK4 step, starting with (t0, y0).
+
+    Raises StepBudgetExhausted before a step beyond max_steps.
+    """
     direction = 1.0 if t1 >= t0 else -1.0
     h = abs(h) * direction
     t, y = t0, np.asarray(y0, dtype=float).copy()
     yield t, y
+    n = 0
     while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
+        if n >= max_steps:
+            raise StepBudgetExhausted(f"{n} steps taken by t={t:g}")
         hh = direction * min(abs(h), abs(t1 - t))
         k1 = f(t, y)
         k2 = f(t + hh / 2, y + hh / 2 * k1)
@@ -70,34 +80,45 @@ def rk4_steps(f, y0, t0, t1, h):
         k4 = f(t + hh, y + hh * k3)
         y = y + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t + hh
+        n += 1
         yield t, y
 
 
-def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol):
+def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
     """Yield (t, y) after each accepted Dormand-Prince step.
 
-    Raises StepUnderflow when no step of size >= hmin meets the tolerance.
+    The pair is first-same-as-last: the fifth-order solution is the input of
+    stage 7, so an accepted step hands its last stage to the next step as
+    k1, and a rejected step keeps k1.  A run of n attempted steps makes
+    1 + 6 n evaluations of f.
+
+    Raises StepUnderflow when no step of size >= hmin meets the tolerance,
+    and StepBudgetExhausted before an accepted step beyond max_steps.
     """
     direction = 1.0 if t1 >= t0 else -1.0
     t = t0
     y = np.asarray(y0, dtype=float).copy()
     h = min(abs(h0), abs(t1 - t0)) or abs(h0)
     yield t, y
+    n = 0
+    k1 = f(t, y)
     while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
+        if n >= max_steps:
+            raise StepBudgetExhausted(f"{n} steps taken by t={t:g}")
         h = min(h, abs(t1 - t))
         hh = direction * h
-        k = [f(t, y)]
+        k = [k1]
         for i in range(1, 7):
             yi = y + hh * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
             k.append(f(t + _DP_C[i] * hh, yi))
-        k = np.array(k)
-        y5 = y + hh * (_DP_B5 @ k)
-        y4 = y + hh * (_DP_B4 @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+        # yi, the input of stage 7, is the fifth-order solution
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
+        err_vec = hh * (_DP_E @ np.array(k))
+        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
             t = t + hh
-            y = y5
+            y, k1 = yi, k[6]
+            n += 1
             yield t, y
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
             h = min(hmax, h * grow)
@@ -109,9 +130,9 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol):
 
 def _steps(rhs, y0, opts):
     if opts.method == "rk4":
-        return rk4_steps(rhs, y0, 0.0, opts.t_end, opts.h0)
+        return rk4_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.max_steps)
     return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
-                      opts.atol, opts.rtol)
+                      opts.atol, opts.rtol, opts.max_steps)
 
 
 def drive(rhs, y0, opts, make_sample, norm_of):
@@ -119,8 +140,14 @@ def drive(rhs, y0, opts, make_sample, norm_of):
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
     the last state reached.  Returns (samples, status), the status being
-    completed, blowup-detected (norm_of(y) above opts.blowup_norm, or a
-    PositivityError from rhs or make_sample) or step-underflow.
+    one of
+
+    - completed: t_end was reached;
+    - blowup-detected: norm_of(y) rose above opts.blowup_norm;
+    - positivity-lost: rhs or make_sample raised a PositivityError (the
+      3-form of the direct flow stopped being definite);
+    - step-underflow: no step of size >= opts.hmin met the tolerance;
+    - step-budget-exhausted: opts.max_steps steps did not reach t_end.
     """
     samples = []
     status = "completed"
@@ -138,8 +165,10 @@ def drive(rhs, y0, opts, make_sample, norm_of):
                 break
     except StepUnderflow:
         status = "step-underflow"
+    except StepBudgetExhausted:
+        status = "step-budget-exhausted"
     except PositivityError:
-        status = "blowup-detected"
+        status = "positivity-lost"
     if last is not None and not sampled_last:
         try:
             samples.append(make_sample(*last))

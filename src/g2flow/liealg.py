@@ -12,7 +12,17 @@ from .errors import InvalidBracket
 from .exterior import DIM, INDEX_SETS, KForm, Metric, NFORMS, RANK, sort_sign
 
 PAIRS = INDEX_SETS[2]
-PAIR_RANK = {p: r for r, p in enumerate(PAIRS)}
+NCONST = len(PAIRS) * DIM  # packed constants: pair p, index m at p * 7 + m
+
+# flat (7,7,7) positions of the packed constants c[i, j, m], i < j, and of
+# their negatives c[j, i, m]
+_PI, _PJ = (np.array(ix) - 1 for ix in zip(*PAIRS))
+_PACK_POS = ((_PI * DIM + _PJ)[:, None] * DIM + np.arange(DIM)).ravel()
+_NEG_POS = ((_PJ * DIM + _PI)[:, None] * DIM + np.arange(DIM)).ravel()
+# for each entry of the (7,7,7) tensor, its source in [0, y, -y]
+_UNPACK_SRC = np.zeros(DIM ** 3, dtype=int)
+_UNPACK_SRC[_PACK_POS] = 1 + np.arange(NCONST)
+_UNPACK_SRC[_NEG_POS] = 1 + NCONST + np.arange(NCONST)
 
 JACOBI_TOL = 1e-9
 
@@ -27,17 +37,12 @@ def jacobi_residual(c) -> float:
 
 def pack_constants(c) -> np.ndarray:
     """(7,7,7) antisymmetric tensor -> (21,7) over increasing pairs."""
-    c = np.asarray(c, dtype=float)
-    return np.array([c[i - 1, j - 1, :] for (i, j) in PAIRS])
+    return np.asarray(c, dtype=float).reshape(-1)[_PACK_POS].reshape(len(PAIRS), DIM)
 
 
 def unpack_constants(cp) -> np.ndarray:
-    cp = np.asarray(cp, dtype=float).reshape(len(PAIRS), DIM)
-    c = np.zeros((DIM, DIM, DIM))
-    for r, (i, j) in enumerate(PAIRS):
-        c[i - 1, j - 1, :] = cp[r]
-        c[j - 1, i - 1, :] = -cp[r]
-    return c
+    cp = np.asarray(cp, dtype=float).reshape(NCONST)
+    return np.concatenate(([0.0], cp, -cp))[_UNPACK_SRC].reshape(DIM, DIM, DIM)
 
 
 class LieBracket:
@@ -153,37 +158,59 @@ def bracket_act(h, c) -> np.ndarray:
 # Chevalley-Eilenberg differential
 # ---------------------------------------------------------------------------
 
-_ce_tensors = {}
+_ce_tables = {}
 
 
-def _ce_tensor(k):
-    """D with d_mu on degree k given by einsum('JpmI,pm->JI', D, packed c)."""
-    if k not in _ce_tensors:
-        D = np.zeros((NFORMS[k + 1], len(PAIRS), DIM, NFORMS[k]))
+def _ce_triples(k):
+    """The CE tensor of degree k as (row, column, value) triples: d_mu on
+    degree k has entry [J, I] = sum of value * y[column] over the triples
+    with row J * C(7, k) + I, y being the packed constants flattened."""
+    if k not in _ce_tables:
+        rows, cols, vals = [], [], []
         for rI, idx in enumerate(INDEX_SETS[k]):
             for p in range(k):
                 head, m, tail = idx[:p], idx[p], idx[p + 1:]
                 for rp, (r, s) in enumerate(PAIRS):
-                    word = head + (r, s) + tail
-                    srt, sign = sort_sign(word)
+                    srt, sign = sort_sign(head + (r, s) + tail)
                     if sign == 0:
                         continue
-                    D[RANK[k + 1][srt], rp, m - 1, rI] -= ((-1.0) ** p) * sign
-        D.flags.writeable = False
-        _ce_tensors[k] = D
-    return _ce_tensors[k]
+                    rows.append(RANK[k + 1][srt] * NFORMS[k] + rI)
+                    cols.append(rp * DIM + m - 1)
+                    vals.append(-((-1.0) ** p) * sign)
+        table = (np.array(rows), np.array(cols), np.array(vals))
+        for a in table:
+            a.flags.writeable = False
+        _ce_tables[k] = table
+    return _ce_tables[k]
 
 
-def ce_matrix(mu: LieBracket, k: int) -> np.ndarray:
-    """Matrix of d_mu from degree k to degree k+1 coefficients."""
+def ce_matrix(mu, k: int) -> np.ndarray:
+    """Matrix of d_mu from degree k to degree k+1 coefficients.  mu is a
+    LieBracket, which caches the matrix, or flat packed constants."""
     if k >= DIM:
         raise ValueError("no forms of degree 8")
     if k == 0:
         return np.zeros((DIM, 1))
-    cache = mu._d_cache
-    if k not in cache:
-        cache[k] = np.einsum("JpmI,pm->JI", _ce_tensor(k), mu.packed())
-    return cache[k]
+    if isinstance(mu, LieBracket):
+        cache = mu._d_cache
+        if k not in cache:
+            cache[k] = ce_matrix(mu.packed().reshape(-1), k)
+        return cache[k]
+    rows, cols, vals = _ce_triples(k)
+    y = np.asarray(mu, dtype=float).reshape(NCONST)
+    d = np.bincount(rows, weights=vals * y[cols],
+                    minlength=NFORMS[k + 1] * NFORMS[k])
+    return d.reshape(NFORMS[k + 1], NFORMS[k])
+
+
+def ce_matrix_of_form(a: KForm) -> np.ndarray:
+    """Matrix of the packed constants y -> d_y a, for a fixed k-form a."""
+    k = a.degree
+    rows, cols, vals = _ce_triples(k)
+    J, I = np.divmod(rows, NFORMS[k])
+    d = np.bincount(J * NCONST + cols, weights=vals * a.coeffs[I],
+                    minlength=NFORMS[k + 1] * NCONST)
+    return d.reshape(NFORMS[k + 1], NCONST)
 
 
 def ce_differential(mu: LieBracket, a: KForm) -> KForm:
@@ -222,10 +249,8 @@ def hodge_laplacian(mu: LieBracket, s, a: KForm) -> KForm:
 def delta_mu(mu, E) -> np.ndarray:
     """delta_mu(E) = mu(E.,.) + mu(.,E.) - E mu(.,.), as raw constants."""
     c = mu.c if isinstance(mu, LieBracket) else np.asarray(mu, dtype=float)
-    E = np.asarray(E, dtype=float)
-    return (np.einsum("mjk,mi->ijk", c, E)
-            + np.einsum("imk,mj->ijk", c, E)
-            - np.einsum("km,ijm->ijk", E, c))
+    Et = np.asarray(E, dtype=float).T
+    return (Et @ c.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM) + Et @ c - c @ Et
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
@@ -11,9 +14,10 @@ from g2flow.corpus import (
     phi_nilpotent_example,
 )
 from g2flow.errors import NotClosed, StepUnderflow
-from g2flow.exterior import DIM, KForm, _theta_tensor, phi_canonical, pullback_matrix
+from g2flow.exterior import DIM, KForm, _theta_tensor, act, phi_canonical, pullback_matrix
 from g2flow.flow import (
     IntegratorOptions,
+    _bracket_velocity,
     bracket_flow,
     detect_algebraic,
     detect_semialgebraic,
@@ -23,7 +27,14 @@ from g2flow.flow import (
 )
 from g2flow.g2core import G2Structure, metric_from_3form
 from g2flow.integrate import rk45_steps
-from g2flow.liealg import LieBracket, bracket_act, ce_differential, hodge_laplacian
+from g2flow.liealg import (
+    LieBracket,
+    bracket_act,
+    ce_differential,
+    delta_mu,
+    hodge_laplacian,
+    pack_constants,
+)
 
 from conftest import random_sl3c, random_su3
 
@@ -35,6 +46,8 @@ def test_options_validation():
         IntegratorOptions(atol=0.0)
     with pytest.raises(ValueError):
         IntegratorOptions(method="euler")
+    with pytest.raises(ValueError):
+        IntegratorOptions(max_steps=0)
 
 
 def test_abelian_bracket_is_a_fixed_point(s_nilpotent):
@@ -50,6 +63,56 @@ def test_torsion_free_bracket_is_a_fixed_point(s_aa, rng):
     traj = bracket_flow(mu0, s_aa, IntegratorOptions(t_end=1.0, sample_every=10))
     drift = max(np.abs(s.mu.c - mu0.c).max() for s in traj.samples)
     assert traj.status == "completed" and drift < 1e-10
+
+
+# constants away from zero or exactly zero, so no product underflows
+_const = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+
+
+@st.composite
+def _bracket_pairs(draw):
+    """A 2-step nilpotent bracket span(e1..e4) -> span(e5,e6,e7) with the
+    canonical form, or an almost-abelian bracket ad e7 = A with its form
+    (Jacobi holds for any constants in both families), moved together by a
+    map h in GL(7)."""
+    if draw(st.booleans()):
+        consts = draw(st.lists(_const, min_size=18, max_size=18))
+        c = np.zeros((DIM, DIM, DIM))
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        for n, (i, j) in enumerate(pairs):
+            c[i, j, 4:] = consts[3 * n:3 * n + 3]
+            c[j, i, 4:] = -c[i, j, 4:]
+        mu, phi = LieBracket(c), phi_canonical()
+    else:
+        entries = draw(st.lists(_const, min_size=36, max_size=36))
+        mu, phi = LieBracket.from_adjoint(np.reshape(entries, (6, 6))), aa.phi_almost_abelian()
+    entries = draw(st.lists(_const, min_size=49, max_size=49))
+    h = np.eye(DIM) + 0.6 / np.sqrt(DIM) * np.reshape(entries, (DIM, DIM))
+    assume(abs(np.linalg.det(h)) > 0.2)
+    return mu.act(h), act(h, phi)
+
+
+@given(pair=_bracket_pairs())
+def test_compiled_bracket_rhs_is_the_object_path(pair):
+    mu, phi = pair
+    s = G2Structure(phi)
+    Q, vel = _bracket_velocity(s)(mu.packed().reshape(-1))
+    want_Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
+    want = pack_constants(delta_mu(mu, want_Q)).reshape(-1)
+    assert np.abs(Q - want_Q).max() <= 1e-12 * np.abs(want_Q).max()
+    assert np.abs(vel - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@given(pair=_bracket_pairs(),
+       c=st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1)))
+def test_compiled_bracket_rhs_is_cubic(pair, c):
+    # F(c y) = c^3 F(y): the bracket flow from c mu is the flow from mu with
+    # time rescaled by 1/c^2
+    mu, phi = pair
+    velocity = _bracket_velocity(G2Structure(phi))
+    y = mu.packed().reshape(-1)
+    want = c ** 3 * velocity(y)[1]
+    assert np.abs(velocity(c * y)[1] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_bracket_flow_scalar_law(s_nilpotent):
@@ -137,12 +200,12 @@ def test_laplacian_flow_soliton_exact_solution(s_nilpotent):
     assert worst < 1e-6
 
 
-def test_laplacian_flow_positivity_loss_is_blowup(s_nilpotent):
+def test_laplacian_flow_positivity_loss_is_reported(s_nilpotent):
     # backward in time the soliton scales to a degenerate form
     mu = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
     traj = laplacian_flow(phi_nilpotent_example(), mu,
                           IntegratorOptions(t_end=-0.31, sample_every=20))
-    assert traj.status in ("blowup-detected", "step-underflow")
+    assert traj.status in ("positivity-lost", "step-underflow")
 
 
 def test_trajectory_samples_satisfy_q_equation(s_nilpotent):
@@ -394,3 +457,50 @@ def test_step_underflow_raised():
         for _ in rk45_steps(stiff, np.zeros(1), 0.0, 1.0, 1e-3, 1e-6, math.inf,
                             1e-12, 1e-12):
             pass
+
+
+def test_rk45_reuses_the_last_stage():
+    # first-same-as-last: the derivative at an accepted state, the input of
+    # the step's last stage, is the next step's first stage, and a rejected
+    # step keeps it; so every attempted step costs the six evaluations at
+    # t_n + c_i hh of the nodes c_2..c_7, and none at t_n
+    nodes = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+    calls = []
+
+    def decay(t, y):
+        calls.append(t)
+        return -y
+
+    steps = list(rk45_steps(decay, np.ones(1), 0.0, 2.0, 0.5, 1e-12, math.inf,
+                            1e-10, 1e-10))
+    times = [t for t, _ in steps]
+    assert calls[0] == 0.0 and (len(calls) - 1) % 6 == 0
+    accepted = rejected = 0
+    t_n = 0.0
+    for n in range(1, len(calls), 6):
+        stage_t = np.array(calls[n:n + 6])
+        hh = stage_t[-1] - t_n
+        assert np.abs(stage_t - (t_n + nodes * hh)).max() < 1e-15
+        if stage_t[-1] == times[accepted + 1]:
+            accepted += 1
+            t_n = stage_t[-1]
+        else:
+            rejected += 1
+    assert accepted == len(steps) - 1 and rejected >= 1
+    assert len(calls) == 1 + 6 * (accepted + rejected)
+    assert times[-1] == 2.0
+    assert abs(steps[-1][1][0] - math.exp(-2.0)) < 1e-9
+
+
+def test_step_budget_stops_the_run(s_nilpotent):
+    # 100 fixed steps reach t = 1; a budget of 10 stops at t = 0.1 and
+    # samples the state reached there
+    mu0 = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
+    opts = IntegratorOptions(method="rk4", h0=0.01, t_end=1.0, sample_every=4,
+                             max_steps=10)
+    traj = bracket_flow(mu0, s_nilpotent, opts)
+    assert traj.status == "step-budget-exhausted"
+    assert np.allclose(traj.times, [0.0, 0.04, 0.08, 0.1], rtol=0, atol=1e-15)
+    full = bracket_flow(mu0, s_nilpotent, replace(opts, max_steps=100))
+    assert full.status == "completed" and abs(full.times[-1] - 1.0) < 1e-15
+    assert np.array_equal(full.samples[2].mu.c, traj.samples[2].mu.c)

@@ -7,12 +7,14 @@ from scipy.linalg import expm
 from g2flow import almostabelian as aa
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import InvalidBracket
-from g2flow.exterior import KForm
+from g2flow.exterior import DIM, INDEX_SETS, KForm, NFORMS, RANK, sort_sign
 from g2flow.liealg import (
+    PAIRS,
     LieBracket,
     bracket_act,
     ce_differential,
     ce_matrix,
+    ce_matrix_of_form,
     delta_mu,
     derivations,
     hodge_laplacian,
@@ -117,6 +119,37 @@ def test_d_squared_zero_iff_jacobi(rng):
     worst_bad = max(np.abs(ce_matrix(bad, k + 1) @ ce_matrix(bad, k)).max()
                     for k in range(1, 6))
     assert worst_bad > 1e-3
+
+
+def _dense_ce_tensor(k):
+    """The CE tensor of degree k as a dense (C(7,k+1), 21, 7, C(7,k)) array,
+    with d_mu = einsum('JpmI,pm->JI', D, packed constants)."""
+    D = np.zeros((NFORMS[k + 1], len(PAIRS), DIM, NFORMS[k]))
+    for rI, idx in enumerate(INDEX_SETS[k]):
+        for p in range(k):
+            head, m, tail = idx[:p], idx[p], idx[p + 1:]
+            for rp, (r, s) in enumerate(PAIRS):
+                word = head + (r, s) + tail
+                srt, sign = sort_sign(word)
+                if sign == 0:
+                    continue
+                D[RANK[k + 1][srt], rp, m - 1, rI] -= ((-1.0) ** p) * sign
+    return D
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_ce_matrix_matches_dense_tensor(k, rng):
+    # the sparse tables against the dense einsum, on constants with and
+    # without Jacobi, and both ways of reading the bilinear map (mu, a) -> d_mu a
+    D = _dense_ce_tensor(k)
+    mu = mu_nilpotent(*rng.normal(size=4))
+    for cp in (mu.packed(), rng.normal(size=(21, DIM))):
+        want = np.einsum("JpmI,pm->JI", D, cp)
+        assert np.abs(ce_matrix(cp.reshape(-1), k) - want).max() < 1e-14
+        a = random_kform(rng, k)
+        assert np.abs(ce_matrix_of_form(a) @ cp.reshape(-1)
+                      - want @ a.coeffs).max() < 1e-13
+    assert np.array_equal(ce_matrix(mu, k), ce_matrix(mu.packed().reshape(-1), k))
 
 
 def test_laplacian_displays(s_nilpotent):
