@@ -29,7 +29,7 @@ from .flow import (
     lf_diagonal_test,
 )
 from .g2core import G2Structure
-from .liealg import LieBracket
+from .liealg import LieBracket, derivations
 
 CSV_SCHEMA = "# g2flow-csv v1"
 
@@ -84,9 +84,10 @@ def _certificate_dict(cert):
 def _certificates(mu, s) -> dict:
     """Both soliton certificates; a detector that refuses the input reports
     its error in place of a certificate."""
-    out = {"algebraic": _certificate_dict(detect_algebraic(mu, s))}
+    der = derivations(mu)
+    out = {"algebraic": _certificate_dict(detect_algebraic(mu, s, der=der))}
     try:
-        out["semi_algebraic"] = _certificate_dict(detect_semialgebraic(mu, s))
+        out["semi_algebraic"] = _certificate_dict(detect_semialgebraic(mu, s, der=der))
     except G2FlowError as exc:
         out["semi_algebraic"] = {"error": str(exc)}
     return out

@@ -26,10 +26,6 @@ INDEX_SETS = {
 RANK = {k: {s: r for r, s in enumerate(INDEX_SETS[k])} for k in range(DIM + 1)}
 NFORMS = {k: len(INDEX_SETS[k]) for k in range(DIM + 1)}
 
-# 0-based index arrays, handy for vectorized submatrix gathers
-_IDX0 = {k: np.array([[i - 1 for i in s] for s in INDEX_SETS[k]], dtype=int).reshape(NFORMS[k], k)
-         for k in range(1, DIM + 1)}
-
 
 def sort_sign(word):
     """Sort an index word; return (tuple, sign), sign 0 on repeated indices."""
@@ -185,6 +181,8 @@ class Metric:
 
     def __init__(self, gram, orientation=1):
         g = np.array(gram, dtype=float).reshape(DIM, DIM)
+        if not np.isfinite(g).all():
+            raise BadMetric("gram matrix must be finite")
         if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
             raise BadMetric("gram matrix must be symmetric")
         if np.linalg.eigvalsh(g).min() <= 0:
@@ -227,7 +225,26 @@ class Metric:
 _star_tables = {}
 _interior_tables = {}
 _theta_tensors = {}
-_complement_of = {}
+_laplace_tables = {}
+_ALTERNATING = np.array([1.0, -1.0, 1.0])
+
+
+def _laplace_table(k):
+    """Flat gathers for the k x k minors of a 7x7 matrix h expanded along
+    their first row: for each b < k and every pair of index sets (J, I),
+    flattened, h.ravel()[entry[b]] is h[I_0, J_b] and
+    P_{k-1}(h).ravel()[minor[b]] is det h[I - I_0, J - J_b]."""
+    if k not in _laplace_tables:
+        n, m = NFORMS[k], NFORMS[k - 1]
+        entry = np.empty((k, n, n), dtype=np.intp)
+        minor = np.empty((k, n, n), dtype=np.intp)
+        for rj, J in enumerate(INDEX_SETS[k]):
+            for ri, I in enumerate(INDEX_SETS[k]):
+                for b in range(k):
+                    entry[b, rj, ri] = (I[0] - 1) * DIM + J[b] - 1
+                    minor[b, rj, ri] = RANK[k - 1][J[:b] + J[b + 1:]] * m + RANK[k - 1][I[1:]]
+        _laplace_tables[k] = entry.reshape(k, -1), minor.reshape(k, -1)
+    return _laplace_tables[k]
 
 
 def _star_table(k):
@@ -335,13 +352,36 @@ def theta(A, a: KForm) -> KForm:
 
 
 def pullback_matrix(h, k: int) -> np.ndarray:
-    """Matrix of the pullback a -> a(h.,...,h.) on degree-k coefficients."""
+    """Matrix of the pullback a -> a(h.,...,h.) on degree-k coefficients.
+
+    Entry [J, I] is the minor det h[I, J]: the matrix is the transposed k-th
+    compound of h.  Degrees 1-3 start from P_1(h) = h^T and expand along
+    the first row, which is the Leibniz sum over permutations grouped by
+    the column taken from that row:
+    det h[I, J] = sum_b (-1)^b h[I_0, J_b] det h[I - I_0, J - J_b],
+    on flat gathers of h and of the previous degree.  Degrees 4-6 take
+    Jacobi's complementary-minor identity for index sets I, J of size 7 - k,
+    det h[J^c, I^c] = det h * eps_I eps_J * det (h^-1)[I, J],
+    with eps the signs of the identity-metric star S_{7-k}; in matrix form
+    P_k(h) = det h * S_{7-k} P_{7-k}(h^-1)^T S_{7-k}^T, so h must be
+    invertible there.  Degree 7 is det h.
+    """
     if k == 0:
         return np.ones((1, 1))
     h = np.asarray(h, dtype=float)
-    idx = _IDX0[k]
-    sub = h[idx[:, None, :, None], idx[None, :, None, :]]  # [I, J, a, b]
-    return np.linalg.det(sub).T  # [J, I] = det h[I, J]
+    if k <= 3:
+        flat = h.ravel()
+        P = h.T.copy()
+        for j in range(2, k + 1):
+            entry, minor = _laplace_table(j)
+            P = _ALTERNATING[:j] @ (flat[entry] * P.ravel()[minor])
+            P = P.reshape(NFORMS[j], NFORMS[j])
+        return P
+    deth = np.linalg.det(h)
+    if k == DIM:
+        return np.array([[deth]])
+    S = _star_table(DIM - k)
+    return deth * (S @ pullback_matrix(np.linalg.inv(h), DIM - k).T @ S.T)
 
 
 def pullback(h, a: KForm) -> KForm:
@@ -365,14 +405,22 @@ def _as_metric(g):
 def hodge_matrix(g, k: int) -> np.ndarray:
     """Hodge star on degree k for the metric g, as a coefficient matrix.
 
-    *a = orientation * sqrt(det G) * S_k(a with indices raised by G^{-1}),
-    S_k the identity-metric complement table; the only place a star is built.
+    With G the gram matrix, o the orientation and S_k the identity-metric
+    star, *a = o sqrt(det G) S_k (a with indices raised by G^-1), that is
+    H_k = o sqrt(det G) S_k P_k(G^-1) with P_k as in :func:`pullback_matrix`.
+    For k >= 4, Jacobi's identity on P_k(G^-1) and ** = 1 in dimension 7
+    give H_k = o det(G)^(-1/2) P_{7-k}(G) S_k, from minors of G itself of
+    size at most 3, so only H_0..H_3 invert G.  The only place a star is
+    built.
     """
     if g is None:
         return _star_table(k)
     g = _as_metric(g)
-    vol = g.orientation * np.sqrt(np.linalg.det(g.gram))
-    return vol * (_star_table(k) @ pullback_matrix(np.linalg.inv(g.gram), k))
+    detG = np.linalg.det(g.gram)
+    if k <= 3:
+        raised = pullback_matrix(np.linalg.inv(g.gram), k)
+        return g.orientation * np.sqrt(detG) * (_star_table(k) @ raised)
+    return g.orientation / np.sqrt(detG) * (pullback_matrix(g.gram, DIM - k) @ _star_table(k))
 
 
 def hodge_star(a: KForm, g=None) -> KForm:

@@ -14,6 +14,7 @@ from .g2core import G2Structure, metric_from_3form
 from .integrate import IntegratorOptions, drive
 from .liealg import (
     NCONST,
+    DerivationSpace,
     LieBracket,
     bracket_act,
     ce_differential,
@@ -283,16 +284,17 @@ def _torsion_free(mu, s):
             and s.form_norm(ce_differential(mu, s.psi)) <= 1e-9 * scale)
 
 
-def _fit_soliton(kind, mu, s, threshold, project):
+def _fit_soliton(kind, mu, s, threshold, project, der):
     """Least-squares fit of Q over the family {c I + project(D) : D a
     derivation}; a certificate of the given kind when the residual is below
-    threshold, relative to |Q|."""
+    threshold, relative to |Q|.  der is derivations(mu), or None to
+    compute it here."""
     Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
     scale = max(1.0, float(np.linalg.norm(Q)))
     if _torsion_free(mu, s):
         return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
                                   float(np.linalg.norm(Q)), "steady")
-    der = derivations(mu)
+    der = der if der is not None else derivations(mu)
     cols = [np.eye(DIM).reshape(-1)] + [project(D).reshape(-1) for D in der.basis]
     A = np.array(cols).T
     x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
@@ -305,21 +307,24 @@ def _fit_soliton(kind, mu, s, threshold, project):
     return SolitonCertificate(kind, c, D, residual, _soliton_label(kind, c, scale))
 
 
-def detect_algebraic(mu: LieBracket, s: G2Structure,
-                     threshold: float = 1e-7) -> SolitonCertificate:
-    """Least-squares fit of Q over the family {c I + D : D a derivation}."""
-    return _fit_soliton("algebraic", mu, s, threshold, lambda D: D)
+def detect_algebraic(mu: LieBracket, s: G2Structure, threshold: float = 1e-7,
+                     der: DerivationSpace | None = None) -> SolitonCertificate:
+    """Least-squares fit of Q over the family {c I + D : D a derivation}.
+
+    der, when given, is derivations(mu), shared between detectors."""
+    return _fit_soliton("algebraic", mu, s, threshold, lambda D: D, der)
 
 
-def detect_semialgebraic(mu: LieBracket, s: G2Structure,
-                         threshold: float = 1e-7) -> SolitonCertificate:
+def detect_semialgebraic(mu: LieBracket, s: G2Structure, threshold: float = 1e-7,
+                         der: DerivationSpace | None = None) -> SolitonCertificate:
     """Fit of Q over {c I + (D + D^t)/2 : D a derivation}, closed case only.
 
     On success the skew part (D - D^t)/2, the rotation generator of the
-    norm-normalized bracket flow, is reported alongside."""
+    norm-normalized bracket flow, is reported alongside.  der as for
+    :func:`detect_algebraic`."""
     if not _closed(s, ce_differential(mu, s.phi)):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part)
+    cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part, der)
     if cert.kind == "semi-algebraic":
         cert = replace(cert, skew=0.5 * (cert.D - s.transpose(cert.D)))
     return cert

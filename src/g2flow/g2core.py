@@ -16,6 +16,7 @@ from .exterior import (
     KForm,
     Metric,
     NFORMS,
+    RANK,
     _interior_table,
     _theta_tensor,
     form_from_skew,
@@ -30,38 +31,35 @@ from .exterior import (
 
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
 
-_trip_tensor = None
+def _triple_wedge_triples():
+    """Positions a * 21 + b, 3-form indices K and signs of the 210 nonzero
+    top-form coefficients e^{Ia} ^ e^{Ib} ^ e^{IK} = sign e^{1..7}, degrees
+    (2, 2, 3); for disjoint Ia, Ib the only K is the complement."""
+    full = set(range(1, DIM + 1))
+    triples = []
+    for ra, ia in enumerate(INDEX_SETS[2]):
+        for rb, ib in enumerate(INDEX_SETS[2]):
+            if set(ia) & set(ib):
+                continue
+            merged = tuple(sorted(ia + ib))
+            ik = tuple(sorted(full - set(merged)))
+            triples.append((ra * NFORMS[2] + rb, RANK[3][ik],
+                            merge_sign(ia, ib) * merge_sign(merged, ik)))
+    pos, k, sign = (np.array(col) for col in zip(*triples))
+    return pos, k, sign.astype(float)
 
 
-def _triple_wedge_tensor():
-    """TRIP[a,b,K]: top-form coefficient of e^{Ia} ^ e^{Ib} ^ e^{IK},
-    degrees (2,2,3)."""
-    global _trip_tensor
-    if _trip_tensor is None:
-        T = np.zeros((NFORMS[2], NFORMS[2], NFORMS[3]))
-        for ra, ia in enumerate(INDEX_SETS[2]):
-            for rb, ib in enumerate(INDEX_SETS[2]):
-                if set(ia) & set(ib):
-                    continue
-                merged = tuple(sorted(ia + ib))
-                s1 = merge_sign(ia, ib)
-                for rk, ik in enumerate(INDEX_SETS[3]):
-                    if set(merged) & set(ik):
-                        continue
-                    T[ra, rb, rk] = s1 * merge_sign(merged, ik)
-        T.flags.writeable = False
-        _trip_tensor = T
-    return _trip_tensor
+_TRIP_POS, _TRIP_K, _TRIP_SIGN = _triple_wedge_triples()
 
 
 def induced_bilinear(phi: KForm) -> np.ndarray:
     """The symmetric matrix B with B(u,v) e^{1..7} = (1/6) i_u(phi)^i_v(phi)^phi."""
     if phi.degree != 3:
         raise ValueError("need a 3-form")
-    IU = _interior_table(3)
-    X = np.einsum("uji,i->uj", IU, phi.coeffs)  # 7 x 21
-    W2 = np.einsum("abK,K->ab", _triple_wedge_tensor(), phi.coeffs)
-    B = np.einsum("ua,ab,vb->uv", X, W2, X) / 6.0
+    X = _interior_table(3) @ phi.coeffs  # 7 x 21, row u is i_u(phi)
+    W2 = np.zeros(NFORMS[2] * NFORMS[2])  # W2[a, b] = e^{Ia} ^ e^{Ib} ^ phi
+    W2[_TRIP_POS] = _TRIP_SIGN * phi.coeffs[_TRIP_K]
+    B = X @ W2.reshape(NFORMS[2], NFORMS[2]) @ X.T / 6.0
     return 0.5 * (B + B.T)
 
 

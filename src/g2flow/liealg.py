@@ -276,7 +276,7 @@ def derivations(mu: LieBracket) -> DerivationSpace:
             E[a, b] = 1.0
             cols.append(delta_mu(mu, E).reshape(-1))
     L = np.array(cols).T  # 343 x 49
-    U, s, Vh = np.linalg.svd(L)
+    _, s, Vh = np.linalg.svd(L, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     mask = np.ones(Vh.shape[0], dtype=bool) if smax == 0.0 else s <= 1e-8 * smax
     mats = Vh[mask].reshape(-1, DIM, DIM)

@@ -1,10 +1,15 @@
 import json
+from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from g2flow.errors import BadMetric, DegreeUnderflow
 from g2flow.exterior import (
+    INDEX_SETS,
     KForm,
     Metric,
     act,
@@ -22,6 +27,25 @@ from g2flow.exterior import (
 )
 
 from conftest import random_kform, random_metric, random_positive_form
+
+
+def lu_pullback_matrix(h, k):
+    """The pullback matrix as stacked LU determinants of the k x k
+    submatrices: entry [J, I] is det h[I, J]."""
+    if k == 0:
+        return np.ones((1, 1))
+    idx = np.array(INDEX_SETS[k]) - 1
+    sub = np.asarray(h, dtype=float)[idx[:, None, :, None], idx[None, :, None, :]]
+    return np.linalg.det(sub).T
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+_matrix = st.lists(_unit, min_size=49, max_size=49).map(
+    lambda e: np.eye(7) + 0.6 / np.sqrt(7) * np.reshape(e, (7, 7)))
 
 
 def test_wedge_basis():
@@ -122,10 +146,77 @@ def test_hodge_matrix_matches_frame_composition(rng):
             g = Metric(gram, orientation)
             M = g.frame()
             for k in range(8):
-                want = (pullback_matrix(np.linalg.inv(M), 7 - k)
-                        @ hodge_matrix(None, k) @ pullback_matrix(M, k))
+                want = (lu_pullback_matrix(np.linalg.inv(M), 7 - k)
+                        @ hodge_matrix(None, k) @ lu_pullback_matrix(M, k))
                 got = hodge_matrix(g, k)
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@given(h=_matrix, k=st.integers(0, 7))
+def test_pullback_matrix_matches_lu_determinants(h, k):
+    assume(abs(np.linalg.det(h)) > 0.2)
+    assert _rel_err(pullback_matrix(h, k), lu_pullback_matrix(h, k)) <= 1e-12
+
+
+@given(a=_matrix, b=_matrix, k=st.integers(0, 7))
+def test_pullback_matrix_is_cauchy_binet(a, b, k):
+    # the compounds Lambda^k(h) = P_k(h)^T multiply: Lambda^k(ab) = Lambda^k(a) Lambda^k(b)
+    assume(abs(np.linalg.det(a)) > 0.2 and abs(np.linalg.det(b)) > 0.2)
+    la, lb = pullback_matrix(a, k).T, pullback_matrix(b, k).T
+    scale = (np.abs(la) @ np.abs(lb)).max()
+    assert np.abs(pullback_matrix(a @ b, k).T - la @ lb).max() <= 1e-12 * scale
+
+
+@given(h=_matrix, k=st.integers(0, 7), orientation=st.sampled_from((1, -1)))
+def test_hodge_matrix_squares_to_one(h, k, orientation):
+    # ** = 1 on every degree in dimension 7
+    assume(abs(np.linalg.det(h)) > 0.2)
+    g = Metric(h @ h.T, orientation)
+    back, there = hodge_matrix(g, 7 - k), hodge_matrix(g, k)
+    scale = (np.abs(back) @ np.abs(there)).max()
+    assert np.abs(back @ there - np.eye(len(there))).max() <= 1e-12 * scale
+
+
+def _mp_hodge_matrix(gram, k):
+    """H_k = sqrt(det G) S_k P_k(G^-1) at 50 digits: minors of the inverse
+    gram by Laplace expansion along their first row, rounded to double
+    after the scaling; S_k is a signed permutation and exact."""
+    with mpmath.workdps(50):
+        G = mpmath.matrix(gram.tolist())
+        Ginv = G ** -1
+        minors = {((), ()): mpmath.mpf(1)}
+        for size in range(1, k + 1):
+            for rows in combinations(range(7), size):
+                for cols in combinations(range(7), size):
+                    minors[rows, cols] = mpmath.fsum(
+                        (-1) ** b * Ginv[rows[0], cols[b]]
+                        * minors[rows[1:], cols[:b] + cols[b + 1:]]
+                        for b in range(size))
+        vol = mpmath.sqrt(mpmath.det(G))
+        sets = [tuple(i - 1 for i in s) for s in INDEX_SETS[k]]
+        P = np.array([[float(vol * minors[rows, cols]) for rows in sets]
+                      for cols in sets])
+    return hodge_matrix(None, k) @ P
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+def test_hodge_matrix_on_near_degenerate_metrics(rng, cond):
+    # an SPD gram with eigenvalues from 1 to cond, against a 50-digit star.
+    # det G of the double gram moves by up to about eps * cond under a
+    # rounding-size backward error, and every star carries sqrt(det G); so
+    # the bound is 1e-12 or eps * cond, whichever is larger, and the error
+    # may not exceed twice that of the LU-determinant star
+    Q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+    gram = (Q * np.logspace(0, np.log10(cond), 7)) @ Q.T
+    gram = 0.5 * (gram + gram.T)
+    g = Metric(gram)
+    vol = np.sqrt(np.linalg.det(gram))
+    for k in (3, 4, 5):
+        want = _mp_hodge_matrix(gram, k)
+        err = _rel_err(hodge_matrix(g, k), want)
+        lu = vol * (hodge_matrix(None, k) @ lu_pullback_matrix(np.linalg.inv(gram), k))
+        assert err <= max(1e-12, np.finfo(float).eps * cond)
+        assert err <= 2.0 * _rel_err(lu, want) + 1e-13
 
 
 def test_hodge_star_negative_orientation():
@@ -140,6 +231,14 @@ def test_hodge_star_rejects_bad_metric():
         Metric(np.diag([1, 1, 1, 1, 1, 1, -1.0]))
     with pytest.raises(BadMetric):
         hodge_star(KForm.basis((1,)), np.diag([1, 1, 1, 1, 1, 1, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_metric_rejects_non_finite_gram(bad):
+    gram = np.eye(7)
+    gram[0, 0] = bad
+    with pytest.raises(BadMetric, match="finite"):
+        Metric(gram)
 
 
 def test_wedge_against_star_recovers_inner_product(rng):

@@ -284,6 +284,30 @@ def test_reconstruct_rejects_normalized_trajectory(s_aa, rng):
             reconstruct_h(traj, side=side)
 
 
+def test_stages_and_samples_take_no_stacked_determinants(monkeypatch):
+    # the metric, the stars and the pullbacks come from closed-form minors:
+    # np.linalg.det only ever sees single 7x7 matrices
+    ndims = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        ndims.append(np.ndim(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    mu0 = mu_nilpotent(1.0, 0.5, -0.3, 0.7)
+    phi = act(np.eye(DIM) + 0.1 * np.tri(DIM), phi_canonical())
+    one_step = IntegratorOptions(method="rk4", h0=0.01, t_end=0.01)
+    # one rk4 step: four right-side evaluations, each sample a G2Structure
+    # with its star, frame and torsion tables
+    laplacian_flow(phi, mu0, one_step)
+    s = G2Structure(phi)
+    traj = bracket_flow(mu0, s, one_step)
+    for side in ("i", "ii"):
+        reconstruct_h(traj, side=side)
+    assert ndims and set(ndims) == {2}
+
+
 def test_reconstruct_side_i_on_a_pair_that_is_not_closed():
     # dphi != 0 here, so side "i" needs the full q-solve at every stage
     mu0 = mu_nilpotent(1.0, 0.5, -0.3, 0.7)
