@@ -279,12 +279,18 @@ def moment_map(aa) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def flow_rhs(A) -> np.ndarray:
-    """Right side of the matrix bracket flow (any fixed basis order)."""
+    """Right side of the matrix bracket flow (any fixed basis order),
+
+        A' = -(tr S^2 / 6) A + 1/2 [A, K] - 1/2 [A, S^2],
+
+    with S = A + A^T and K = A A^T - A^T A.  Since K - S^2 =
+    -(A^2 + A^T^2 + 2 A^T A) and [A, A^2] = 0, the last two terms are
+    -1/2 [A, B] with B = A^T (A^T + 2 A): three matrix products.  S is
+    symmetric, so tr S^2 is the sum of the squares of its entries."""
     A = np.asarray(A, dtype=float)
     S = A + A.T
-    K = A @ A.T - A.T @ A
-    return (-np.trace(S @ S) / 6.0) * A \
-        + 0.5 * (A @ K - K @ A) - 0.5 * (A @ (S @ S) - (S @ S) @ A)
+    B = A.T @ (A.T + 2.0 * A)
+    return (-float((S * S).sum()) / 6.0) * A - 0.5 * (A @ B - B @ A)
 
 
 def sl3c_residual(A) -> float:

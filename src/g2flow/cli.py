@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -239,7 +240,10 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process, built on first use; parse_args does
+    not change it, so every main call can share it."""
     p = argparse.ArgumentParser(
         prog="g2flow",
         description="Laplacian flow of left-invariant G2-structures via the "

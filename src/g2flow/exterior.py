@@ -183,7 +183,10 @@ class Metric:
         g = np.array(gram, dtype=float).reshape(DIM, DIM)
         if not np.isfinite(g).all():
             raise BadMetric("gram matrix must be finite")
-        if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
+        # np.allclose(g, g.T, atol=atol) written out: |g - g^T| <= atol + 1e-5 |g^T|
+        a = np.abs(g)
+        atol = 1e-12 * max(1.0, float(a.max()))
+        if not (np.abs(g - g.T) <= atol + 1e-5 * a.T).all():
             raise BadMetric("gram matrix must be symmetric")
         if np.linalg.eigvalsh(g).min() <= 0:
             raise BadMetric("gram matrix must be positive definite")

@@ -43,21 +43,21 @@ class IntegratorOptions:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; row i of _DP_A holds the weights of stage i
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4  # weights of the error estimate y5 - y4
+# weights of the error estimate y5 - y4; the fifth-order weights are row 6
+_DP_E = _DP_A[6] - _DP_B4
 
 
 def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
@@ -90,7 +90,9 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
     The pair is first-same-as-last: the fifth-order solution is the input of
     stage 7, so an accepted step hands its last stage to the next step as
     k1, and a rejected step keeps k1.  A run of n attempted steps makes
-    1 + 6 n evaluations of f.
+    1 + 6 n evaluations of f.  The seven stages of a step live in the rows
+    of one (7, n) array K: stage i takes y + h * (A[i, :i] @ K[:i]) and the
+    error estimate is h * (E @ K).
 
     Raises StepUnderflow when no step of size >= hmin meets the tolerance,
     and StepBudgetExhausted before an accepted step beyond max_steps.
@@ -101,23 +103,23 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
     h = min(abs(h0), abs(t1 - t0)) or abs(h0)
     yield t, y
     n = 0
-    k1 = f(t, y)
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
     while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
         if n >= max_steps:
             raise StepBudgetExhausted(f"{n} steps taken by t={t:g}")
         h = min(h, abs(t1 - t))
         hh = direction * h
-        k = [k1]
         for i in range(1, 7):
-            yi = y + hh * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k.append(f(t + _DP_C[i] * hh, yi))
+            yi = y + hh * (_DP_A[i, :i] @ K[:i])
+            K[i] = f(t + _DP_C[i] * hh, yi)
         # yi, the input of stage 7, is the fifth-order solution
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-        err_vec = hh * (_DP_E @ np.array(k))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        r = hh * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi)))
+        err = math.sqrt(float(r @ r) / r.size)
         if err <= 1.0:
             t = t + hh
-            y, k1 = yi, k[6]
+            y = yi
+            K[0] = K[6]
             n += 1
             yield t, y
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)

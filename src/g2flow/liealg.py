@@ -147,11 +147,14 @@ class LieBracket:
 
 
 def bracket_act(h, c) -> np.ndarray:
-    """Raw-constants version of the basis-change action."""
+    """Raw-constants version of the basis-change action,
+    (h.c)[i, j, k] = sum h[k, m] c[a, b, m] h^-1[a, i] h^-1[b, j],
+    as three matrix products: over m, then a, then b."""
     h = np.asarray(h, dtype=float)
     hinv = np.linalg.inv(h)
     c = np.asarray(c, dtype=float)
-    return np.einsum("km,abm,ai,bj->ijk", h, c, hinv, hinv)
+    x = (c.reshape(DIM * DIM, DIM) @ h.T).reshape(DIM, DIM * DIM)
+    return hinv.T @ (hinv.T @ x).reshape(DIM, DIM, DIM)
 
 
 # ---------------------------------------------------------------------------

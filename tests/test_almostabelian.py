@@ -195,6 +195,24 @@ def test_flow_rhs_matches_delta_of_q(rng, s_aa):
     assert np.abs(full - want).max() < 1e-10
 
 
+def _flow_rhs_eight_products(A):
+    """The matrix flow's right side as written, -(tr S^2/6) A + 1/2 [A, K]
+    - 1/2 [A, S^2]: the reference for the three-product flow_rhs."""
+    S = A + A.T
+    K = A @ A.T - A.T @ A
+    return (-np.trace(S @ S) / 6.0) * A \
+        + 0.5 * (A @ K - K @ A) - 0.5 * (A @ (S @ S) - (S @ S) @ A)
+
+
+def test_flow_rhs_matches_the_eight_product_form(rng):
+    # the identity behind the three products holds for any 6x6 matrix
+    mats = [random_sl3c(rng, scale).A for scale in (0.1, 1.0, 5.0)] \
+        + [scale * rng.normal(size=(6, 6)) for scale in (0.1, 1.0, 5.0)]
+    for A in mats:
+        want = _flow_rhs_eight_products(A)
+        assert np.abs(aa.flow_rhs(A) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_matrix_flow_requires_closed(rng):
     A = rng.normal(size=(6, 6))
     with pytest.raises(NotClosed):

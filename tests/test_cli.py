@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -192,6 +193,52 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_carries_no_options_over(capsys, tmp_path,
+                                                         monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        payload = json.dumps({
+            "mu": corpus.mu_nilpotent(1.0, 0.0, 0.0, 1.0).to_json_dict(),
+            "phi": corpus.phi_nilpotent_example().to_json_dict(),
+        })
+        plain = ["flow", "--input", payload, "--t-end", "0.05"]
+        counts, sidecars = [], []
+        for name, extra in [
+            ("a.csv", []),
+            ("b.csv", ["--method", "rk4", "--normalize", "unit-bracket-norm",
+                       "--h0", "0.01", "--sample-every", "3", "--atol", "1e-6"]),
+            ("c.csv", []),
+        ]:
+            out_path = tmp_path / name
+            code, _ = run(capsys, *plain, *extra, "--out", str(out_path))
+            assert code == 0
+            counts.append(len(built))
+            sidecars.append(json.loads((tmp_path / (name + ".json")).read_text()))
+        # only the first call builds parsers
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+        assert sidecars[1]["options"]["method"] == "rk4"
+        assert sidecars[1]["options"]["normalize"] == "unit-bracket-norm"
+        assert sidecars[2]["options"]["method"] == "rk45"
+        assert sidecars[2]["options"]["normalize"] == "none"
+        assert sidecars[2]["options"] == sidecars[0]["options"]
+        # a parse error after a good call is still argparse's exit 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", "--method", "rk5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'rk5'" in capsys.readouterr().err
+        assert len(built) == counts[0]
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_aa_flow_nearly_imaginary_spectrum_completes(capsys):

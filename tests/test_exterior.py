@@ -241,6 +241,25 @@ def test_metric_rejects_non_finite_gram(bad):
         Metric(gram)
 
 
+@pytest.mark.parametrize("scale", [0.5, 100.0])
+@pytest.mark.parametrize("off", [0.0, 0.3])
+@pytest.mark.parametrize("factor", [0.99, 1 - 1e-6, 1 + 1e-6, 1.01])
+def test_metric_symmetry_test_is_allclose(scale, off, factor):
+    # an asymmetry just inside or just outside |g - g^T| <= atol + 1e-5 |g^T|
+    # is accepted or rejected exactly as np.allclose decides
+    g = scale * np.eye(7)
+    g[1, 0] = off * scale
+    atol = 1e-12 * max(1.0, scale)
+    g[0, 1] = g[1, 0] + factor * (atol + 1e-5 * abs(g[1, 0]))
+    want = np.allclose(g, g.T, atol=atol)
+    assert want == (factor < 1)
+    if want:
+        Metric(g)
+    else:
+        with pytest.raises(BadMetric, match="symmetric"):
+            Metric(g)
+
+
 def test_wedge_against_star_recovers_inner_product(rng):
     for _ in range(25):
         k = int(rng.integers(0, 8))

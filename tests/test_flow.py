@@ -516,6 +516,89 @@ def test_rk45_reuses_the_last_stage():
     assert abs(steps[-1][1][0] - math.exp(-2.0)) < 1e-9
 
 
+_DP_STAGES = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_DP_ERROR = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]) \
+    - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                187 / 2100, 1 / 40])
+
+
+def _rk45_stage_list(f, y0, t1, h0, tol):
+    """Reference Dormand-Prince stepper with the stages in a Python list,
+    from t = 0 with atol = rtol = tol: yields (t, y) per accepted step."""
+    t, y = 0.0, np.array(y0, dtype=float)
+    h = min(h0, t1)
+    yield t, y
+    k1 = f(t, y)
+    nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+    while t1 - t > 1e-15 * max(1.0, t1):
+        h = min(h, t1 - t)
+        k = [k1]
+        for i in range(1, 7):
+            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_STAGES[i]))
+            k.append(f(t + nodes[i] * h, yi))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(yi))
+        err = math.sqrt(float(np.mean((h * (_DP_ERROR @ np.array(k)) / scale) ** 2)))
+        if err <= 1.0:
+            t, y, k1 = t + h, yi, k[6]
+            yield t, y
+            h = h * (5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2))
+        else:
+            h = h * max(0.2, 0.9 * err ** -0.2)
+
+
+def _counted(f):
+    calls = []
+
+    def g(t, y):
+        calls.append(t)
+        return f(t, y)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("flow", ["matrix", "bracket"])
+def test_rk45_stage_array_matches_the_stage_list(flow, rng, s_aa):
+    # same accepted steps and evaluations, and the same states up to
+    # rounding.  The error estimate cancels to about tol of the stages'
+    # size, so rounding in the stages moves each step size by about
+    # eps / tol relative; a state is compared after moving it to the
+    # reference's time along f
+    m = random_sl3c(rng)
+    if flow == "matrix":
+        y0, t1 = m.A.reshape(-1), 5.0
+
+        def f(t, y):
+            return aa.flow_rhs(y.reshape(6, 6)).reshape(-1)
+    else:
+        velocity = _bracket_velocity(s_aa)
+        y0, t1 = aa.bracket_of(m).packed().reshape(-1), 2.0
+
+        def f(t, y):
+            return velocity(y)[1]
+    assert y0.size == (36 if flow == "matrix" else 147)
+    f_new, calls_new = _counted(f)
+    f_ref, calls_ref = _counted(f)
+    got = list(rk45_steps(f_new, y0, 0.0, t1, 1e-3, 1e-12, math.inf, 1e-9, 1e-9))
+    want = list(_rk45_stage_list(f_ref, y0, t1, 1e-3, 1e-9))
+    assert len(got) == len(want) > 10
+    assert len(calls_new) == len(calls_ref)
+    for (t, y), (t_ref, y_ref) in zip(got, want):
+        assert abs(t - t_ref) <= 1e-8 * t1
+        moved = y - (t - t_ref) * f(t_ref, y_ref)
+        assert np.abs(moved - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
+    steps = np.diff([t for t, _ in got])
+    steps_ref = np.diff([t for t, _ in want])
+    assert np.abs(steps / steps_ref - 1).max() <= 1e-8
+
+
 def test_step_budget_stops_the_run(s_nilpotent):
     # 100 fixed steps reach t = 1; a budget of 10 stops at t = 0.1 and
     # samples the state reached there

@@ -22,7 +22,7 @@ from g2flow.liealg import (
     ricci,
 )
 
-from conftest import random_kform, random_sl3c
+from conftest import random_gl7, random_kform, random_sl3c
 
 
 def test_jacobi_abelian_is_zero():
@@ -227,6 +227,17 @@ def test_derivations_exponentiate_to_automorphisms(rng):
     for s in (1e-3, 1e-2, 0.1):
         moved = bracket_act(expm(s * D), mu.c)
         assert np.abs(moved - mu.c).max() < 1e-7
+
+
+def test_bracket_act_matches_the_einsum(rng):
+    # the three matrix products against the one four-operand contraction
+    for _ in range(20):
+        h = random_gl7(rng)
+        c = rng.normal(size=(DIM, DIM, DIM))
+        hinv = np.linalg.inv(h)
+        want = np.einsum("km,abm,ai,bj->ijk", h, c, hinv, hinv)
+        got = bracket_act(h, c)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_ricci_display_nilpotent(rng):
