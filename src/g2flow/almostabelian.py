@@ -10,6 +10,7 @@ complex structure J pairing e1+i e2, e3+i e4, e5+i e6 is the block matrix
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,15 +82,10 @@ def phi_almost_abelian() -> KForm:
     return wedge(omega_form(), KForm.basis((7,))) + rho_plus_form()
 
 
-_structure_cache = None
-
-
+@functools.cache
 def structure() -> G2Structure:
     """The shared structure of the fixed 3-form (identity metric)."""
-    global _structure_cache
-    if _structure_cache is None:
-        _structure_cache = G2Structure(phi_almost_abelian())
-    return _structure_cache
+    return G2Structure(phi_almost_abelian())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import almostabelian as aa
 from . import corpus
 from .errors import G2FlowError
-from .exterior import KForm, phi_canonical
+from .exterior import KForm, is_object_list, phi_canonical
 from .flow import (
     IntegratorOptions,
     bracket_flow,
@@ -43,9 +43,13 @@ def _load_input(arg):
     if arg is None:
         raise ValueError("--input is required for this command")
     if arg.lstrip().startswith("{"):
-        return json.loads(arg)
-    with open(arg) as fh:
-        return json.load(fh)
+        data = json.loads(arg)
+    else:
+        with open(arg) as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    return data
 
 
 def _bracket_from_input(data):
@@ -104,7 +108,7 @@ def _write(path, text):
 
 
 def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _emit(args, traj, sidecar):
@@ -209,6 +213,8 @@ def _classify_row(m: aa.AAMatrix):
 
 def cmd_sweep(args):
     data = _load_input(args.input)
+    if not is_object_list(data.get("matrices")):
+        raise ValueError("'matrices' must be a list of objects")
     mats = [_aamatrix_from_input(d) for d in data["matrices"]]
     lines = [CSV_SCHEMA, "index,kind,c,R,|tau|"]
     for i, r in enumerate(map(_classify_row, mats)):

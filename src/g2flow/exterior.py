@@ -4,10 +4,18 @@ Alternating k-forms are stored as coefficient vectors over strictly
 increasing multi-indices (i1 < ... < ik), 1-based, enumerated once in
 colexicographic order and shared by every module.  All operations are pure
 functions on immutable values.
+
+One sign convention, that of :func:`sort_sign`, is tabulated once in
+:func:`_wedge_table`: the sign and rank of e^P ^ e^Q for basis forms.  Every
+other sign table derives from it by an identity: the interior product is the
+transpose of e^m ^ ., theta(E_ab) = -(e^b ^ .) o i_{e_a}, the star is the
+(k, 7-k) table, and so are liealg's CE triples and g2core's induced metric.
+The tables are cached and read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -15,7 +23,6 @@ import numpy as np
 from .errors import BadMetric, DegreeUnderflow
 
 DIM = 7
-DEFAULT_TOL = 1e-10
 
 #: increasing multi-indices of each degree, in colexicographic order
 INDEX_SETS = {
@@ -25,6 +32,8 @@ INDEX_SETS = {
 }
 RANK = {k: {s: r for r, s in enumerate(INDEX_SETS[k])} for k in range(DIM + 1)}
 NFORMS = {k: len(INDEX_SETS[k]) for k in range(DIM + 1)}
+#: 0-based (i, j) of the increasing pairs, in rank order
+PAIR_I, PAIR_J = (np.array(ix) - 1 for ix in zip(*INDEX_SETS[2]))
 
 
 def sort_sign(word):
@@ -42,10 +51,9 @@ def sort_sign(word):
     return tuple(word), sign
 
 
-def merge_sign(left, right):
-    """Sign of sorting the concatenation of two disjoint increasing tuples."""
-    inversions = sum(1 for i in left for j in right if i > j)
-    return -1 if inversions % 2 else 1
+def is_object_list(x):
+    """True when a parsed JSON value is a list of objects."""
+    return isinstance(x, list) and all(isinstance(t, dict) for t in x)
 
 
 class KForm:
@@ -83,12 +91,7 @@ class KForm:
     def basis(cls, idx):
         """The form e^{i1...ik} for a (not necessarily sorted) index tuple."""
         idx = tuple(idx)
-        srt, sign = sort_sign(idx)
-        if sign == 0:
-            return cls.zero(len(idx))
-        c = np.zeros(NFORMS[len(idx)])
-        c[RANK[len(idx)][srt]] = sign
-        return cls(len(idx), c)
+        return cls.from_terms(len(idx), {idx: 1.0})
 
     @classmethod
     def from_terms(cls, degree, terms):
@@ -169,6 +172,8 @@ class KForm:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not (isinstance(data, dict) and is_object_list(data.get("terms"))):
+            raise ValueError("'terms' must be a list of objects")
         return cls.from_terms(int(data["degree"]),
                               {tuple(t["idx"]): float(t["c"]) for t in data["terms"]})
 
@@ -222,78 +227,77 @@ class Metric:
 
 
 # ---------------------------------------------------------------------------
-# cached operator tables
+# cached operator tables, all read-only
 # ---------------------------------------------------------------------------
 
-_star_tables = {}
-_interior_tables = {}
-_theta_tensors = {}
-_laplace_tables = {}
 _ALTERNATING = np.array([1.0, -1.0, 1.0])
 
 
+def _frozen(*arrays):
+    """Mark arrays read-only and return them: one array, or a tuple of several."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+@functools.cache
+def _wedge_table(p, q):
+    """The one sign convention: e^P ^ e^Q = sign[P, Q] e^{rank[P, Q]} for
+    basis forms of degrees p and q, indexed by rank; sign is 0 (and rank
+    meaningless) where P and Q overlap."""
+    rank = np.zeros((NFORMS[p], NFORMS[q]), dtype=np.intp)
+    sign = np.zeros((NFORMS[p], NFORMS[q]))
+    for i, P in enumerate(INDEX_SETS[p]):
+        rest = [m for m in range(1, DIM + 1) if m not in P]
+        for Q in itertools.combinations(rest, q):  # the Q disjoint from P
+            j = RANK[q][Q]
+            srt, s = sort_sign(P + Q)
+            rank[i, j], sign[i, j] = RANK[p + q][srt], s
+    return _frozen(rank, sign)
+
+
+@functools.cache
 def _laplace_table(k):
     """Flat gathers for the k x k minors of a 7x7 matrix h expanded along
     their first row: for each b < k and every pair of index sets (J, I),
     flattened, h.ravel()[entry[b]] is h[I_0, J_b] and
     P_{k-1}(h).ravel()[minor[b]] is det h[I - I_0, J - J_b]."""
-    if k not in _laplace_tables:
-        n, m = NFORMS[k], NFORMS[k - 1]
-        entry = np.empty((k, n, n), dtype=np.intp)
-        minor = np.empty((k, n, n), dtype=np.intp)
-        for rj, J in enumerate(INDEX_SETS[k]):
-            for ri, I in enumerate(INDEX_SETS[k]):
-                for b in range(k):
-                    entry[b, rj, ri] = (I[0] - 1) * DIM + J[b] - 1
-                    minor[b, rj, ri] = RANK[k - 1][J[:b] + J[b + 1:]] * m + RANK[k - 1][I[1:]]
-        _laplace_tables[k] = entry.reshape(k, -1), minor.reshape(k, -1)
-    return _laplace_tables[k]
+    n, m = NFORMS[k], NFORMS[k - 1]
+    entry = np.empty((k, n, n), dtype=np.intp)
+    minor = np.empty((k, n, n), dtype=np.intp)
+    for rj, J in enumerate(INDEX_SETS[k]):
+        for ri, I in enumerate(INDEX_SETS[k]):
+            for b in range(k):
+                entry[b, rj, ri] = (I[0] - 1) * DIM + J[b] - 1
+                minor[b, rj, ri] = RANK[k - 1][J[:b] + J[b + 1:]] * m + RANK[k - 1][I[1:]]
+    return _frozen(entry.reshape(k, -1), minor.reshape(k, -1))
 
 
+@functools.cache
 def _star_table(k):
-    """Identity-metric Hodge star as a C(7,7-k) x C(7,k) signed permutation."""
-    if k not in _star_tables:
-        S = np.zeros((NFORMS[DIM - k], NFORMS[k]))
-        full = set(range(1, DIM + 1))
-        for r, idx in enumerate(INDEX_SETS[k]):
-            comp = tuple(sorted(full - set(idx)))
-            S[RANK[DIM - k][comp], r] = merge_sign(idx, comp)
-        S.flags.writeable = False
-        _star_tables[k] = S
-    return _star_tables[k]
+    """Identity-metric Hodge star as a C(7,7-k) x C(7,k) signed permutation:
+    e^I ^ e^J = S[J, I] e^{1..7}."""
+    return _frozen(np.ascontiguousarray(_wedge_table(k, DIM - k)[1].T))
 
 
+@functools.cache
 def _interior_table(k):
-    """Stack of 7 matrices: interior product with each basis vector."""
-    if k not in _interior_tables:
-        T = np.zeros((DIM, NFORMS[k - 1], NFORMS[k]))
-        for r, idx in enumerate(INDEX_SETS[k]):
-            for pos, m in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1:]
-                T[m - 1, RANK[k - 1][rest], r] = (-1.0) ** pos
-        T.flags.writeable = False
-        _interior_tables[k] = T
-    return _interior_tables[k]
+    """Stack of 7 matrices: interior product with each basis vector, the
+    transpose of e^m ^ . from degree k-1."""
+    rank, sign = _wedge_table(1, k - 1)
+    T = np.zeros((DIM, NFORMS[k - 1], NFORMS[k]))
+    m, j = np.indices(rank.shape)
+    T[m, j, rank] = sign  # one entry per (m, j): 0 where m is in e^j
+    return _frozen(T)
 
 
+@functools.cache
 def _theta_tensor(k):
-    """4-tensor T with theta_k(A) = einsum('jabi,ab->ji', T, A)."""
-    if k not in _theta_tensors:
-        T = np.zeros((NFORMS[k], DIM, DIM, NFORMS[k]))
-        for r, idx in enumerate(INDEX_SETS[k]):
-            for pos, a in enumerate(idx):
-                for b in range(1, DIM + 1):
-                    word = idx[:pos] + (b,) + idx[pos + 1:]
-                    srt, sign = sort_sign(word)
-                    if sign == 0:
-                        continue
-                    T[RANK[k][srt], a - 1, b - 1, r] -= sign
-        T.flags.writeable = False
-        _theta_tensors[k] = T
-    return _theta_tensors[k]
-
-
-_wedge_with_cache = {}
+    """4-tensor T with theta_k(A) = einsum('jabi,ab->ji', T, A):
+    theta(E_ab) = -(e^b ^ .) o i_{e_a}."""
+    i_k = _interior_table(k)
+    # 0.0 - x rather than -x keeps the zero entries +0.0
+    return _frozen(0.0 - np.einsum("bLj,aLi->jabi", i_k, i_k))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -301,34 +305,18 @@ def wedge(a: KForm, b: KForm) -> KForm:
     p, q = a.degree, b.degree
     if p + q > DIM:
         return KForm(0, [0.0], degree_overflow=True)
-    if p == 0:
-        return KForm(q, float(a.coeffs[0]) * b.coeffs)
-    if q == 0:
-        return KForm(p, float(b.coeffs[0]) * a.coeffs)
-    out = np.zeros(NFORMS[p + q])
-    anz = np.nonzero(a.coeffs)[0]
-    bnz = np.nonzero(b.coeffs)[0]
-    for ra in anz:
-        idxa = INDEX_SETS[p][ra]
-        seta = set(idxa)
-        va = a.coeffs[ra]
-        for rb in bnz:
-            idxb = INDEX_SETS[q][rb]
-            if seta & set(idxb):
-                continue
-            sign = merge_sign(idxa, idxb)
-            merged = tuple(sorted(idxa + idxb))
-            out[RANK[p + q][merged]] += sign * va * b.coeffs[rb]
-    return KForm(p + q, out)
+    rank, sign = _wedge_table(p, q)
+    terms = sign * np.outer(a.coeffs, b.coeffs)
+    return KForm(p + q, np.bincount(rank.ravel(), terms.ravel(), NFORMS[p + q]))
 
 
 def wedge_matrix(b: KForm, k: int) -> np.ndarray:
     """Matrix of (k-form) -> (k-form wedge b) acting on coefficient vectors."""
-    p = b.degree
-    W = np.zeros((NFORMS[k + p], NFORMS[k]))
-    for r in range(NFORMS[k]):
-        W[:, r] = wedge(KForm.basis(INDEX_SETS[k][r]), b).coeffs
-    return W
+    rank, sign = _wedge_table(k, b.degree)
+    n = NFORMS[k]
+    flat = rank * n + np.arange(n)[:, None]
+    W = np.bincount(flat.ravel(), (sign * b.coeffs).ravel(), NFORMS[k + b.degree] * n)
+    return W.reshape(-1, n)
 
 
 def interior(u, a: KForm) -> KForm:
@@ -448,9 +436,7 @@ def form_inner(a: KForm, b: KForm, g=None) -> float:
 
 def form_from_skew(X) -> KForm:
     """2-form <X.,.> of a skew matrix (identity-metric identification)."""
-    X = np.asarray(X, dtype=float)
-    c = np.array([X[j - 1, i - 1] for (i, j) in INDEX_SETS[2]])
-    return KForm(2, c)
+    return KForm(2, np.asarray(X, dtype=float)[PAIR_J, PAIR_I])
 
 
 def skew_from_form(a: KForm) -> np.ndarray:
@@ -458,9 +444,8 @@ def skew_from_form(a: KForm) -> np.ndarray:
     if a.degree != 2:
         raise ValueError("need a 2-form")
     X = np.zeros((DIM, DIM))
-    for r, (i, j) in enumerate(INDEX_SETS[2]):
-        X[j - 1, i - 1] = a.coeffs[r]
-        X[i - 1, j - 1] = -a.coeffs[r]
+    X[PAIR_J, PAIR_I] = a.coeffs
+    X[PAIR_I, PAIR_J] = -a.coeffs
     return X
 
 

@@ -12,17 +12,15 @@ import numpy as np
 from .errors import ComponentError, InconsistentTorsion, PositivityError, SingularSystem
 from .exterior import (
     DIM,
-    INDEX_SETS,
     KForm,
     Metric,
     NFORMS,
-    RANK,
     _interior_table,
     _theta_tensor,
+    _wedge_table,
     form_from_skew,
     hodge_matrix,
     hodge_star,
-    merge_sign,
     pullback_matrix,
     skew_from_form,
     theta,
@@ -31,35 +29,14 @@ from .exterior import (
 
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
 
-def _triple_wedge_triples():
-    """Positions a * 21 + b, 3-form indices K and signs of the 210 nonzero
-    top-form coefficients e^{Ia} ^ e^{Ib} ^ e^{IK} = sign e^{1..7}, degrees
-    (2, 2, 3); for disjoint Ia, Ib the only K is the complement."""
-    full = set(range(1, DIM + 1))
-    triples = []
-    for ra, ia in enumerate(INDEX_SETS[2]):
-        for rb, ib in enumerate(INDEX_SETS[2]):
-            if set(ia) & set(ib):
-                continue
-            merged = tuple(sorted(ia + ib))
-            ik = tuple(sorted(full - set(merged)))
-            triples.append((ra * NFORMS[2] + rb, RANK[3][ik],
-                            merge_sign(ia, ib) * merge_sign(merged, ik)))
-    pos, k, sign = (np.array(col) for col in zip(*triples))
-    return pos, k, sign.astype(float)
-
-
-_TRIP_POS, _TRIP_K, _TRIP_SIGN = _triple_wedge_triples()
-
-
 def induced_bilinear(phi: KForm) -> np.ndarray:
     """The symmetric matrix B with B(u,v) e^{1..7} = (1/6) i_u(phi)^i_v(phi)^phi."""
     if phi.degree != 3:
         raise ValueError("need a 3-form")
     X = _interior_table(3) @ phi.coeffs  # 7 x 21, row u is i_u(phi)
-    W2 = np.zeros(NFORMS[2] * NFORMS[2])  # W2[a, b] = e^{Ia} ^ e^{Ib} ^ phi
-    W2[_TRIP_POS] = _TRIP_SIGN * phi.coeffs[_TRIP_K]
-    B = X @ W2.reshape(NFORMS[2], NFORMS[2]) @ X.T / 6.0
+    rank, sign = _wedge_table(2, 2)  # e^{Ia} ^ e^{Ib} = sign e^{rank}
+    W2 = sign * (_wedge_table(4, 3)[1] @ phi.coeffs)[rank]  # e^{Ia} ^ e^{Ib} ^ phi
+    B = X @ W2 @ X.T / 6.0
     return 0.5 * (B + B.T)
 
 

@@ -4,21 +4,23 @@ kernel (derivations), and the Ricci curvature of left-invariant metrics."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidBracket
-from .exterior import DIM, INDEX_SETS, KForm, Metric, NFORMS, RANK, sort_sign
+from .exterior import (
+    DIM, INDEX_SETS, KForm, Metric, NFORMS, PAIR_I, PAIR_J, _frozen, _wedge_table, is_object_list,
+)
 
 PAIRS = INDEX_SETS[2]
 NCONST = len(PAIRS) * DIM  # packed constants: pair p, index m at p * 7 + m
 
 # flat (7,7,7) positions of the packed constants c[i, j, m], i < j, and of
 # their negatives c[j, i, m]
-_PI, _PJ = (np.array(ix) - 1 for ix in zip(*PAIRS))
-_PACK_POS = ((_PI * DIM + _PJ)[:, None] * DIM + np.arange(DIM)).ravel()
-_NEG_POS = ((_PJ * DIM + _PI)[:, None] * DIM + np.arange(DIM)).ravel()
+_PACK_POS = ((PAIR_I * DIM + PAIR_J)[:, None] * DIM + np.arange(DIM)).ravel()
+_NEG_POS = ((PAIR_J * DIM + PAIR_I)[:, None] * DIM + np.arange(DIM)).ravel()
 # for each entry of the (7,7,7) tensor, its source in [0, y, -y]
 _UNPACK_SRC = np.zeros(DIM ** 3, dtype=int)
 _UNPACK_SRC[_PACK_POS] = 1 + np.arange(NCONST)
@@ -129,20 +131,18 @@ class LieBracket:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self, tol=0.0):
-        out = []
-        for (i, j) in PAIRS:
-            for k in range(1, DIM + 1):
-                v = self.c[i - 1, j - 1, k - 1]
-                if abs(v) > tol:
-                    out.append({"i": i, "j": j, "k": k, "v": float(v)})
-        return {"c": out}
+        return {"c": [{"i": i, "j": j, "k": k, "v": float(v)}
+                      for (i, j), row in zip(PAIRS, self.packed())
+                      for k, v in enumerate(row, 1) if abs(v) > tol]}
 
     @classmethod
     def from_json_dict(cls, data, **kw):
+        if not (isinstance(data, dict) and is_object_list(data.get("c"))):
+            raise InvalidBracket("'c' must be a list of objects")
         terms = {}
         for t in data["c"]:
-            terms[(int(t["i"]), int(t["j"]), int(t["k"]))] = \
-                terms.get((int(t["i"]), int(t["j"]), int(t["k"])), 0.0) + float(t["v"])
+            key = (int(t["i"]), int(t["j"]), int(t["k"]))
+            terms[key] = terms.get(key, 0.0) + float(t["v"])
         return cls.from_terms(terms, **kw)
 
 
@@ -161,30 +161,24 @@ def bracket_act(h, c) -> np.ndarray:
 # Chevalley-Eilenberg differential
 # ---------------------------------------------------------------------------
 
-_ce_tables = {}
-
-
+@functools.cache
 def _ce_triples(k):
     """The CE tensor of degree k as (row, column, value) triples: d_mu on
     degree k has entry [J, I] = sum of value * y[column] over the triples
-    with row J * C(7, k) + I, y being the packed constants flattened."""
-    if k not in _ce_tables:
-        rows, cols, vals = [], [], []
-        for rI, idx in enumerate(INDEX_SETS[k]):
-            for p in range(k):
-                head, m, tail = idx[:p], idx[p], idx[p + 1:]
-                for rp, (r, s) in enumerate(PAIRS):
-                    srt, sign = sort_sign(head + (r, s) + tail)
-                    if sign == 0:
-                        continue
-                    rows.append(RANK[k + 1][srt] * NFORMS[k] + rI)
-                    cols.append(rp * DIM + m - 1)
-                    vals.append(-((-1.0) ** p) * sign)
-        table = (np.array(rows), np.array(cols), np.array(vals))
-        for a in table:
-            a.flags.writeable = False
-        _ce_tables[k] = table
-    return _ce_tables[k]
+    with row J * C(7, k) + I, y being the packed constants flattened.
+
+    d_mu e^I = sum_m de^m ^ i_{e_m} e^I with de^m = -sum_{r<s} c_rs^m e^{rs}:
+    i_{e_m} e^I = s1 e^L where e^m ^ e^L = s1 e^I, and e^{rs} ^ e^L = s2 e^J.
+    The triples are ordered by (I, m, rs), the order in which ce_matrix
+    sums each entry.
+    """
+    rank1, s1 = _wedge_table(1, k - 1)
+    rank2, s2 = _wedge_table(2, k - 1)
+    m, L, rp = np.nonzero(s1[:, :, None] * s2.T)
+    I = rank1[m, L]
+    order = np.lexsort((rp, m, I))
+    m, L, rp, I = m[order], L[order], rp[order], I[order]
+    return _frozen(rank2[rp, L] * NFORMS[k] + I, rp * DIM + m, -s1[m, L] * s2[rp, L])
 
 
 def ce_matrix(mu, k: int) -> np.ndarray:

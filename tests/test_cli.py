@@ -268,3 +268,19 @@ def test_non_finite_input_is_an_invalid_bracket(capsys, command, payload, messag
     code, out = run(capsys, command, "--input", json.dumps(payload))
     assert code == 1
     assert json.loads(out)["error"] == {"type": "InvalidBracket", "message": message}
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("flow", '{"mu": {"c": 5}}', "InvalidBracket"),
+    ("flow", '{"mu": {"c": [1]}}', "InvalidBracket"),
+    ("flow", "[1, 2]", "ValueError"),
+    ("sweep", '{"matrices": 5}', "ValueError"),
+], ids=["c-not-a-list", "c-not-objects", "file-not-an-object", "matrices-not-a-list"])
+def test_json_of_the_wrong_shape_is_a_one_line_error(capsys, tmp_path, command, text, error):
+    # inline JSON must start with "{", so the list goes through a file
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out = run(capsys, command, "--input", str(path))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == error

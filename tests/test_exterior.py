@@ -12,6 +12,8 @@ from g2flow.exterior import (
     INDEX_SETS,
     KForm,
     Metric,
+    NFORMS,
+    RANK,
     act,
     form_from_skew,
     form_inner,
@@ -22,8 +24,10 @@ from g2flow.exterior import (
     pullback,
     pullback_matrix,
     skew_from_form,
+    sort_sign,
     theta,
     wedge,
+    wedge_matrix,
 )
 
 from conftest import random_kform, random_metric, random_positive_form
@@ -83,6 +87,14 @@ def test_wedge_graded_commutative_and_associative(rng):
         rhs = wedge(a, wedge(b, c))
         if not (lhs.degree_overflow or rhs.degree_overflow):
             assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+
+
+def test_wedge_matrix_is_right_multiplication(rng):
+    for k in range(8):
+        for p in range(8 - k):
+            a, b = random_kform(rng, k), random_kform(rng, p)
+            assert np.allclose(wedge_matrix(b, k) @ a.coeffs, wedge(a, b).coeffs,
+                               rtol=0, atol=1e-12)
 
 
 def test_interior_basis_cases():
@@ -331,6 +343,51 @@ def test_kform_coefficients_are_read_only():
     a = phi_canonical()
     with pytest.raises(ValueError):
         a.coeffs[0] = 5.0
+
+
+def _slotwise_tables(k):
+    """The interior, theta and star tables of degree k built slot by slot
+    with sort_sign: references for the tables derived from the wedge table."""
+    n = NFORMS[k]
+    inner, th = np.zeros((7, NFORMS[k - 1], n)), np.zeros((n, 7, 7, n))
+    star = np.zeros((NFORMS[7 - k], n))
+    for r, idx in enumerate(INDEX_SETS[k]):
+        comp = tuple(i for i in range(1, 8) if i not in idx)
+        star[RANK[7 - k][comp], r] = sort_sign(idx + comp)[1]
+        for pos, a in enumerate(idx):
+            inner[a - 1, RANK[k - 1][idx[:pos] + idx[pos + 1:]], r] = (-1.0) ** pos
+            for b in range(1, 8):
+                srt, sign = sort_sign(idx[:pos] + (b,) + idx[pos + 1:])
+                if sign:
+                    th[RANK[k][srt], a - 1, b - 1, r] -= sign
+    return inner, th, star
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_derived_tables_equal_their_slotwise_definitions(k):
+    from g2flow import exterior
+    inner, th, star = _slotwise_tables(k)
+    assert np.array_equal(exterior._interior_table(k), inner)
+    assert np.array_equal(exterior._theta_tensor(k), th)
+    assert np.array_equal(exterior._star_table(k), star)
+
+
+def test_cached_tables_are_read_only_and_shared():
+    from g2flow import exterior
+    from g2flow.liealg import _ce_triples
+    builds = [(exterior._wedge_table, (p, q)) for p in range(8) for q in range(8 - p)]
+    builds += [(f, (k,)) for f in (exterior._interior_table, exterior._theta_tensor)
+               for k in range(1, 8)]
+    builds += [(exterior._star_table, (k,)) for k in range(8)]
+    builds += [(exterior._laplace_table, (k,)) for k in (2, 3)]
+    builds += [(_ce_triples, (k,)) for k in range(1, 7)]
+    for build, args in builds:
+        first, again = build(*args), build(*args)
+        if not isinstance(first, tuple):
+            first, again = (first,), (again,)
+        for a, b in zip(first, again, strict=True):
+            assert a is b, (build.__name__, args)
+            assert not a.flags.writeable, (build.__name__, args)
 
 
 def test_positive_form_families_stay_positive(rng):

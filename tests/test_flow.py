@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from g2flow import almostabelian as aa
 from g2flow.corpus import (
     aa_n6_soliton,
+    aa_n6_soliton_partner,
     mu_nilpotent,
     phi_nilpotent_example,
 )
@@ -459,6 +460,22 @@ def test_semialgebraic_normalized_flow_law(s_aa):
         got = smp.mu.c / smp.norm_mu
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-5
+
+
+def test_normalized_flow_of_rotating_soliton_is_periodic():
+    # the abstract's periodic orbit in closed form:
+    # mu(tau) = cos(tau/sqrt2) mu_A + sin(tau/sqrt2) mu_A-perp, period 2 sqrt2 pi
+    mu_a = aa.bracket_of(aa.AAMatrix.from_complex(aa_n6_soliton()))
+    mu_perp = aa.bracket_of(aa.AAMatrix.from_complex(aa_n6_soliton_partner()))
+    traj = bracket_flow(mu_a, aa.structure(), IntegratorOptions(
+        method="rk45", atol=1e-11, rtol=1e-11, t_end=2.0, sample_every=5,
+        normalize="unit-bracket-norm"))
+    assert traj.status == "completed" and traj.samples[-1].t == 2.0
+    for smp in traj.samples:
+        w = smp.t / math.sqrt(2.0)
+        want = math.cos(w) * mu_a.c + math.sin(w) * mu_perp.c
+        assert np.abs(smp.mu.c - want).max() < 1e-8, smp.t
+        assert abs(smp.norm_mu - mu_a.norm()) < 1e-8, smp.t
 
 
 def test_lf_diagonal_cases(s_nilpotent, s_aa):

@@ -6,11 +6,19 @@ from hypothesis import strategies as st
 from g2flow import almostabelian as aa
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import ComponentError, InconsistentTorsion, PositivityError
-from g2flow.exterior import KForm, act, phi_canonical, skew_from_form, theta, wedge
-from g2flow.g2core import G2Structure, metric_from_3form
+from g2flow.exterior import KForm, act, interior, phi_canonical, skew_from_form, theta, wedge
+from g2flow.g2core import G2Structure, induced_bilinear, metric_from_3form
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, hodge_laplacian, ricci
 
 from conftest import random_gl7, random_kform, random_positive_form, random_sl3c
+
+
+def test_induced_bilinear_is_its_definition(rng):
+    # B(u, v) e^{1..7} = (1/6) i_u(phi) ^ i_v(phi) ^ phi, one wedge at a time
+    for phi in (phi_canonical(), random_positive_form(rng), random_kform(rng, 3)):
+        ip = [interior(u, phi) for u in np.eye(7)]
+        want = np.array([[wedge(wedge(a, b), phi).coeffs[0] / 6.0 for b in ip] for a in ip])
+        assert np.abs(induced_bilinear(phi) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def test_metric_recovery_canonical():
