@@ -17,14 +17,14 @@ from .errors import (
 )
 from .exterior import KForm, Metric, hodge_star, interior, theta, wedge
 from .g2core import G2Structure, metric_from_3form
-from .liealg import LieBracket, ce_differential, delta_mu, derivations, hodge_laplacian, jacobi_residual, ricci
+from .liealg import LieBracket, ce_differential, delta_mu, derivations, jacobi_residual, ricci
 
 __all__ = [
     "almostabelian", "exterior", "flow", "g2core", "liealg",
     "KForm", "Metric", "hodge_star", "interior", "theta", "wedge",
     "G2Structure", "metric_from_3form",
     "LieBracket", "ce_differential", "delta_mu", "derivations",
-    "hodge_laplacian", "jacobi_residual", "ricci",
+    "jacobi_residual", "ricci",
     "G2FlowError", "BadMetric", "ComponentError", "DegreeUnderflow",
     "InconsistentTorsion", "InvalidBracket", "NotClosed", "NotTraceFree",
     "PositivityError", "SingularSystem", "StepBudgetExhausted", "StepUnderflow",

@@ -30,7 +30,7 @@ from .flow import (
     lf_diagonal_test,
 )
 from .g2core import G2Structure
-from .liealg import LieBracket, derivations
+from .liealg import LieBracket
 
 CSV_SCHEMA = "# g2flow-csv v1"
 
@@ -89,10 +89,9 @@ def _certificate_dict(cert):
 def _certificates(mu, s) -> dict:
     """Both soliton certificates; a detector that refuses the input reports
     its error in place of a certificate."""
-    der = derivations(mu)
-    out = {"algebraic": _certificate_dict(detect_algebraic(mu, s, der=der))}
+    out = {"algebraic": _certificate_dict(detect_algebraic(mu, s))}
     try:
-        out["semi_algebraic"] = _certificate_dict(detect_semialgebraic(mu, s, der=der))
+        out["semi_algebraic"] = _certificate_dict(detect_semialgebraic(mu, s))
     except G2FlowError as exc:
         out["semi_algebraic"] = {"error": str(exc)}
     return out

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+import sys
 
 import numpy as np
 
@@ -54,6 +56,17 @@ def sort_sign(word):
 def is_object_list(x):
     """True when a parsed JSON value is a list of objects."""
     return isinstance(x, list) and all(isinstance(t, dict) for t in x)
+
+
+def json_number(x, integer=False):
+    """A parsed JSON number as a float, or as an int when integer is set and
+    its value is integral; None for anything else (null, a string, a list,
+    a boolean, 1.5 where an integer is asked for, an integer beyond float)."""
+    if type(x) is int and (integer or abs(x) <= sys.float_info.max):
+        return x if integer else float(x)
+    if type(x) is float and (not integer or x.is_integer()):
+        return int(x) if integer else x
+    return None
 
 
 class KForm:
@@ -174,8 +187,20 @@ class KForm:
     def from_json_dict(cls, data):
         if not (isinstance(data, dict) and is_object_list(data.get("terms"))):
             raise ValueError("'terms' must be a list of objects")
-        return cls.from_terms(int(data["degree"]),
-                              {tuple(t["idx"]): float(t["c"]) for t in data["terms"]})
+        degree = json_number(data.get("degree"), integer=True)
+        if degree is None or not 0 <= degree <= DIM:
+            raise ValueError(f"'degree' must be an integer in 0..{DIM}, "
+                             f"got {json.dumps(data.get('degree'))}")
+        terms = {}
+        for n, t in enumerate(data["terms"]):
+            idx = t["idx"] if isinstance(t.get("idx"), list) else [None]
+            idx = tuple(json_number(i, integer=True) for i in idx)
+            c = json_number(t.get("c"))
+            if len(idx) != degree or None in idx + (c,) or not all(1 <= i <= DIM for i in idx):
+                raise ValueError(f"terms[{n}] needs idx, {degree} integers in 1..{DIM}, "
+                                 f"and a number c, got {json.dumps(t)}")
+            terms[idx] = c
+        return cls.from_terms(degree, terms)
 
 
 class Metric:
@@ -421,17 +446,6 @@ def hodge_star(a: KForm, g=None) -> KForm:
     signed complement table; see :func:`hodge_matrix` for general metrics.
     """
     return KForm(DIM - a.degree, hodge_matrix(g, a.degree) @ a.coeffs)
-
-
-def form_inner(a: KForm, b: KForm, g=None) -> float:
-    """Inner product of two same-degree forms induced by the metric g."""
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    if g is None:
-        return float(a.coeffs @ b.coeffs)
-    g = _as_metric(g)
-    P = pullback_matrix(g.frame(), a.degree)
-    return float((P @ a.coeffs) @ (P @ b.coeffs))
 
 
 def form_from_skew(X) -> KForm:

@@ -3,6 +3,7 @@ reconstruction, and soliton detection."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -14,15 +15,12 @@ from .g2core import G2Structure, metric_from_3form
 from .integrate import IntegratorOptions, drive
 from .liealg import (
     NCONST,
-    DerivationSpace,
     LieBracket,
     bracket_act,
-    ce_differential,
     ce_matrix,
     ce_matrix_of_form,
     delta_mu,
     derivations,
-    hodge_laplacian,
     pack_constants,
     ricci,
     unpack_constants,
@@ -84,9 +82,22 @@ def _soliton_label(kind, c, scale=1.0):
     return "expanding" if c < 0 else "shrinking"
 
 
-def _closed(s: G2Structure, dphi: KForm) -> bool:
-    """Whether dphi, the differential of s.phi, vanishes to CLOSED_TOL."""
-    return s.form_norm(dphi) <= CLOSED_TOL * max(1.0, s.form_norm(s.phi))
+def laplacian(mu: LieBracket, star, a):
+    """Delta a = *d*d a - d*d* a for 3-form coefficients a and the fixed
+    bracket mu, with star(k) the Hodge star matrix H_k: s.star_matrix for a
+    structure s, functools.partial(hodge_matrix, g) for a bare metric g.
+    Returns the coefficient arrays (Delta a, d a, d*a); the differentials
+    are what the closedness and torsion tests take."""
+    H4, d3 = star(4), ce_matrix(mu, 3)
+    da = d3 @ a
+    dsa = ce_matrix(mu, 4) @ (star(3) @ a)
+    lap = H4 @ (d3 @ (H4 @ da)) - ce_matrix(mu, 2) @ (star(5) @ dsa)
+    return lap, da, dsa
+
+
+def _closed(s: G2Structure, dphi) -> bool:
+    """Whether dphi, the coefficients of d s.phi, vanish to CLOSED_TOL."""
+    return s.form_norm(KForm(4, dphi)) <= CLOSED_TOL * max(1.0, s.form_norm(s.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +107,11 @@ def _closed(s: G2Structure, dphi: KForm) -> bool:
 def _flow_sample(kind, t, mu: LieBracket, st: G2Structure) -> FlowSample:
     """The sample of the pair (mu, st.phi); a bracket-flow sample keeps mu,
     a direct-flow sample keeps phi."""
-    delta = hodge_laplacian(mu, st, st.phi)
+    lap, dphi, dpsi = laplacian(mu, st.star_matrix, st.phi.coeffs)
+    delta = KForm(3, lap)
     Q = st.solve_Q(delta)
-    dphi = ce_differential(mu, st.phi)
-    dpsi = ce_differential(mu, st.psi)
     R = 1.5 * float(np.trace(Q)) if _closed(st, dphi) else ricci(mu, st.metric)[1]
-    tau = st.torsion_forms(dphi, dpsi).total_norm()
+    tau = st.torsion_forms(KForm(4, dphi), KForm(5, dpsi)).total_norm()
     vel = st.form_norm(delta)
     if kind == "bracket":
         return FlowSample(t, mu, None, Q, mu.norm(), R, tau, vel, jacobi=mu.jacobi)
@@ -114,7 +124,10 @@ def _bracket_velocity(s: G2Structure):
 
     Delta_mu phi = *d*d phi - d*d* phi is quadratic in y.  The inner
     differentials act on fixed forms, so they are linear maps of y built
-    once: M1 y = *d_y phi and M2 y = *d_y *phi.
+    once: M1 y = *d_y phi and M2 y = *d_y *phi.  That is why this keeps an
+    expression of Delta of its own: :func:`laplacian` would build d_y on
+    degree 4 at every evaluation (about a tenth of one), or, fed M1 and M2,
+    multiply in another order and round differently.
     """
     H4 = s.star_matrix(4)
     M1 = H4 @ ce_matrix_of_form(s.phi)
@@ -156,18 +169,6 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 # direct Laplacian flow
 # ---------------------------------------------------------------------------
 
-def _direct_laplacian(mu: LieBracket):
-    """Delta_phi phi on degree-3 coefficients y for the fixed bracket mu,
-    given g, the metric of phi."""
-    d2, d3, d4 = (ce_matrix(mu, k) for k in (2, 3, 4))
-
-    def laplacian(y, g):
-        H3, H4, H5 = (hodge_matrix(g, k) for k in (3, 4, 5))
-        return H4 @ (d3 @ (H4 @ (d3 @ y))) - d2 @ (H5 @ (d4 @ (H3 @ y)))
-
-    return laplacian
-
-
 def laplacian_flow(phi0: KForm, mu: LieBracket,
                    opts: IntegratorOptions | None = None) -> FlowTrajectory:
     """Integrate dphi/dt = Delta_phi phi with the bracket held fixed.
@@ -179,10 +180,10 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     if opts.normalize != "none":
         raise ValueError("normalization applies to the bracket flow only")
     s0 = G2Structure(phi0)
-    laplacian = _direct_laplacian(mu)
 
     def rhs(t, y):
-        return laplacian(y, metric_from_3form(KForm(3, y))[0])
+        star = functools.partial(hodge_matrix, metric_from_3form(KForm(3, y))[0])
+        return laplacian(mu, star, y)[0]
 
     def norm_of(y):
         return float(np.linalg.norm(y))
@@ -240,7 +241,6 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     opts = traj.opts
     phi_c = s.phi.coeffs
     velocity = _bracket_velocity(s)
-    laplacian = _direct_laplacian(mu0)
     n_mu = NCONST
 
     def rhs(t, y):
@@ -248,11 +248,12 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         phi_d = y[n_mu + 49:]
         Qmu, dmu = velocity(y[:n_mu])
         if side == "ii":
-            lap = laplacian(phi_d, metric_from_3form(KForm(3, phi_d))[0])
+            star = functools.partial(hodge_matrix, metric_from_3form(KForm(3, phi_d))[0])
+            lap = laplacian(mu0, star, phi_d)[0]
             dh = -Qmu @ h
         else:
             st = G2Structure(KForm(3, phi_d))
-            lap = laplacian(phi_d, st.metric)
+            lap = laplacian(mu0, st.star_matrix, phi_d)[0]
             dh = -h @ st.solve_Q(KForm(3, lap))
         return np.concatenate([dmu, dh.reshape(-1), lap])
 
@@ -278,23 +279,18 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
 # soliton detection
 # ---------------------------------------------------------------------------
 
-def _torsion_free(mu, s):
-    scale = max(1.0, s.form_norm(s.phi))
-    return (s.form_norm(ce_differential(mu, s.phi)) <= 1e-9 * scale
-            and s.form_norm(ce_differential(mu, s.psi)) <= 1e-9 * scale)
-
-
-def _fit_soliton(kind, mu, s, threshold, project, der):
+def _fit_soliton(kind, mu, s, threshold, project, lap, dphi, dpsi):
     """Least-squares fit of Q over the family {c I + project(D) : D a
     derivation}; a certificate of the given kind when the residual is below
-    threshold, relative to |Q|.  der is derivations(mu), or None to
-    compute it here."""
-    Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
+    threshold, relative to |Q|.  lap, dphi and dpsi are as laplacian returns
+    them for s.phi."""
+    Q = s.solve_Q(KForm(3, lap))
     scale = max(1.0, float(np.linalg.norm(Q)))
-    if _torsion_free(mu, s):
+    tol = 1e-9 * max(1.0, s.form_norm(s.phi))
+    if s.form_norm(KForm(4, dphi)) <= tol and s.form_norm(KForm(5, dpsi)) <= tol:
         return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
                                   float(np.linalg.norm(Q)), "steady")
-    der = der if der is not None else derivations(mu)
+    der = derivations(mu)
     cols = [np.eye(DIM).reshape(-1)] + [project(D).reshape(-1) for D in der.basis]
     A = np.array(cols).T
     x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
@@ -307,24 +303,23 @@ def _fit_soliton(kind, mu, s, threshold, project, der):
     return SolitonCertificate(kind, c, D, residual, _soliton_label(kind, c, scale))
 
 
-def detect_algebraic(mu: LieBracket, s: G2Structure, threshold: float = 1e-7,
-                     der: DerivationSpace | None = None) -> SolitonCertificate:
-    """Least-squares fit of Q over the family {c I + D : D a derivation}.
+def detect_algebraic(mu: LieBracket, s: G2Structure,
+                     threshold: float = 1e-7) -> SolitonCertificate:
+    """Least-squares fit of Q over the family {c I + D : D a derivation}."""
+    return _fit_soliton("algebraic", mu, s, threshold, lambda D: D,
+                        *laplacian(mu, s.star_matrix, s.phi.coeffs))
 
-    der, when given, is derivations(mu), shared between detectors."""
-    return _fit_soliton("algebraic", mu, s, threshold, lambda D: D, der)
 
-
-def detect_semialgebraic(mu: LieBracket, s: G2Structure, threshold: float = 1e-7,
-                         der: DerivationSpace | None = None) -> SolitonCertificate:
+def detect_semialgebraic(mu: LieBracket, s: G2Structure,
+                         threshold: float = 1e-7) -> SolitonCertificate:
     """Fit of Q over {c I + (D + D^t)/2 : D a derivation}, closed case only.
 
     On success the skew part (D - D^t)/2, the rotation generator of the
-    norm-normalized bracket flow, is reported alongside.  der as for
-    :func:`detect_algebraic`."""
-    if not _closed(s, ce_differential(mu, s.phi)):
+    norm-normalized bracket flow, is reported alongside."""
+    lap, dphi, dpsi = laplacian(mu, s.star_matrix, s.phi.coeffs)
+    if not _closed(s, dphi):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part, der)
+    cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part, lap, dphi, dpsi)
     if cert.kind == "semi-algebraic":
         cert = replace(cert, skew=0.5 * (cert.D - s.transpose(cert.D)))
     return cert

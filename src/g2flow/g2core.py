@@ -105,7 +105,7 @@ class G2Structure:
     SVD of the theta map X -> theta(X) phi in frame coordinates.  The Hodge
     dual psi, the frame and star tables of each degree, the q1/q7/q27 split
     and the torsion operator are filled in on first use.  Like
-    ``LieBracket._d_cache`` they hold idempotent values (a table built twice
+    a ``LieBracket``'s cache they hold idempotent values (a table built twice
     comes out the same), so instances may be shared across threads.
 
     Attributes:

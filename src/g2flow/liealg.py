@@ -1,10 +1,11 @@
 """Lie brackets on R^7 as structure constants: Jacobi validation, the
-Chevalley-Eilenberg differential, Hodge Laplacian, the delta map and its
-kernel (derivations), and the Ricci curvature of left-invariant metrics."""
+Chevalley-Eilenberg differential, the delta map and its kernel
+(derivations), and the Ricci curvature of left-invariant metrics."""
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from .errors import InvalidBracket
 from .exterior import (
     DIM, INDEX_SETS, KForm, Metric, NFORMS, PAIR_I, PAIR_J, _frozen, _wedge_table, is_object_list,
+    json_number,
 )
 
 PAIRS = INDEX_SETS[2]
@@ -52,9 +54,11 @@ class LieBracket:
 
     The bracket norm convention is |mu|^2 = sum over all ordered pairs
     (i,j) and k of (c_ij^k)^2, i.e. twice the sum over increasing pairs.
+    The constants are read-only, so a bracket caches what is derived from
+    them: the CE matrices by degree and its derivation space.
     """
 
-    __slots__ = ("c", "jacobi", "_d_cache")
+    __slots__ = ("c", "jacobi", "_cache")
 
     def __init__(self, c, tol=JACOBI_TOL, validate=True):
         c = np.array(c, dtype=float).reshape(DIM, DIM, DIM)
@@ -70,7 +74,7 @@ class LieBracket:
         c.flags.writeable = False
         self.c = c
         self.jacobi = res
-        self._d_cache = {}
+        self._cache = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -140,9 +144,13 @@ class LieBracket:
         if not (isinstance(data, dict) and is_object_list(data.get("c"))):
             raise InvalidBracket("'c' must be a list of objects")
         terms = {}
-        for t in data["c"]:
-            key = (int(t["i"]), int(t["j"]), int(t["k"]))
-            terms[key] = terms.get(key, 0.0) + float(t["v"])
+        for n, t in enumerate(data["c"]):
+            key = tuple(json_number(t.get(f), integer=True) for f in "ijk")
+            v = json_number(t.get("v"))
+            if None in key or v is None:
+                raise InvalidBracket(
+                    f"c[{n}] needs integers i, j, k and a number v, got {json.dumps(t)}")
+            terms[key] = terms.get(key, 0.0) + v
         return cls.from_terms(terms, **kw)
 
 
@@ -189,7 +197,7 @@ def ce_matrix(mu, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((DIM, 1))
     if isinstance(mu, LieBracket):
-        cache = mu._d_cache
+        cache = mu._cache
         if k not in cache:
             cache[k] = ce_matrix(mu.packed().reshape(-1), k)
         return cache[k]
@@ -215,28 +223,6 @@ def ce_differential(mu: LieBracket, a: KForm) -> KForm:
     if a.degree >= DIM:
         raise ValueError("differential needs degree <= 6")
     return KForm(a.degree + 1, ce_matrix(mu, a.degree) @ a.coeffs)
-
-
-def codifferential(mu: LieBracket, s, a: KForm) -> KForm:
-    """Adjoint of d_mu: (-1)^k * d * on degree k (zero on 0-forms)."""
-    k = a.degree
-    if k == 0:
-        return KForm.zero(0)
-    sa = s.star(a)  # degree 7-k
-    dsa = ce_differential(mu, sa)  # degree 8-k
-    return ((-1.0) ** k) * s.star(dsa)
-
-
-def hodge_laplacian(mu: LieBracket, s, a: KForm) -> KForm:
-    """Hodge Laplacian d*d + dd* for the structure's metric; on 3-forms this
-    is *d*d - d*d*."""
-    k = a.degree
-    out = KForm.zero(k)
-    if k < DIM:
-        out = out + codifferential(mu, s, ce_differential(mu, a))
-    if k > 0:
-        out = out + ce_differential(mu, codifferential(mu, s, a))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +251,10 @@ class DerivationSpace:
 
 
 def derivations(mu: LieBracket) -> DerivationSpace:
-    """Derivation algebra via an SVD nullspace of the delta map."""
+    """Derivation algebra via an SVD nullspace of the delta map, cached on
+    mu with a read-only basis."""
+    if "derivations" in mu._cache:
+        return mu._cache["derivations"]
     cols = []
     for a in range(DIM):
         for b in range(DIM):
@@ -276,8 +265,9 @@ def derivations(mu: LieBracket) -> DerivationSpace:
     _, s, Vh = np.linalg.svd(L, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     mask = np.ones(Vh.shape[0], dtype=bool) if smax == 0.0 else s <= 1e-8 * smax
-    mats = Vh[mask].reshape(-1, DIM, DIM)
-    return DerivationSpace(mats, mats.shape[0])
+    mats = _frozen(Vh[mask].reshape(-1, DIM, DIM))
+    der = mu._cache["derivations"] = DerivationSpace(mats, mats.shape[0])
+    return der
 
 
 # ---------------------------------------------------------------------------

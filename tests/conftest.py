@@ -6,8 +6,9 @@ from hypothesis import settings
 
 from g2flow import almostabelian as aa
 from g2flow.corpus import random_sl3c  # noqa: F401 - shared with the tests
-from g2flow.exterior import Metric, phi_canonical, act
+from g2flow.exterior import KForm, Metric, phi_canonical, act
 from g2flow.g2core import G2Structure
+from g2flow.liealg import ce_differential
 
 SEED = int(os.environ.get("G2FLOW_SEED", "20260809"))
 
@@ -65,3 +66,29 @@ def random_su3(rng):
     S = 0.5 * (X - X.conj().T)
     S -= np.trace(S) / 3 * np.eye(3)
     return aa.AAMatrix.from_complex(S)
+
+
+# -- the object chain: the Hodge Laplacian on forms of every degree, built
+# from KForm values; the oracle for flow.laplacian and the compiled
+# bracket-flow right side
+
+def codifferential(mu, s, a):
+    """Adjoint of d_mu: (-1)^k * d * on degree k (zero on 0-forms)."""
+    k = a.degree
+    if k == 0:
+        return KForm.zero(0)
+    sa = s.star(a)  # degree 7-k
+    dsa = ce_differential(mu, sa)  # degree 8-k
+    return ((-1.0) ** k) * s.star(dsa)
+
+
+def hodge_laplacian(mu, s, a):
+    """Hodge Laplacian d*d + dd* for the structure's metric; on 3-forms this
+    is *d*d - d*d*."""
+    k = a.degree
+    out = KForm.zero(k)
+    if k < 7:
+        out = out + codifferential(mu, s, ce_differential(mu, a))
+    if k > 0:
+        out = out + ce_differential(mu, codifferential(mu, s, a))
+    return out

@@ -13,9 +13,9 @@ from g2flow.flow import (
     detect_algebraic,
     detect_semialgebraic,
 )
-from g2flow.liealg import ce_differential, hodge_laplacian, ricci
+from g2flow.liealg import ce_differential, ricci
 
-from conftest import random_sl3c, random_su3
+from conftest import hodge_laplacian, random_sl3c, random_su3
 
 
 def test_basis_conversion_round_trip(rng):

@@ -270,17 +270,56 @@ def test_non_finite_input_is_an_invalid_bracket(capsys, command, payload, messag
     assert json.loads(out)["error"] == {"type": "InvalidBracket", "message": message}
 
 
-@pytest.mark.parametrize("command, text, error", [
-    ("flow", '{"mu": {"c": 5}}', "InvalidBracket"),
-    ("flow", '{"mu": {"c": [1]}}', "InvalidBracket"),
-    ("flow", "[1, 2]", "ValueError"),
-    ("sweep", '{"matrices": 5}', "ValueError"),
-], ids=["c-not-a-list", "c-not-objects", "file-not-an-object", "matrices-not-a-list"])
-def test_json_of_the_wrong_shape_is_a_one_line_error(capsys, tmp_path, command, text, error):
+_PHI_TERM = '{"degree": 3, "terms": [{"idx": %s, "c": 1}]}'
+
+
+@pytest.mark.parametrize("command, text, error, names", [
+    ("flow", '{"mu": {"c": 5}}', "InvalidBracket", None),
+    ("flow", '{"mu": {"c": [1]}}', "InvalidBracket", None),
+    ("flow", "[1, 2]", "ValueError", None),
+    ("sweep", '{"matrices": 5}', "ValueError", None),
+    ("soliton", '{"mu": {"c": [{"i": [1], "j": 2, "k": 5, "v": 1}]}}', "InvalidBracket", "c[0]"),
+    ("soliton", '{"mu": {"c": [{"i": 1, "j": 2, "k": 5, "v": null}]}}', "InvalidBracket", "c[0]"),
+    ("soliton", '{"mu": {"c": [{"i": 1, "j": 2, "k": 5, "v": 1}, {"i": 1.5, "j": 2, "k": 5, "v": 1}]}}',
+     "InvalidBracket", "c[1]"),
+    ("soliton", '{"mu": {"c": [{"i": 1, "j": 2, "k": "5", "v": 1}]}}', "InvalidBracket", "c[0]"),
+    ("soliton", '{"mu": {"c": [{"i": 1, "j": 2, "k": 5, "v": 1%s}]}}' % ("0" * 400),
+     "InvalidBracket", "c[0]"),
+    ("soliton", '{"mu": {"c": []}, "phi": %s}' % (_PHI_TERM % "5"), "ValueError", "terms[0]"),
+    ("soliton", '{"mu": {"c": []}, "phi": %s}' % (_PHI_TERM % "[1, 2, 9]"), "ValueError", "terms[0]"),
+    ("soliton", '{"mu": {"c": []}, "phi": {"degree": 9, "terms": []}}', "ValueError", "degree"),
+], ids=["c-not-a-list", "c-not-objects", "file-not-an-object", "matrices-not-a-list",
+        "index-a-list", "value-null", "index-not-integral", "index-a-string",
+        "value-beyond-float", "idx-not-a-list", "idx-out-of-range", "degree-out-of-range"])
+def test_json_of_the_wrong_shape_is_a_one_line_error(capsys, tmp_path, command, text, error,
+                                                     names):
     # inline JSON must start with "{", so the list goes through a file
     path = tmp_path / "input.json"
     path.write_text(text)
     code, out = run(capsys, command, "--input", str(path))
     assert code == 1
     assert out.count("\n") == 1
-    assert json.loads(out)["error"]["type"] == error
+    doc = json.loads(out)["error"]
+    assert doc["type"] == error
+    assert names is None or names in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [["soliton"], ["flow", "--t-end", "0.5", "--format", "json"]],
+                         ids=["soliton", "flow"])
+def test_one_derivation_svd_per_run(capsys, monkeypatch, argv):
+    # both detectors reach the fit on the closed rotating soliton, and share
+    # the derivation space cached on the bracket
+    svd, shapes = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    mu = aa.bracket_of(aa.AAMatrix.from_complex(corpus.aa_n6_soliton()))
+    payload = json.dumps({"mu": mu.to_json_dict(), "phi": aa.phi_almost_abelian().to_json_dict()})
+    code, out = run(capsys, *argv, "--input", payload)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc.get("certificates", doc)["semi_algebraic"]["kind"] == "semi-algebraic"
+    assert shapes.count((343, 49)) == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -15,13 +16,14 @@ from g2flow.corpus import (
     phi_nilpotent_example,
 )
 from g2flow.errors import NotClosed, StepUnderflow
-from g2flow.exterior import DIM, KForm, _theta_tensor, act, phi_canonical, pullback_matrix
+from g2flow.exterior import DIM, KForm, _theta_tensor, act, hodge_matrix, phi_canonical, pullback_matrix
 from g2flow.flow import (
     IntegratorOptions,
     _bracket_velocity,
     bracket_flow,
     detect_algebraic,
     detect_semialgebraic,
+    laplacian,
     laplacian_flow,
     lf_diagonal_test,
     reconstruct_h,
@@ -33,11 +35,10 @@ from g2flow.liealg import (
     bracket_act,
     ce_differential,
     delta_mu,
-    hodge_laplacian,
     pack_constants,
 )
 
-from conftest import random_sl3c, random_su3
+from conftest import hodge_laplacian, random_sl3c, random_su3
 
 
 def test_options_validation():
@@ -98,10 +99,29 @@ def test_compiled_bracket_rhs_is_the_object_path(pair):
     mu, phi = pair
     s = G2Structure(phi)
     Q, vel = _bracket_velocity(s)(mu.packed().reshape(-1))
-    want_Q = s.solve_Q(hodge_laplacian(mu, s, s.phi))
+    lap = laplacian(mu, s.star_matrix, s.phi.coeffs)[0]
+    assert np.array_equal(lap, hodge_laplacian(mu, s, s.phi).coeffs)
+    want_Q = s.solve_Q(KForm(3, lap))
     want = pack_constants(delta_mu(mu, want_Q)).reshape(-1)
     assert np.abs(Q - want_Q).max() <= 1e-12 * np.abs(want_Q).max()
     assert np.abs(vel - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@given(pair=_bracket_pairs(),
+       a=st.lists(st.floats(-1.0, 1.0), min_size=35, max_size=35))
+def test_laplacian_is_the_object_chain(pair, a):
+    # the one fixed-bracket Laplacian makes the object chain's products in
+    # the same order, so the two agree bit for bit; its differentials are
+    # d a and d *a, and a bare metric's stars give the structure's
+    mu, phi = pair
+    s = G2Structure(phi)
+    a = KForm(3, a)
+    lap, da, dsa = laplacian(mu, s.star_matrix, a.coeffs)
+    assert np.array_equal(lap, hodge_laplacian(mu, s, a).coeffs)
+    assert np.array_equal(da, ce_differential(mu, a).coeffs)
+    assert np.array_equal(dsa, ce_differential(mu, s.star(a)).coeffs)
+    bare = laplacian(mu, functools.partial(hodge_matrix, s.metric), a.coeffs)
+    assert all(np.array_equal(x, y) for x, y in zip(bare, (lap, da, dsa)))
 
 
 @given(pair=_bracket_pairs(),
@@ -211,7 +231,6 @@ def test_laplacian_flow_positivity_loss_is_reported(s_nilpotent):
 
 def test_trajectory_samples_satisfy_q_equation(s_nilpotent):
     from g2flow.exterior import theta
-    from g2flow.liealg import hodge_laplacian
     mu0 = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
     traj = bracket_flow(mu0, s_nilpotent, IntegratorOptions(t_end=1.0,
                                                             sample_every=10))

@@ -8,9 +8,9 @@ from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import ComponentError, InconsistentTorsion, PositivityError
 from g2flow.exterior import KForm, act, interior, phi_canonical, skew_from_form, theta, wedge
 from g2flow.g2core import G2Structure, induced_bilinear, metric_from_3form
-from g2flow.liealg import LieBracket, bracket_act, ce_differential, hodge_laplacian, ricci
+from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
-from conftest import random_gl7, random_kform, random_positive_form, random_sl3c
+from conftest import hodge_laplacian, random_gl7, random_kform, random_positive_form, random_sl3c
 
 
 def test_induced_bilinear_is_its_definition(rng):
