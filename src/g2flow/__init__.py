@@ -8,6 +8,7 @@ from .errors import (
     G2FlowError,
     InconsistentTorsion,
     InvalidBracket,
+    NonFiniteState,
     NotClosed,
     NotTraceFree,
     PositivityError,
@@ -26,7 +27,7 @@ __all__ = [
     "LieBracket", "ce_differential", "delta_mu", "derivations",
     "jacobi_residual", "ricci",
     "G2FlowError", "BadMetric", "ComponentError", "DegreeUnderflow",
-    "InconsistentTorsion", "InvalidBracket", "NotClosed", "NotTraceFree",
+    "InconsistentTorsion", "InvalidBracket", "NonFiniteState", "NotClosed", "NotTraceFree",
     "PositivityError", "SingularSystem", "StepBudgetExhausted", "StepUnderflow",
 ]
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidBracket, NotClosed, NotTraceFree
 from .exterior import DIM, KForm, theta, wedge
 from .g2core import G2Structure
-from .integrate import IntegratorOptions, drive
+from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import LieBracket
 
 FLAG_TOL = 1e-10
@@ -70,11 +70,6 @@ def omega_form() -> KForm:
 def rho_plus_form() -> KForm:
     return KForm.from_terms(3, {(1, 3, 5): 1, (1, 4, 6): -1,
                                 (2, 3, 6): -1, (2, 4, 5): -1})
-
-
-def rho_minus_form() -> KForm:
-    return KForm.from_terms(3, {(2, 4, 6): -1, (2, 3, 5): 1,
-                                (1, 4, 5): 1, (1, 3, 6): 1})
 
 
 def phi_almost_abelian() -> KForm:
@@ -312,21 +307,7 @@ class AAFlowSample:
         return math.sqrt(2.0 * self.norm_sq)
 
 
-@dataclass
-class AATrajectory:
-    samples: list
-    status: str
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def final(self):
-        return self.samples[-1]
-
-
-def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> AATrajectory:
+def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the 6x6 reduction of the bracket flow from A0 in sl(3,C).
 
     The flow preserves sl(3,C), so membership is checked on A0 only.
@@ -343,9 +324,6 @@ def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> AATrajecto
     def rhs(t, y):
         return flow_rhs(y.reshape(6, 6)).reshape(-1)
 
-    def norm_of(y):
-        return float(np.linalg.norm(y))
-
     def make_sample(t, y):
         A = y.reshape(6, 6)
         A_nat = paper_to_natural(A)
@@ -355,9 +333,7 @@ def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> AATrajecto
                             sl3c_residual(A), _q_formula(A_nat),
                             _torsion_formula(A_nat).norm())
 
-    samples, status = drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample,
-                            norm_of)
-    return AATrajectory(samples, status)
+    return drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample, np.linalg.norm)
 
 
 # ---------------------------------------------------------------------------

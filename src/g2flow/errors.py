@@ -21,6 +21,10 @@ class SingularSystem(G2FlowError):
     """The restricted theta-map is numerically rank deficient."""
 
 
+class NonFiniteState(SingularSystem):
+    """A solve met NaN or infinite input: the flowing state overflowed."""
+
+
 class ComponentError(G2FlowError):
     """A 3-form has a vector-type component where none is allowed."""
 

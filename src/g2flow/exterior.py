@@ -199,8 +199,11 @@ class KForm:
             if len(idx) != degree or None in idx + (c,) or not all(1 <= i <= DIM for i in idx):
                 raise ValueError(f"terms[{n}] needs idx, {degree} integers in 1..{DIM}, "
                                  f"and a number c, got {json.dumps(t)}")
-            terms[idx] = c
-        return cls.from_terms(degree, terms)
+            key = tuple(sorted(idx))
+            if key in terms:
+                raise ValueError(f"terms[{n}] repeats an earlier index set, got {json.dumps(t)}")
+            terms[key] = (idx, c)
+        return cls.from_terms(degree, dict(terms.values()))
 
 
 class Metric:

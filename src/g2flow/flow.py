@@ -12,7 +12,7 @@ import numpy as np
 from .errors import NotClosed
 from .exterior import DIM, KForm, hodge_matrix, pullback_matrix
 from .g2core import G2Structure, metric_from_3form
-from .integrate import IntegratorOptions, drive
+from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
     NCONST,
     LieBracket,
@@ -31,34 +31,25 @@ CLOSED_TOL = 1e-8
 
 @dataclass
 class FlowSample:
+    """The pair (mu, phi) at time t, one of them fixed, the other flowing."""
+
     t: float
-    mu: LieBracket | None
-    phi: KForm | None
+    mu: LieBracket
+    phi: KForm
     Q: np.ndarray
     norm_mu: float
     R: float
     torsion_norm: float
     velocity_norm: float
-    jacobi: float | None = None
 
 
 @dataclass
-class FlowTrajectory:
-    kind: str  # bracket | laplacian
-    samples: list
-    status: str  # as returned by integrate.drive
+class FlowTrajectory(Trajectory):
+    """A bracket-flow run, with what reconstruct_h integrates it from."""
+
     structure: G2Structure
-    mu0: LieBracket | None
-    phi0: KForm | None
+    mu0: LieBracket
     opts: IntegratorOptions
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def final(self):
-        return self.samples[-1]
 
 
 @dataclass
@@ -104,18 +95,14 @@ def _closed(s: G2Structure, dphi) -> bool:
 # bracket flow
 # ---------------------------------------------------------------------------
 
-def _flow_sample(kind, t, mu: LieBracket, st: G2Structure) -> FlowSample:
-    """The sample of the pair (mu, st.phi); a bracket-flow sample keeps mu,
-    a direct-flow sample keeps phi."""
+def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
+    """The sample of the pair (mu, st.phi)."""
     lap, dphi, dpsi = laplacian(mu, st.star_matrix, st.phi.coeffs)
     delta = KForm(3, lap)
     Q = st.solve_Q(delta)
     R = 1.5 * float(np.trace(Q)) if _closed(st, dphi) else ricci(mu, st.metric)[1]
     tau = st.torsion_forms(KForm(4, dphi), KForm(5, dpsi)).total_norm()
-    vel = st.form_norm(delta)
-    if kind == "bracket":
-        return FlowSample(t, mu, None, Q, mu.norm(), R, tau, vel, jacobi=mu.jacobi)
-    return FlowSample(t, None, st.phi, Q, mu.norm(), R, tau, vel)
+    return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, st.form_norm(delta))
 
 
 def _bracket_velocity(s: G2Structure):
@@ -158,11 +145,10 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 
     def make_sample(t, y):
         mu = LieBracket(unpack_constants(y), validate=False)
-        return _flow_sample("bracket", t, mu, s)
+        return _flow_sample(t, mu, s)
 
-    samples, status = drive(rhs, mu0.packed().reshape(-1), opts, make_sample,
-                            norm_of)
-    return FlowTrajectory("bracket", samples, status, s, mu0, None, opts)
+    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, norm_of)
+    return FlowTrajectory(run.samples, run.status, s, mu0, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +156,26 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 # ---------------------------------------------------------------------------
 
 def laplacian_flow(phi0: KForm, mu: LieBracket,
-                   opts: IntegratorOptions | None = None) -> FlowTrajectory:
+                   opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate dphi/dt = Delta_phi phi with the bracket held fixed.
 
-    The metric is recomputed from phi at every stage; loss of positivity
-    ends the run with status positivity-lost.
+    The metric is recomputed from phi at every stage.  A phi0 that is not
+    positive raises PositivityError; loss of positivity later ends the run
+    with status positivity-lost.
     """
     opts = opts or IntegratorOptions()
     if opts.normalize != "none":
         raise ValueError("normalization applies to the bracket flow only")
-    s0 = G2Structure(phi0)
+    metric_from_3form(phi0)
 
     def rhs(t, y):
         star = functools.partial(hodge_matrix, metric_from_3form(KForm(3, y))[0])
         return laplacian(mu, star, y)[0]
 
-    def norm_of(y):
-        return float(np.linalg.norm(y))
-
     def make_sample(t, y):
-        return _flow_sample("laplacian", t, mu, G2Structure(KForm(3, y)))
+        return _flow_sample(t, mu, G2Structure(KForm(3, y)))
 
-    samples, status = drive(rhs, phi0.coeffs.copy(), opts, make_sample, norm_of)
-    return FlowTrajectory("laplacian", samples, status, s0, mu, phi0, opts)
+    return drive(rhs, phi0.coeffs.copy(), opts, make_sample, np.linalg.norm)
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +183,26 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class HReconstruction:
-    """Equivalence maps h(t) with residuals against both flow pictures."""
+class HSample:
+    t: float
+    h: np.ndarray
+    phi_residual: float
+    mu_residual: float
+
+
+@dataclass
+class HReconstruction(Trajectory):
+    """Equivalence maps h(t), with residuals against both flow pictures."""
 
     side: str
-    status: str  # as for FlowTrajectory
-    times: np.ndarray
-    h: list
-    phi_residuals: np.ndarray
-    mu_residuals: np.ndarray
 
     @property
     def max_phi_residual(self):
-        return float(self.phi_residuals.max())
+        return float(np.max([s.phi_residual for s in self.samples]))
 
     @property
     def max_mu_residual(self):
-        return float(self.mu_residuals.max())
+        return float(np.max([s.mu_residual for s in self.samples]))
 
 
 def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
@@ -232,13 +218,11 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     """
     if side not in ("i", "ii"):
         raise ValueError("side must be 'i' or 'ii'")
-    if traj.kind != "bracket":
+    if not isinstance(traj, FlowTrajectory):
         raise ValueError("reconstruction starts from a bracket-flow trajectory")
     if traj.opts.normalize != "none":
         raise ValueError("equivalence maps link the unnormalized flows only")
-    s = traj.structure
-    mu0 = traj.mu0
-    opts = traj.opts
+    s, mu0, opts = traj.structure, traj.mu0, traj.opts
     phi_c = s.phi.coeffs
     velocity = _bracket_velocity(s)
     n_mu = NCONST
@@ -265,14 +249,12 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         phi_d = y[n_mu + 49:]
         phi_pulled = pullback_matrix(h, 3) @ phi_c  # h(t)^{-1} . phi
         mu_res = bracket_act(h, mu0.c) - unpack_constants(y[:n_mu])
-        return (t, h.copy(), float(np.linalg.norm(phi_pulled - phi_d)),
-                float(np.sqrt(np.sum(mu_res ** 2))))
+        return HSample(t, h.copy(), float(np.linalg.norm(phi_pulled - phi_d)),
+                       float(np.sqrt(np.sum(mu_res ** 2))))
 
     y0 = np.concatenate([mu0.packed().reshape(-1), np.eye(DIM).reshape(-1), phi_c])
-    samples, status = drive(rhs, y0, opts, make_sample, norm_of)
-    times, hs, res_phi, res_mu = zip(*samples)
-    return HReconstruction(side, status, np.array(times), list(hs),
-                           np.array(res_phi), np.array(res_mu))
+    run = drive(rhs, y0, opts, make_sample, norm_of)
+    return HReconstruction(run.samples, run.status, side)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +307,7 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure,
     return cert
 
 
-def lf_diagonal_test(traj: FlowTrajectory, rel_tol: float = 1e-6) -> bool:
+def lf_diagonal_test(traj: Trajectory, rel_tol: float = 1e-6) -> bool:
     """True when the sampled Q operators pairwise commute, i.e. are
     simultaneously diagonalizable (they are symmetric in the closed case)."""
     Qs = [smp.Q for smp in traj.samples]

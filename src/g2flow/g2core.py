@@ -9,7 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ComponentError, InconsistentTorsion, PositivityError, SingularSystem
+from .errors import (ComponentError, InconsistentTorsion, NonFiniteState, PositivityError,
+                     SingularSystem)
 from .exterior import (
     DIM,
     KForm,
@@ -243,7 +244,8 @@ class G2Structure:
         x = self._solve_op @ psi_f
         res = np.linalg.norm(self._Tmap @ x - psi_f)
         if not res <= 1e-9 * max(1.0, np.linalg.norm(psi_f)):  # NaN fails too
-            raise SingularSystem(f"Q solve residual {res:g}")
+            error = SingularSystem if np.isfinite(res) else NonFiniteState
+            raise error(f"Q solve residual {res:g}")
         return self.frame @ x.reshape(DIM, DIM) @ self._frame_inv
 
     def q_components(self, Q) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError, StepBudgetExhausted, StepUnderflow
+from .errors import NonFiniteState, PositivityError, StepBudgetExhausted, StepUnderflow
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,23 @@ class IntegratorOptions:
             raise ValueError("sample_every must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+
+
+@dataclass
+class Trajectory:
+    """A run of :func:`drive`: its samples, in time order, and how it ended."""
+
+    samples: list
+    status: str  # one of those listed by drive
+
+    @property
+    def times(self):
+        return np.array([s.t for s in self.samples])
+
+    @property
+    def final(self):
+        return self.samples[-1]
+
 
 # Dormand-Prince 5(4) tableau; row i of _DP_A holds the weights of stage i
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -137,15 +154,16 @@ def _steps(rhs, y0, opts):
                       opts.atol, opts.rtol, opts.max_steps)
 
 
-def drive(rhs, y0, opts, make_sample, norm_of):
+def drive(rhs, y0, opts, make_sample, norm_of) -> Trajectory:
     """Integrate y' = rhs(t, y) from t = 0 to opts.t_end.
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
-    the last state reached.  Returns (samples, status), the status being
-    one of
+    the last state reached.  Returns a Trajectory whose status is one of
 
     - completed: t_end was reached;
     - blowup-detected: norm_of(y) rose above opts.blowup_norm;
+    - non-finite: the state turned to NaN (norm_of(y) is NaN), or rhs or
+      make_sample raised a NonFiniteState; the last finite state is sampled;
     - positivity-lost: rhs or make_sample raised a PositivityError (the
       3-form of the direct flow stopped being definite);
     - step-underflow: no step of size >= opts.hmin met the tolerance;
@@ -157,8 +175,12 @@ def drive(rhs, y0, opts, make_sample, norm_of):
     sampled_last = False
     try:
         for n, (t, y) in enumerate(_steps(rhs, y0, opts)):
+            norm = norm_of(y)
+            if math.isnan(norm):
+                status = "non-finite"
+                break
             last = (t, y)
-            blown = norm_of(y) > opts.blowup_norm
+            blown = norm > opts.blowup_norm
             sampled_last = (n % opts.sample_every == 0) or blown
             if sampled_last:
                 samples.append(make_sample(t, y))
@@ -171,9 +193,11 @@ def drive(rhs, y0, opts, make_sample, norm_of):
         status = "step-budget-exhausted"
     except PositivityError:
         status = "positivity-lost"
+    except NonFiniteState:
+        status = "non-finite"
     if last is not None and not sampled_last:
         try:
             samples.append(make_sample(*last))
-        except PositivityError:
+        except (PositivityError, NonFiniteState):
             pass
-    return samples, status
+    return Trajectory(samples, status)

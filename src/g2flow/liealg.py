@@ -150,8 +150,11 @@ class LieBracket:
             if None in key or v is None:
                 raise InvalidBracket(
                     f"c[{n}] needs integers i, j, k and a number v, got {json.dumps(t)}")
-            terms[key] = terms.get(key, 0.0) + v
-        return cls.from_terms(terms, **kw)
+            pair = (*sorted(key[:2]), key[2])
+            if pair in terms:
+                raise InvalidBracket(f"c[{n}] repeats an earlier i, j, k, got {json.dumps(t)}")
+            terms[pair] = (key, v)
+        return cls.from_terms(dict(terms.values()), **kw)
 
 
 def bracket_act(h, c) -> np.ndarray:

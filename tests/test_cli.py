@@ -288,9 +288,18 @@ _PHI_TERM = '{"degree": 3, "terms": [{"idx": %s, "c": 1}]}'
     ("soliton", '{"mu": {"c": []}, "phi": %s}' % (_PHI_TERM % "5"), "ValueError", "terms[0]"),
     ("soliton", '{"mu": {"c": []}, "phi": %s}' % (_PHI_TERM % "[1, 2, 9]"), "ValueError", "terms[0]"),
     ("soliton", '{"mu": {"c": []}, "phi": {"degree": 9, "terms": []}}', "ValueError", "degree"),
+    # a repeated term is an error, whether its index set is written in the
+    # same order or permuted
+    ("soliton", '{"mu": {"c": []}, "phi": {"degree": 3, "terms": [{"idx": [1, 2, 3], "c": 1}, '
+     '{"idx": [1, 2, 3], "c": 2}]}}', "ValueError", "terms[1]"),
+    ("soliton", '{"mu": {"c": []}, "phi": {"degree": 3, "terms": [{"idx": [1, 2, 3], "c": 1}, '
+     '{"idx": [2, 1, 3], "c": 2}]}}', "ValueError", "terms[1]"),
+    ("soliton", '{"mu": {"c": [{"i": 1, "j": 2, "k": 5, "v": 1}, {"i": 1, "j": 2, "k": 5, "v": 2}]}}',
+     "InvalidBracket", "c[1]"),
 ], ids=["c-not-a-list", "c-not-objects", "file-not-an-object", "matrices-not-a-list",
         "index-a-list", "value-null", "index-not-integral", "index-a-string",
-        "value-beyond-float", "idx-not-a-list", "idx-out-of-range", "degree-out-of-range"])
+        "value-beyond-float", "idx-not-a-list", "idx-out-of-range", "degree-out-of-range",
+        "idx-repeated", "idx-repeated-permuted", "ijk-repeated"])
 def test_json_of_the_wrong_shape_is_a_one_line_error(capsys, tmp_path, command, text, error,
                                                      names):
     # inline JSON must start with "{", so the list goes through a file

@@ -15,7 +15,7 @@ from g2flow.corpus import (
     mu_nilpotent,
     phi_nilpotent_example,
 )
-from g2flow.errors import NotClosed, StepUnderflow
+from g2flow.errors import NotClosed, PositivityError, StepUnderflow
 from g2flow.exterior import DIM, KForm, _theta_tensor, act, hodge_matrix, phi_canonical, pullback_matrix
 from g2flow.flow import (
     IntegratorOptions,
@@ -153,7 +153,7 @@ def test_bracket_flow_scalar_law(s_nilpotent):
 def test_bracket_flow_preserves_jacobi(s_aa, rng):
     mu0 = aa.bracket_of(random_sl3c(rng))
     traj = bracket_flow(mu0, s_aa, IntegratorOptions(t_end=2.0, sample_every=10))
-    assert max(s.jacobi for s in traj.samples) < 1e-7
+    assert max(s.mu.jacobi for s in traj.samples) < 1e-7
 
 
 def test_backward_blowup_detected(s_nilpotent):
@@ -221,6 +221,24 @@ def test_laplacian_flow_soliton_exact_solution(s_nilpotent):
     assert worst < 1e-6
 
 
+def test_laplacian_flow_refuses_a_degenerate_form_before_a_step(monkeypatch):
+    from g2flow import flow
+
+    def no_drive(*args):
+        raise AssertionError("a degenerate form was integrated")
+
+    monkeypatch.setattr(flow, "drive", no_drive)
+    with pytest.raises(PositivityError):
+        laplacian_flow(KForm.basis((1, 2, 3)), LieBracket.zero())
+
+
+def test_samples_carry_the_fixed_half_of_the_pair(s_aa, rng):
+    mu = aa.bracket_of(random_sl3c(rng, 0.5))
+    opts = IntegratorOptions(method="rk4", h0=0.01, t_end=0.05, sample_every=2)
+    assert all(smp.mu is mu for smp in laplacian_flow(s_aa.phi, mu, opts).samples)
+    assert all(smp.phi is s_aa.phi for smp in bracket_flow(mu, s_aa, opts).samples)
+
+
 def test_laplacian_flow_positivity_loss_is_reported(s_nilpotent):
     # backward in time the soliton scales to a degenerate form
     mu = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
@@ -255,7 +273,7 @@ def test_reconstruct_both_sides(s_aa, rng):
     assert rec2.max_phi_residual < 1e-5 and rec2.max_mu_residual < 1e-5
     rec1 = reconstruct_h(traj, side="i")
     assert rec1.max_phi_residual < 1e-5 and rec1.max_mu_residual < 1e-5
-    assert np.abs(rec2.h[0] - np.eye(7)).max() < 1e-12
+    assert np.abs(rec2.samples[0].h - np.eye(7)).max() < 1e-12
 
 
 def test_reconstruct_scaling_soliton_acts_by_pure_scaling(s_nilpotent):
@@ -265,10 +283,11 @@ def test_reconstruct_scaling_soliton_acts_by_pure_scaling(s_nilpotent):
     traj = bracket_flow(mu0, s_nilpotent,
                         IntegratorOptions(t_end=1.0, sample_every=20))
     rec = reconstruct_h(traj, side="ii")
-    for t, h in zip(rec.times, rec.h):
+    for smp in rec.samples:
+        h = smp.h
         assert np.abs(h - np.diag(np.diag(h))).max() < 1e-8
         pushed = bracket_act(h, mu0.c)
-        scale = 1.0 / np.sqrt(1.0 + (10.0 / 3.0) * t)
+        scale = 1.0 / np.sqrt(1.0 + (10.0 / 3.0) * smp.t)
         assert np.abs(pushed - scale * mu0.c).max() < 1e-6
 
 
@@ -277,7 +296,7 @@ def test_reconstruct_constant_trajectory_is_matrix_exponential(s_aa, rng):
     mu0 = aa.bracket_of(random_su3(rng))
     traj = bracket_flow(mu0, s_aa, IntegratorOptions(t_end=0.5, sample_every=10))
     rec = reconstruct_h(traj, side="ii")
-    assert max(np.abs(h - np.eye(7)).max() for h in rec.h) < 1e-9
+    assert max(np.abs(smp.h - np.eye(7)).max() for smp in rec.samples) < 1e-9
 
 
 def test_reconstruct_samples_as_the_trajectory(s_aa, rng):
@@ -301,6 +320,14 @@ def test_reconstruct_rejects_normalized_trajectory(s_aa, rng):
         method="rk4", h0=1e-2, t_end=0.1, normalize="unit-bracket-norm"))
     for side in ("i", "ii"):
         with pytest.raises(ValueError):
+            reconstruct_h(traj, side=side)
+
+
+def test_reconstruct_refuses_a_direct_flow_trajectory(s_aa, rng):
+    mu = aa.bracket_of(random_sl3c(rng, 0.5))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(method="rk4", h0=0.01, t_end=0.02))
+    for side in ("i", "ii"):
+        with pytest.raises(ValueError, match="bracket-flow"):
             reconstruct_h(traj, side=side)
 
 
