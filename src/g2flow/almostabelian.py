@@ -377,30 +377,16 @@ def _normal_form_of(aa) -> str:
 
 
 def _semialgebraic_system(A, d):
-    """Least-squares solve for D1 with D1 + D1^t prescribed and [D1, A] = dA."""
+    """Least-squares solve for D1 with D1 + D1^t prescribed and [D1, A] = dA.
+
+    On D1 flattened row-major, transposing is the permutation T, and
+    D1 A and A D1 are (I kron A^t) and (A kron I) applied to D1."""
     u = _sym_sq_trace(A)
     K = A @ A.T - A.T @ A
     S = K - (A + A.T) @ (A + A.T) + (2.0 * d + 0.5 * u) * np.eye(6)
-    rows = []
-    rhs = []
-    for a in range(6):
-        for b in range(6):
-            # (D1 + D1^t)[a,b] = S[a,b]
-            row = np.zeros((6, 6))
-            row[a, b] += 1.0
-            row[b, a] += 1.0
-            rows.append(row.reshape(-1))
-            rhs.append(S[a, b])
-    for a in range(6):
-        for b in range(6):
-            # [D1, A][a,b] = d A[a,b]
-            row = np.zeros((6, 6))
-            row[a, :] += A[:, b]
-            row[:, b] -= A[a, :]
-            rows.append(row.reshape(-1))
-            rhs.append(d * A[a, b])
-    L = np.array(rows)
-    r = np.array(rhs)
+    T = np.eye(36).reshape(6, 6, 36).transpose(1, 0, 2).reshape(36, 36)
+    L = np.vstack([np.eye(36) + T, np.kron(np.eye(6), A.T) - np.kron(A, np.eye(6))])
+    r = np.concatenate([S.reshape(-1), d * A.reshape(-1)])
     x, *_ = np.linalg.lstsq(L, r, rcond=None)
     res = float(np.linalg.norm(L @ x - r))
     return x.reshape(6, 6), res

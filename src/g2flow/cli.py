@@ -140,12 +140,12 @@ def _options_dict(opts: IntegratorOptions) -> dict:
 def cmd_flow(args):
     data = _load_input(args.input)
     mu, phi = _bracket_from_input(data)
-    s = G2Structure(phi)
     opts = _options_from_args(args)
     kind = data.get("flow", "bracket")
     if kind == "laplacian":
         traj = laplacian_flow(phi, mu, opts)
     else:
+        s = G2Structure(phi)
         traj = bracket_flow(mu, s, opts)
     sidecar = {
         "command": "flow", "flow": kind, "status": traj.status,

@@ -208,9 +208,15 @@ class KForm:
 
 class Metric:
     """Inner product on the fixed space: symmetric positive definite gram
-    matrix plus an orientation sign."""
+    matrix plus an orientation sign.
 
-    __slots__ = ("gram", "orientation")
+    Everything that depends on the metric alone lives here: the volume
+    factor o sqrt(det G), computed once, the Hodge star of each degree,
+    built by :func:`hodge_matrix` on first use and cached read-only (so a
+    metric may be shared across threads), and the inner product on forms.
+    """
+
+    __slots__ = ("gram", "orientation", "volume", "_stars")
 
     def __init__(self, gram, orientation=1):
         g = np.array(gram, dtype=float).reshape(DIM, DIM)
@@ -228,6 +234,9 @@ class Metric:
         g.flags.writeable = False
         self.gram = g
         self.orientation = int(orientation)
+        #: o sqrt(det G), the coefficient of the volume form
+        self.volume = self.orientation * np.sqrt(np.linalg.det(g))
+        self._stars = [None] * (DIM + 1)
 
     @classmethod
     def identity(cls):
@@ -243,7 +252,26 @@ class Metric:
         return M
 
     def volume_form(self):
-        return KForm.volume(self.orientation * np.sqrt(np.linalg.det(self.gram)))
+        return KForm.volume(self.volume)
+
+    def star_matrix(self, k):
+        """Matrix H_k of the Hodge star from degree k to degree 7 - k."""
+        H = self._stars[k]
+        if H is None:
+            H = self._stars[k] = _frozen(hodge_matrix(self, k))
+        return H
+
+    def inner(self, a: KForm, b: KForm) -> float:
+        """<a, b> from a ^ *b = <a, b> vol: (S_k a) . (H_k b) / o sqrt(det G),
+        with S_k the identity-metric star."""
+        if a.degree != b.degree:
+            raise ValueError("degree mismatch")
+        k = a.degree
+        return float((_star_table(k) @ a.coeffs) @ (self.star_matrix(k) @ b.coeffs)
+                     / self.volume)
+
+    def form_norm(self, a: KForm) -> float:
+        return float(np.sqrt(max(self.inner(a, a), 0.0)))
 
     def transpose(self, A):
         """Adjoint of an endomorphism with respect to this inner product."""
@@ -430,25 +458,23 @@ def hodge_matrix(g, k: int) -> np.ndarray:
     For k >= 4, Jacobi's identity on P_k(G^-1) and ** = 1 in dimension 7
     give H_k = o det(G)^(-1/2) P_{7-k}(G) S_k, from minors of G itself of
     size at most 3, so only H_0..H_3 invert G.  The only place a star is
-    built.
+    built; :meth:`Metric.star_matrix` caches what it returns.
     """
     if g is None:
         return _star_table(k)
     g = _as_metric(g)
-    detG = np.linalg.det(g.gram)
     if k <= 3:
         raised = pullback_matrix(np.linalg.inv(g.gram), k)
-        return g.orientation * np.sqrt(detG) * (_star_table(k) @ raised)
-    return g.orientation / np.sqrt(detG) * (pullback_matrix(g.gram, DIM - k) @ _star_table(k))
+        return g.volume * (_star_table(k) @ raised)
+    return (1.0 / g.volume) * (pullback_matrix(g.gram, DIM - k) @ _star_table(k))
 
 
 def hodge_star(a: KForm, g=None) -> KForm:
-    """Hodge star of a k-form.
-
-    With no metric (or the identity metric, positive orientation) this is the
-    signed complement table; see :func:`hodge_matrix` for general metrics.
-    """
-    return KForm(DIM - a.degree, hodge_matrix(g, a.degree) @ a.coeffs)
+    """Hodge star of a k-form for the metric g: a Metric, whose cached star
+    is read, a gram matrix, or None for the identity metric with positive
+    orientation (the signed complement table)."""
+    H = _star_table(a.degree) if g is None else _as_metric(g).star_matrix(a.degree)
+    return KForm(DIM - a.degree, H @ a.coeffs)
 
 
 def form_from_skew(X) -> KForm:

@@ -3,14 +3,13 @@ reconstruction, and soliton detection."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotClosed
-from .exterior import DIM, KForm, hodge_matrix, pullback_matrix
+from .exterior import DIM, KForm, Metric, pullback_matrix
 from .g2core import G2Structure, metric_from_3form
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
@@ -73,22 +72,22 @@ def _soliton_label(kind, c, scale=1.0):
     return "expanding" if c < 0 else "shrinking"
 
 
-def laplacian(mu: LieBracket, star, a):
-    """Delta a = *d*d a - d*d* a for 3-form coefficients a and the fixed
-    bracket mu, with star(k) the Hodge star matrix H_k: s.star_matrix for a
-    structure s, functools.partial(hodge_matrix, g) for a bare metric g.
-    Returns the coefficient arrays (Delta a, d a, d*a); the differentials
-    are what the closedness and torsion tests take."""
-    H4, d3 = star(4), ce_matrix(mu, 3)
+def laplacian(mu: LieBracket, g: Metric, a):
+    """Delta a = *d*d a - d*d* a for 3-form coefficients a, the fixed
+    bracket mu and the Hodge stars of the metric g.  Returns the coefficient
+    arrays (Delta a, d a, d*a); the differentials are what the closedness
+    and torsion tests take."""
+    H4, d3 = g.star_matrix(4), ce_matrix(mu, 3)
     da = d3 @ a
-    dsa = ce_matrix(mu, 4) @ (star(3) @ a)
-    lap = H4 @ (d3 @ (H4 @ da)) - ce_matrix(mu, 2) @ (star(5) @ dsa)
+    dsa = ce_matrix(mu, 4) @ (g.star_matrix(3) @ a)
+    lap = H4 @ (d3 @ (H4 @ da)) - ce_matrix(mu, 2) @ (g.star_matrix(5) @ dsa)
     return lap, da, dsa
 
 
 def _closed(s: G2Structure, dphi) -> bool:
     """Whether dphi, the coefficients of d s.phi, vanish to CLOSED_TOL."""
-    return s.form_norm(KForm(4, dphi)) <= CLOSED_TOL * max(1.0, s.form_norm(s.phi))
+    g = s.metric
+    return g.form_norm(KForm(4, dphi)) <= CLOSED_TOL * max(1.0, g.form_norm(s.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +96,12 @@ def _closed(s: G2Structure, dphi) -> bool:
 
 def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     """The sample of the pair (mu, st.phi)."""
-    lap, dphi, dpsi = laplacian(mu, st.star_matrix, st.phi.coeffs)
+    lap, dphi, dpsi = laplacian(mu, st.metric, st.phi.coeffs)
     delta = KForm(3, lap)
     Q = st.solve_Q(delta)
     R = 1.5 * float(np.trace(Q)) if _closed(st, dphi) else ricci(mu, st.metric)[1]
     tau = st.torsion_forms(KForm(4, dphi), KForm(5, dpsi)).total_norm()
-    return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, st.form_norm(delta))
+    return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, st.metric.form_norm(delta))
 
 
 def _bracket_velocity(s: G2Structure):
@@ -116,9 +115,9 @@ def _bracket_velocity(s: G2Structure):
     degree 4 at every evaluation (about a tenth of one), or, fed M1 and M2,
     multiply in another order and round differently.
     """
-    H4 = s.star_matrix(4)
+    H4 = s.metric.star_matrix(4)
     M1 = H4 @ ce_matrix_of_form(s.phi)
-    M2 = s.star_matrix(5) @ ce_matrix_of_form(s.psi)
+    M2 = s.metric.star_matrix(5) @ ce_matrix_of_form(s.psi)
 
     def velocity(y):
         lap = H4 @ (ce_matrix(y, 3) @ (M1 @ y)) - ce_matrix(y, 2) @ (M2 @ y)
@@ -169,8 +168,7 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     metric_from_3form(phi0)
 
     def rhs(t, y):
-        star = functools.partial(hodge_matrix, metric_from_3form(KForm(3, y))[0])
-        return laplacian(mu, star, y)[0]
+        return laplacian(mu, metric_from_3form(KForm(3, y)), y)[0]
 
     def make_sample(t, y):
         return _flow_sample(t, mu, G2Structure(KForm(3, y)))
@@ -232,12 +230,11 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         phi_d = y[n_mu + 49:]
         Qmu, dmu = velocity(y[:n_mu])
         if side == "ii":
-            star = functools.partial(hodge_matrix, metric_from_3form(KForm(3, phi_d))[0])
-            lap = laplacian(mu0, star, phi_d)[0]
+            lap = laplacian(mu0, metric_from_3form(KForm(3, phi_d)), phi_d)[0]
             dh = -Qmu @ h
         else:
             st = G2Structure(KForm(3, phi_d))
-            lap = laplacian(mu0, st.star_matrix, phi_d)[0]
+            lap = laplacian(mu0, st.metric, phi_d)[0]
             dh = -h @ st.solve_Q(KForm(3, lap))
         return np.concatenate([dmu, dh.reshape(-1), lap])
 
@@ -268,8 +265,9 @@ def _fit_soliton(kind, mu, s, threshold, project, lap, dphi, dpsi):
     them for s.phi."""
     Q = s.solve_Q(KForm(3, lap))
     scale = max(1.0, float(np.linalg.norm(Q)))
-    tol = 1e-9 * max(1.0, s.form_norm(s.phi))
-    if s.form_norm(KForm(4, dphi)) <= tol and s.form_norm(KForm(5, dpsi)) <= tol:
+    g = s.metric
+    tol = 1e-9 * max(1.0, g.form_norm(s.phi))
+    if g.form_norm(KForm(4, dphi)) <= tol and g.form_norm(KForm(5, dpsi)) <= tol:
         return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
                                   float(np.linalg.norm(Q)), "steady")
     der = derivations(mu)
@@ -289,7 +287,7 @@ def detect_algebraic(mu: LieBracket, s: G2Structure,
                      threshold: float = 1e-7) -> SolitonCertificate:
     """Least-squares fit of Q over the family {c I + D : D a derivation}."""
     return _fit_soliton("algebraic", mu, s, threshold, lambda D: D,
-                        *laplacian(mu, s.star_matrix, s.phi.coeffs))
+                        *laplacian(mu, s.metric, s.phi.coeffs))
 
 
 def detect_semialgebraic(mu: LieBracket, s: G2Structure,
@@ -298,12 +296,12 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure,
 
     On success the skew part (D - D^t)/2, the rotation generator of the
     norm-normalized bracket flow, is reported alongside."""
-    lap, dphi, dpsi = laplacian(mu, s.star_matrix, s.phi.coeffs)
+    lap, dphi, dpsi = laplacian(mu, s.metric, s.phi.coeffs)
     if not _closed(s, dphi):
         raise NotClosed("semi-algebraic detection requires a closed structure")
     cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part, lap, dphi, dpsi)
     if cert.kind == "semi-algebraic":
-        cert = replace(cert, skew=0.5 * (cert.D - s.transpose(cert.D)))
+        cert = replace(cert, skew=0.5 * (cert.D - s.metric.transpose(cert.D)))
     return cert
 
 

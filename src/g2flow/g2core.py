@@ -33,7 +33,7 @@ _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
 def induced_bilinear(phi: KForm) -> np.ndarray:
     """The symmetric matrix B with B(u,v) e^{1..7} = (1/6) i_u(phi)^i_v(phi)^phi."""
     if phi.degree != 3:
-        raise ValueError("need a 3-form")
+        raise ValueError("a structure is built from a 3-form")
     X = _interior_table(3) @ phi.coeffs  # 7 x 21, row u is i_u(phi)
     rank, sign = _wedge_table(2, 2)  # e^{Ia} ^ e^{Ib} = sign e^{rank}
     W2 = sign * (_wedge_table(4, 3)[1] @ phi.coeffs)[rank]  # e^{Ia} ^ e^{Ib} ^ phi
@@ -41,8 +41,9 @@ def induced_bilinear(phi: KForm) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def metric_from_3form(phi: KForm):
-    """Recover (metric, volume form) from a positive 3-form.
+def metric_from_3form(phi: KForm) -> Metric:
+    """Recover the metric of a positive 3-form; its volume form is
+    ``metric.volume_form()``.
 
     Raises PositivityError when the induced bilinear form is not definite
     or not finite.
@@ -62,8 +63,7 @@ def metric_from_3form(phi: KForm):
         raise PositivityError("induced bilinear form is not definite")
     detB = np.linalg.det(B)
     gram = detB ** (-1.0 / 9.0) * B
-    metric = Metric(gram, orientation)
-    return metric, metric.volume_form()
+    return Metric(gram, orientation)
 
 
 def _sym0_basis():
@@ -99,19 +99,20 @@ class TorsionForms:
 
 
 class G2Structure:
-    """A positive 3-form with its induced metric and the linear algebra
+    """A positive 3-form with its induced metric and the G2 algebra
     attached to it.
 
     Construction computes the metric, an oriented orthonormal frame and the
     SVD of the theta map X -> theta(X) phi in frame coordinates.  The Hodge
-    dual psi, the frame and star tables of each degree, the q1/q7/q27 split
-    and the torsion operator are filled in on first use.  Like
-    a ``LieBracket``'s cache they hold idempotent values (a table built twice
-    comes out the same), so instances may be shared across threads.
+    dual psi, the q1/q7/q27 split and the torsion operator are filled in on
+    first use.  Like a ``LieBracket``'s cache they hold idempotent values (a
+    table built twice comes out the same), so instances may be shared across
+    threads.  What depends on the metric alone (Hodge stars, the inner
+    product on forms, adjoints) is read from ``metric``.
 
     Attributes:
         phi, psi: the 3-form and its Hodge dual 4-form.
-        metric, vol: induced inner product and volume form.
+        metric: the induced inner product, a :class:`Metric`.
         g2_basis: 14 matrices spanning the stabilizer algebra.
         q_basis: 35 matrices spanning its orthogonal complement, split into
             q1_basis (span of I), q7_basis (skew part) and q27_basis
@@ -119,16 +120,15 @@ class G2Structure:
     """
 
     def __init__(self, phi: KForm):
-        if phi.degree != 3:
-            raise ValueError("a structure is built from a 3-form")
         self.phi = phi
-        self.metric, self.vol = metric_from_3form(phi)
+        self.metric = metric_from_3form(phi)
         self.frame = self.metric.frame()
         self._frame_inv = np.linalg.inv(self.frame)
-        self._tables = {}
+        # pullback by the frame: 3-form coefficients into frame coordinates
+        self._P3 = pullback_matrix(self.frame, 3)
 
         # frame coordinates of phi: a positive form with identity metric
-        self._phi_f = self._frame_table(3) @ phi.coeffs
+        self._phi_f = self._P3 @ phi.coeffs
         Tmap = np.einsum("jabi,i->jab", _theta_tensor(3),
                          self._phi_f).reshape(NFORMS[3], DIM * DIM)
         U, s, Vh = np.linalg.svd(Tmap)
@@ -144,21 +144,9 @@ class G2Structure:
 
     # -- tables filled on first use ----------------------------------------
 
-    def _table(self, key, build):
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = build()
-        return table
-
-    def _frame_table(self, k, inverse=False):
-        """Pullback of degree-k coefficients by the frame (e coordinates to
-        frame coordinates), or by its inverse (back again)."""
-        h = self._frame_inv if inverse else self.frame
-        return self._table(("frame", k, inverse), lambda: pullback_matrix(h, k))
-
     @cached_property
     def psi(self) -> KForm:
-        return self.star(self.phi)
+        return hodge_star(self.phi, self.metric)
 
     @cached_property
     def _q_split(self):
@@ -171,7 +159,9 @@ class G2Structure:
     @cached_property
     def _torsion_op(self):
         """Linear map from (tau0, tau1, tau2, tau3) coordinates to frame
-        coordinates of (dphi, dpsi), with the tau2 and tau3 bases."""
+        coordinates of (dphi, dpsi), with the tau2 and tau3 bases, the frame
+        pullbacks of degrees 4 and 5 (into frame coordinates) and those of
+        degrees 1-3 by the inverse frame (back again)."""
         phi_f = KForm(3, self._phi_f)
         psi_f = hodge_star(phi_f)
         # tau2 lies in the 2-forms of the stabilizer algebra, tau3 in the
@@ -185,7 +175,9 @@ class G2Structure:
             [np.zeros((n2, 1)), 4.0 * wedge_matrix(psi_f, 1),
              wedge_matrix(phi_f, 2) @ l2_14.T, np.zeros((n2, 27))],
         ])
-        return A, l2_14, l3_27
+        into = [pullback_matrix(self.frame, k) for k in (4, 5)]
+        back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
+        return A, l2_14, l3_27, into, back
 
     # -- basic operators ---------------------------------------------------
 
@@ -212,27 +204,8 @@ class G2Structure:
     def q27_basis(self):
         return self._conj_to_e(self._q_split[2])
 
-    def star_matrix(self, k):
-        """Matrix of the Hodge star from degree k to degree 7 - k."""
-        return self._table(("star", k), lambda: hodge_matrix(self.metric, k))
-
-    def star(self, a: KForm) -> KForm:
-        return KForm(DIM - a.degree, self.star_matrix(a.degree) @ a.coeffs)
-
-    def inner(self, a: KForm, b: KForm) -> float:
-        if a.degree != b.degree:
-            raise ValueError("degree mismatch")
-        P = self._frame_table(a.degree)
-        return float((P @ a.coeffs) @ (P @ b.coeffs))
-
-    def form_norm(self, a: KForm) -> float:
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
-    def transpose(self, A):
-        return self.metric.transpose(A)
-
     def sym_part(self, A):
-        return 0.5 * (np.asarray(A) + self.transpose(A))
+        return 0.5 * (np.asarray(A) + self.metric.transpose(A))
 
     # -- the Q operator ----------------------------------------------------
 
@@ -240,7 +213,7 @@ class G2Structure:
         """The unique Q in q with theta(Q) phi = psi, for any 3-form psi."""
         if psi.degree != 3:
             raise ValueError("need a 3-form")
-        psi_f = self._frame_table(3) @ psi.coeffs
+        psi_f = self._P3 @ psi.coeffs
         x = self._solve_op @ psi_f
         res = np.linalg.norm(self._Tmap @ x - psi_f)
         if not res <= 1e-9 * max(1.0, np.linalg.norm(psi_f)):  # NaN fails too
@@ -266,7 +239,7 @@ class G2Structure:
         above tolerance raises ComponentError."""
         Q = self.solve_Q(psi)
         comps = self.q_components(Q)
-        if strict and comps["q7"] > 1e-8 * max(1.0, self.form_norm(psi)):
+        if strict and comps["q7"] > 1e-8 * max(1.0, self.metric.form_norm(psi)):
             raise ComponentError("psi has a vector-type component")
         Qs = self.sym_part(Q)
         return -2.0 * np.trace(Qs) * np.eye(DIM) - 4.0 * Qs
@@ -278,16 +251,15 @@ class G2Structure:
         dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components."""
         if dphi.degree != 4 or dpsi.degree != 5:
             raise ValueError("need (4-form, 5-form)")
-        A, l2_14, l3_27 = self._torsion_op
-        rhs = np.concatenate([self._frame_table(4) @ dphi.coeffs,
-                              self._frame_table(5) @ dpsi.coeffs])
+        A, l2_14, l3_27, (P4, P5), (B1, B2, B3) = self._torsion_op
+        rhs = np.concatenate([P4 @ dphi.coeffs, P5 @ dpsi.coeffs])
         x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         res = float(np.linalg.norm(A @ x - rhs))
         scale = max(1.0, float(np.linalg.norm(rhs)))
         if res > 1e-6 * scale:
             raise InconsistentTorsion(f"torsion reconstruction residual {res:g}")
         tau0 = float(x[0])
-        tau1 = KForm(1, self._frame_table(1, inverse=True) @ x[1:8])
-        tau2 = KForm(2, self._frame_table(2, inverse=True) @ (x[8:22] @ l2_14))
-        tau3 = KForm(3, self._frame_table(3, inverse=True) @ (x[22:] @ l3_27))
+        tau1 = KForm(1, B1 @ x[1:8])
+        tau2 = KForm(2, B2 @ (x[8:22] @ l2_14))
+        tau3 = KForm(3, B3 @ (x[22:] @ l3_27))
         return TorsionForms(tau0, tau1, tau2, tau3, res)

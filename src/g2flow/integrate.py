@@ -111,6 +111,9 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
     of one (7, n) array K: stage i takes y + h * (A[i, :i] @ K[:i]) and the
     error estimate is h * (E @ K).
 
+    A stage whose f raises NonFiniteState (an overflowing trial state) has
+    no finite error estimate, and is rejected like one whose estimate is NaN.
+
     Raises StepUnderflow when no step of size >= hmin meets the tolerance,
     and StepBudgetExhausted before an accepted step beyond max_steps.
     """
@@ -127,12 +130,16 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
             raise StepBudgetExhausted(f"{n} steps taken by t={t:g}")
         h = min(h, abs(t1 - t))
         hh = direction * h
-        for i in range(1, 7):
-            yi = y + hh * (_DP_A[i, :i] @ K[:i])
-            K[i] = f(t + _DP_C[i] * hh, yi)
-        # yi, the input of stage 7, is the fifth-order solution
-        r = hh * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi)))
-        err = math.sqrt(float(r @ r) / r.size)
+        try:
+            for i in range(1, 7):
+                yi = y + hh * (_DP_A[i, :i] @ K[:i])
+                K[i] = f(t + _DP_C[i] * hh, yi)
+        except NonFiniteState:
+            err = math.inf
+        else:
+            # yi, the input of stage 7, is the fifth-order solution
+            r = hh * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi)))
+            err = math.sqrt(float(r @ r) / r.size)
         if err <= 1.0:
             t = t + hh
             y = yi
@@ -161,9 +168,10 @@ def drive(rhs, y0, opts, make_sample, norm_of) -> Trajectory:
     the last state reached.  Returns a Trajectory whose status is one of
 
     - completed: t_end was reached;
-    - blowup-detected: norm_of(y) rose above opts.blowup_norm;
-    - non-finite: the state turned to NaN (norm_of(y) is NaN), or rhs or
-      make_sample raised a NonFiniteState; the last finite state is sampled;
+    - blowup-detected: norm_of(y), still finite, rose above opts.blowup_norm;
+    - non-finite: the state turned to NaN or overflowed (norm_of(y) is NaN
+      or infinite), or rhs or make_sample raised a NonFiniteState; the last
+      finite state is sampled;
     - positivity-lost: rhs or make_sample raised a PositivityError (the
       3-form of the direct flow stopped being definite);
     - step-underflow: no step of size >= opts.hmin met the tolerance;
@@ -176,7 +184,7 @@ def drive(rhs, y0, opts, make_sample, norm_of) -> Trajectory:
     try:
         for n, (t, y) in enumerate(_steps(rhs, y0, opts)):
             norm = norm_of(y)
-            if math.isnan(norm):
+            if not math.isfinite(norm):
                 status = "non-finite"
                 break
             last = (t, y)

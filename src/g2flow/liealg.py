@@ -106,11 +106,6 @@ class LieBracket:
 
     # -- accessors ---------------------------------------------------------
 
-    def bracket(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(DIM)
-        y = np.asarray(y, dtype=float).reshape(DIM)
-        return np.einsum("ijk,i,j->k", self.c, x, y)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.c ** 2)))
 

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from g2flow import almostabelian as aa
 from g2flow.corpus import random_sl3c  # noqa: F401 - shared with the tests
-from g2flow.exterior import KForm, Metric, phi_canonical, act
+from g2flow.exterior import KForm, Metric, hodge_star, phi_canonical, act
 from g2flow.g2core import G2Structure
 from g2flow.liealg import ce_differential
 
@@ -77,9 +77,9 @@ def codifferential(mu, s, a):
     k = a.degree
     if k == 0:
         return KForm.zero(0)
-    sa = s.star(a)  # degree 7-k
+    sa = hodge_star(a, s.metric)  # degree 7-k
     dsa = ce_differential(mu, sa)  # degree 8-k
-    return ((-1.0) ** k) * s.star(dsa)
+    return ((-1.0) ** k) * hodge_star(dsa, s.metric)
 
 
 def hodge_laplacian(mu, s, a):

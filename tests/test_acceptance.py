@@ -345,11 +345,11 @@ def test_criterion_10_property_laplacian_symmetric_psd(s_aa):
             mu = aa.bracket_of(random_sl3c(rng))
             a = random_kform(rng, 3)
             b = random_kform(rng, 3)
-            la, lb = (KForm(3, laplacian(mu, s_aa.star_matrix, x.coeffs)[0]) for x in (a, b))
+            la, lb = (KForm(3, laplacian(mu, s_aa.metric, x.coeffs)[0]) for x in (a, b))
             assert np.array_equal(la.coeffs, hodge_laplacian(mu, s_aa, a).coeffs)
-            assert abs(s_aa.inner(la, b) - s_aa.inner(a, lb)) \
+            assert abs(s_aa.metric.inner(la, b) - s_aa.metric.inner(a, lb)) \
                 < 1e-9 * max(1.0, a.norm() * b.norm())
-            assert s_aa.inner(la, a) >= -1e-10 * max(1.0, a.norm() ** 2)
+            assert s_aa.metric.inner(la, a) >= -1e-10 * max(1.0, a.norm() ** 2)
 
 
 def test_criterion_10_property_theta_homomorphism():

@@ -6,7 +6,7 @@ import pytest
 from g2flow import almostabelian as aa
 from g2flow import corpus
 from g2flow.errors import InvalidBracket, NotClosed, NotTraceFree
-from g2flow.exterior import KForm, skew_from_form
+from g2flow.exterior import KForm, hodge_star, skew_from_form
 from g2flow.flow import (
     IntegratorOptions,
     bracket_flow,
@@ -134,8 +134,8 @@ def test_star_decomposition_of_fixed_form(s_aa):
     e7 = KForm.basis((7,))
     want = 0.5 * wedge(om, om) + wedge(rm, e7)
     assert (s_aa.psi - want).norm() < 1e-13
-    assert (s_aa.star(wedge(om, e7)) - 0.5 * wedge(om, om)).norm() < 1e-13
-    assert (s_aa.star(rp) - wedge(rm, e7)).norm() < 1e-13
+    assert (hodge_star(wedge(om, e7), s_aa.metric) - 0.5 * wedge(om, om)).norm() < 1e-13
+    assert (hodge_star(rp, s_aa.metric) - wedge(rm, e7)).norm() < 1e-13
 
 
 def test_differential_block_structure(rng, s_aa):

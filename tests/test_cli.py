@@ -270,6 +270,23 @@ def test_non_finite_input_is_an_invalid_bracket(capsys, command, payload, messag
     assert json.loads(out)["error"] == {"type": "InvalidBracket", "message": message}
 
 
+@pytest.mark.parametrize("flow", ["bracket", "laplacian"])
+@pytest.mark.parametrize("phi, error", [
+    ({"degree": 3, "terms": [{"idx": [1, 2, 3], "c": 1}]},
+     {"type": "PositivityError", "message": "induced bilinear form is not definite"}),
+    ({"degree": 2, "terms": [{"idx": [1, 2], "c": 1}]},
+     {"type": "ValueError", "message": "a structure is built from a 3-form"}),
+], ids=["not-positive", "not-a-3-form"])
+def test_a_form_without_a_metric_is_the_same_error_for_both_flows(capsys, flow, phi, error):
+    # the direct flow builds no G2Structure up front; its first metric fails
+    # with the error of the bracket flow's structure
+    payload = json.dumps({"mu": corpus.mu_nilpotent(1, 0, 0, 1).to_json_dict(),
+                          "phi": phi, "flow": flow})
+    code, out = run(capsys, "flow", "--input", payload)
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"] == error
+
+
 _PHI_TERM = '{"degree": 3, "terms": [{"idx": %s, "c": 1}]}'
 
 

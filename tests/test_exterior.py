@@ -280,6 +280,44 @@ def test_wedge_against_star_recovers_inner_product(rng):
         assert abs(top.coeffs[0] - a.coeffs @ b.coeffs) < 1e-11
 
 
+def frame_inner(g, a, b):
+    """Oracle: <a, b> as the Euclidean product of the coefficients in an
+    oriented orthonormal frame."""
+    P = pullback_matrix(g.frame(), a.degree)
+    return float((P @ a.coeffs) @ (P @ b.coeffs))
+
+
+def test_metric_inner_is_the_frame_inner_product(rng):
+    for _ in range(12):
+        gram = random_metric(rng).gram
+        for orientation in (1, -1):
+            g = Metric(gram, orientation)
+            for k in range(8):
+                a, b = random_kform(rng, k), random_kform(rng, k)
+                want = frame_inner(g, a, b)
+                scale = np.sqrt(frame_inner(g, a, a) * frame_inner(g, b, b))
+                assert abs(g.inner(a, b) - want) <= 1e-13 * scale
+                assert abs(g.form_norm(a) ** 2 - frame_inner(g, a, a)) <= 1e-13 * frame_inner(g, a, a)
+
+
+def test_metric_inner_needs_equal_degrees():
+    with pytest.raises(ValueError, match="degree"):
+        Metric.identity().inner(KForm.basis((1,)), KForm.basis((1, 2)))
+
+
+def test_metric_caches_its_stars(rng):
+    g = Metric(random_metric(rng).gram, -1)
+    for k in range(8):
+        H = g.star_matrix(k)
+        assert g.star_matrix(k) is H and not H.flags.writeable
+        assert np.array_equal(H, hodge_matrix(g, k))
+        a = random_kform(rng, k)
+        assert np.array_equal(hodge_star(a, g).coeffs, H @ a.coeffs)
+        # a raw gram builds its metric, and so the same star
+        assert np.array_equal(hodge_star(a, g.gram).coeffs, Metric(g.gram).star_matrix(k) @ a.coeffs)
+    assert g.volume_form().coeffs[0] == g.volume == -np.sqrt(np.linalg.det(g.gram))
+
+
 def test_theta_identity_scales_by_minus_degree(rng):
     for k in range(1, 8):
         a = random_kform(rng, k)
@@ -393,5 +431,5 @@ def test_positive_form_families_stay_positive(rng):
     from g2flow.g2core import metric_from_3form
     for _ in range(5):
         phi = random_positive_form(rng)
-        g, vol = metric_from_3form(phi)
+        g = metric_from_3form(phi)
         assert np.linalg.eigvalsh(g.gram)[0] > 0

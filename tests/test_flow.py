@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -16,7 +15,7 @@ from g2flow.corpus import (
     phi_nilpotent_example,
 )
 from g2flow.errors import NotClosed, PositivityError, StepUnderflow
-from g2flow.exterior import DIM, KForm, _theta_tensor, act, hodge_matrix, phi_canonical, pullback_matrix
+from g2flow.exterior import DIM, KForm, _theta_tensor, act, hodge_star, phi_canonical, pullback_matrix
 from g2flow.flow import (
     IntegratorOptions,
     _bracket_velocity,
@@ -99,7 +98,7 @@ def test_compiled_bracket_rhs_is_the_object_path(pair):
     mu, phi = pair
     s = G2Structure(phi)
     Q, vel = _bracket_velocity(s)(mu.packed().reshape(-1))
-    lap = laplacian(mu, s.star_matrix, s.phi.coeffs)[0]
+    lap = laplacian(mu, s.metric, s.phi.coeffs)[0]
     assert np.array_equal(lap, hodge_laplacian(mu, s, s.phi).coeffs)
     want_Q = s.solve_Q(KForm(3, lap))
     want = pack_constants(delta_mu(mu, want_Q)).reshape(-1)
@@ -112,15 +111,15 @@ def test_compiled_bracket_rhs_is_the_object_path(pair):
 def test_laplacian_is_the_object_chain(pair, a):
     # the one fixed-bracket Laplacian makes the object chain's products in
     # the same order, so the two agree bit for bit; its differentials are
-    # d a and d *a, and a bare metric's stars give the structure's
+    # d a and d *a, and the bare metric of phi gives the structure's result
     mu, phi = pair
     s = G2Structure(phi)
     a = KForm(3, a)
-    lap, da, dsa = laplacian(mu, s.star_matrix, a.coeffs)
+    lap, da, dsa = laplacian(mu, s.metric, a.coeffs)
     assert np.array_equal(lap, hodge_laplacian(mu, s, a).coeffs)
     assert np.array_equal(da, ce_differential(mu, a).coeffs)
-    assert np.array_equal(dsa, ce_differential(mu, s.star(a)).coeffs)
-    bare = laplacian(mu, functools.partial(hodge_matrix, s.metric), a.coeffs)
+    assert np.array_equal(dsa, ce_differential(mu, hodge_star(a, s.metric)).coeffs)
+    bare = laplacian(mu, metric_from_3form(phi), a.coeffs)
     assert all(np.array_equal(x, y) for x, y in zip(bare, (lap, da, dsa)))
 
 
@@ -359,7 +358,7 @@ def test_reconstruct_side_i_on_a_pair_that_is_not_closed():
     # dphi != 0 here, so side "i" needs the full q-solve at every stage
     mu0 = mu_nilpotent(1.0, 0.5, -0.3, 0.7)
     s = G2Structure(phi_canonical())
-    assert s.form_norm(ce_differential(mu0, s.phi)) > 1.0
+    assert s.metric.form_norm(ce_differential(mu0, s.phi)) > 1.0
     traj = bracket_flow(mu0, s, IntegratorOptions(t_end=0.5))
     rec = reconstruct_h(traj, side="i")
     assert rec.status == "completed"
@@ -388,7 +387,7 @@ def _solve_Q_symmetric(phi_coeffs, rhs_coeffs):
     Valid for closed structures, where the vector-type component vanishes;
     this avoids the full splitting construction in inner integration loops.
     """
-    g, _ = metric_from_3form(KForm(3, phi_coeffs))
+    g = metric_from_3form(KForm(3, phi_coeffs))
     ginv = np.linalg.inv(g.gram)
     theta_full = np.einsum("jabi,i->jab", _theta_tensor(3),
                            phi_coeffs).reshape(35, 49)
@@ -413,7 +412,7 @@ def test_solve_q_is_the_symmetric_solve_on_closed_forms(s_aa, rng):
         scale = max(1.0, float(np.abs(Q).max()))
         want = _solve_Q_symmetric(smp.phi.coeffs, delta.coeffs)
         assert np.abs(Q - want).max() < 1e-10 * scale
-        assert np.abs(Q - st.transpose(Q)).max() < 1e-10 * scale
+        assert np.abs(Q - st.metric.transpose(Q)).max() < 1e-10 * scale
 
 
 def test_matrix_flow_matches_bracket_flow(s_aa, rng):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from g2flow import almostabelian as aa
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import ComponentError, InconsistentTorsion, PositivityError
-from g2flow.exterior import KForm, act, interior, phi_canonical, skew_from_form, theta, wedge
+from g2flow.exterior import (KForm, act, hodge_star, interior, phi_canonical, skew_from_form,
+                             theta, wedge)
 from g2flow.g2core import G2Structure, induced_bilinear, metric_from_3form
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
@@ -22,13 +23,13 @@ def test_induced_bilinear_is_its_definition(rng):
 
 
 def test_metric_recovery_canonical():
-    g, vol = metric_from_3form(phi_canonical())
+    g = metric_from_3form(phi_canonical())
     assert np.abs(g.gram - np.eye(7)).max() < 1e-12
-    assert (vol - KForm.volume(1.0)).norm() < 1e-12
+    assert (g.volume_form() - KForm.volume(1.0)).norm() < 1e-12
 
 
 def test_metric_recovery_nilpotent_example_form():
-    g, vol = metric_from_3form(phi_nilpotent_example())
+    g = metric_from_3form(phi_nilpotent_example())
     assert np.abs(g.gram - np.eye(7)).max() < 1e-10
 
 
@@ -48,7 +49,7 @@ def test_metric_equivariance(rng):
     phi = phi_canonical()
     for _ in range(8):
         h = random_gl7(rng)
-        g1, _ = metric_from_3form(act(h, phi))
+        g1 = metric_from_3form(act(h, phi))
         hinv = np.linalg.inv(h)
         want = hinv.T @ np.eye(7) @ hinv
         assert np.abs(g1.gram - want).max() < 1e-8 * np.abs(want).max()
@@ -62,7 +63,7 @@ def test_negative_orientation_forms_are_handled(rng):
     phi = act(h, phi_canonical())
     s = G2Structure(phi)
     assert s.metric.orientation == -1
-    assert (s.star(s.star(s.phi)) - s.phi).norm() < 1e-9
+    assert (hodge_star(hodge_star(s.phi, s.metric), s.metric) - s.phi).norm() < 1e-9
 
 
 def test_splitting_dimensions():
@@ -195,7 +196,7 @@ def test_torsion_closed_case_display(s_nilpotent):
     assert (tf.tau2 - want).norm() < 1e-10
     # matrix form matches the skew operator convention
     M = skew_from_form(tf.tau2)
-    minus_star_d_star = -s.star(ce_differential(mu, s.star(s.phi)))
+    minus_star_d_star = -hodge_star(ce_differential(mu, hodge_star(s.phi, s.metric)), s.metric)
     assert (tf.tau2 - minus_star_d_star).norm() < 1e-10
     assert np.abs(M + M.T).max() < 1e-12
 
@@ -210,7 +211,7 @@ def test_torsion_reconstruction_general_case(s_aa, rng):
     dpsi = ce_differential(mu, s.psi)
     tf = s.torsion_forms(dphi, dpsi)
     # reconstruct dphi and dpsi from the four components
-    recon_dphi = tf.tau0 * s.psi + 3 * wedge(tf.tau1, s.phi) + s.star(tf.tau3)
+    recon_dphi = tf.tau0 * s.psi + 3 * wedge(tf.tau1, s.phi) + hodge_star(tf.tau3, s.metric)
     recon_dpsi = 4 * wedge(tf.tau1, s.psi) + wedge(tf.tau2, s.phi)
     assert (recon_dphi - dphi).norm() < 1e-9
     assert (recon_dpsi - dpsi).norm() < 1e-9

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 from g2flow import almostabelian as aa
+from g2flow import cli
 from g2flow.flow import bracket_flow, laplacian_flow, reconstruct_h
 from g2flow.integrate import IntegratorOptions, Trajectory, drive
 
@@ -61,6 +65,39 @@ def test_an_overflowing_state_ends_the_run_as_non_finite(flow):
     assert list(traj.times) == [0.0]
     assert traj.final.norm_mu == pytest.approx(aa.bracket_of(m).norm(), rel=1e-14)
     assert np.isfinite(traj.final.Q).all()
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_an_infinite_state_ends_the_run_as_non_finite():
+    # the first rk4 step from a matrix of norm 3e3 overflows to inf without
+    # NaN: the run ends non-finite before sampling that state, so the JSON
+    # output holds no Infinity or NaN
+    m = random_sl3c(np.random.default_rng(1), 3e3)
+    argv = ["aa-flow", "--input", json.dumps({"A": m.A.tolist()}), "--method", "rk4",
+            "--h0", "1e-3", "--t-end", "0.01", "--format", "json"]
+    buf = io.StringIO()
+    with pytest.warns(RuntimeWarning, match="overflow"), contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    doc = json.loads(buf.getvalue(), parse_constant=_refuse)
+    assert doc["status"] == "non-finite"
+    assert [row[0] for row in doc["rows"]] == [0.0]
+
+
+@pytest.mark.parametrize("scale", [1e3, 3e4])
+def test_rk45_rejects_a_step_whose_stage_overflows(scale):
+    # a trial stage of the bracket flow overflows and its Q solve raises
+    # NonFiniteState; rk45 rejects that step and shrinks it, as the 6x6 flow
+    # does on its NaN error estimate, so both flows complete
+    m = random_sl3c(np.random.default_rng(1), scale)
+    opts = IntegratorOptions(h0=1e-3, t_end=0.01)
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        traj = bracket_flow(aa.bracket_of(m), aa.structure(), opts)
+        ref = aa.matrix_bracket_flow(m, opts)
+    assert traj.status == ref.status == "completed"
+    assert traj.final.t == pytest.approx(0.01, abs=1e-15) and len(traj.samples) > 2
 
 
 def test_drive_and_readme_list_the_same_statuses():

@@ -155,10 +155,10 @@ def test_ce_matrix_matches_dense_tensor(k, rng):
 def test_laplacian_displays(s_nilpotent):
     a, b = 1.5, -0.3
     mu = mu_nilpotent(a, b, -b, a)
-    lap = KForm(3, laplacian(mu, s_nilpotent.star_matrix, s_nilpotent.phi.coeffs)[0])
+    lap = KForm(3, laplacian(mu, s_nilpotent.metric, s_nilpotent.phi.coeffs)[0])
     want = KForm.from_terms(3, {(1, 2, 3): 2 * (a * a + b * b)})
     assert (lap - want).norm() < 1e-12
-    z = laplacian(LieBracket.zero(), s_nilpotent.star_matrix, KForm.basis((1, 2, 3)).coeffs)
+    z = laplacian(LieBracket.zero(), s_nilpotent.metric, KForm.basis((1, 2, 3)).coeffs)
     assert not any(np.any(x) for x in z)
 
 
@@ -169,11 +169,11 @@ def test_laplacian_self_adjoint_and_psd(s_aa, rng):
         mu = aa.bracket_of(m)
         a = random_kform(rng, 3)
         b = random_kform(rng, 3)
-        la, lb = (KForm(3, laplacian(mu, s_aa.star_matrix, x.coeffs)[0]) for x in (a, b))
+        la, lb = (KForm(3, laplacian(mu, s_aa.metric, x.coeffs)[0]) for x in (a, b))
         assert np.array_equal(la.coeffs, hodge_laplacian(mu, s_aa, a).coeffs)
-        assert abs(s_aa.inner(la, b) - s_aa.inner(a, lb)) < 1e-9 * max(
+        assert abs(s_aa.metric.inner(la, b) - s_aa.metric.inner(a, lb)) < 1e-9 * max(
             1.0, a.norm() * b.norm())
-        assert s_aa.inner(la, a) >= -1e-10 * max(1.0, a.norm() ** 2)
+        assert s_aa.metric.inner(la, a) >= -1e-10 * max(1.0, a.norm() ** 2)
 
 
 def test_delta_of_derivation_vanishes():
