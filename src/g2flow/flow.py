@@ -100,7 +100,7 @@ def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     delta = KForm(3, lap)
     Q = st.solve_Q(delta)
     R = 1.5 * float(np.trace(Q)) if _closed(st, dphi) else ricci(mu, st.metric)[1]
-    tau = st.torsion_forms(KForm(4, dphi), KForm(5, dpsi)).total_norm()
+    tau = st.torsion_forms(KForm(4, dphi), KForm(5, dpsi)).norm
     return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, st.metric.form_norm(delta))
 
 

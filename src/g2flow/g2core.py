@@ -19,13 +19,11 @@ from .exterior import (
     _interior_table,
     _theta_tensor,
     _wedge_table,
-    form_from_skew,
-    hodge_matrix,
     hodge_star,
     pullback_matrix,
     skew_from_form,
     theta,
-    wedge_matrix,
+    wedge,
 )
 
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
@@ -85,17 +83,19 @@ def _sym0_basis():
 
 @dataclass
 class TorsionForms:
-    """The four torsion components of a pair (dphi, dpsi)."""
+    """The four torsion components of a pair (dphi, dpsi).
+
+    tau1-tau3 are e-basis forms; residual is the metric distance of
+    (dphi, dpsi) from the pairs that torsion forms give, and norm the metric
+    norm sqrt(tau0^2 + |tau1|^2 + |tau2|^2 + |tau3|^2).
+    """
 
     tau0: float
     tau1: KForm
     tau2: KForm
     tau3: KForm
     residual: float
-
-    def total_norm(self):
-        return float(np.sqrt(self.tau0 ** 2 + self.tau1.norm() ** 2
-                             + self.tau2.norm() ** 2 + self.tau3.norm() ** 2))
+    norm: float
 
 
 class G2Structure:
@@ -104,8 +104,9 @@ class G2Structure:
 
     Construction computes the metric, an oriented orthonormal frame and the
     SVD of the theta map X -> theta(X) phi in frame coordinates.  The Hodge
-    dual psi, the q1/q7/q27 split and the torsion operator are filled in on
-    first use.  Like a ``LieBracket``'s cache they hold idempotent values (a
+    dual psi, the q1/q7/q27 split and the frame tables of the torsion
+    projections (phi and psi in the frame, five frame pullbacks) are filled in
+    on first use.  Like a ``LieBracket``'s cache they hold idempotent values (a
     table built twice comes out the same), so instances may be shared across
     threads.  What depends on the metric alone (Hodge stars, the inner
     product on forms, adjoints) is read from ``metric``.
@@ -158,26 +159,13 @@ class G2Structure:
 
     @cached_property
     def _torsion_op(self):
-        """Linear map from (tau0, tau1, tau2, tau3) coordinates to frame
-        coordinates of (dphi, dpsi), with the tau2 and tau3 bases, the frame
-        pullbacks of degrees 4 and 5 (into frame coordinates) and those of
-        degrees 1-3 by the inverse frame (back again)."""
+        """phi and psi in frame coordinates, the frame pullbacks of degrees
+        4 and 5 (into frame coordinates) and those of degrees 1-3 by the
+        inverse frame (back again)."""
         phi_f = KForm(3, self._phi_f)
-        psi_f = hodge_star(phi_f)
-        # tau2 lies in the 2-forms of the stabilizer algebra, tau3 in the
-        # image of the trace-free symmetric matrices under the theta map
-        l2_14 = np.array([form_from_skew(X).coeffs for X in self._g2_f])
-        l3_27 = self._q_split[2].reshape(27, -1) @ self._Tmap.T
-        n1, n2 = NFORMS[4], NFORMS[5]
-        A = np.block([
-            [psi_f.coeffs[:, None], 3.0 * wedge_matrix(phi_f, 1),
-             np.zeros((n1, 14)), hodge_matrix(None, 3) @ l3_27.T],
-            [np.zeros((n2, 1)), 4.0 * wedge_matrix(psi_f, 1),
-             wedge_matrix(phi_f, 2) @ l2_14.T, np.zeros((n2, 27))],
-        ])
         into = [pullback_matrix(self.frame, k) for k in (4, 5)]
         back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
-        return A, l2_14, l3_27, into, back
+        return phi_f, hodge_star(phi_f), into, back
 
     # -- basic operators ---------------------------------------------------
 
@@ -248,18 +236,28 @@ class G2Structure:
 
     def torsion_forms(self, dphi: KForm, dpsi: KForm) -> TorsionForms:
         """Solve dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
-        dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components."""
+        dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components.
+
+        In the frame, where phi has the identity metric, the terms lie in
+        orthogonal summands, Lambda^4 = 1 + 7 + 27 and Lambda^5 = 7 + 14, so
+        each component is a projection (* is the identity-metric star).  The
+        two tau1 of an inconsistent pair are weighted 3:4, as least squares
+        would weight them."""
         if dphi.degree != 4 or dpsi.degree != 5:
             raise ValueError("need (4-form, 5-form)")
-        A, l2_14, l3_27, (P4, P5), (B1, B2, B3) = self._torsion_op
-        rhs = np.concatenate([P4 @ dphi.coeffs, P5 @ dpsi.coeffs])
-        x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        res = float(np.linalg.norm(A @ x - rhs))
-        scale = max(1.0, float(np.linalg.norm(rhs)))
-        if res > 1e-6 * scale:
-            raise InconsistentTorsion(f"torsion reconstruction residual {res:g}")
-        tau0 = float(x[0])
-        tau1 = KForm(1, B1 @ x[1:8])
-        tau2 = KForm(2, B2 @ (x[8:22] @ l2_14))
-        tau3 = KForm(3, B3 @ (x[22:] @ l3_27))
-        return TorsionForms(tau0, tau1, tau2, tau3, res)
+        phi_f, psi_f, (P4, P5), (B1, B2, B3) = self._torsion_op
+        a, b = KForm(4, P4 @ dphi.coeffs), KForm(5, P5 @ dpsi.coeffs)
+        tau0 = float(a.coeffs @ psi_f.coeffs) / 7.0
+        tau1a = hodge_star(wedge(phi_f, hodge_star(a))) / 12.0
+        tau1b = hodge_star(wedge(psi_f, hodge_star(b))) / 12.0
+        tau1 = (3.0 * tau1a + 4.0 * tau1b) / 7.0
+        tau3 = hodge_star(a - tau0 * psi_f - 3.0 * wedge(tau1a, phi_f))
+        tau2 = -hodge_star(b - 4.0 * wedge(tau1b, psi_f))
+        res = 12.0 / np.sqrt(7.0) * (tau1a - tau1b).norm()
+        scale = max(1.0, float(np.hypot(a.norm(), b.norm())))
+        if not res <= 1e-6 * scale:  # NaN fails too
+            error = InconsistentTorsion if np.isfinite(res) else NonFiniteState
+            raise error(f"torsion reconstruction residual {res:g}")
+        norm = float(np.linalg.norm(np.r_[tau0, tau1.coeffs, tau2.coeffs, tau3.coeffs]))
+        return TorsionForms(tau0, KForm(1, B1 @ tau1.coeffs), KForm(2, B2 @ tau2.coeffs),
+                            KForm(3, B3 @ tau3.coeffs), res, norm)

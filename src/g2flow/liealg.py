@@ -253,13 +253,11 @@ def derivations(mu: LieBracket) -> DerivationSpace:
     mu with a read-only basis."""
     if "derivations" in mu._cache:
         return mu._cache["derivations"]
-    cols = []
-    for a in range(DIM):
-        for b in range(DIM):
-            E = np.zeros((DIM, DIM))
-            E[a, b] = 1.0
-            cols.append(delta_mu(mu, E).reshape(-1))
-    L = np.array(cols).T  # 343 x 49
+    # delta_mu(E_ab) placed by index, column ab of the 343 x 49 map:
+    # L[ijk, ab] = d_ib c[a,j,k] + d_jb c[i,a,k] - d_ka c[i,j,b]
+    c, eye = mu.c, np.eye(DIM)
+    L = (np.einsum("ib,ajk->ijkab", eye, c) + np.einsum("jb,iak->ijkab", eye, c)
+         - np.einsum("ka,ijb->ijkab", eye, c)).reshape(DIM ** 3, DIM * DIM)
     _, s, Vh = np.linalg.svd(L, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     mask = np.ones(Vh.shape[0], dtype=bool) if smax == 0.0 else s <= 1e-8 * smax

@@ -9,11 +9,15 @@ tests/test_golden.py runs every case and compares it with the stored file.
 Regenerate (only when an output changes on purpose, and say why):
 
     PYTHONPATH=src python tests/golden/regen.py
+
+This rewrites only the stored outputs that test_golden.py's comparison
+fails, and writes the missing ones.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -155,11 +159,26 @@ def path_of(name):
     return HERE / f"{name}.txt"
 
 
+def _mismatch():
+    """The comparison of tests/test_golden.py."""
+    spec = importlib.util.spec_from_file_location("test_golden",
+                                                  HERE.parent / "test_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.mismatch
+
+
 def main():
+    mismatch = _mismatch()
+    written = []
     for name, case in cases().items():
-        path_of(name).write_text(case())
+        path, text = path_of(name), case()
+        if not path.exists() or mismatch(text, path.read_text()) is not None:
+            path.write_text(text)
+            written.append(name)
     total = sum(path_of(name).stat().st_size for name in cases())
-    print(f"wrote {len(cases())} golden outputs, {total} bytes")
+    print(f"rewrote {len(written)} of {len(cases())} golden outputs ({total} bytes):",
+          *written)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from g2flow.exterior import DIM, KForm, _theta_tensor, act, hodge_star, phi_cano
 from g2flow.flow import (
     IntegratorOptions,
     _bracket_velocity,
+    _flow_sample,
     bracket_flow,
     detect_algebraic,
     detect_semialgebraic,
@@ -37,7 +38,7 @@ from g2flow.liealg import (
     pack_constants,
 )
 
-from conftest import hodge_laplacian, random_sl3c, random_su3
+from conftest import hodge_laplacian, random_gl7, random_sl3c, random_su3
 
 
 def test_options_validation():
@@ -428,6 +429,44 @@ def test_matrix_flow_matches_bracket_flow(s_aa, rng):
         for a, b in zip(small.samples, full.samples):
             assert abs(a.R - b.R) < 1e-12 * max(1.0, abs(b.R))
             assert abs(a.norm_mu - b.norm_mu) < 1e-12 * max(1.0, b.norm_mu)
+
+
+def test_tau_is_gl7_invariant(s_aa, rng):
+    # |tau| is the norm in the metric of phi, so moving the pair keeps it
+    A = rng.normal(size=(6, 6))
+    A -= np.trace(A) / 6 * np.eye(6)
+    for m in (random_sl3c(rng), aa.AAMatrix.from_matrix(A)):  # closed, and not
+        mu = aa.bracket_of(m)
+        h = random_gl7(rng)
+        want = _flow_sample(0.0, mu, s_aa).torsion_norm
+        got = _flow_sample(0.0, mu.act(h), G2Structure(act(h, s_aa.phi))).torsion_norm
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_tau_agrees_across_the_three_flows(s_aa, rng):
+    # the bracket, direct and 6x6 flows of one closed pair are one flow up to
+    # GL(7), and |tau| does not see the difference
+    opts = IntegratorOptions(method="rk4", h0=1e-2, t_end=1.0)
+    for _ in range(2):
+        m = random_sl3c(rng)
+        mu = aa.bracket_of(m)
+        runs = (bracket_flow(mu, s_aa, opts), laplacian_flow(s_aa.phi, mu, opts),
+                aa.matrix_bracket_flow(m, opts))
+        assert all(np.array_equal(r.times, runs[0].times) for r in runs)
+        for a, b, c in zip(*(r.samples for r in runs)):
+            assert abs(a.torsion_norm - b.torsion_norm) < 1e-6
+            assert abs(a.torsion_norm - c.torsion_norm) < 1e-6
+
+
+def test_tau_decreases_along_the_closed_direct_flow(s_aa, rng):
+    # closed case: R = -|tau|^2 / 2, and |tau| strictly decreases
+    mu = aa.bracket_of(random_sl3c(rng))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=1.0, sample_every=5))
+    assert traj.status == "completed" and len(traj.samples) > 3
+    for smp in traj.samples:
+        assert abs(smp.R + 0.5 * smp.torsion_norm ** 2) <= 1e-10 * max(1.0, abs(smp.R))
+    taus = [smp.torsion_norm for smp in traj.samples]
+    assert all(b < a for a, b in zip(taus, taus[1:]))
 
 
 def test_matrix_flow_rejects_normalization(rng):

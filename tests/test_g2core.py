@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from g2flow import almostabelian as aa
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
-from g2flow.errors import ComponentError, InconsistentTorsion, PositivityError
-from g2flow.exterior import (KForm, act, hodge_star, interior, phi_canonical, skew_from_form,
-                             theta, wedge)
-from g2flow.g2core import G2Structure, induced_bilinear, metric_from_3form
+from g2flow.errors import ComponentError, InconsistentTorsion, NonFiniteState, PositivityError
+from g2flow.exterior import (KForm, act, form_from_skew, hodge_matrix, hodge_star, interior,
+                             phi_canonical, pullback, pullback_matrix, skew_from_form, theta,
+                             wedge, wedge_matrix)
+from g2flow.g2core import G2Structure, _sym0_basis, induced_bilinear, metric_from_3form
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
 from conftest import hodge_laplacian, random_gl7, random_kform, random_positive_form, random_sl3c
@@ -181,7 +182,7 @@ def test_jop_vanishes_on_vector_type(s_canonical):
 
 def test_torsion_zero_for_torsion_free(s_canonical):
     tf = s_canonical.torsion_forms(KForm.zero(4), KForm.zero(5))
-    assert tf.total_norm() < 1e-12
+    assert tf.norm < 1e-12
 
 
 def test_torsion_closed_case_display(s_nilpotent):
@@ -222,6 +223,82 @@ def test_torsion_inconsistent_pair_raises(s_canonical, rng):
     dpsi = random_kform(rng, 5)
     with pytest.raises(InconsistentTorsion):
         s_canonical.torsion_forms(dphi, dpsi)
+
+
+def torsion_lstsq(s, dphi, dpsi):
+    """The oracle for G2Structure.torsion_forms: the four torsion equations
+    as one (56, 49) block system in frame coordinates, solved by least
+    squares.  Returns the components (tau0, then e-basis coefficients of
+    tau1-tau3), the residual and whether the residual check fires."""
+    F, Finv = s.frame, np.linalg.inv(s.frame)
+    phi_f = pullback(F, s.phi)
+    psi_f = hodge_star(phi_f)
+    # tau2 lies in the 2-forms of the stabilizer algebra, tau3 in the image
+    # of the trace-free symmetric matrices under the theta map
+    l2_14 = np.array([form_from_skew(Finv @ X @ F).coeffs for X in s.g2_basis])
+    l3_27 = np.array([theta(S, phi_f).coeffs for S in _sym0_basis()])
+    A = np.block([
+        [psi_f.coeffs[:, None], 3.0 * wedge_matrix(phi_f, 1),
+         np.zeros((35, 14)), hodge_matrix(None, 3) @ l3_27.T],
+        [np.zeros((21, 1)), 4.0 * wedge_matrix(psi_f, 1),
+         wedge_matrix(phi_f, 2) @ l2_14.T, np.zeros((21, 27))],
+    ])
+    rhs = np.concatenate([pullback_matrix(F, 4) @ dphi.coeffs,
+                          pullback_matrix(F, 5) @ dpsi.coeffs])
+    x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    res = float(np.linalg.norm(A @ x - rhs))
+    taus = [pullback(Finv, KForm(k, v)).coeffs
+            for k, v in ((1, x[1:8]), (2, x[8:22] @ l2_14), (3, x[22:] @ l3_27))]
+    return (x[0], *taus), res, res > 1e-6 * max(1.0, float(np.linalg.norm(rhs)))
+
+
+def _moved_structures(rng, n):
+    """Structures of GL(7)-moved canonical forms, the determinant sign of the
+    move alternating."""
+    for i in range(n):
+        h = random_gl7(rng)
+        if (np.linalg.det(h) > 0) != (i % 2 == 0):
+            h[:, 0] *= -1.0
+        yield G2Structure(act(h, phi_canonical()))
+
+
+def test_torsion_forms_are_the_block_system_solution(rng):
+    # consistent pairs: the differentials of random antisymmetric constants
+    for s in _moved_structures(rng, 24):
+        c = rng.normal(size=(7, 7, 7))
+        mu = LieBracket(c - c.transpose(1, 0, 2), validate=False)
+        dphi, dpsi = ce_differential(mu, s.phi), ce_differential(mu, s.psi)
+        tf = s.torsion_forms(dphi, dpsi)
+        want, _, fires = torsion_lstsq(s, dphi, dpsi)
+        assert not fires
+        scale = dphi.norm() + dpsi.norm()
+        for got, w in zip((tf.tau0, tf.tau1.coeffs, tf.tau2.coeffs, tf.tau3.coeffs), want):
+            assert np.linalg.norm(np.atleast_1d(got - w)) <= 1e-12 * scale
+        g = s.metric
+        metric_norm = np.sqrt(tf.tau0 ** 2 + sum(g.form_norm(t) ** 2
+                                                 for t in (tf.tau1, tf.tau2, tf.tau3)))
+        assert abs(tf.norm - metric_norm) <= 1e-12 * scale
+
+
+def test_torsion_residual_is_the_block_system_residual(rng):
+    # random pairs from far below to far above the residual threshold
+    fired = []
+    for s, scale in zip(_moved_structures(rng, 12), np.logspace(-9, 1, 12)):
+        dphi, dpsi = random_kform(rng, 4, scale), random_kform(rng, 5, scale)
+        _, res, fires = torsion_lstsq(s, dphi, dpsi)
+        fired.append(fires)
+        if fires:
+            with pytest.raises(InconsistentTorsion):
+                s.torsion_forms(dphi, dpsi)
+        else:
+            assert abs(s.torsion_forms(dphi, dpsi).residual - res) <= 1e-10 * res
+    assert any(fired) and not all(fired)
+
+
+def test_torsion_of_a_non_finite_pair_raises(s_canonical):
+    dphi = KForm(4, np.full(35, np.nan))
+    with pytest.raises(NonFiniteState):
+        s_canonical.torsion_forms(dphi, KForm.zero(5))
 
 
 def test_q_symmetric_for_closed_inputs(s_aa, rng):
