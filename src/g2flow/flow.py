@@ -3,13 +3,16 @@ reconstruction, and soliton detection."""
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotClosed
-from .exterior import DIM, KForm, Metric, pullback_matrix
+from .errors import NonFiniteState, NotClosed
+from .exterior import (DIM, NFORMS, KForm, Metric, _frozen, _theta_tensor, _wedge_table,
+                       pullback_matrix)
 from .g2core import G2Structure, metric_from_3form
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
@@ -18,9 +21,7 @@ from .liealg import (
     bracket_act,
     ce_matrix,
     ce_matrix_of_form,
-    delta_mu,
     derivations,
-    pack_constants,
     ricci,
     unpack_constants,
 )
@@ -44,9 +45,11 @@ class FlowSample:
 
 @dataclass
 class FlowTrajectory(Trajectory):
-    """A bracket-flow run, with what reconstruct_h integrates it from."""
+    """A bracket-flow run, with what reconstruct_h integrates it from: the
+    structure, its compiled velocity, the start and the options."""
 
     structure: G2Structure
+    velocity: Callable
     mu0: LieBracket
     opts: IntegratorOptions
 
@@ -104,25 +107,66 @@ def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, st.metric.form_norm(delta))
 
 
+@functools.cache
+def _velocity_tables():
+    """The index tables of :func:`_bracket_velocity`, the same for every
+    structure.  X[m, q] = [u, -u, 0][gather[m, q]] is i_{e_m}, the transpose
+    of e^m ^ ., of the 3-form u[:35] (q < 21) and of the 2-form u[35:]
+    (q >= 21).  e^p ^ e^q = sign e^rank over the 2-forms p and the columns q
+    of X that do not overlap, at pairs in the flattened (21, 28) array: the
+    wedge table (2, 2), its signs negated, then (2, 1).  rows, cols, vals
+    are the triples of theta_2, the (441, 49) map of Q to theta_2(Q)."""
+    n3, n = NFORMS[3], NFORMS[3] + NFORMS[2]
+    (r12, s12), (r11, s11) = _wedge_table(1, 2), _wedge_table(1, 1)
+    rank, sign = np.hstack([r12, r11 + n3]), np.hstack([s12, s11])
+    gather = np.where(sign > 0, rank, np.where(sign < 0, rank + n, 2 * n)).ravel()
+    (r22, s22), (r21, s21) = _wedge_table(2, 2), _wedge_table(2, 1)
+    rank, sign = np.hstack([r22, r21 + n3]).ravel(), np.hstack([-s22, s21]).ravel()
+    pairs = np.flatnonzero(sign)
+    th2 = _theta_tensor(2).transpose(0, 3, 1, 2).reshape(NFORMS[2] ** 2, DIM * DIM)
+    rows, cols = np.nonzero(th2)
+    return _frozen(gather, pairs, rank[pairs], sign[pairs], rows, cols, th2[rows, cols])
+
+
+_ZERO = _frozen(np.zeros(1))
+
+
 def _bracket_velocity(s: G2Structure):
     """The bracket-flow right side for the fixed form s.phi, on flat packed
-    constants y: velocity(y) = (Q_mu, delta_mu(Q_mu) packed).
+    constants y: velocity(y) = (Q_mu, delta_mu(Q_mu) packed), a cubic in y
+    whose matrices depend on the form alone and are built here, once.
 
-    Delta_mu phi = *d*d phi - d*d* phi is quadratic in y.  The inner
-    differentials act on fixed forms, so they are linear maps of y built
-    once: M1 y = *d_y phi and M2 y = *d_y *phi.  That is why this keeps an
-    expression of Delta of its own: :func:`laplacian` would build d_y on
-    degree 4 at every evaluation (about a tenth of one), or, fed M1 and M2,
-    multiply in another order and round differently.
+    With Y = y.reshape(21, 7) (pair x index), d_y v = -sum_m Y[:, m] ^ i_m v.
+    So u = (*d_y phi, *d_y psi) = M y, X = [i_m u] is a (7, 28) gather of u,
+    and Delta_mu phi = *d*d phi - d*d* phi = -H4 W22 (Y X) + W21 (Y X): the
+    2-forms of Y X wedged with those of X into 4-forms, then starred, and
+    with its 1-forms into 3-forms.  Q = P_Q Delta, P_Q being the Q solve as
+    one (49, 35) map (:meth:`G2Structure.solve_Q_matrix`, which raises
+    SingularSystem here if the solve is broken), folded with H4.  The
+    packed velocity is -theta_2(Q) Y - Y Q^T.  The interior products,
+    wedges and theta_2 are the index tables of :func:`_velocity_tables`.
+    A non-finite Q raises NonFiniteState.
     """
-    H4 = s.metric.star_matrix(4)
-    M1 = H4 @ ce_matrix_of_form(s.phi)
-    M2 = s.metric.star_matrix(5) @ ce_matrix_of_form(s.psi)
+    g = s.metric
+    H4 = g.star_matrix(4)
+    gather, pairs, rank, sign, rows, cols, vals = _velocity_tables()
+    M = np.vstack([H4 @ ce_matrix_of_form(s.phi), g.star_matrix(5) @ ce_matrix_of_form(s.psi)])
+    PQ = s.solve_Q_matrix()
+    PQ = np.hstack([PQ @ H4, PQ])  # the 4-forms of the wedges are starred
+    n2, n_w = NFORMS[2], 2 * NFORMS[3]
 
     def velocity(y):
-        lap = H4 @ (ce_matrix(y, 3) @ (M1 @ y)) - ce_matrix(y, 2) @ (M2 @ y)
-        Q = s.solve_Q(KForm(3, lap))
-        return Q, pack_constants(delta_mu(unpack_constants(y), Q)).reshape(-1)
+        # a non-finite or overflowing y gives a non-finite Q, which raises
+        with np.errstate(invalid="ignore", over="ignore"):
+            Y = y.reshape(n2, DIM)
+            u = M @ y
+            X = np.concatenate([u, -u, _ZERO])[gather].reshape(DIM, -1)
+            wedges = np.bincount(rank, sign * (Y @ X).reshape(-1)[pairs], n_w)
+            Q = (PQ @ wedges).reshape(DIM, DIM)
+            if not np.isfinite(Q).all():
+                raise NonFiniteState("non-finite Q")
+            theta = np.bincount(rows, vals * Q.reshape(-1)[cols], n2 * n2).reshape(n2, n2)
+            return Q, (-theta @ Y - Y @ Q.T).reshape(-1)
 
     return velocity
 
@@ -147,7 +191,7 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
         return _flow_sample(t, mu, s)
 
     run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, norm_of)
-    return FlowTrajectory(run.samples, run.status, s, mu0, opts)
+    return FlowTrajectory(run.samples, run.status, s, velocity, mu0, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +264,8 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         raise ValueError("reconstruction starts from a bracket-flow trajectory")
     if traj.opts.normalize != "none":
         raise ValueError("equivalence maps link the unnormalized flows only")
-    s, mu0, opts = traj.structure, traj.mu0, traj.opts
+    s, velocity, mu0, opts = traj.structure, traj.velocity, traj.mu0, traj.opts
     phi_c = s.phi.coeffs
-    velocity = _bracket_velocity(s)
     n_mu = NCONST
 
     def rhs(t, y):

@@ -209,6 +209,19 @@ class G2Structure:
             raise error(f"Q solve residual {res:g}")
         return self.frame @ x.reshape(DIM, DIM) @ self._frame_inv
 
+    def solve_Q_matrix(self) -> np.ndarray:
+        """solve_Q as one (49, 35) matrix, from 3-form coefficients to Q
+        flattened.  theta(.) phi maps q onto the 3-forms, so the solve's
+        residual is rounding for every input: it is checked here once, on
+        the matrix, and a larger one raises SingularSystem."""
+        P = self._solve_op @ self._P3
+        res = np.linalg.norm(self._Tmap @ P - self._P3)
+        if not res <= 1e-9 * max(1.0, np.linalg.norm(self._P3)):
+            raise SingularSystem(f"Q solve residual {res:g}")
+        # Q = F X F^-1 for X = P psi and F the frame
+        PQ = self._frame_inv.T @ (self.frame @ P.reshape(DIM, -1)).reshape(DIM, DIM, -1)
+        return PQ.reshape(DIM * DIM, -1)
+
     def q_components(self, Q) -> dict:
         """Norms of the q1/q7/q27 components of an endomorphism in q."""
         v = (self._frame_inv @ np.asarray(Q) @ self.frame).reshape(-1)

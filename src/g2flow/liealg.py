@@ -254,10 +254,12 @@ def derivations(mu: LieBracket) -> DerivationSpace:
     if "derivations" in mu._cache:
         return mu._cache["derivations"]
     # delta_mu(E_ab) placed by index, column ab of the 343 x 49 map:
-    # L[ijk, ab] = d_ib c[a,j,k] + d_jb c[i,a,k] - d_ka c[i,j,b]
+    # L[ijk, ab] = d_ib c[a,j,k] + d_jb c[i,a,k] - d_ka c[i,j,b].  Row jik is
+    # minus row ijk and row iik vanishes, so the SVD takes the 147 packed
+    # rows: the same nullspace, and singular values smaller by sqrt 2 alike
     c, eye = mu.c, np.eye(DIM)
     L = (np.einsum("ib,ajk->ijkab", eye, c) + np.einsum("jb,iak->ijkab", eye, c)
-         - np.einsum("ka,ijb->ijkab", eye, c)).reshape(DIM ** 3, DIM * DIM)
+         - np.einsum("ka,ijb->ijkab", eye, c)).reshape(DIM ** 3, DIM * DIM)[_PACK_POS]
     _, s, Vh = np.linalg.svd(L, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     mask = np.ones(Vh.shape[0], dtype=bool) if smax == 0.0 else s <= 1e-8 * smax

@@ -11,7 +11,9 @@ Regenerate (only when an output changes on purpose, and say why):
     PYTHONPATH=src python tests/golden/regen.py
 
 This rewrites only the stored outputs that test_golden.py's comparison
-fails, and writes the missing ones.
+fails, and writes the missing ones.  For each output it rewrites it prints
+the largest difference from the old one, relative to its row, and where
+that is, as the comparison reports it.
 """
 
 from __future__ import annotations
@@ -159,23 +161,29 @@ def path_of(name):
     return HERE / f"{name}.txt"
 
 
-def _mismatch():
-    """The comparison of tests/test_golden.py."""
+def _comparison():
+    """The comparison of tests/test_golden.py: its mismatch and worst."""
     spec = importlib.util.spec_from_file_location("test_golden",
                                                   HERE.parent / "test_golden.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.mismatch
+    return module.mismatch, module.worst
 
 
 def main():
-    mismatch = _mismatch()
+    mismatch, worst = _comparison()
     written = []
     for name, case in cases().items():
         path, text = path_of(name), case()
-        if not path.exists() or mismatch(text, path.read_text()) is not None:
+        old = path.read_text() if path.exists() else None
+        if old is None or mismatch(text, old) is not None:
             path.write_text(text)
             written.append(name)
+            if old is None:
+                print(f"{name}: new")
+            else:
+                rel, where = worst(text, old)
+                print(f"{name}: worst relative difference {rel:.3g} at {where}")
     total = sum(path_of(name).stat().st_size for name in cases())
     print(f"rewrote {len(written)} of {len(cases())} golden outputs ({total} bytes):",
           *written)

@@ -348,4 +348,4 @@ def test_one_derivation_svd_per_run(capsys, monkeypatch, argv):
     assert code == 0
     doc = json.loads(out)
     assert doc.get("certificates", doc)["semi_algebraic"]["kind"] == "semi-algebraic"
-    assert shapes.count((343, 49)) == 1
+    assert shapes.count((147, 49)) == 1

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
+from g2flow import flow
 from g2flow.corpus import (
     aa_n6_soliton,
     aa_n6_soliton_partner,
     mu_nilpotent,
     phi_nilpotent_example,
 )
-from g2flow.errors import NotClosed, PositivityError, StepUnderflow
-from g2flow.exterior import DIM, KForm, _theta_tensor, act, hodge_star, phi_canonical, pullback_matrix
+from g2flow.errors import NonFiniteState, NotClosed, PositivityError, SingularSystem, StepUnderflow
+from g2flow.exterior import (DIM, KForm, _theta_tensor, act, hodge_star, phi_canonical,
+                             pullback_matrix, theta)
 from g2flow.flow import (
     IntegratorOptions,
     _bracket_velocity,
@@ -36,6 +38,7 @@ from g2flow.liealg import (
     ce_differential,
     delta_mu,
     pack_constants,
+    unpack_constants,
 )
 
 from conftest import hodge_laplacian, random_gl7, random_sl3c, random_su3
@@ -134,6 +137,51 @@ def test_compiled_bracket_rhs_is_cubic(pair, c):
     y = mu.packed().reshape(-1)
     want = c ** 3 * velocity(y)[1]
     assert np.abs(velocity(c * y)[1] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_velocity_factorisation_is_delta_mu(rng):
+    # delta_mu(Q) on packed constants Y (pair x index) is
+    # -theta_2(Q) Y - Y Q^T, for any antisymmetric constants and any Q;
+    # theta_2(Q) is applied column by column, as theta on each 2-form
+    for _ in range(10):
+        Y, Q = rng.normal(size=(21, DIM)), rng.normal(size=(DIM, DIM))
+        want = pack_constants(delta_mu(unpack_constants(Y), Q))
+        th = np.array([theta(Q, KForm(2, col)).coeffs for col in Y.T]).T
+        got = -th - Y @ Q.T
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compiled_velocity_refuses_a_non_finite_state(s_aa, rng, bad):
+    velocity = _bracket_velocity(s_aa)
+    y = aa.bracket_of(random_sl3c(rng, 0.8)).packed().reshape(-1)
+    assert np.isfinite(velocity(y)[0]).all()
+    y[40] = bad
+    with pytest.raises(NonFiniteState):
+        velocity(y)
+
+
+def test_compiled_velocity_checks_the_q_solve_once(rng):
+    # a broken solver fails when the velocity is built, before any step
+    s = G2Structure(act(random_gl7(rng), aa.phi_almost_abelian()))
+    s._solve_op = np.zeros_like(s._solve_op)
+    with pytest.raises(SingularSystem):
+        _bracket_velocity(s)
+
+
+def test_a_run_and_its_reconstruction_build_the_velocity_once(monkeypatch, s_aa, rng):
+    built = []
+
+    def counting(s):
+        built.append(s)
+        return _bracket_velocity(s)
+
+    monkeypatch.setattr(flow, "_bracket_velocity", counting)
+    traj = bracket_flow(aa.bracket_of(random_sl3c(rng, 0.8)), s_aa,
+                        IntegratorOptions(method="rk4", h0=1e-2, t_end=0.1))
+    for side in ("i", "ii"):
+        assert reconstruct_h(traj, side=side).status == "completed"
+    assert built == [s_aa]
 
 
 def test_bracket_flow_scalar_law(s_nilpotent):

@@ -144,6 +144,16 @@ def test_solve_q_on_random_positive_forms(rng):
         assert np.abs(s.solve_Q(psi) - Q0).max() < 1e-8 * max(1.0, np.abs(Q0).max())
 
 
+def test_solve_q_matrix_is_solve_q(rng):
+    # one (49, 35) map in place of the solve, the same to rounding
+    for _ in range(3):
+        s = G2Structure(random_positive_form(rng))
+        psi = random_kform(rng, 3)
+        want = s.solve_Q(psi).reshape(-1)
+        got = s.solve_Q_matrix() @ psi.coeffs
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_solve_q_singular_system_surfaces(s_canonical):
     import copy
 
@@ -152,6 +162,8 @@ def test_solve_q_singular_system_surfaces(s_canonical):
     broken._solve_op = np.zeros((49, 35))  # solves nothing: the residual check fires
     with pytest.raises(SingularSystem):
         broken.solve_Q(s_canonical.phi)
+    with pytest.raises(SingularSystem):
+        broken.solve_Q_matrix()
     with pytest.raises(SingularSystem):
         s_canonical.solve_Q(KForm(3, np.full(35, np.nan)))
 

@@ -28,68 +28,87 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _row_mismatch(got, want, where):
-    """The first of two equally long number rows to differ by more than
-    GOLDEN_RTOL times the row's largest magnitude, or None."""
+def _row_differences(got, want, where):
+    """(difference relative to the row's largest magnitude, what and where)
+    for each unequal entry of two equally long number rows."""
     scale = max((abs(w) for w in want if math.isfinite(w)), default=0.0)
     for i, (g, w) in enumerate(zip(got, want)):
-        if not (g == w or abs(g - w) <= GOLDEN_RTOL * scale):
-            return f"{where}[{i}]: {g!r} != {w!r} (row scale {scale:g})"
-    return None
+        if g != w:
+            rel = abs(g - w) / scale if scale else math.inf
+            yield (math.inf if math.isnan(rel) else rel,
+                   f"{where}[{i}]: {g!r} != {w!r} (row scale {scale:g})")
 
 
-def _json_mismatch(got, want, where="$"):
-    """Structural comparison of two parsed JSON values: the first
-    difference as a string, or None."""
+def _unlike(got, want, where):
+    """A structural difference: infinitely far apart."""
+    yield math.inf, f"{where}: {got!r} != {want!r}"
+
+
+def _json_differences(got, want, where="$"):
+    """The differences of two parsed JSON values, as _row_differences
+    gives them, in document order."""
     if _is_number(want):
-        return _row_mismatch([got], [want], where) if _is_number(got) else f"{where}: {got!r} != {want!r}"
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or sorted(got) != sorted(want):
-            return f"{where}: {got!r} != {want!r}"
+        yield from (_row_differences([got], [want], where) if _is_number(got)
+                    else _unlike(got, want, where))
+    elif isinstance(want, dict):
         row = [k for k in sorted(want) if _is_number(want[k])]
-        if not all(_is_number(got[k]) for k in row):
-            return f"{where}: {got!r} != {want!r}"
-        pairs = [(got[k], want[k], f"{where}.{k}") for k in sorted(want) if k not in row]
-        first = _row_mismatch([got[k] for k in row], [want[k] for k in row], f"{where}{row}")
+        if (not isinstance(got, dict) or sorted(got) != sorted(want)
+                or not all(_is_number(got[k]) for k in row)):
+            yield from _unlike(got, want, where)
+            return
+        yield from _row_differences([got[k] for k in row], [want[k] for k in row],
+                                    f"{where}{row}")
+        for k in sorted(want):
+            if k not in row:
+                yield from _json_differences(got[k], want[k], f"{where}.{k}")
     elif isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
-            return f"{where}: {got!r} != {want!r}"
-        if want and all(map(_is_number, want)):
-            if not all(map(_is_number, got)):
-                return f"{where}: {got!r} != {want!r}"
-            return _row_mismatch(got, want, where)
-        pairs = [(g, w, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
-        first = None
-    else:
-        return None if got == want and type(got) is type(want) else f"{where}: {got!r} != {want!r}"
-    for g, w, at in pairs:
-        first = first or _json_mismatch(g, w, at)
-    return first
+            yield from _unlike(got, want, where)
+        elif want and all(map(_is_number, want)):
+            yield from (_row_differences(got, want, where) if all(map(_is_number, got))
+                        else _unlike(got, want, where))
+        else:
+            for i, (g, w) in enumerate(zip(got, want)):
+                yield from _json_differences(g, w, f"{where}[{i}]")
+    elif not (got == want and type(got) is type(want)):
+        yield from _unlike(got, want, where)
 
 
-def _text_mismatch(got, want, where):
+def _text_differences(got, want, where):
     """One line of text: the words between numbers exactly, the numbers as
     one row."""
     if NUMBER.split(got) != NUMBER.split(want):
-        return f"{where}: {got[:200]!r} != {want[:200]!r}"
-    return _row_mismatch([float(x) for x in NUMBER.findall(got)],
-                         [float(x) for x in NUMBER.findall(want)], where)
+        yield from _unlike(got[:200], want[:200], where)
+    else:
+        yield from _row_differences([float(x) for x in NUMBER.findall(got)],
+                                    [float(x) for x in NUMBER.findall(want)], where)
+
+
+def differences(got, want):
+    """Every difference between two outputs, line by line, as
+    (relative difference, what and where)."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    if len(got_lines) != len(want_lines):
+        yield math.inf, f"{len(got_lines)} lines != {len(want_lines)}"
+        return
+    for n, (g, w) in enumerate(zip(got_lines, want_lines), 1):
+        if not w.startswith(("{", "[")):
+            yield from _text_differences(g, w, f"line {n}")
+        elif g.startswith(("{", "[")):
+            yield from _json_differences(json.loads(g), json.loads(w), f"line {n}: $")
+        else:
+            yield math.inf, f"line {n}: {g[:200]!r} is not JSON"
 
 
 def mismatch(got, want):
     """The first difference between two outputs beyond the tolerance, or None."""
-    got_lines, want_lines = got.split("\n"), want.split("\n")
-    if len(got_lines) != len(want_lines):
-        return f"{len(got_lines)} lines != {len(want_lines)}"
-    for n, (g, w) in enumerate(zip(got_lines, want_lines), 1):
-        if w.startswith(("{", "[")):
-            bad = _json_mismatch(json.loads(g), json.loads(w), f"line {n}: $") \
-                if g.startswith(("{", "[")) else f"line {n}: {g[:200]!r} is not JSON"
-        else:
-            bad = _text_mismatch(g, w, f"line {n}")
-        if bad:
-            return bad
-    return None
+    return next((where for rel, where in differences(got, want) if not rel <= GOLDEN_RTOL),
+                None)
+
+
+def worst(got, want):
+    """The largest difference between two outputs, (0.0, None) when equal."""
+    return max(differences(got, want), default=(0.0, None))
 
 
 CASES = regen.cases()
