@@ -5,7 +5,7 @@ i/j maps, and torsion-form extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -16,10 +16,12 @@ from .exterior import (
     KForm,
     Metric,
     NFORMS,
+    _frozen,
     _interior_table,
     _theta_tensor,
     _wedge_table,
     hodge_star,
+    phi_canonical,
     pullback_matrix,
     skew_from_form,
     theta,
@@ -98,22 +100,84 @@ class TorsionForms:
     norm: float
 
 
+@cache
+def _canonical_tables():
+    """The G2 algebra of phi_canonical, the same for every structure in its
+    adapted frame: the theta map T: X -> theta(X) phi_canonical as a
+    (35, 49) matrix, its pseudo-inverse (whose minimum-norm solutions lie
+    in q, the orthogonal complement of the kernel g2), bases of g2 and q,
+    the q1/q7/q27 split of q, and phi_canonical with its star.  q7, the
+    skew part of q, is spanned by the matrices phi(., ., v), each of
+    Frobenius norm sqrt(6).  Built once per process, read-only."""
+    phi = phi_canonical()
+    Tmap = np.einsum("jabi,i->jab", _theta_tensor(3), phi.coeffs).reshape(NFORMS[3], DIM * DIM)
+    U, s, Vh = np.linalg.svd(Tmap)
+    rank = int(np.sum(s > _KERNEL_CUT * s[0]))
+    if rank != NFORMS[3]:
+        raise SingularSystem(f"theta map has rank {rank}, expected {NFORMS[3]}")
+    solve_op = (Vh[:rank].T / s) @ U.T
+    g2_f, q_f = Vh[rank:].reshape(-1, DIM, DIM), Vh[:rank].reshape(rank, DIM, DIM)
+    q7 = np.array([skew_from_form(KForm(2, c))
+                   for c in _interior_table(3) @ phi.coeffs]) / np.sqrt(6.0)
+    q_split = _frozen((np.eye(DIM) / np.sqrt(DIM))[None, :, :], q7, _sym0_basis())
+    return _frozen(Tmap, solve_op, g2_f, q_f), q_split, phi, hodge_star(phi)
+
+
+_CROSS_SIGNS = np.array([-1.0, -1.0, 1.0])  # f5, f6, f7 from phi(f4, f_a, .)
+
+
+def _adapted_frame(phi: KForm, g: Metric) -> np.ndarray:
+    """A g-orthonormal frame F = [f1 .. f7] with F^* phi = phi_canonical.
+
+    With the cross product u x v = G^-1 phi(u, v, .): f1 and f2 are the
+    first two columns of the Cholesky frame, f3 = f1 x f2, and f4 is the
+    column least aligned with f3 among the other five (which are orthogonal
+    to f1 and f2), made orthogonal to f3 and normalised.  Then f5 = f1 x f4,
+    f6 = f2 x f4 and f7 = -(f3 x f4), as for e1 .. e7 under phi_canonical.
+    The five columns span the complement of f1 and f2, which holds f3, so
+    the least aligned one keeps at least sqrt(4/5) of its length."""
+    M = g.frame()
+    X = _interior_table(3) @ phi.coeffs  # row u: the 2-form phi(e_u, ., .)
+
+    def contract(u):  # the matrix S with S v = phi(u, v, .)
+        return skew_from_form(KForm(2, u @ X))
+
+    ginv = M @ M.T
+    F = np.empty((DIM, DIM))
+    F[:, :2] = M[:, :2]
+    w3 = contract(M[:, 0]) @ M[:, 1]  # phi(f1, f2, .) = G f3
+    F[:, 2] = f3 = ginv @ w3
+    c = M[:, 2 + np.argmin(np.abs(w3 @ M[:, 2:]))]  # least |<f3, column>|
+    f4 = c - (w3 @ c) * f3
+    F[:, 3] = f4 = f4 / np.sqrt(f4 @ g.gram @ f4)
+    # column a: phi(f4, f_a, .) = -G (f_a x f4)
+    F[:, 4:] = (ginv @ contract(f4) @ F[:, :3]) * _CROSS_SIGNS
+    return F
+
+
 class G2Structure:
     """A positive 3-form with its induced metric and the G2 algebra
     attached to it.
 
-    Construction computes the metric, an oriented orthonormal frame and the
-    SVD of the theta map X -> theta(X) phi in frame coordinates.  The Hodge
-    dual psi, the q1/q7/q27 split and the frame tables of the torsion
-    projections (phi and psi in the frame, five frame pullbacks) are filled in
-    on first use.  Like a ``LieBracket``'s cache they hold idempotent values (a
-    table built twice comes out the same), so instances may be shared across
-    threads.  What depends on the metric alone (Hodge stars, the inner
-    product on forms, adjoints) is read from ``metric``.
+    Construction computes the metric and a G2-adapted frame F: F is
+    orthonormal for the metric and pulls phi back to phi_canonical
+    (:func:`_adapted_frame`; a frame that misses phi_canonical by more than
+    1e-9 relative raises SingularSystem, or NonFiniteState when it is not
+    finite).  So in frame coordinates every structure has the same G2
+    algebra: the theta map and its pseudo-inverse, the g2 and q bases, the
+    q1/q7/q27 split and phi and psi are constants of phi_canonical
+    (:func:`_canonical_tables`), built once per process, and a structure
+    conjugates them by F.  Construction takes no SVD.  The Hodge dual psi
+    and the frame pullbacks of the torsion projections are filled in on
+    first use.  Like a ``LieBracket``'s cache they hold idempotent values
+    (a table built twice comes out the same), so instances may be shared
+    across threads.  What depends on the metric alone (Hodge stars, the
+    inner product on forms, adjoints) is read from ``metric``.
 
     Attributes:
         phi, psi: the 3-form and its Hodge dual 4-form.
         metric: the induced inner product, a :class:`Metric`.
+        frame: the adapted frame F, with F^T G F = I.
         g2_basis: 14 matrices spanning the stabilizer algebra.
         q_basis: 35 matrices spanning its orthogonal complement, split into
             q1_basis (span of I), q7_basis (skew part) and q27_basis
@@ -123,25 +187,16 @@ class G2Structure:
     def __init__(self, phi: KForm):
         self.phi = phi
         self.metric = metric_from_3form(phi)
-        self.frame = self.metric.frame()
-        self._frame_inv = np.linalg.inv(self.frame)
+        self.frame = _adapted_frame(phi, self.metric)
+        self._frame_inv = self.frame.T @ self.metric.gram
         # pullback by the frame: 3-form coefficients into frame coordinates
         self._P3 = pullback_matrix(self.frame, 3)
-
-        # frame coordinates of phi: a positive form with identity metric
-        self._phi_f = self._P3 @ phi.coeffs
-        Tmap = np.einsum("jabi,i->jab", _theta_tensor(3),
-                         self._phi_f).reshape(NFORMS[3], DIM * DIM)
-        U, s, Vh = np.linalg.svd(Tmap)
-        rank = int(np.sum(s > _KERNEL_CUT * s[0]))
-        if rank != NFORMS[3]:
-            raise SingularSystem(f"theta map has rank {rank}, expected {NFORMS[3]}")
-        self._Tmap = Tmap
-        self._g2_f = Vh[rank:].reshape(-1, DIM, DIM)
-        self._q_f = Vh[:rank].reshape(rank, DIM, DIM)
-        # pseudo-inverse of the theta map: its minimum-norm solutions lie in
-        # the row space q, the orthogonal complement of the kernel g2
-        self._solve_op = (Vh[:rank].T / s) @ U.T
+        tables, self._q_split, phi_c, _ = _canonical_tables()
+        self._Tmap, self._solve_op, self._g2_f, self._q_f = tables
+        miss = np.linalg.norm(self._P3 @ phi.coeffs - phi_c.coeffs)
+        if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
+            error = SingularSystem if np.isfinite(miss) else NonFiniteState
+            raise error(f"adapted frame misses phi_canonical by {miss:g}")
 
     # -- tables filled on first use ----------------------------------------
 
@@ -150,22 +205,13 @@ class G2Structure:
         return hodge_star(self.phi, self.metric)
 
     @cached_property
-    def _q_split(self):
-        """Frame bases of q1, q7 and q27.  q7, the skew part of q, is spanned
-        by the matrices phi(., ., v), each of Frobenius norm sqrt(6)."""
-        cross = np.einsum("uji,i->uj", _interior_table(3), self._phi_f)
-        q7 = np.array([skew_from_form(KForm(2, c)) for c in cross]) / np.sqrt(6.0)
-        return (np.eye(DIM) / np.sqrt(DIM))[None, :, :], q7, _sym0_basis()
-
-    @cached_property
     def _torsion_op(self):
-        """phi and psi in frame coordinates, the frame pullbacks of degrees
-        4 and 5 (into frame coordinates) and those of degrees 1-3 by the
-        inverse frame (back again)."""
-        phi_f = KForm(3, self._phi_f)
+        """phi and psi in frame coordinates (phi_canonical and its star),
+        the frame pullbacks of degrees 4 and 5 (into frame coordinates) and
+        those of degrees 1-3 by the inverse frame (back again)."""
         into = [pullback_matrix(self.frame, k) for k in (4, 5)]
         back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
-        return phi_f, hodge_star(phi_f), into, back
+        return *_canonical_tables()[2:], into, back
 
     # -- basic operators ---------------------------------------------------
 

@@ -234,6 +234,20 @@ def delta_mu(mu, E) -> np.ndarray:
     return (Et @ c.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM) + Et @ c - c @ Et
 
 
+@functools.cache
+def _delta_places():
+    """Flat destinations in the packed (147, 49) delta map, and flat sources
+    in c, of its three terms: for row ijk = (pair p, k) and each a,
+    (ijk, ai) takes c[a,j,k], (ijk, aj) takes c[i,a,k] and (ijk, ka) minus
+    c[i,j,a].  Within a term no destination repeats."""
+    p, k, a = (x.ravel() for x in np.indices((len(PAIRS), DIM, DIM)))
+    i, j = PAIR_I[p], PAIR_J[p]
+    row = (p * DIM + k) * DIM * DIM
+    dst = (row + a * DIM + i, row + a * DIM + j, row + k * DIM + a)
+    src = ((a * DIM + j) * DIM + k, (i * DIM + a) * DIM + k, (i * DIM + j) * DIM + a)
+    return _frozen(*dst), _frozen(*src)
+
+
 @dataclass
 class DerivationSpace:
     """Basis of the kernel of E -> delta_mu(E)."""
@@ -253,13 +267,17 @@ def derivations(mu: LieBracket) -> DerivationSpace:
     mu with a read-only basis."""
     if "derivations" in mu._cache:
         return mu._cache["derivations"]
-    # delta_mu(E_ab) placed by index, column ab of the 343 x 49 map:
-    # L[ijk, ab] = d_ib c[a,j,k] + d_jb c[i,a,k] - d_ka c[i,j,b].  Row jik is
-    # minus row ijk and row iik vanishes, so the SVD takes the 147 packed
-    # rows: the same nullspace, and singular values smaller by sqrt 2 alike
-    c, eye = mu.c, np.eye(DIM)
-    L = (np.einsum("ib,ajk->ijkab", eye, c) + np.einsum("jb,iak->ijkab", eye, c)
-         - np.einsum("ka,ijb->ijkab", eye, c)).reshape(DIM ** 3, DIM * DIM)[_PACK_POS]
+    # delta_mu(E_ab) placed by index into the packed rows of the delta map:
+    # row ijk (i < j), column ab takes d_ib c[a,j,k] + d_jb c[i,a,k] - d_ka c[i,j,b].
+    # Row jik is minus row ijk and row iik vanishes, so these 147 rows have the
+    # nullspace of all 343, and singular values smaller by sqrt 2 alike
+    (d1, d2, d3), (s1, s2, s3) = _delta_places()
+    c = mu.c.reshape(-1)
+    L = np.zeros(NCONST * DIM * DIM)
+    L[d1] += c[s1]
+    L[d2] += c[s2]
+    L[d3] -= c[s3]
+    L = L.reshape(NCONST, DIM * DIM)
     _, s, Vh = np.linalg.svd(L, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     mask = np.ones(Vh.shape[0], dtype=bool) if smax == 0.0 else s <= 1e-8 * smax

@@ -1,14 +1,18 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from g2flow import almostabelian as aa
+from g2flow import g2core
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
-from g2flow.errors import ComponentError, InconsistentTorsion, NonFiniteState, PositivityError
-from g2flow.exterior import (KForm, act, form_from_skew, hodge_matrix, hodge_star, interior,
-                             phi_canonical, pullback, pullback_matrix, skew_from_form, theta,
-                             wedge, wedge_matrix)
+from g2flow.errors import (ComponentError, G2FlowError, InconsistentTorsion, NonFiniteState,
+                           PositivityError, SingularSystem)
+from g2flow.exterior import (KForm, _interior_table, _theta_tensor, act, form_from_skew,
+                             hodge_matrix, hodge_star, interior, phi_canonical, pullback,
+                             pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
 from g2flow.g2core import G2Structure, _sym0_basis, induced_bilinear, metric_from_3form
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
@@ -157,7 +161,6 @@ def test_solve_q_matrix_is_solve_q(rng):
 def test_solve_q_singular_system_surfaces(s_canonical):
     import copy
 
-    from g2flow.errors import SingularSystem
     broken = copy.copy(s_canonical)
     broken._solve_op = np.zeros((49, 35))  # solves nothing: the residual check fires
     with pytest.raises(SingularSystem):
@@ -264,14 +267,19 @@ def torsion_lstsq(s, dphi, dpsi):
     return (x[0], *taus), res, res > 1e-6 * max(1.0, float(np.linalg.norm(rhs)))
 
 
-def _moved_structures(rng, n):
-    """Structures of GL(7)-moved canonical forms, the determinant sign of the
-    move alternating."""
-    for i in range(n):
+def _moved_forms(rng, scales):
+    """GL(7)-moved canonical forms, the determinant sign of the move
+    alternating, the move scaled by each of scales in turn."""
+    for i, scale in enumerate(scales):
         h = random_gl7(rng)
         if (np.linalg.det(h) > 0) != (i % 2 == 0):
             h[:, 0] *= -1.0
-        yield G2Structure(act(h, phi_canonical()))
+        yield act(scale * h, phi_canonical())
+
+
+def _moved_structures(rng, n):
+    """Structures of n moved canonical forms, the moves unscaled."""
+    return (G2Structure(phi) for phi in _moved_forms(rng, np.ones(n)))
 
 
 def test_torsion_forms_are_the_block_system_solution(rng):
@@ -366,3 +374,137 @@ def test_q_is_gl7_natural_on_two_step_nilpotent_brackets(consts, entries):
     assert np.abs(Qh - h @ Q @ np.linalg.inv(h)).max() < 1e-10 * scale
     R, Rh = ricci(mu, s.metric)[1], ricci(muh, sh.metric)[1]
     assert abs(Rh - R) < 1e-10 * max(1.0, abs(R))
+
+
+# -- the adapted frame against the construction it replaced
+
+class SVDStructure(G2Structure):
+    """The oracle for the adapted-frame construction: a structure built as
+    before it, in the Cholesky frame of the metric, where phi has some
+    identity-metric form phi_f, with an SVD of the theta map of phi_f at
+    every build.  The operators are G2Structure's own."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.metric = metric_from_3form(phi)
+        self.frame = self.metric.frame()
+        self._frame_inv = np.linalg.inv(self.frame)
+        self._P3 = pullback_matrix(self.frame, 3)
+        self._phi_f = self._P3 @ phi.coeffs
+        Tmap = np.einsum("jabi,i->jab", _theta_tensor(3), self._phi_f).reshape(35, 49)
+        U, s, Vh = np.linalg.svd(Tmap)
+        rank = int(np.sum(s > 1e-8 * s[0]))
+        assert rank == 35
+        self._Tmap = Tmap
+        self._g2_f = Vh[rank:].reshape(-1, 7, 7)
+        self._q_f = Vh[:rank].reshape(rank, 7, 7)
+        self._solve_op = (Vh[:rank].T / s) @ U.T
+        cross = _interior_table(3) @ self._phi_f
+        q7 = np.array([skew_from_form(KForm(2, c)) for c in cross]) / np.sqrt(6.0)
+        self._q_split = (np.eye(7) / np.sqrt(7))[None, :, :], q7, _sym0_basis()
+
+    @cached_property
+    def _torsion_op(self):
+        phi_f = KForm(3, self._phi_f)
+        into = [pullback_matrix(self.frame, k) for k in (4, 5)]
+        back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
+        return phi_f, hodge_star(phi_f), into, back
+
+
+# moves scaled from 1e-3 to 1e3, so phi from 1e9 to 1e-9
+_SCALES = np.logspace(-3, 3, 24)
+
+
+def _close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+def test_adapted_frame_is_orthonormal_and_pulls_phi_back_to_canonical(rng):
+    orientations = set()
+    for phi in _moved_forms(rng, _SCALES):
+        s = G2Structure(phi)
+        F, G = s.frame, s.metric.gram
+        assert np.abs(F.T @ G @ F - np.eye(7)).max() <= 1e-12
+        assert np.abs(s._frame_inv @ F - np.eye(7)).max() <= 1e-12
+        assert np.abs(pullback_matrix(F, 3) @ phi.coeffs - phi_canonical().coeffs).max() <= 1e-12
+        orientations.add(s.metric.orientation)
+    assert orientations == {1, -1}
+
+
+def _projector(mats):
+    """Orthogonal projector onto the span of a list of matrices."""
+    U, _, _ = np.linalg.svd(np.array([X.ravel() for X in mats]).T, full_matrices=False)
+    return U @ U.T
+
+
+def test_g2_algebra_is_the_svd_construction(rng):
+    for phi in _moved_forms(rng, _SCALES):
+        s, o = G2Structure(phi), SVDStructure(phi)
+        psi = KForm(3, rng.normal(size=35) * np.abs(phi.coeffs).max())
+        assert _close(s.solve_Q(psi), o.solve_Q(psi))
+        assert _close(s.solve_Q_matrix(), o.solve_Q_matrix())
+        assert _close(s.jop(psi), o.jop(psi))
+        Q = rng.normal(size=(7, 7))
+        got, want = s.q_components(Q), o.q_components(Q)
+        assert _close([got[k] for k in want], list(want.values()))
+        assert _close(_projector(s.g2_basis), _projector(o.g2_basis))
+
+
+def test_torsion_forms_are_the_svd_construction(rng):
+    # consistent pairs, then pairs moved off by 1e-8 relative, so that the
+    # residual is more than rounding; differences in the metric norm, which
+    # the scale of the move leaves alone
+    for n, phi in enumerate(_moved_forms(rng, _SCALES)):
+        s, o = G2Structure(phi), SVDStructure(phi)
+        g = s.metric
+        c = rng.normal(size=(7, 7, 7))
+        mu = LieBracket(c - c.transpose(1, 0, 2), validate=False)
+        dphi, dpsi = ce_differential(mu, s.phi), ce_differential(mu, s.psi)
+        if n % 2:
+            off = random_kform(rng, 4)
+            dphi = dphi + off * (1e-8 * g.form_norm(dphi) / g.form_norm(off))
+        got, want = s.torsion_forms(dphi, dpsi), o.torsion_forms(dphi, dpsi)
+        scale = g.form_norm(dphi) + g.form_norm(dpsi)
+        for name in ("tau0", "tau1", "tau2", "tau3", "residual", "norm"):
+            a, b = getattr(got, name), getattr(want, name)
+            diff = g.form_norm(a - b) if isinstance(a, KForm) else abs(a - b)
+            assert diff <= 1e-12 * scale, name
+        assert (got.residual > 1e-10 * scale) == bool(n % 2)
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.where(np.arange(35) == 0, np.nan, phi_canonical().coeffs),
+    np.full(35, np.nan),
+    KForm.basis((1, 2, 3)).coeffs,
+    (phi_canonical() - KForm.basis((1, 2, 3))).coeffs,
+    np.zeros(35),
+], ids=["nan", "all-nan", "degenerate", "degenerate-g2", "zero"])
+def test_bad_forms_raise_a_typed_error(coeffs):
+    with pytest.raises(G2FlowError):
+        G2Structure(KForm(3, coeffs))
+
+
+def test_a_frame_that_misses_phi_canonical_raises(rng, monkeypatch):
+    phi = next(_moved_forms(rng, [1.0]))
+    monkeypatch.setattr(g2core, "_adapted_frame", lambda phi, g: g.frame())
+    with pytest.raises(SingularSystem, match="misses phi_canonical"):
+        G2Structure(phi)
+    monkeypatch.setattr(g2core, "_adapted_frame", lambda phi, g: np.full((7, 7), np.nan))
+    with pytest.raises(NonFiniteState):
+        G2Structure(phi)
+
+
+def test_no_svd_per_structure(rng, monkeypatch):
+    # the theta map's SVD is a constant of phi_canonical, taken once
+    G2Structure(random_positive_form(rng))
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kw):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for phi in _moved_forms(rng, _SCALES[:20]):
+        G2Structure(phi)
+    assert calls == []

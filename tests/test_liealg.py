@@ -11,6 +11,7 @@ from g2flow.exterior import DIM, INDEX_SETS, KForm, NFORMS, RANK, sort_sign
 from g2flow.flow import laplacian
 from g2flow.liealg import (
     PAIRS,
+    _PACK_POS,
     LieBracket,
     bracket_act,
     ce_differential,
@@ -203,6 +204,30 @@ def test_derivations_are_cached_read_only():
     assert not der.basis.flags.writeable
     with pytest.raises(ValueError):
         der.basis[0, 0, 0] = 1.0
+
+
+def test_derivations_delta_map_is_the_einsum(rng, monkeypatch):
+    # the 147 packed rows placed by index, byte for byte the rows kept from
+    # the full 343 x 49 map of three einsums; dense and sparse brackets
+    svd, seen = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kw):
+        seen.append(np.array(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    eye = np.eye(DIM)
+    for n in range(32):
+        c = rng.normal(size=(DIM, DIM, DIM))
+        if n % 2:
+            c *= rng.random(size=c.shape) < 0.2
+        mu = LieBracket(c - c.transpose(1, 0, 2), validate=False)
+        derivations(mu)
+        c = mu.c
+        want = (np.einsum("ib,ajk->ijkab", eye, c) + np.einsum("jb,iak->ijkab", eye, c)
+                - np.einsum("ka,ijb->ijkab", eye, c)).reshape(DIM ** 3, DIM * DIM)[_PACK_POS]
+        assert seen[-1].tobytes() == want.tobytes()
+    assert len(seen) == 32
 
 
 def test_derivations_abelian_is_everything():
