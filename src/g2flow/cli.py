@@ -260,15 +260,16 @@ def _build_parser():
         if name != "verify":
             q.add_argument("--input", help="path to a JSON file, or inline JSON")
         q.add_argument("--out", help="output path (default: stdout)")
+    opts = IntegratorOptions()  # the integrator's defaults are the flags' defaults
     for q in (parsers["flow"], parsers["aa-flow"]):
         q.add_argument("--format", choices=("csv", "json"), default="csv")
-        q.add_argument("--t-end", dest="t_end", type=float, default=10.0)
-        q.add_argument("--atol", type=float, default=1e-9)
-        q.add_argument("--rtol", type=float, default=1e-9)
-        q.add_argument("--h0", type=float, default=1e-3)
-        q.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
-        q.add_argument("--sample-every", dest="sample_every", type=int, default=10)
-    parsers["flow"].add_argument("--normalize", default="none",
+        q.add_argument("--t-end", dest="t_end", type=float, default=opts.t_end)
+        q.add_argument("--atol", type=float, default=opts.atol)
+        q.add_argument("--rtol", type=float, default=opts.rtol)
+        q.add_argument("--h0", type=float, default=opts.h0)
+        q.add_argument("--method", choices=("rk4", "rk45"), default=opts.method)
+        q.add_argument("--sample-every", dest="sample_every", type=int, default=opts.sample_every)
+    parsers["flow"].add_argument("--normalize", default=opts.normalize,
                                  choices=("none", "unit-bracket-norm"))
     return p
 

@@ -214,9 +214,11 @@ class Metric:
     factor o sqrt(det G), computed once, the Hodge star of each degree,
     built by :func:`hodge_matrix` on first use and cached read-only (so a
     metric may be shared across threads), and the inner product on forms.
+    The constructor is the one check of a gram matrix: finite, symmetric and
+    positive definite, by a Cholesky factor that :meth:`frame` reads.
     """
 
-    __slots__ = ("gram", "orientation", "volume", "_stars")
+    __slots__ = ("gram", "orientation", "volume", "_stars", "_cholesky")
 
     def __init__(self, gram, orientation=1):
         g = np.array(gram, dtype=float).reshape(DIM, DIM)
@@ -227,12 +229,13 @@ class Metric:
         atol = 1e-12 * max(1.0, float(a.max()))
         if not (np.abs(g - g.T) <= atol + 1e-5 * a.T).all():
             raise BadMetric("gram matrix must be symmetric")
-        if np.linalg.eigvalsh(g).min() <= 0:
-            raise BadMetric("gram matrix must be positive definite")
+        try:
+            L = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise BadMetric("gram matrix must be positive definite") from None
         if orientation not in (1, -1):
             raise BadMetric("orientation must be +1 or -1")
-        g.flags.writeable = False
-        self.gram = g
+        self.gram, self._cholesky = _frozen(g, L)
         self.orientation = int(orientation)
         #: o sqrt(det G), the coefficient of the volume form
         self.volume = self.orientation * np.sqrt(np.linalg.det(g))
@@ -243,11 +246,10 @@ class Metric:
         return cls(np.eye(DIM))
 
     def frame(self):
-        """Columns form an oriented orthonormal basis: M^T gram M = I."""
-        L = np.linalg.cholesky(self.gram)
-        M = np.linalg.inv(L).T
+        """Columns form an oriented orthonormal basis: M^T gram M = I, from
+        the Cholesky factor the constructor kept."""
+        M = np.linalg.inv(self._cholesky).T
         if self.orientation < 0:
-            M = M.copy()
             M[:, -1] *= -1.0
         return M
 
@@ -393,9 +395,10 @@ def theta(A, a: KForm) -> KForm:
     """
     if a.degree == 0:
         return KForm.zero(0)
-    A = np.asarray(A, dtype=float).reshape(DIM, DIM)
-    T = _theta_tensor(a.degree)
-    return KForm(a.degree, np.einsum("jabi,ab,i->j", T, A, a.coeffs))
+    A = np.asarray(A, dtype=float).reshape(DIM * DIM)
+    # einsum('jabi,ab,i->j', T, A, a) in two products: the form first, then A
+    TA = _theta_tensor(a.degree) @ a.coeffs
+    return KForm(a.degree, TA.reshape(NFORMS[a.degree], -1) @ A)
 
 
 def pullback_matrix(h, k: int) -> np.ndarray:

@@ -140,9 +140,9 @@ def _bracket_velocity(s: G2Structure):
     So u = (*d_y phi, *d_y psi) = M y, X = [i_m u] is a (7, 28) gather of u,
     and Delta_mu phi = *d*d phi - d*d* phi = -H4 W22 (Y X) + W21 (Y X): the
     2-forms of Y X wedged with those of X into 4-forms, then starred, and
-    with its 1-forms into 3-forms.  Q = P_Q Delta, P_Q being the Q solve as
-    one (49, 35) map (:meth:`G2Structure.solve_Q_matrix`, which raises
-    SingularSystem here if the solve is broken), folded with H4.  The
+    with its 1-forms into 3-forms.  Q = P_Q Delta, P_Q being the structure's
+    one (49, 35) map of the Q solve (:meth:`G2Structure.solve_Q_matrix`,
+    whose residual is checked once per process), folded with H4.  The
     packed velocity is -theta_2(Q) Y - Y Q^T.  The interior products,
     wedges and theta_2 are the index tables of :func:`_velocity_tables`.
     A non-finite Q raises NonFiniteState.

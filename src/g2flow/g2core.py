@@ -4,13 +4,14 @@ i/j maps, and torsion-form extraction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import (ComponentError, InconsistentTorsion, NonFiniteState, PositivityError,
-                     SingularSystem)
+from .errors import (BadMetric, ComponentError, InconsistentTorsion, NonFiniteState,
+                     PositivityError, SingularSystem)
 from .exterior import (
     DIM,
     KForm,
@@ -29,6 +30,8 @@ from .exterior import (
 )
 
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
+_LOG_RANGE = np.log([np.finfo(float).tiny, np.finfo(float).max])  # |det B| a normal float
+_NOT_DEFINITE = "induced bilinear form is not definite"
 
 def induced_bilinear(phi: KForm) -> np.ndarray:
     """The symmetric matrix B with B(u,v) e^{1..7} = (1/6) i_u(phi)^i_v(phi)^phi."""
@@ -42,28 +45,21 @@ def induced_bilinear(phi: KForm) -> np.ndarray:
 
 
 def metric_from_3form(phi: KForm) -> Metric:
-    """Recover the metric of a positive 3-form; its volume form is
-    ``metric.volume_form()``.
-
-    Raises PositivityError when the induced bilinear form is not definite
-    or not finite.
-    The bilinear form is rescaled so that the volume form is the metric
-    volume: g = det(B)^(-1/9) B.
-    """
-    B = induced_bilinear(phi)
-    if not np.isfinite(B).all():
+    """The metric g = |det B|^(-1/9) o B of a positive 3-form, o = sign det B
+    (in dimension 7, the sign of a definite B); only :class:`Metric` decides
+    that g is definite.  PositivityError: phi not finite, det B not a normal
+    float (B is cubic in phi), or B singular or not definite."""
+    if not np.isfinite(phi.coeffs).all():
         raise PositivityError("3-form coefficients must be finite")
-    eig = np.linalg.eigvalsh(B)
-    if eig[0] > 0:
-        orientation = 1
-    elif eig[-1] < 0:
-        orientation = -1
-        B = -B
-    else:
-        raise PositivityError("induced bilinear form is not definite")
-    detB = np.linalg.det(B)
-    gram = detB ** (-1.0 / 9.0) * B
-    return Metric(gram, orientation)
+    with np.errstate(over="ignore", invalid="ignore"):  # range checked below
+        B = induced_bilinear(phi)
+        o, logdet = np.linalg.slogdet(B)  # det B = o exp(logdet), as np.linalg.det has it
+    if not _LOG_RANGE[0] < logdet < _LOG_RANGE[1]:  # NaN fails too; o = 0 for a singular B
+        raise PositivityError(_NOT_DEFINITE if o == 0 else "3-form coefficients out of range")
+    try:
+        return Metric(math.exp(logdet) ** (-1.0 / 9.0) * (o * B), int(o))
+    except BadMetric:
+        raise PositivityError(_NOT_DEFINITE) from None
 
 
 def _sym0_basis():
@@ -108,7 +104,8 @@ def _canonical_tables():
     in q, the orthogonal complement of the kernel g2), bases of g2 and q,
     the q1/q7/q27 split of q, and phi_canonical with its star.  q7, the
     skew part of q, is spanned by the matrices phi(., ., v), each of
-    Frobenius norm sqrt(6).  Built once per process, read-only."""
+    Frobenius norm sqrt(6).  Built once per process, read-only.  A rank
+    below 35 or |T T^+ - I| above rounding raises SingularSystem, here only."""
     phi = phi_canonical()
     Tmap = np.einsum("jabi,i->jab", _theta_tensor(3), phi.coeffs).reshape(NFORMS[3], DIM * DIM)
     U, s, Vh = np.linalg.svd(Tmap)
@@ -116,11 +113,14 @@ def _canonical_tables():
     if rank != NFORMS[3]:
         raise SingularSystem(f"theta map has rank {rank}, expected {NFORMS[3]}")
     solve_op = (Vh[:rank].T / s) @ U.T
+    res = np.linalg.norm(Tmap @ solve_op - np.eye(rank))
+    if not res <= 1e-9 * np.sqrt(rank):  # NaN fails too
+        raise SingularSystem(f"Q solve residual {res:g}")
     g2_f, q_f = Vh[rank:].reshape(-1, DIM, DIM), Vh[:rank].reshape(rank, DIM, DIM)
     q7 = np.array([skew_from_form(KForm(2, c))
                    for c in _interior_table(3) @ phi.coeffs]) / np.sqrt(6.0)
     q_split = _frozen((np.eye(DIM) / np.sqrt(DIM))[None, :, :], q7, _sym0_basis())
-    return _frozen(Tmap, solve_op, g2_f, q_f), q_split, phi, hodge_star(phi)
+    return _frozen(solve_op, g2_f, q_f), q_split, phi, hodge_star(phi)
 
 
 _CROSS_SIGNS = np.array([-1.0, -1.0, 1.0])  # f5, f6, f7 from phi(f4, f_a, .)
@@ -167,12 +167,13 @@ class G2Structure:
     algebra: the theta map and its pseudo-inverse, the g2 and q bases, the
     q1/q7/q27 split and phi and psi are constants of phi_canonical
     (:func:`_canonical_tables`), built once per process, and a structure
-    conjugates them by F.  Construction takes no SVD.  The Hodge dual psi
-    and the frame pullbacks of the torsion projections are filled in on
-    first use.  Like a ``LieBracket``'s cache they hold idempotent values
-    (a table built twice comes out the same), so instances may be shared
-    across threads.  What depends on the metric alone (Hodge stars, the
-    inner product on forms, adjoints) is read from ``metric``.
+    conjugates them by F.  Construction takes no SVD.  The Hodge dual psi,
+    the (49, 35) map of the Q solve and the frame pullbacks of the torsion
+    projections are filled in on first use.  Like a ``LieBracket``'s cache
+    they hold idempotent values (a table built twice comes out the same),
+    so instances may be shared across threads.  What depends on the metric
+    alone (Hodge stars, the inner product on forms, adjoints) is read from
+    ``metric``.
 
     Attributes:
         phi, psi: the 3-form and its Hodge dual 4-form.
@@ -191,8 +192,7 @@ class G2Structure:
         self._frame_inv = self.frame.T @ self.metric.gram
         # pullback by the frame: 3-form coefficients into frame coordinates
         self._P3 = pullback_matrix(self.frame, 3)
-        tables, self._q_split, phi_c, _ = _canonical_tables()
-        self._Tmap, self._solve_op, self._g2_f, self._q_f = tables
+        (self._solve_op, self._g2_f, self._q_f), self._q_split, phi_c, _ = _canonical_tables()
         miss = np.linalg.norm(self._P3 @ phi.coeffs - phi_c.coeffs)
         if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
             error = SingularSystem if np.isfinite(miss) else NonFiniteState
@@ -244,29 +244,25 @@ class G2Structure:
     # -- the Q operator ----------------------------------------------------
 
     def solve_Q(self, psi: KForm) -> np.ndarray:
-        """The unique Q in q with theta(Q) phi = psi, for any 3-form psi."""
+        """The unique Q in q with theta(Q) phi = psi, for any 3-form psi, by
+        :meth:`solve_Q_matrix`; a non-finite Q raises NonFiniteState."""
         if psi.degree != 3:
             raise ValueError("need a 3-form")
-        psi_f = self._P3 @ psi.coeffs
-        x = self._solve_op @ psi_f
-        res = np.linalg.norm(self._Tmap @ x - psi_f)
-        if not res <= 1e-9 * max(1.0, np.linalg.norm(psi_f)):  # NaN fails too
-            error = SingularSystem if np.isfinite(res) else NonFiniteState
-            raise error(f"Q solve residual {res:g}")
-        return self.frame @ x.reshape(DIM, DIM) @ self._frame_inv
+        Q = (self.solve_Q_matrix() @ psi.coeffs).reshape(DIM, DIM)
+        if not np.isfinite(Q).all():
+            raise NonFiniteState("non-finite Q")
+        return Q
 
     def solve_Q_matrix(self) -> np.ndarray:
-        """solve_Q as one (49, 35) matrix, from 3-form coefficients to Q
-        flattened.  theta(.) phi maps q onto the 3-forms, so the solve's
-        residual is rounding for every input: it is checked here once, on
-        the matrix, and a larger one raises SingularSystem."""
+        """The Q solve as one read-only (49, 35) matrix, built on first use:
+        Q = F X F^-1, X the canonical solve (checked once per process)."""
+        return self._q_map
+
+    @cached_property
+    def _q_map(self):
         P = self._solve_op @ self._P3
-        res = np.linalg.norm(self._Tmap @ P - self._P3)
-        if not res <= 1e-9 * max(1.0, np.linalg.norm(self._P3)):
-            raise SingularSystem(f"Q solve residual {res:g}")
-        # Q = F X F^-1 for X = P psi and F the frame
         PQ = self._frame_inv.T @ (self.frame @ P.reshape(DIM, -1)).reshape(DIM, DIM, -1)
-        return PQ.reshape(DIM * DIM, -1)
+        return _frozen(PQ.reshape(DIM * DIM, -1))
 
     def q_components(self, Q) -> dict:
         """Norms of the q1/q7/q27 components of an endomorphism in q."""

@@ -341,6 +341,19 @@ def test_theta_is_a_representation(rng):
         assert (lhs - rhs).norm() < 1e-10 * max(1.0, a.norm())
 
 
+def test_theta_is_the_einsum_definition(rng):
+    # theta_k(A) a = einsum('jabi,ab,i->j', T_k, A, a), contracted in one
+    # step; the error is measured against |A| |a|, the scale of the bilinear
+    # map, since theta_7(A) a = -tr(A) a cancels to zero for trace-free A
+    from g2flow.exterior import _theta_tensor
+    for k in range(1, 8):
+        for _ in range(50):
+            A, a = rng.normal(size=(7, 7)), random_kform(rng, k)
+            want = np.einsum("jabi,ab,i->j", _theta_tensor(k), A, a.coeffs)
+            err = np.abs(theta(A, a).coeffs - want).max()
+            assert err <= 1e-14 * np.linalg.norm(A) * a.norm(), k
+
+
 def test_theta_skew_is_skew_adjoint_on_three_forms(rng):
     for _ in range(20):
         X = rng.normal(size=(7, 7))

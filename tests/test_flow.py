@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
-from g2flow import flow
+from g2flow import flow, g2core
 from g2flow.corpus import (
     aa_n6_soliton,
     aa_n6_soliton_partner,
@@ -161,12 +161,19 @@ def test_compiled_velocity_refuses_a_non_finite_state(s_aa, rng, bad):
         velocity(y)
 
 
-def test_compiled_velocity_checks_the_q_solve_once(rng):
-    # a broken solver fails when the velocity is built, before any step
-    s = G2Structure(act(random_gl7(rng), aa.phi_almost_abelian()))
-    s._solve_op = np.zeros_like(s._solve_op)
-    with pytest.raises(SingularSystem):
-        _bracket_velocity(s)
+def test_compiled_velocity_checks_the_q_solve_once(monkeypatch):
+    # every compiled velocity reads its Q map from the canonical tables,
+    # whose solve is checked once per process, when they are built: an SVD
+    # that doubles U leaves the rank alone and makes T T^+ = 2 I, and fails
+    svd = np.linalg.svd
+
+    def corrupted(a, *args, **kw):
+        U, sv, Vh = svd(a, *args, **kw)
+        return 2.0 * U, sv, Vh
+
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    with pytest.raises(SingularSystem, match="residual"):
+        g2core._canonical_tables.__wrapped__()
 
 
 def test_a_run_and_its_reconstruction_build_the_velocity_once(monkeypatch, s_aa, rng):

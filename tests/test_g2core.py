@@ -158,15 +158,19 @@ def test_solve_q_matrix_is_solve_q(rng):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_solve_q_singular_system_surfaces(s_canonical):
-    import copy
+def test_solve_q_singular_system_surfaces(s_canonical, monkeypatch):
+    # the canonical solve's residual is checked once per process, where the
+    # tables are built: an SVD whose U is permuted keeps the rank but solves
+    # nothing, and fails there
+    svd = np.linalg.svd
 
-    broken = copy.copy(s_canonical)
-    broken._solve_op = np.zeros((49, 35))  # solves nothing: the residual check fires
-    with pytest.raises(SingularSystem):
-        broken.solve_Q(s_canonical.phi)
-    with pytest.raises(SingularSystem):
-        broken.solve_Q_matrix()
+    def corrupted(a, *args, **kw):
+        U, sv, Vh = svd(a, *args, **kw)
+        return U[:, ::-1], sv, Vh
+
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    with pytest.raises(SingularSystem, match="residual"):
+        g2core._canonical_tables.__wrapped__()
     with pytest.raises(SingularSystem):
         s_canonical.solve_Q(KForm(3, np.full(35, np.nan)))
 
@@ -395,7 +399,6 @@ class SVDStructure(G2Structure):
         U, s, Vh = np.linalg.svd(Tmap)
         rank = int(np.sum(s > 1e-8 * s[0]))
         assert rank == 35
-        self._Tmap = Tmap
         self._g2_f = Vh[rank:].reshape(-1, 7, 7)
         self._q_f = Vh[:rank].reshape(rank, 7, 7)
         self._solve_op = (Vh[:rank].T / s) @ U.T
@@ -473,13 +476,17 @@ def test_torsion_forms_are_the_svd_construction(rng):
         assert (got.residual > 1e-10 * scale) == bool(n % 2)
 
 
-@pytest.mark.parametrize("coeffs", [
+_BAD_FORMS = pytest.mark.parametrize("coeffs", [
     np.where(np.arange(35) == 0, np.nan, phi_canonical().coeffs),
     np.full(35, np.nan),
     KForm.basis((1, 2, 3)).coeffs,
     (phi_canonical() - KForm.basis((1, 2, 3))).coeffs,
     np.zeros(35),
-], ids=["nan", "all-nan", "degenerate", "degenerate-g2", "zero"])
+    (phi_canonical() - 2.0 * KForm.basis((1, 2, 3))).coeffs,
+], ids=["nan", "all-nan", "degenerate", "degenerate-g2", "zero", "indefinite"])
+
+
+@_BAD_FORMS
 def test_bad_forms_raise_a_typed_error(coeffs):
     with pytest.raises(G2FlowError):
         G2Structure(KForm(3, coeffs))
@@ -508,3 +515,82 @@ def test_no_svd_per_structure(rng, monkeypatch):
     for phi in _moved_forms(rng, _SCALES[:20]):
         G2Structure(phi)
     assert calls == []
+
+
+def test_one_cholesky_and_no_eigvalsh_per_structure(rng, monkeypatch):
+    # definiteness is decided once per build, by the metric's Cholesky
+    # factor, which the adapted frame reads again
+    G2Structure(random_positive_form(rng))
+    calls = []
+
+    def counted(name):
+        f = getattr(np.linalg, name)
+
+        def counting(*args, **kw):
+            calls.append(name)
+            return f(*args, **kw)
+        return counting
+
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for phi in _moved_forms(rng, _SCALES[:20]):
+        G2Structure(phi)
+    assert calls == ["cholesky"] * 20
+
+
+def metric_by_eigvalsh(phi):
+    """Oracle: the orientation and gram of the rule before the metric's
+    Cholesky factor decided definiteness, from the extreme eigenvalues of B."""
+    B = induced_bilinear(phi)
+    if not np.isfinite(B).all():
+        raise PositivityError("3-form coefficients must be finite")
+    eig = np.linalg.eigvalsh(B)
+    if eig[0] > 0:
+        orientation = 1
+    elif eig[-1] < 0:
+        orientation = -1
+        B = -B
+    else:
+        raise PositivityError("induced bilinear form is not definite")
+    return orientation, np.linalg.det(B) ** (-1.0 / 9.0) * B
+
+
+def test_metric_recovery_is_the_eigvalsh_rule(rng):
+    # GL(7)-moved forms of both orientations, the moves scaled 1e-3 to 1e3:
+    # the same orientation and the same gram, bit for bit
+    orientations = set()
+    for phi in _moved_forms(rng, np.logspace(-3, 3, 200)):
+        o, gram = metric_by_eigvalsh(phi)
+        g = metric_from_3form(phi)
+        assert g.orientation == o
+        assert g.gram.tobytes() == gram.tobytes()
+        orientations.add(o)
+    assert orientations == {1, -1}
+
+
+@_BAD_FORMS
+def test_metric_recovery_refuses_what_the_eigvalsh_rule_refuses(coeffs):
+    # the same error, message included
+    phi = KForm(3, coeffs)
+    with pytest.raises(PositivityError) as want:
+        metric_by_eigvalsh(phi)
+    with pytest.raises(PositivityError) as got:
+        metric_from_3form(phi)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("scale, cause", [
+    (1e20, "out of range"), (1e40, "out of range"), (1e120, "out of range"),
+    (1e-20, "out of range"), (1e-40, "out of range"), (np.inf, "finite"), (np.nan, "finite"),
+])
+def test_out_of_range_forms_raise_a_typed_error(scale, cause):
+    # phi is checked for finiteness before any arithmetic, and B and det B
+    # are formed with their floating-point warnings off and their range
+    # checked: under the suite's warnings-as-errors no RuntimeWarning escapes
+    coeffs = phi_canonical().coeffs.copy()
+    if np.isfinite(scale):
+        coeffs *= scale
+    else:
+        coeffs[4] = scale
+    with pytest.raises(PositivityError, match=cause):
+        G2Structure(KForm(3, coeffs))
