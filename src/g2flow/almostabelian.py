@@ -136,13 +136,12 @@ class AAMatrix:
     def norm_sq(self) -> float:
         return float(np.sum(self.A ** 2))
 
-    def is_skew(self, tol=FLAG_TOL) -> bool:
+    def is_skew(self) -> bool:
         return bool(np.linalg.norm(self.A + self.A.T)
-                    <= tol * max(1.0, np.linalg.norm(self.A)))
+                    <= FLAG_TOL * max(1.0, np.linalg.norm(self.A)))
 
-    def to_json_dict(self, basis="paper"):
-        A = self.A if basis == "paper" else self.natural
-        return {"A": A.tolist(), "basis": basis}
+    def to_json_dict(self):
+        return {"A": self.A.tolist(), "basis": "paper"}
 
 
 def _as_aa(A) -> AAMatrix:
@@ -157,9 +156,9 @@ def bracket_of(aa) -> LieBracket:
     return LieBracket.from_adjoint(aa.natural)
 
 
-def build(A, basis="paper"):
+def build(A):
     """Assemble (matrix, bracket, fixed structure) for a 6x6 matrix."""
-    aa = AAMatrix.from_matrix(A, basis=basis) if not isinstance(A, AAMatrix) else A
+    aa = _as_aa(A)
     return aa, bracket_of(aa), structure()
 
 
@@ -445,13 +444,13 @@ class EquivalenceReport:
     spectra_match: bool | None = None
 
 
-def _spectra_match(A, B, tol=1e-8):
+def _spectra_match(A, B):
     """Necessary condition: Spec(B) equals Spec(A) or its conjugate."""
     ea = np.sort_complex(np.linalg.eigvals(real_to_complex(A)))
     eb = np.sort_complex(np.linalg.eigvals(real_to_complex(B)))
     scale = max(1.0, float(np.abs(ea).max()), float(np.abs(eb).max()))
-    direct = np.abs(ea - eb).max() <= tol * scale
-    conj = np.abs(np.sort_complex(ea.conj()) - eb).max() <= tol * scale
+    direct = np.abs(ea - eb).max() <= 1e-8 * scale
+    conj = np.abs(np.sort_complex(ea.conj()) - eb).max() <= 1e-8 * scale
     return bool(direct or conj)
 
 

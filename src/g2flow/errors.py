@@ -18,7 +18,7 @@ class PositivityError(G2FlowError):
 
 
 class SingularSystem(G2FlowError):
-    """The restricted theta-map is numerically rank deficient."""
+    """A map that must be inverted is rank deficient: the theta map, a pullback's h."""
 
 
 class NonFiniteState(SingularSystem):

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .errors import BadMetric, DegreeUnderflow
+from .errors import BadMetric, DegreeUnderflow, SingularSystem
 
 DIM = 7
 
@@ -179,9 +179,9 @@ class KForm:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self, tol=0.0):
+    def to_json_dict(self):
         return {"degree": self.degree,
-                "terms": [{"idx": list(idx), "c": v} for idx, v in self.terms(tol)]}
+                "terms": [{"idx": list(idx), "c": v} for idx, v in self.terms()]}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -414,7 +414,7 @@ def pullback_matrix(h, k: int) -> np.ndarray:
     det h[J^c, I^c] = det h * eps_I eps_J * det (h^-1)[I, J],
     with eps the signs of the identity-metric star S_{7-k}; in matrix form
     P_k(h) = det h * S_{7-k} P_{7-k}(h^-1)^T S_{7-k}^T, so h must be
-    invertible there.  Degree 7 is det h.
+    invertible there: a singular h raises SingularSystem.  Degree 7 is det h.
     """
     if k == 0:
         return np.ones((1, 1))
@@ -430,8 +430,12 @@ def pullback_matrix(h, k: int) -> np.ndarray:
     deth = np.linalg.det(h)
     if k == DIM:
         return np.array([[deth]])
+    try:
+        hinv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        raise SingularSystem(f"the pullback of degree {k} inverts h, which is singular") from None
     S = _star_table(DIM - k)
-    return deth * (S @ pullback_matrix(np.linalg.inv(h), DIM - k).T @ S.T)
+    return deth * (S @ pullback_matrix(hinv, DIM - k).T @ S.T)
 
 
 def pullback(h, a: KForm) -> KForm:
@@ -444,15 +448,7 @@ def act(h, a: KForm) -> KForm:
     return pullback(np.linalg.inv(np.asarray(h, dtype=float)), a)
 
 
-def _as_metric(g):
-    if g is None:
-        return None
-    if isinstance(g, Metric):
-        return g
-    return Metric(g)
-
-
-def hodge_matrix(g, k: int) -> np.ndarray:
+def hodge_matrix(g: Metric | None, k: int) -> np.ndarray:
     """Hodge star on degree k for the metric g, as a coefficient matrix.
 
     With G the gram matrix, o the orientation and S_k the identity-metric
@@ -465,18 +461,17 @@ def hodge_matrix(g, k: int) -> np.ndarray:
     """
     if g is None:
         return _star_table(k)
-    g = _as_metric(g)
     if k <= 3:
         raised = pullback_matrix(np.linalg.inv(g.gram), k)
         return g.volume * (_star_table(k) @ raised)
     return (1.0 / g.volume) * (pullback_matrix(g.gram, DIM - k) @ _star_table(k))
 
 
-def hodge_star(a: KForm, g=None) -> KForm:
-    """Hodge star of a k-form for the metric g: a Metric, whose cached star
-    is read, a gram matrix, or None for the identity metric with positive
-    orientation (the signed complement table)."""
-    H = _star_table(a.degree) if g is None else _as_metric(g).star_matrix(a.degree)
+def hodge_star(a: KForm, g: Metric | None = None) -> KForm:
+    """Hodge star of a k-form for the metric g, whose cached star is read, or
+    for the identity metric with positive orientation (the signed complement
+    table) when g is None."""
+    H = _star_table(a.degree) if g is None else g.star_matrix(a.degree)
     return KForm(DIM - a.degree, H @ a.coeffs)
 
 

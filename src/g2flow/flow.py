@@ -171,6 +171,11 @@ def _bracket_velocity(s: G2Structure):
     return velocity
 
 
+def _bracket_norm(y):
+    """|mu| of the packed constants at the head of a flat state y."""
+    return math.sqrt(2.0) * float(np.linalg.norm(y[:NCONST]))
+
+
 def bracket_flow(mu0: LieBracket, s: G2Structure,
                  opts: IntegratorOptions | None = None) -> FlowTrajectory:
     """Integrate d mu/dt = delta_mu(Q_mu) with the 3-form held fixed."""
@@ -183,14 +188,11 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
             vel = vel - (vel @ y) / max(y @ y, 1e-300) * y
         return vel
 
-    def norm_of(y):
-        return math.sqrt(2.0) * float(np.linalg.norm(y))
-
     def make_sample(t, y):
         mu = LieBracket(unpack_constants(y), validate=False)
         return _flow_sample(t, mu, s)
 
-    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, norm_of)
+    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, _bracket_norm)
     return FlowTrajectory(run.samples, run.status, s, velocity, mu0, opts)
 
 
@@ -266,12 +268,11 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         raise ValueError("equivalence maps link the unnormalized flows only")
     s, velocity, mu0, opts = traj.structure, traj.velocity, traj.mu0, traj.opts
     phi_c = s.phi.coeffs
-    n_mu = NCONST
 
     def rhs(t, y):
-        h = y[n_mu:n_mu + 49].reshape(DIM, DIM)
-        phi_d = y[n_mu + 49:]
-        Qmu, dmu = velocity(y[:n_mu])
+        h = y[NCONST:NCONST + 49].reshape(DIM, DIM)
+        phi_d = y[NCONST + 49:]
+        Qmu, dmu = velocity(y[:NCONST])
         if side == "ii":
             lap = laplacian(mu0, metric_from_3form(KForm(3, phi_d)), phi_d)[0]
             dh = -Qmu @ h
@@ -281,19 +282,16 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
             dh = -h @ st.solve_Q(KForm(3, lap))
         return np.concatenate([dmu, dh.reshape(-1), lap])
 
-    def norm_of(y):  # the bracket's norm, as in bracket_flow
-        return math.sqrt(2.0) * float(np.linalg.norm(y[:n_mu]))
-
     def make_sample(t, y):
-        h = y[n_mu:n_mu + 49].reshape(DIM, DIM)
-        phi_d = y[n_mu + 49:]
+        h = y[NCONST:NCONST + 49].reshape(DIM, DIM)
+        phi_d = y[NCONST + 49:]
         phi_pulled = pullback_matrix(h, 3) @ phi_c  # h(t)^{-1} . phi
-        mu_res = bracket_act(h, mu0.c) - unpack_constants(y[:n_mu])
+        mu_res = bracket_act(h, mu0.c) - unpack_constants(y[:NCONST])
         return HSample(t, h.copy(), float(np.linalg.norm(phi_pulled - phi_d)),
                        float(np.sqrt(np.sum(mu_res ** 2))))
 
     y0 = np.concatenate([mu0.packed().reshape(-1), np.eye(DIM).reshape(-1), phi_c])
-    run = drive(rhs, y0, opts, make_sample, norm_of)
+    run = drive(rhs, y0, opts, make_sample, _bracket_norm)
     return HReconstruction(run.samples, run.status, side)
 
 
@@ -301,10 +299,10 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
 # soliton detection
 # ---------------------------------------------------------------------------
 
-def _fit_soliton(kind, mu, s, threshold, project, lap, dphi, dpsi):
+def _fit_soliton(kind, mu, s, project, lap, dphi, dpsi):
     """Least-squares fit of Q over the family {c I + project(D) : D a
     derivation}; a certificate of the given kind when the residual is below
-    threshold, relative to |Q|.  lap, dphi and dpsi are as laplacian returns
+    1e-7, relative to |Q|.  lap, dphi and dpsi are as laplacian returns
     them for s.phi."""
     Q = s.solve_Q(KForm(3, lap))
     scale = max(1.0, float(np.linalg.norm(Q)))
@@ -318,7 +316,7 @@ def _fit_soliton(kind, mu, s, threshold, project, lap, dphi, dpsi):
     A = np.array(cols).T
     x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
     residual = float(np.linalg.norm(A @ x - Q.reshape(-1)))
-    if residual >= threshold * scale:
+    if residual >= 1e-7 * scale:
         return SolitonCertificate("none", float("nan"),
                                   np.full((DIM, DIM), np.nan), residual, "none")
     c = float(x[0])
@@ -326,15 +324,13 @@ def _fit_soliton(kind, mu, s, threshold, project, lap, dphi, dpsi):
     return SolitonCertificate(kind, c, D, residual, _soliton_label(kind, c, scale))
 
 
-def detect_algebraic(mu: LieBracket, s: G2Structure,
-                     threshold: float = 1e-7) -> SolitonCertificate:
+def detect_algebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
     """Least-squares fit of Q over the family {c I + D : D a derivation}."""
-    return _fit_soliton("algebraic", mu, s, threshold, lambda D: D,
+    return _fit_soliton("algebraic", mu, s, lambda D: D,
                         *laplacian(mu, s.metric, s.phi.coeffs))
 
 
-def detect_semialgebraic(mu: LieBracket, s: G2Structure,
-                         threshold: float = 1e-7) -> SolitonCertificate:
+def detect_semialgebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
     """Fit of Q over {c I + (D + D^t)/2 : D a derivation}, closed case only.
 
     On success the skew part (D - D^t)/2, the rotation generator of the
@@ -342,15 +338,15 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure,
     lap, dphi, dpsi = laplacian(mu, s.metric, s.phi.coeffs)
     if not _closed(s, dphi):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    cert = _fit_soliton("semi-algebraic", mu, s, threshold, s.sym_part, lap, dphi, dpsi)
+    cert = _fit_soliton("semi-algebraic", mu, s, s.sym_part, lap, dphi, dpsi)
     if cert.kind == "semi-algebraic":
         cert = replace(cert, skew=0.5 * (cert.D - s.metric.transpose(cert.D)))
     return cert
 
 
-def lf_diagonal_test(traj: Trajectory, rel_tol: float = 1e-6) -> bool:
-    """True when the sampled Q operators pairwise commute, i.e. are
-    simultaneously diagonalizable (they are symmetric in the closed case)."""
+def lf_diagonal_test(traj: Trajectory) -> bool:
+    """True when the sampled Q operators pairwise commute to 1e-6 relative,
+    i.e. are simultaneously diagonalizable (symmetric in the closed case)."""
     Qs = [smp.Q for smp in traj.samples]
     for i in range(len(Qs)):
         ni = np.linalg.norm(Qs[i])
@@ -360,6 +356,6 @@ def lf_diagonal_test(traj: Trajectory, rel_tol: float = 1e-6) -> bool:
             nj = np.linalg.norm(Qs[j])
             if nj < 1e-14:
                 continue
-            if np.linalg.norm(Qs[i] @ Qs[j] - Qs[j] @ Qs[i]) >= rel_tol * ni * nj:
+            if np.linalg.norm(Qs[i] @ Qs[j] - Qs[j] @ Qs[i]) >= 1e-6 * ni * nj:
                 return False
     return True

@@ -54,8 +54,11 @@ def metric_from_3form(phi: KForm) -> Metric:
     with np.errstate(over="ignore", invalid="ignore"):  # range checked below
         B = induced_bilinear(phi)
         o, logdet = np.linalg.slogdet(B)  # det B = o exp(logdet), as np.linalg.det has it
-    if not _LOG_RANGE[0] < logdet < _LOG_RANGE[1]:  # NaN fails too; o = 0 for a singular B
-        raise PositivityError(_NOT_DEFINITE if o == 0 else "3-form coefficients out of range")
+    if not _LOG_RANGE[0] < logdet < _LOG_RANGE[1]:  # NaN fails too
+        # o = 0 for a singular B, and for one that underflowed; B(phi / max|phi|) cannot
+        s = np.abs(phi.coeffs).max()
+        singular = o == 0 and (s == 0 or np.linalg.slogdet(induced_bilinear(phi / s))[0] == 0)
+        raise PositivityError(_NOT_DEFINITE if singular else "3-form coefficients out of range")
     try:
         return Metric(math.exp(logdet) ** (-1.0 / 9.0) * (o * B), int(o))
     except BadMetric:

@@ -55,12 +55,14 @@ class LieBracket:
     The bracket norm convention is |mu|^2 = sum over all ordered pairs
     (i,j) and k of (c_ij^k)^2, i.e. twice the sum over increasing pairs.
     The constants are read-only, so a bracket caches what is derived from
-    them: the CE matrices by degree and its derivation space.
+    them: the CE matrices by degree, its derivation space and its Jacobi
+    residual, which the constructor checks unless validate is False (as for
+    the brackets that the group actions and the flows derive).
     """
 
-    __slots__ = ("c", "jacobi", "_cache")
+    __slots__ = ("c", "_cache")
 
-    def __init__(self, c, tol=JACOBI_TOL, validate=True):
+    def __init__(self, c, validate=True):
         c = np.array(c, dtype=float).reshape(DIM, DIM, DIM)
         if not np.isfinite(c).all():
             raise InvalidBracket("structure constants must be finite")
@@ -68,13 +70,11 @@ class LieBracket:
         if anti > 1e-12 * max(1.0, np.abs(c).max()):
             raise InvalidBracket(f"constants not antisymmetric (defect {anti:g})")
         c = 0.5 * (c - c.transpose(1, 0, 2))
-        res = jacobi_residual(c)
-        if validate and res > tol:
-            raise InvalidBracket(f"Jacobi residual {res:g} exceeds {tol:g}")
         c.flags.writeable = False
         self.c = c
-        self.jacobi = res
         self._cache = {}
+        if validate and self.jacobi > JACOBI_TOL:
+            raise InvalidBracket(f"Jacobi residual {self.jacobi:g} exceeds {JACOBI_TOL:g}")
 
     # -- constructors ------------------------------------------------------
 
@@ -83,7 +83,7 @@ class LieBracket:
         return cls(np.zeros((DIM, DIM, DIM)))
 
     @classmethod
-    def from_terms(cls, terms, **kw):
+    def from_terms(cls, terms):
         """Build from {(i,j,k): v} with 1-based indices, i < j."""
         c = np.zeros((DIM, DIM, DIM))
         for (i, j, k), v in terms.items():
@@ -91,20 +91,26 @@ class LieBracket:
                 raise InvalidBracket(f"bad index triple {(i, j, k)}")
             c[i - 1, j - 1, k - 1] += v
             c[j - 1, i - 1, k - 1] -= v
-        return cls(c, **kw)
+        return cls(c)
 
     @classmethod
-    def from_adjoint(cls, A, index=DIM, **kw):
-        """Bracket with abelian complement of e_index and ad e_index = A."""
+    def from_adjoint(cls, A):
+        """Bracket with abelian complement of e_7 and ad e_7 = A."""
         A = np.asarray(A, dtype=float)
         n = A.shape[0]
         c = np.zeros((DIM, DIM, DIM))
-        for j in range(n):
-            c[index - 1, j, :n] = A[:, j]
-            c[j, index - 1, :n] = -A[:, j]
-        return cls(c, **kw)
+        c[DIM - 1, :n, :n] = A.T
+        c[:n, DIM - 1, :n] = -A.T
+        return cls(c)
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def jacobi(self) -> float:
+        """Max-norm Jacobi defect of the constants, computed on first read."""
+        if "jacobi" not in self._cache:
+            self._cache["jacobi"] = jacobi_residual(self.c)
+        return self._cache["jacobi"]
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.c ** 2)))
@@ -112,30 +118,30 @@ class LieBracket:
     def packed(self) -> np.ndarray:
         return pack_constants(self.c)
 
-    def is_zero(self, tol=1e-14) -> bool:
-        return bool(np.abs(self.c).max() <= tol)
+    def is_zero(self) -> bool:
+        return bool(np.abs(self.c).max() <= 1e-14)
 
     def __repr__(self):
         return f"LieBracket(|mu|={self.norm():g}, jacobi={self.jacobi:g})"
 
     # -- group actions -----------------------------------------------------
 
-    def act(self, h, validate=False) -> "LieBracket":
+    def act(self, h) -> "LieBracket":
         """Basis change h . mu = h mu(h^{-1} ., h^{-1} .)."""
-        return LieBracket(bracket_act(h, self.c), validate=validate)
+        return LieBracket(bracket_act(h, self.c), validate=False)
 
-    def scale(self, s, validate=False) -> "LieBracket":
-        return LieBracket(s * self.c, validate=validate)
+    def scale(self, s) -> "LieBracket":
+        return LieBracket(s * self.c, validate=False)
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self, tol=0.0):
+    def to_json_dict(self):
         return {"c": [{"i": i, "j": j, "k": k, "v": float(v)}
                       for (i, j), row in zip(PAIRS, self.packed())
-                      for k, v in enumerate(row, 1) if abs(v) > tol]}
+                      for k, v in enumerate(row, 1) if v != 0.0]}
 
     @classmethod
-    def from_json_dict(cls, data, **kw):
+    def from_json_dict(cls, data):
         if not (isinstance(data, dict) and is_object_list(data.get("c"))):
             raise InvalidBracket("'c' must be a list of objects")
         terms = {}
@@ -149,7 +155,7 @@ class LieBracket:
             if pair in terms:
                 raise InvalidBracket(f"c[{n}] repeats an earlier i, j, k, got {json.dumps(t)}")
             terms[pair] = (key, v)
-        return cls.from_terms(dict(terms.values()), **kw)
+        return cls.from_terms(dict(terms.values()))
 
 
 def bracket_act(h, c) -> np.ndarray:
@@ -255,11 +261,11 @@ class DerivationSpace:
     basis: np.ndarray  # (dim, 7, 7)
     dim: int
 
-    def contains(self, D, tol=1e-8) -> bool:
+    def contains(self, D) -> bool:
         v = np.asarray(D, dtype=float).reshape(-1)
         proj = (self.basis.reshape(self.dim, -1).T
                 @ (self.basis.reshape(self.dim, -1) @ v))
-        return bool(np.linalg.norm(proj - v) <= tol * max(1.0, np.linalg.norm(v)))
+        return bool(np.linalg.norm(proj - v) <= 1e-8 * max(1.0, np.linalg.norm(v)))
 
 
 def derivations(mu: LieBracket) -> DerivationSpace:
@@ -299,7 +305,7 @@ def ricci(mu: LieBracket, g: Metric | None = None):
     if g is None:
         g = Metric.identity()
     M = g.frame()
-    chat = bracket_act(np.linalg.inv(M), mu.c if isinstance(mu, LieBracket) else mu)
+    chat = bracket_act(np.linalg.inv(M), mu.c)
     # Koszul: <nabla_i e_j, e_k> = (c_ijk - c_ikj - c_jki) / 2
     gamma = 0.5 * (chat - np.einsum("ikj->ijk", chat) - np.einsum("jki->ijk", chat))
     N = np.einsum("ijk->ikj", gamma)  # N[i] acts on coordinates: (N_i)_{kj}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
-from g2flow import flow, g2core
+from g2flow import flow, g2core, liealg
 from g2flow.corpus import (
     aa_n6_soliton,
     aa_n6_soliton_partner,
@@ -37,6 +37,7 @@ from g2flow.liealg import (
     bracket_act,
     ce_differential,
     delta_mu,
+    jacobi_residual,
     pack_constants,
     unpack_constants,
 )
@@ -209,6 +210,24 @@ def test_bracket_flow_preserves_jacobi(s_aa, rng):
     mu0 = aa.bracket_of(random_sl3c(rng))
     traj = bracket_flow(mu0, s_aa, IntegratorOptions(t_end=2.0, sample_every=10))
     assert max(s.mu.jacobi for s in traj.samples) < 1e-7
+
+
+def test_bracket_flow_computes_no_jacobi_residual(s_aa, rng, monkeypatch):
+    # a sample's bracket derives from the checked start, so the run computes
+    # no Jacobi residual; a sample computes its own when it is read, once
+    mu0 = aa.bracket_of(random_sl3c(rng))
+    calls = []
+
+    def counting(c):
+        calls.append(1)
+        return jacobi_residual(c)
+
+    monkeypatch.setattr(liealg, "jacobi_residual", counting)
+    traj = bracket_flow(mu0, s_aa, IntegratorOptions(t_end=1.0, sample_every=2))
+    assert len(traj.samples) > 2 and calls == []
+    for smp in traj.samples:
+        assert smp.mu.jacobi == jacobi_residual(smp.mu.c) == smp.mu.jacobi
+    assert len(calls) == len(traj.samples)
 
 
 def test_backward_blowup_detected(s_nilpotent):

@@ -149,13 +149,19 @@ def test_solve_q_on_random_positive_forms(rng):
 
 
 def test_solve_q_matrix_is_solve_q(rng):
-    # one (49, 35) map in place of the solve, the same to rounding
+    # the (49, 35) map that solve_Q applies gives the Q of the solve's
+    # definition, checked apart from the map: theta(Q) phi = psi, with Q in
+    # the span of q_basis
     for _ in range(3):
         s = G2Structure(random_positive_form(rng))
         psi = random_kform(rng, 3)
-        want = s.solve_Q(psi).reshape(-1)
-        got = s.solve_Q_matrix() @ psi.coeffs
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        Q = (s.solve_Q_matrix() @ psi.coeffs).reshape(7, 7)
+        miss = np.abs(theta(Q, s.phi).coeffs - psi.coeffs).max()
+        assert miss <= 1e-12 * np.abs(psi.coeffs).max()
+        q = np.array([X.ravel() for X in s.q_basis]).T
+        x, *_ = np.linalg.lstsq(q, Q.ravel(), rcond=None)
+        assert np.abs(q @ x - Q.ravel()).max() <= 1e-12 * np.abs(Q).max()
+        assert np.array_equal(s.solve_Q(psi), Q)
 
 
 def test_solve_q_singular_system_surfaces(s_canonical, monkeypatch):
@@ -581,7 +587,8 @@ def test_metric_recovery_refuses_what_the_eigvalsh_rule_refuses(coeffs):
 
 @pytest.mark.parametrize("scale, cause", [
     (1e20, "out of range"), (1e40, "out of range"), (1e120, "out of range"),
-    (1e-20, "out of range"), (1e-40, "out of range"), (np.inf, "finite"), (np.nan, "finite"),
+    (1e-20, "out of range"), (1e-40, "out of range"), (1e-120, "out of range"),
+    (np.inf, "finite"), (np.nan, "finite"),
 ])
 def test_out_of_range_forms_raise_a_typed_error(scale, cause):
     # phi is checked for finiteness before any arithmetic, and B and det B

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
+from g2flow import liealg
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import InvalidBracket
 from g2flow.exterior import DIM, INDEX_SETS, KForm, NFORMS, RANK, sort_sign
@@ -49,6 +50,33 @@ def test_jacobi_perturbation_is_positive(rng):
     assert jacobi_residual(pert) > 1e-3
     with pytest.raises(InvalidBracket):
         LieBracket(pert)
+
+
+def test_jacobi_is_checked_where_outside_data_enters(rng, monkeypatch):
+    # the constructors of outside data check Jacobi; a bracket derived from
+    # a checked one computes its residual when the residual is read, once
+    terms = {(1, 2, 3): 1.0, (3, 4, 1): 1.0}  # Jacobi(e1, e2, e4) = -e1
+    A = np.zeros((7, 7))
+    A[6, 0] = A[1, 1] = 1.0  # ad e7 leaves span(e1..e6)
+    data = {"c": [{"i": i, "j": j, "k": k, "v": v} for (i, j, k), v in terms.items()]}
+    mu = mu_nilpotent(1.0, 2.0, 3.0, 4.0)
+    calls = []
+
+    def counting(c):
+        calls.append(1)
+        return jacobi_residual(c)
+
+    monkeypatch.setattr(liealg, "jacobi_residual", counting)
+    derived = [mu.act(random_gl7(rng)), mu.scale(2.0), LieBracket(mu.c, validate=False)]
+    assert calls == []
+    for nu in derived:
+        assert nu.jacobi == jacobi_residual(nu.c) == nu.jacobi
+    assert len(calls) == 3
+    for build in (lambda: LieBracket.from_terms(terms), lambda: LieBracket.from_adjoint(A),
+                  lambda: LieBracket.from_json_dict(data)):
+        with pytest.raises(InvalidBracket, match="Jacobi"):
+            build()
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("validate", [True, False])
