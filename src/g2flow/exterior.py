@@ -289,6 +289,7 @@ class Metric:
 # ---------------------------------------------------------------------------
 
 _ALTERNATING = np.array([1.0, -1.0, 1.0])
+_NORMAL = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _frozen(*arrays):
@@ -415,6 +416,9 @@ def pullback_matrix(h, k: int) -> np.ndarray:
     with eps the signs of the identity-metric star S_{7-k}; in matrix form
     P_k(h) = det h * S_{7-k} P_{7-k}(h^-1)^T S_{7-k}^T, so h must be
     invertible there: a singular h raises SingularSystem.  Degree 7 is det h.
+    det h leaves the normal floats long before the minors do (det(1e-50 I)
+    is 1e-350); then degrees 4-7 take the route for 2^e h, whose largest
+    entry is about 1, and scale back by 2^(-ek), exactly.
     """
     if k == 0:
         return np.ones((1, 1))
@@ -427,15 +431,57 @@ def pullback_matrix(h, k: int) -> np.ndarray:
             P = _ALTERNATING[:j] @ (flat[entry] * P.ravel()[minor])
             P = P.reshape(NFORMS[j], NFORMS[j])
         return P
-    deth = np.linalg.det(h)
+    e = 0
+    with np.errstate(over="ignore"):  # out of range: h is scaled below
+        deth = np.linalg.det(h)
+    if not _NORMAL[0] <= abs(deth) <= _NORMAL[1]:  # NaN fails too
+        e = -int(np.frexp(np.abs(h).max())[1])  # 0 when h is zero or not finite
+        if e:
+            h = np.ldexp(h, e)
+            deth = np.linalg.det(h)
     if k == DIM:
-        return np.array([[deth]])
+        P = np.array([[deth]])
+    else:
+        S = _star_table(DIM - k)
+        hinv = inverse(h, f"the pullback of degree {k} inverts h")
+        P = deth * (S @ pullback_matrix(hinv, DIM - k).T @ S.T)
+    if e:
+        with np.errstate(over="ignore"):  # a minor beyond the floats is inf
+            P = np.ldexp(P, -e * k)
+    return P
+
+
+def inverse(h, what="the action inverts h") -> np.ndarray:
+    """h^-1 for a 7x7 matrix h; a singular h raises SingularSystem, whose
+    message starts with what."""
     try:
-        hinv = np.linalg.inv(h)
+        return np.linalg.inv(np.asarray(h, dtype=float))
     except np.linalg.LinAlgError:
-        raise SingularSystem(f"the pullback of degree {k} inverts h, which is singular") from None
-    S = _star_table(DIM - k)
-    return deth * (S @ pullback_matrix(hinv, DIM - k).T @ S.T)
+        raise SingularSystem(f"{what}, which is singular") from None
+
+
+@functools.cache
+def _tensor_table():
+    """Flat gathers between 3-form coefficients c and the antisymmetric
+    (7, 7, 7) tensor of the form: the tensor is [0, c, -c][source], and the
+    coefficients are its entries at increasing (i, j, k), flat at rows."""
+    source = np.zeros(DIM ** 3, dtype=np.intp)
+    for word in itertools.permutations(range(1, DIM + 1), 3):
+        srt, sign = sort_sign(word)
+        source[np.ravel_multi_index(np.array(word) - 1, (DIM,) * 3)] = (
+            1 + RANK[3][srt] + (NFORMS[3] if sign < 0 else 0))
+    rows = np.ravel_multi_index((np.array(INDEX_SETS[3]) - 1).T, (DIM,) * 3)
+    return _frozen(source, rows)
+
+
+def pullback3(h, c) -> np.ndarray:
+    """pullback_matrix(h, 3) @ c for one 3-form's coefficients c, without
+    the matrix: the form's tensor contracted with h in each slot, by three
+    products of 7x7 matrices."""
+    source, rows = _tensor_table()
+    T = np.concatenate(([0.0], c, -c))[source].reshape(DIM * DIM, DIM)
+    x = h.T @ (T @ h).reshape(DIM, DIM, DIM)  # the last two slots
+    return (h.T @ x.reshape(DIM, -1)).reshape(-1)[rows]
 
 
 def pullback(h, a: KForm) -> KForm:
@@ -445,7 +491,7 @@ def pullback(h, a: KForm) -> KForm:
 
 def act(h, a: KForm) -> KForm:
     """Left GL(7) action h . a = a(h^{-1}.,...,h^{-1}.)."""
-    return pullback(np.linalg.inv(np.asarray(h, dtype=float)), a)
+    return pullback(inverse(h), a)
 
 
 def hodge_matrix(g: Metric | None, k: int) -> np.ndarray:

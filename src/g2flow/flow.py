@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import NonFiniteState, NotClosed
 from .exterior import (DIM, NFORMS, KForm, Metric, _frozen, _theta_tensor, _wedge_table,
-                       pullback_matrix)
-from .g2core import G2Structure, metric_from_3form
+                       phi_canonical, pullback3, pullback_matrix)
+from .g2core import G2Structure, _canonical_tables, checked_frame, metric_from_3form
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
     NCONST,
@@ -22,6 +22,7 @@ from .liealg import (
     ce_matrix,
     ce_matrix_of_form,
     derivations,
+    pack_constants,
     ricci,
     unpack_constants,
 )
@@ -171,6 +172,26 @@ def _bracket_velocity(s: G2Structure):
     return velocity
 
 
+@functools.cache
+def _canonical_velocity():
+    """The compiled velocity of phi_canonical, built once per process."""
+    return _bracket_velocity(G2Structure(phi_canonical()))
+
+
+def _natural_q(mu: LieBracket, phi):
+    """Q_phi and Delta_phi phi of the pair (mu, phi), phi given by its
+    coefficients, by GL(7)-naturality.  With F the adapted frame of phi,
+    F^* phi = phi_canonical, so Q_phi = F Q_can F^-1, Q_can the Q of the
+    canonical compiled velocity at F^-1 . mu, and
+    Delta_phi phi = F . theta(Q_can) phi_canonical, the pullback by F^-1 of
+    T Q_can, T the canonical theta map.  No G2Structure, Hodge star or Q
+    solve per call."""
+    _, F, Finv = checked_frame(KForm(3, phi))
+    Qc = _canonical_velocity()(pack_constants(bracket_act(Finv, mu.c, F)).reshape(-1))[0]
+    (T, *_), *_ = _canonical_tables()
+    return F @ Qc @ Finv, pullback3(Finv, T @ Qc.reshape(-1))
+
+
 def _bracket_norm(y):
     """|mu| of the packed constants at the head of a flat state y."""
     return math.sqrt(2.0) * float(np.linalg.norm(y[:NCONST]))
@@ -253,7 +274,8 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     """Integrate the equivalence maps h(t) linking the two flow pictures.
 
     side "ii": dh/dt = -Q_mu(t) h, driven by the bracket-flow operator;
-    side "i":  dh/dt = -h Q_phi(t), driven by the direct-flow operator.
+    side "i":  dh/dt = -h Q_phi(t), driven by the direct-flow operator
+    (Q_phi and Delta_phi phi by :func:`_natural_q`).
     Either way h(0) = I.  The bracket flow, the direct flow and h are
     integrated jointly, and the report carries the residuals of
     phi_direct(t) = h(t)^{-1} . phi and mu(t) = h(t) . mu0 along samples.
@@ -277,9 +299,8 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
             lap = laplacian(mu0, metric_from_3form(KForm(3, phi_d)), phi_d)[0]
             dh = -Qmu @ h
         else:
-            st = G2Structure(KForm(3, phi_d))
-            lap = laplacian(mu0, st.metric, phi_d)[0]
-            dh = -h @ st.solve_Q(KForm(3, lap))
+            Q, lap = _natural_q(mu0, phi_d)
+            dh = -h @ Q
         return np.concatenate([dmu, dh.reshape(-1), lap])
 
     def make_sample(t, y):

@@ -19,14 +19,16 @@ from .exterior import (
     NFORMS,
     _frozen,
     _interior_table,
+    _star_table,
     _theta_tensor,
     _wedge_table,
     hodge_star,
     phi_canonical,
+    pullback3,
     pullback_matrix,
     skew_from_form,
     theta,
-    wedge,
+    wedge_matrix,
 )
 
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
@@ -103,7 +105,7 @@ class TorsionForms:
 def _canonical_tables():
     """The G2 algebra of phi_canonical, the same for every structure in its
     adapted frame: the theta map T: X -> theta(X) phi_canonical as a
-    (35, 49) matrix, its pseudo-inverse (whose minimum-norm solutions lie
+    (35, 49) matrix and its pseudo-inverse (whose minimum-norm solutions lie
     in q, the orthogonal complement of the kernel g2), bases of g2 and q,
     the q1/q7/q27 split of q, and phi_canonical with its star.  q7, the
     skew part of q, is spanned by the matrices phi(., ., v), each of
@@ -123,7 +125,28 @@ def _canonical_tables():
     q7 = np.array([skew_from_form(KForm(2, c))
                    for c in _interior_table(3) @ phi.coeffs]) / np.sqrt(6.0)
     q_split = _frozen((np.eye(DIM) / np.sqrt(DIM))[None, :, :], q7, _sym0_basis())
-    return _frozen(solve_op, g2_f, q_f), q_split, phi, hodge_star(phi)
+    return _frozen(Tmap, solve_op, g2_f, q_f), q_split, phi, hodge_star(phi)
+
+
+@cache
+def _torsion_map():
+    """The torsion projections of :meth:`G2Structure.torsion_forms` for
+    phi_canonical as one (71, 56) map: (a, b) = (P4 dphi, P5 dpsi) in frame
+    coordinates to (tau0, tau1a, tau1b, tau2, tau3), all linear in (a, b).
+    With * the identity-metric star, tau0 = <a, psi>/7, tau1a =
+    *(phi ^ *a)/12 and tau1b = *(psi ^ *b)/12 are the tau1 of a and of b
+    alone, tau3 = *(a - tau0 psi - 3 tau1a ^ phi) and
+    tau2 = -*(b - 4 tau1b ^ psi).  Built once per process, read-only."""
+    *_, phi, psi = _canonical_tables()
+    n4, n5 = NFORMS[4], NFORMS[5]
+    a, b = np.eye(n4 + n5)[:n4], np.eye(n4 + n5)[n4:]
+    tau0 = psi.coeffs @ a / 7.0
+    # phi ^ x = -(x ^ phi) for a 3-form x, psi ^ x = x ^ psi for a 2-form x
+    tau1a = -_star_table(6) @ wedge_matrix(phi, 3) @ _star_table(4) @ a / 12.0
+    tau1b = _star_table(6) @ wedge_matrix(psi, 2) @ _star_table(5) @ b / 12.0
+    tau3 = _star_table(4) @ (a - np.outer(psi.coeffs, tau0) - 3.0 * wedge_matrix(phi, 1) @ tau1a)
+    tau2 = -_star_table(5) @ (b - 4.0 * wedge_matrix(psi, 1) @ tau1b)
+    return _frozen(np.vstack([tau0, tau1a, tau1b, tau2, tau3]))
 
 
 _CROSS_SIGNS = np.array([-1.0, -1.0, 1.0])  # f5, f6, f7 from phi(f4, f_a, .)
@@ -158,23 +181,41 @@ def _adapted_frame(phi: KForm, g: Metric) -> np.ndarray:
     return F
 
 
+def checked_frame(phi: KForm):
+    """The metric g of a positive 3-form, its adapted frame F
+    (:func:`_adapted_frame`) and F^-1 = F^T G, checked: a frame with
+    |F^* phi - phi_canonical| above 1e-9 |phi_canonical| raises
+    SingularSystem, or NonFiniteState when it is not finite.  The one frame
+    of :class:`G2Structure` and of the side-i stage of
+    ``flow.reconstruct_h``."""
+    g = metric_from_3form(phi)
+    F = _adapted_frame(phi, g)
+    phi_c = _canonical_tables()[2]
+    miss = np.linalg.norm(pullback3(F, phi.coeffs) - phi_c.coeffs)
+    if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
+        error = SingularSystem if np.isfinite(miss) else NonFiniteState
+        raise error(f"adapted frame misses phi_canonical by {miss:g}")
+    return g, F, F.T @ g.gram
+
+
 class G2Structure:
     """A positive 3-form with its induced metric and the G2 algebra
     attached to it.
 
     Construction computes the metric and a G2-adapted frame F: F is
     orthonormal for the metric and pulls phi back to phi_canonical
-    (:func:`_adapted_frame`; a frame that misses phi_canonical by more than
+    (:func:`checked_frame`; a frame that misses phi_canonical by more than
     1e-9 relative raises SingularSystem, or NonFiniteState when it is not
     finite).  So in frame coordinates every structure has the same G2
     algebra: the theta map and its pseudo-inverse, the g2 and q bases, the
     q1/q7/q27 split and phi and psi are constants of phi_canonical
     (:func:`_canonical_tables`), built once per process, and a structure
     conjugates them by F.  Construction takes no SVD.  The Hodge dual psi,
-    the (49, 35) map of the Q solve and the frame pullbacks of the torsion
-    projections are filled in on first use.  Like a ``LieBracket``'s cache
-    they hold idempotent values (a table built twice comes out the same),
-    so instances may be shared across threads.  What depends on the metric
+    the (49, 35) map of the Q solve and the frame pullbacks around the
+    canonical torsion map (:func:`_torsion_map`) are filled in on first
+    use.  Like a ``LieBracket``'s cache they hold idempotent values (a table
+    built twice comes out the same), so instances may be shared across
+    threads.  What depends on the metric
     alone (Hodge stars, the inner product on forms, adjoints) is read from
     ``metric``.
 
@@ -190,16 +231,8 @@ class G2Structure:
 
     def __init__(self, phi: KForm):
         self.phi = phi
-        self.metric = metric_from_3form(phi)
-        self.frame = _adapted_frame(phi, self.metric)
-        self._frame_inv = self.frame.T @ self.metric.gram
-        # pullback by the frame: 3-form coefficients into frame coordinates
-        self._P3 = pullback_matrix(self.frame, 3)
-        (self._solve_op, self._g2_f, self._q_f), self._q_split, phi_c, _ = _canonical_tables()
-        miss = np.linalg.norm(self._P3 @ phi.coeffs - phi_c.coeffs)
-        if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
-            error = SingularSystem if np.isfinite(miss) else NonFiniteState
-            raise error(f"adapted frame misses phi_canonical by {miss:g}")
+        self.metric, self.frame, self._frame_inv = checked_frame(phi)
+        (_, self._solve_op, self._g2_f, self._q_f), self._q_split, *_ = _canonical_tables()
 
     # -- tables filled on first use ----------------------------------------
 
@@ -209,12 +242,11 @@ class G2Structure:
 
     @cached_property
     def _torsion_op(self):
-        """phi and psi in frame coordinates (phi_canonical and its star),
-        the frame pullbacks of degrees 4 and 5 (into frame coordinates) and
-        those of degrees 1-3 by the inverse frame (back again)."""
+        """The frame pullbacks of degrees 4 and 5 (into frame coordinates)
+        and those of degrees 1-3 by the inverse frame (back again)."""
         into = [pullback_matrix(self.frame, k) for k in (4, 5)]
         back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
-        return *_canonical_tables()[2:], into, back
+        return into, back
 
     # -- basic operators ---------------------------------------------------
 
@@ -262,6 +294,11 @@ class G2Structure:
         return self._q_map
 
     @cached_property
+    def _P3(self):
+        """The pullback by the frame: 3-form coefficients into frame coordinates."""
+        return pullback_matrix(self.frame, 3)
+
+    @cached_property
     def _q_map(self):
         P = self._solve_op @ self._P3
         PQ = self._frame_inv.T @ (self.frame @ P.reshape(DIM, -1)).reshape(DIM, DIM, -1)
@@ -298,24 +335,22 @@ class G2Structure:
 
         In the frame, where phi has the identity metric, the terms lie in
         orthogonal summands, Lambda^4 = 1 + 7 + 27 and Lambda^5 = 7 + 14, so
-        each component is a projection (* is the identity-metric star).  The
-        two tau1 of an inconsistent pair are weighted 3:4, as least squares
-        would weight them."""
+        each component is a projection, and all of them are one constant
+        map of the frame pair (:func:`_torsion_map`).  The two tau1 of an
+        inconsistent pair are weighted 3:4, as least squares would weight
+        them."""
         if dphi.degree != 4 or dpsi.degree != 5:
             raise ValueError("need (4-form, 5-form)")
-        phi_f, psi_f, (P4, P5), (B1, B2, B3) = self._torsion_op
-        a, b = KForm(4, P4 @ dphi.coeffs), KForm(5, P5 @ dpsi.coeffs)
-        tau0 = float(a.coeffs @ psi_f.coeffs) / 7.0
-        tau1a = hodge_star(wedge(phi_f, hodge_star(a))) / 12.0
-        tau1b = hodge_star(wedge(psi_f, hodge_star(b))) / 12.0
-        tau1 = (3.0 * tau1a + 4.0 * tau1b) / 7.0
-        tau3 = hodge_star(a - tau0 * psi_f - 3.0 * wedge(tau1a, phi_f))
-        tau2 = -hodge_star(b - 4.0 * wedge(tau1b, psi_f))
-        res = 12.0 / np.sqrt(7.0) * (tau1a - tau1b).norm()
-        scale = max(1.0, float(np.hypot(a.norm(), b.norm())))
+        (P4, P5), (B1, B2, B3) = self._torsion_op
+        a, b = P4 @ dphi.coeffs, P5 @ dpsi.coeffs
+        v = _torsion_map() @ np.concatenate([a, b])
+        tau0, tau1a, tau1b, tau2, tau3 = float(v[0]), v[1:8], v[8:15], v[15:36], v[36:]
+        tau1, miss = (3.0 * tau1a + 4.0 * tau1b) / 7.0, tau1a - tau1b
+        res = 12.0 / math.sqrt(7.0) * math.sqrt(miss @ miss)
+        scale = max(1.0, math.hypot(math.sqrt(a @ a), math.sqrt(b @ b)))
         if not res <= 1e-6 * scale:  # NaN fails too
-            error = InconsistentTorsion if np.isfinite(res) else NonFiniteState
+            error = InconsistentTorsion if math.isfinite(res) else NonFiniteState
             raise error(f"torsion reconstruction residual {res:g}")
-        norm = float(np.linalg.norm(np.r_[tau0, tau1.coeffs, tau2.coeffs, tau3.coeffs]))
-        return TorsionForms(tau0, KForm(1, B1 @ tau1.coeffs), KForm(2, B2 @ tau2.coeffs),
-                            KForm(3, B3 @ tau3.coeffs), res, norm)
+        norm = math.sqrt(tau0 * tau0 + tau1 @ tau1 + tau2 @ tau2 + tau3 @ tau3)
+        return TorsionForms(tau0, KForm(1, B1 @ tau1), KForm(2, B2 @ tau2),
+                            KForm(3, B3 @ tau3), res, norm)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import InvalidBracket
 from .exterior import (
-    DIM, INDEX_SETS, KForm, Metric, NFORMS, PAIR_I, PAIR_J, _frozen, _wedge_table, is_object_list,
-    json_number,
+    DIM, INDEX_SETS, KForm, Metric, NFORMS, PAIR_I, PAIR_J, _frozen, _wedge_table, inverse,
+    is_object_list, json_number,
 )
 
 PAIRS = INDEX_SETS[2]
@@ -158,12 +158,14 @@ class LieBracket:
         return cls.from_terms(dict(terms.values()))
 
 
-def bracket_act(h, c) -> np.ndarray:
+def bracket_act(h, c, hinv=None) -> np.ndarray:
     """Raw-constants version of the basis-change action,
     (h.c)[i, j, k] = sum h[k, m] c[a, b, m] h^-1[a, i] h^-1[b, j],
-    as three matrix products: over m, then a, then b."""
+    as three matrix products: over m, then a, then b.  A caller that knows
+    h^-1 passes it as hinv; otherwise a singular h raises SingularSystem."""
     h = np.asarray(h, dtype=float)
-    hinv = np.linalg.inv(h)
+    if hinv is None:
+        hinv = inverse(h)
     c = np.asarray(c, dtype=float)
     x = (c.reshape(DIM * DIM, DIM) @ h.T).reshape(DIM, DIM * DIM)
     return hinv.T @ (hinv.T @ x).reshape(DIM, DIM, DIM)
@@ -305,7 +307,8 @@ def ricci(mu: LieBracket, g: Metric | None = None):
     if g is None:
         g = Metric.identity()
     M = g.frame()
-    chat = bracket_act(np.linalg.inv(M), mu.c)
+    Minv = np.linalg.inv(M)
+    chat = bracket_act(Minv, mu.c, M)
     # Koszul: <nabla_i e_j, e_k> = (c_ijk - c_ikj - c_jki) / 2
     gamma = 0.5 * (chat - np.einsum("ikj->ijk", chat) - np.einsum("jki->ijk", chat))
     N = np.einsum("ijk->ikj", gamma)  # N[i] acts on coordinates: (N_i)_{kj}
@@ -313,5 +316,5 @@ def ricci(mu: LieBracket, g: Metric | None = None):
     R4 = NN - NN.transpose(1, 0, 2, 3) - np.einsum("ijk,kab->ijab", chat, N)
     ric_f = np.einsum("iaib->ab", R4)
     ric_f = 0.5 * (ric_f + ric_f.T)
-    ric_op = M @ ric_f @ np.linalg.inv(M)
+    ric_op = M @ ric_f @ Minv
     return ric_op, float(np.trace(ric_f))

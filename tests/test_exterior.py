@@ -22,6 +22,7 @@ from g2flow.exterior import (
     interior,
     phi_canonical,
     pullback,
+    pullback3,
     pullback_matrix,
     skew_from_form,
     sort_sign,
@@ -30,7 +31,7 @@ from g2flow.exterior import (
     wedge_matrix,
 )
 
-from conftest import random_kform, random_metric, random_positive_form
+from conftest import random_gl7, random_kform, random_metric, random_positive_form
 
 
 def lu_pullback_matrix(h, k):
@@ -378,8 +379,29 @@ def test_theta_skew_is_skew_adjoint_on_three_forms(rng):
                    + a.coeffs @ theta(A, b).coeffs) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-50, 2.0 ** -160, 1e-40, 1e40, 2.0 ** 160, 1e50])
+def test_pullback_of_a_small_or_large_h(rng, scale):
+    # P_k(s h) = s^k P_k(h); det(s h) leaves the normal floats below about
+    # 1e-44 and above 1e44, and the minors of degrees 4-6 stay inside them.
+    # np.linalg.det is exp(log |det|), good to about eps |log det|: 6e-14 at
+    # det = 1e-280, so the bound is 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (4, 5, 6):
+            assert _rel_err(pullback_matrix(scale * np.eye(7), k),
+                            scale ** k * np.eye(NFORMS[k])) <= 1e-12
+            h = random_gl7(rng)
+            assert _rel_err(pullback_matrix(scale * h, k),
+                            scale ** k * pullback_matrix(h, k)) <= 1e-12
+
+
+@given(h=_matrix)
+def test_pullback3_is_the_pullback_matrix(h):
+    c = np.random.default_rng(0).normal(size=35)
+    assert _rel_err(pullback3(h, c), pullback_matrix(h, 3) @ c) <= 1e-13
+
+
 def test_pullback_functorial_and_act_inverse(rng):
-    from conftest import random_gl7
     h = random_gl7(rng)
     a = random_kform(rng, 3)
     assert (pullback(h, act(h, a)) - a).norm() < 1e-9

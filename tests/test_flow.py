@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
-from g2flow import flow, g2core, liealg
+from g2flow import exterior, flow, g2core, liealg
 from g2flow.corpus import (
     aa_n6_soliton,
     aa_n6_soliton_partner,
@@ -178,6 +178,8 @@ def test_compiled_velocity_checks_the_q_solve_once(monkeypatch):
 
 
 def test_a_run_and_its_reconstruction_build_the_velocity_once(monkeypatch, s_aa, rng):
+    # the canonical velocity of the side-i stages is a per-process constant
+    flow._canonical_velocity()
     built = []
 
     def counting(s):
@@ -438,6 +440,78 @@ def test_reconstruct_side_i_on_a_pair_that_is_not_closed():
     rec = reconstruct_h(traj, side="i")
     assert rec.status == "completed"
     assert rec.max_phi_residual < 1e-6 and rec.max_mu_residual < 1e-6
+
+
+def side_i_stage_by_structure(mu, phi):
+    """The oracle for the side-i stage (flow._natural_q): the stage as it
+    was before it, a G2Structure of phi, the Laplacian through its fresh
+    Hodge stars and its Q solve."""
+    st = G2Structure(KForm(3, phi))
+    lap = laplacian(mu, st.metric, phi)[0]
+    return st.solve_Q(KForm(3, lap)), lap
+
+
+def test_side_i_stage_is_the_structure_stage(rng):
+    # GL(7)-moved canonical forms of both orientations, the moves scaled 1e-3
+    # to 1e3, and random antisymmetric constants: Q and Delta are defined
+    # without Jacobi
+    orientations = set()
+    for i, scale in enumerate(np.logspace(-3, 3, 24)):
+        h = random_gl7(rng)
+        if (np.linalg.det(h) > 0) != (i % 2 == 0):
+            h[:, 0] *= -1.0
+        phi = act(scale * h, phi_canonical()).coeffs
+        c = rng.normal(size=(7, 7, 7))
+        mu = LieBracket(c - c.transpose(1, 0, 2), validate=False)
+        Q, lap = flow._natural_q(mu, phi)
+        Q0, lap0 = side_i_stage_by_structure(mu, phi)
+        assert np.abs(Q - Q0).max() <= 1e-12 * np.abs(Q0).max()
+        assert np.abs(lap - lap0).max() <= 1e-12 * np.abs(lap0).max()
+        orientations.add(metric_from_3form(KForm(3, phi)).orientation)
+    assert orientations == {1, -1}
+
+
+def test_side_i_stage_raises_where_the_structure_stage_raises(rng, monkeypatch):
+    stages = (flow._natural_q, side_i_stage_by_structure)
+    mu = aa.bracket_of(random_sl3c(rng, 0.5))
+    phi = aa.phi_almost_abelian().coeffs
+    indefinite = phi_canonical() - 2.0 * KForm.basis((1, 2, 3))
+    for coeffs in (KForm.basis((1, 2, 3)).coeffs, np.full(35, np.nan), indefinite.coeffs):
+        for stage in stages:
+            with pytest.raises(PositivityError):
+                stage(mu, coeffs)
+    huge = LieBracket(1e200 * mu.c, validate=False)  # Q overflows
+    with pytest.raises(NonFiniteState):
+        flow._natural_q(huge, phi)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+        side_i_stage_by_structure(huge, phi)  # whose stars warn on the way
+    for frame, error in ((lambda phi, g: g.frame(), SingularSystem),
+                         (lambda phi, g: np.full((7, 7), np.nan), NonFiniteState)):
+        monkeypatch.setattr(g2core, "_adapted_frame", frame)
+        for stage in stages:
+            with pytest.raises(error, match="misses phi_canonical"):
+                stage(mu, phi)
+
+
+def test_side_i_stages_build_no_structure_and_no_star(s_aa, rng, monkeypatch):
+    # after a warm run has built the canonical velocity, a side-i
+    # reconstruction builds no G2Structure and no Hodge star
+    traj = bracket_flow(aa.bracket_of(random_sl3c(rng, 0.8)), s_aa,
+                        IntegratorOptions(method="rk4", h0=1e-2, t_end=0.05))
+    reconstruct_h(traj, side="i")
+    calls = []
+
+    def counted(name, f):
+        def counting(*args):
+            calls.append(name)
+            return f(*args)
+        return counting
+
+    monkeypatch.setattr(G2Structure, "__init__", counted("G2Structure", G2Structure.__init__))
+    monkeypatch.setattr(exterior, "hodge_matrix", counted("hodge_matrix", exterior.hodge_matrix))
+    monkeypatch.setattr(flow, "checked_frame", counted("stage", flow.checked_frame))
+    assert reconstruct_h(traj, side="i").status == "completed"
+    assert calls == ["stage"] * 20  # five rk4 steps
 
 
 _sym_embed_49x28 = None

@@ -414,10 +414,35 @@ class SVDStructure(G2Structure):
 
     @cached_property
     def _torsion_op(self):
-        phi_f = KForm(3, self._phi_f)
         into = [pullback_matrix(self.frame, k) for k in (4, 5)]
         back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
-        return phi_f, hodge_star(phi_f), into, back
+        return into, back
+
+    def torsion_forms(self, dphi, dpsi):
+        return torsion_by_projections(self, dphi, dpsi, KForm(3, self._phi_f))
+
+
+def torsion_by_projections(s, dphi, dpsi, phi_f=phi_canonical()):
+    """The oracle for the canonical torsion map: G2Structure.torsion_forms
+    as it was before that map, one projection per component, from stars and
+    wedges in the frame of s, where the form is phi_f."""
+    psi_f = hodge_star(phi_f)
+    (P4, P5), (B1, B2, B3) = s._torsion_op
+    a, b = KForm(4, P4 @ dphi.coeffs), KForm(5, P5 @ dpsi.coeffs)
+    tau0 = float(a.coeffs @ psi_f.coeffs) / 7.0
+    tau1a = hodge_star(wedge(phi_f, hodge_star(a))) / 12.0
+    tau1b = hodge_star(wedge(psi_f, hodge_star(b))) / 12.0
+    tau1 = (3.0 * tau1a + 4.0 * tau1b) / 7.0
+    tau3 = hodge_star(a - tau0 * psi_f - 3.0 * wedge(tau1a, phi_f))
+    tau2 = -hodge_star(b - 4.0 * wedge(tau1b, psi_f))
+    res = 12.0 / np.sqrt(7.0) * (tau1a - tau1b).norm()
+    scale = max(1.0, float(np.hypot(a.norm(), b.norm())))
+    if not res <= 1e-6 * scale:  # NaN fails too
+        error = InconsistentTorsion if np.isfinite(res) else NonFiniteState
+        raise error(f"torsion reconstruction residual {res:g}")
+    norm = float(np.linalg.norm(np.r_[tau0, tau1.coeffs, tau2.coeffs, tau3.coeffs]))
+    return g2core.TorsionForms(tau0, KForm(1, B1 @ tau1.coeffs), KForm(2, B2 @ tau2.coeffs),
+                               KForm(3, B3 @ tau3.coeffs), res, norm)
 
 
 # moves scaled from 1e-3 to 1e3, so phi from 1e9 to 1e-9
@@ -461,6 +486,8 @@ def test_g2_algebra_is_the_svd_construction(rng):
 
 
 def test_torsion_forms_are_the_svd_construction(rng):
+    # the canonical torsion map against the projections it replaced, in the
+    # adapted frame and in the Cholesky frame of the SVD construction:
     # consistent pairs, then pairs moved off by 1e-8 relative, so that the
     # residual is more than rounding; differences in the metric norm, which
     # the scale of the move leaves alone
@@ -473,12 +500,13 @@ def test_torsion_forms_are_the_svd_construction(rng):
         if n % 2:
             off = random_kform(rng, 4)
             dphi = dphi + off * (1e-8 * g.form_norm(dphi) / g.form_norm(off))
-        got, want = s.torsion_forms(dphi, dpsi), o.torsion_forms(dphi, dpsi)
+        got = s.torsion_forms(dphi, dpsi)
         scale = g.form_norm(dphi) + g.form_norm(dpsi)
-        for name in ("tau0", "tau1", "tau2", "tau3", "residual", "norm"):
-            a, b = getattr(got, name), getattr(want, name)
-            diff = g.form_norm(a - b) if isinstance(a, KForm) else abs(a - b)
-            assert diff <= 1e-12 * scale, name
+        for want in (torsion_by_projections(s, dphi, dpsi), o.torsion_forms(dphi, dpsi)):
+            for name in ("tau0", "tau1", "tau2", "tau3", "residual", "norm"):
+                a, b = getattr(got, name), getattr(want, name)
+                diff = g.form_norm(a - b) if isinstance(a, KForm) else abs(a - b)
+                assert diff <= 1e-12 * scale, name
         assert (got.residual > 1e-10 * scale) == bool(n % 2)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy.linalg import expm
 from g2flow import almostabelian as aa
 from g2flow import liealg
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
-from g2flow.errors import InvalidBracket
-from g2flow.exterior import DIM, INDEX_SETS, KForm, NFORMS, RANK, sort_sign
+from g2flow.errors import InvalidBracket, SingularSystem
+from g2flow.exterior import DIM, INDEX_SETS, KForm, NFORMS, RANK, act, phi_canonical, sort_sign
 from g2flow.flow import laplacian
 from g2flow.liealg import (
     PAIRS,
@@ -288,6 +289,17 @@ def test_derivations_exponentiate_to_automorphisms(rng):
     for s in (1e-3, 1e-2, 0.1):
         moved = bracket_act(expm(s * D), mu.c)
         assert np.abs(moved - mu.c).max() < 1e-7
+
+
+def test_a_singular_h_in_the_actions_raises_a_typed_error():
+    # every action inverts h first
+    h = np.diag([1, 1, 1, 1, 1, 1, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for do in (lambda: act(h, phi_canonical()), lambda: LieBracket.zero().act(h),
+                   lambda: bracket_act(h, np.zeros((DIM, DIM, DIM)))):
+            with pytest.raises(SingularSystem, match="singular"):
+                do()
 
 
 def test_bracket_act_matches_the_einsum(rng):
