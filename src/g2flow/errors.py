@@ -18,7 +18,7 @@ class PositivityError(G2FlowError):
 
 
 class SingularSystem(G2FlowError):
-    """A map that must be inverted is rank deficient: the theta map, a pullback's h."""
+    """A map that must be inverted is rank deficient: the theta map, an action's h."""
 
 
 class NonFiniteState(SingularSystem):

@@ -288,8 +288,7 @@ class Metric:
 # cached operator tables, all read-only
 # ---------------------------------------------------------------------------
 
-_ALTERNATING = np.array([1.0, -1.0, 1.0])
-_NORMAL = np.finfo(float).tiny, np.finfo(float).max
+_ALTERNATING = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 def _frozen(*arrays):
@@ -406,58 +405,32 @@ def pullback_matrix(h, k: int) -> np.ndarray:
     """Matrix of the pullback a -> a(h.,...,h.) on degree-k coefficients.
 
     Entry [J, I] is the minor det h[I, J]: the matrix is the transposed k-th
-    compound of h.  Degrees 1-3 start from P_1(h) = h^T and expand along
+    compound of h.  Every degree starts from P_1(h) = h^T and expands along
     the first row, which is the Leibniz sum over permutations grouped by
     the column taken from that row:
     det h[I, J] = sum_b (-1)^b h[I_0, J_b] det h[I - I_0, J - J_b],
-    on flat gathers of h and of the previous degree.  Degrees 4-6 take
-    Jacobi's complementary-minor identity for index sets I, J of size 7 - k,
-    det h[J^c, I^c] = det h * eps_I eps_J * det (h^-1)[I, J],
-    with eps the signs of the identity-metric star S_{7-k}; in matrix form
-    P_k(h) = det h * S_{7-k} P_{7-k}(h^-1)^T S_{7-k}^T, so h must be
-    invertible there: a singular h raises SingularSystem.  Degree 7 is det h.
-    det h leaves the normal floats long before the minors do (det(1e-50 I)
-    is 1e-350); then degrees 4-7 take the route for 2^e h, whose largest
-    entry is about 1, and scale back by 2^(-ek), exactly.
+    on flat gathers of h and of the previous degree.  Only products and
+    sums of entries of h are taken, so any h, singular or not, has its
+    pullback, and the minors are as accurate as those sums.
     """
     if k == 0:
         return np.ones((1, 1))
     h = np.asarray(h, dtype=float)
-    if k <= 3:
-        flat = h.ravel()
-        P = h.T.copy()
-        for j in range(2, k + 1):
-            entry, minor = _laplace_table(j)
-            P = _ALTERNATING[:j] @ (flat[entry] * P.ravel()[minor])
-            P = P.reshape(NFORMS[j], NFORMS[j])
-        return P
-    e = 0
-    with np.errstate(over="ignore"):  # out of range: h is scaled below
-        deth = np.linalg.det(h)
-    if not _NORMAL[0] <= abs(deth) <= _NORMAL[1]:  # NaN fails too
-        e = -int(np.frexp(np.abs(h).max())[1])  # 0 when h is zero or not finite
-        if e:
-            h = np.ldexp(h, e)
-            deth = np.linalg.det(h)
-    if k == DIM:
-        P = np.array([[deth]])
-    else:
-        S = _star_table(DIM - k)
-        hinv = inverse(h, f"the pullback of degree {k} inverts h")
-        P = deth * (S @ pullback_matrix(hinv, DIM - k).T @ S.T)
-    if e:
-        with np.errstate(over="ignore"):  # a minor beyond the floats is inf
-            P = np.ldexp(P, -e * k)
+    flat = h.ravel()
+    P = h.T.copy()
+    for j in range(2, k + 1):
+        entry, minor = _laplace_table(j)
+        P = _ALTERNATING[:j] @ (flat[entry] * P.ravel()[minor])
+        P = P.reshape(NFORMS[j], NFORMS[j])
     return P
 
 
-def inverse(h, what="the action inverts h") -> np.ndarray:
-    """h^-1 for a 7x7 matrix h; a singular h raises SingularSystem, whose
-    message starts with what."""
+def inverse(h) -> np.ndarray:
+    """h^-1 for a 7x7 matrix h; a singular h raises SingularSystem."""
     try:
         return np.linalg.inv(np.asarray(h, dtype=float))
     except np.linalg.LinAlgError:
-        raise SingularSystem(f"{what}, which is singular") from None
+        raise SingularSystem("the action inverts h, which is singular") from None
 
 
 @functools.cache
@@ -494,7 +467,7 @@ def act(h, a: KForm) -> KForm:
     return pullback(inverse(h), a)
 
 
-def hodge_matrix(g: Metric | None, k: int) -> np.ndarray:
+def hodge_matrix(g: Metric, k: int) -> np.ndarray:
     """Hodge star on degree k for the metric g, as a coefficient matrix.
 
     With G the gram matrix, o the orientation and S_k the identity-metric
@@ -505,8 +478,6 @@ def hodge_matrix(g: Metric | None, k: int) -> np.ndarray:
     size at most 3, so only H_0..H_3 invert G.  The only place a star is
     built; :meth:`Metric.star_matrix` caches what it returns.
     """
-    if g is None:
-        return _star_table(k)
     if k <= 3:
         raised = pullback_matrix(np.linalg.inv(g.gram), k)
         return g.volume * (_star_table(k) @ raised)

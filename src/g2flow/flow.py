@@ -80,11 +80,16 @@ def laplacian(mu: LieBracket, g: Metric, a):
     """Delta a = *d*d a - d*d* a for 3-form coefficients a, the fixed
     bracket mu and the Hodge stars of the metric g.  Returns the coefficient
     arrays (Delta a, d a, d*a); the differentials are what the closedness
-    and torsion tests take."""
-    H4, d3 = g.star_matrix(4), ce_matrix(mu, 3)
-    da = d3 @ a
-    dsa = ce_matrix(mu, 4) @ (g.star_matrix(3) @ a)
-    lap = H4 @ (d3 @ (H4 @ da)) - ce_matrix(mu, 2) @ (g.star_matrix(5) @ dsa)
+    and torsion tests take.  An overflowing Delta a raises NonFiniteState
+    (a non-finite d a or d*a makes it non-finite too)."""
+    H3, H4, H5 = g.star_matrix(3), g.star_matrix(4), g.star_matrix(5)
+    d2, d3, d4 = ce_matrix(mu, 2), ce_matrix(mu, 3), ce_matrix(mu, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = d3 @ a
+        dsa = d4 @ (H3 @ a)
+        lap = H4 @ (d3 @ (H4 @ da)) - d2 @ (H5 @ dsa)
+    if not np.isfinite(lap).all():
+        raise NonFiniteState("non-finite Laplacian")
     return lap, da, dsa
 
 

@@ -243,8 +243,14 @@ class G2Structure:
     @cached_property
     def _torsion_op(self):
         """The frame pullbacks of degrees 4 and 5 (into frame coordinates)
-        and those of degrees 1-3 by the inverse frame (back again)."""
-        into = [pullback_matrix(self.frame, k) for k in (4, 5)]
+        and those of degrees 1-3 by the inverse frame (back again).  The
+        frame is oriented and orthonormal, so its pullback takes the star H
+        of the metric to the identity-metric star S: P_{7-k} H_k = S_k P_k,
+        and with H_{7-k} H_k = 1, P4 = S3 P3 H4 and P5 = S2 P2 H5, from
+        pullbacks of degree at most 3."""
+        g = self.metric
+        into = [_star_table(3) @ self._P3 @ g.star_matrix(4),
+                _star_table(2) @ pullback_matrix(self.frame, 2) @ g.star_matrix(5)]
         back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
         return into, back
 

@@ -15,6 +15,7 @@ from g2flow.exterior import (
     Metric,
     NFORMS,
     RANK,
+    _star_table,
     act,
     form_from_skew,
     hodge_matrix,
@@ -160,7 +161,7 @@ def test_hodge_matrix_matches_frame_composition(rng):
             M = g.frame()
             for k in range(8):
                 want = (lu_pullback_matrix(np.linalg.inv(M), 7 - k)
-                        @ hodge_matrix(None, k) @ lu_pullback_matrix(M, k))
+                        @ _star_table(k) @ lu_pullback_matrix(M, k))
                 got = hodge_matrix(g, k)
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -209,7 +210,7 @@ def _mp_hodge_matrix(gram, k):
         sets = [tuple(i - 1 for i in s) for s in INDEX_SETS[k]]
         P = np.array([[float(vol * minors[rows, cols]) for rows in sets]
                       for cols in sets])
-    return hodge_matrix(None, k) @ P
+    return _star_table(k) @ P
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
@@ -227,7 +228,7 @@ def test_hodge_matrix_on_near_degenerate_metrics(rng, cond):
     for k in (3, 4, 5):
         want = _mp_hodge_matrix(gram, k)
         err = _rel_err(hodge_matrix(g, k), want)
-        lu = vol * (hodge_matrix(None, k) @ lu_pullback_matrix(np.linalg.inv(gram), k))
+        lu = vol * (_star_table(k) @ lu_pullback_matrix(np.linalg.inv(gram), k))
         assert err <= max(1e-12, np.finfo(float).eps * cond)
         assert err <= 2.0 * _rel_err(lu, want) + 1e-13
 
@@ -246,19 +247,26 @@ def test_hodge_star_rejects_bad_metric():
         Metric(np.diag([1, 1, 1, 1, 1, 1, 0.0]))
 
 
-def test_singular_pullback_raises_a_typed_error():
-    # degrees 4-6 invert h by Jacobi's identity, and say so for a singular
-    # h; the other degrees are the minors of h itself
-    h = np.diag([1, 1, 1, 1, 1, 1, 0.0])
+def test_singular_h_pulls_back_to_its_minors():
+    # the pullback takes only products and sums of entries of h, so a
+    # singular h has one at every degree: diag(1, ..., 1, 0) keeps the
+    # index sets without 7, and an h with four zero rows, of rank 3, has
+    # minors of degree 4 and above that are exactly 0
+    rank3 = np.random.default_rng(0).normal(size=(7, 7))
+    rank3[3:] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in range(8):
-            a = KForm.basis(tuple(range(1, k + 1)))
-            if 4 <= k <= 6:
-                with pytest.raises(SingularSystem, match=f"degree {k}"):
-                    pullback(h, a)
+            keep = [7 not in I for I in INDEX_SETS[k]]
+            assert np.array_equal(pullback_matrix(np.diag([1, 1, 1, 1, 1, 1, 0.0]), k),
+                                  np.diag(keep).astype(float))
+            P = pullback_matrix(rank3, k)
+            if k <= 3:
+                assert _rel_err(P, lu_pullback_matrix(rank3, k)) <= 1e-12
             else:
-                assert np.array_equal(pullback(h, a).coeffs, (k < 7) * a.coeffs)
+                assert not P.any()
+    with pytest.raises(SingularSystem, match="action"):
+        act(rank3, phi_canonical())
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -383,16 +391,16 @@ def test_theta_skew_is_skew_adjoint_on_three_forms(rng):
 def test_pullback_of_a_small_or_large_h(rng, scale):
     # P_k(s h) = s^k P_k(h); det(s h) leaves the normal floats below about
     # 1e-44 and above 1e44, and the minors of degrees 4-6 stay inside them.
-    # np.linalg.det is exp(log |det|), good to about eps |log det|: 6e-14 at
-    # det = 1e-280, so the bound is 1e-12
+    # A minor is a sum of products of k entries of h, so scaling h adds one
+    # rounding per entry whatever det h is, and the bound is 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in (4, 5, 6):
             assert _rel_err(pullback_matrix(scale * np.eye(7), k),
-                            scale ** k * np.eye(NFORMS[k])) <= 1e-12
+                            scale ** k * np.eye(NFORMS[k])) <= 1e-14
             h = random_gl7(rng)
             assert _rel_err(pullback_matrix(scale * h, k),
-                            scale ** k * pullback_matrix(h, k)) <= 1e-12
+                            scale ** k * pullback_matrix(h, k)) <= 1e-14
 
 
 @given(h=_matrix)

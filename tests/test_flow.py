@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -483,14 +484,26 @@ def test_side_i_stage_raises_where_the_structure_stage_raises(rng, monkeypatch):
     huge = LieBracket(1e200 * mu.c, validate=False)  # Q overflows
     with pytest.raises(NonFiniteState):
         flow._natural_q(huge, phi)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-        side_i_stage_by_structure(huge, phi)  # whose stars warn on the way
+    with pytest.raises(NonFiniteState):
+        side_i_stage_by_structure(huge, phi)
     for frame, error in ((lambda phi, g: g.frame(), SingularSystem),
                          (lambda phi, g: np.full((7, 7), np.nan), NonFiniteState)):
         monkeypatch.setattr(g2core, "_adapted_frame", frame)
         for stage in stages:
             with pytest.raises(error, match="misses phi_canonical"):
                 stage(mu, phi)
+
+
+def test_laplacian_of_an_overflowing_bracket_raises(rng):
+    # the products overflow inside laplacian, which says so by a typed
+    # error and lets no numpy warning escape
+    mu = aa.bracket_of(random_sl3c(rng, 0.5))
+    phi = aa.phi_almost_abelian()
+    huge = LieBracket(1e200 * mu.c, validate=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="Laplacian"):
+            laplacian(huge, metric_from_3form(phi), phi.coeffs)
 
 
 def test_side_i_stages_build_no_structure_and_no_star(s_aa, rng, monkeypatch):

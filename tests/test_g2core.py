@@ -6,12 +6,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from g2flow import almostabelian as aa
-from g2flow import g2core
+from g2flow import exterior, g2core
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import (ComponentError, G2FlowError, InconsistentTorsion, NonFiniteState,
                            PositivityError, SingularSystem)
-from g2flow.exterior import (KForm, _interior_table, _theta_tensor, act, form_from_skew,
-                             hodge_matrix, hodge_star, interior, phi_canonical, pullback,
+from g2flow.exterior import (KForm, _interior_table, _star_table, _theta_tensor, act,
+                             form_from_skew, hodge_star, interior, phi_canonical, pullback,
                              pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
 from g2flow.g2core import G2Structure, _sym0_basis, induced_bilinear, metric_from_3form
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
@@ -264,7 +264,7 @@ def torsion_lstsq(s, dphi, dpsi):
     l3_27 = np.array([theta(S, phi_f).coeffs for S in _sym0_basis()])
     A = np.block([
         [psi_f.coeffs[:, None], 3.0 * wedge_matrix(phi_f, 1),
-         np.zeros((35, 14)), hodge_matrix(None, 3) @ l3_27.T],
+         np.zeros((35, 14)), _star_table(3) @ l3_27.T],
         [np.zeros((21, 1)), 4.0 * wedge_matrix(psi_f, 1),
          wedge_matrix(phi_f, 2) @ l2_14.T, np.zeros((21, 27))],
     ])
@@ -308,6 +308,26 @@ def test_torsion_forms_are_the_block_system_solution(rng):
         metric_norm = np.sqrt(tf.tau0 ** 2 + sum(g.form_norm(t) ** 2
                                                  for t in (tf.tau1, tf.tau2, tf.tau3)))
         assert abs(tf.norm - metric_norm) <= 1e-12 * scale
+
+
+def test_torsion_builds_no_compound_above_degree_3(rng, monkeypatch):
+    # the frame pullbacks of degrees 4 and 5 come from those of degrees 2
+    # and 3 through the Hodge stars, whose minors have degree at most 3 too
+    s = next(_moved_structures(rng, 1))
+    c = rng.normal(size=(7, 7, 7))
+    mu = LieBracket(c - c.transpose(1, 0, 2), validate=False)
+    dphi, dpsi = ce_differential(mu, s.phi), ce_differential(mu, s.psi)
+    s = G2Structure(s.phi)  # fresh: no star and no frame pullback built yet
+    degrees = []
+
+    def counting(h, k):
+        degrees.append(k)
+        return pullback_matrix(h, k)
+
+    for module in (exterior, g2core):
+        monkeypatch.setattr(module, "pullback_matrix", counting)
+    s.torsion_forms(dphi, dpsi)
+    assert degrees and max(degrees) <= 3
 
 
 def test_torsion_residual_is_the_block_system_residual(rng):
