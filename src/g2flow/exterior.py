@@ -241,10 +241,6 @@ class Metric:
         self.volume = self.orientation * np.sqrt(np.linalg.det(g))
         self._stars = [None] * (DIM + 1)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(DIM))
-
     def frame(self):
         """Columns form an oriented orthonormal basis: M^T gram M = I, from
         the Cholesky factor the constructor kept."""

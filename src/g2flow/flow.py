@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteState, NotClosed
-from .exterior import (DIM, NFORMS, KForm, Metric, _frozen, _theta_tensor, _wedge_table,
-                       phi_canonical, pullback3, pullback_matrix)
-from .g2core import G2Structure, _canonical_tables, checked_frame, metric_from_3form
+from .exterior import (DIM, NFORMS, KForm, Metric, _frozen, _star_table, _theta_tensor,
+                       _wedge_table, phi_canonical, pullback3, pullback_matrix)
+from .g2core import G2Structure, _canonical_tables, _frame_torsion, metric_from_3form
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
     NCONST,
@@ -78,25 +78,15 @@ def _soliton_label(kind, c, scale=1.0):
 
 def laplacian(mu: LieBracket, g: Metric, a):
     """Delta a = *d*d a - d*d* a for 3-form coefficients a, the fixed
-    bracket mu and the Hodge stars of the metric g.  Returns the coefficient
-    arrays (Delta a, d a, d*a); the differentials are what the closedness
-    and torsion tests take.  An overflowing Delta a raises NonFiniteState
-    (a non-finite d a or d*a makes it non-finite too)."""
+    bracket mu and the Hodge stars of the metric g, as coefficients.  An
+    overflowing Delta a raises NonFiniteState."""
     H3, H4, H5 = g.star_matrix(3), g.star_matrix(4), g.star_matrix(5)
     d2, d3, d4 = ce_matrix(mu, 2), ce_matrix(mu, 3), ce_matrix(mu, 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        da = d3 @ a
-        dsa = d4 @ (H3 @ a)
-        lap = H4 @ (d3 @ (H4 @ da)) - d2 @ (H5 @ dsa)
+        lap = H4 @ (d3 @ (H4 @ (d3 @ a))) - d2 @ (H5 @ (d4 @ (H3 @ a)))
     if not np.isfinite(lap).all():
         raise NonFiniteState("non-finite Laplacian")
-    return lap, da, dsa
-
-
-def _closed(s: G2Structure, dphi) -> bool:
-    """Whether dphi, the coefficients of d s.phi, vanish to CLOSED_TOL."""
-    g = s.metric
-    return g.form_norm(KForm(4, dphi)) <= CLOSED_TOL * max(1.0, g.form_norm(s.phi))
+    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +94,16 @@ def _closed(s: G2Structure, dphi) -> bool:
 # ---------------------------------------------------------------------------
 
 def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
-    """The sample of the pair (mu, st.phi)."""
-    lap, dphi, dpsi = laplacian(mu, st.metric, st.phi.coeffs)
-    delta = KForm(3, lap)
-    Q = st.solve_Q(delta)
-    R = 1.5 * float(np.trace(Q)) if _closed(st, dphi) else ricci(mu, st.metric)[1]
-    tau = st.torsion_forms(KForm(4, dphi), KForm(5, dpsi)).norm
-    return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, st.metric.form_norm(delta))
+    """The sample of the pair (mu, st.phi), read in the adapted frame
+    (:func:`_in_frame`): |Delta| = |T Qc|, T the canonical theta map, and
+    |tau| of the frame pair (d phi, d psi) = (S3 u[:35], S2 u[35:])."""
+    Qc, u, c = _in_frame(mu, st)
+    (T, *_), *_ = _canonical_tables()
+    R = 1.5 * float(np.trace(Qc)) if _closed(u) else ricci(LieBracket(c, validate=False))[1]
+    n3 = NFORMS[3]
+    tau = _frame_torsion(_star_table(3) @ u[:n3], _star_table(2) @ u[n3:]).norm
+    return FlowSample(t, mu, st.phi, st.frame @ Qc @ st._frame_inv, mu.norm(), R, tau,
+                      float(np.linalg.norm(T @ Qc.reshape(-1))))
 
 
 @functools.cache
@@ -139,8 +132,8 @@ _ZERO = _frozen(np.zeros(1))
 
 def _bracket_velocity(s: G2Structure):
     """The bracket-flow right side for the fixed form s.phi, on flat packed
-    constants y: velocity(y) = (Q_mu, delta_mu(Q_mu) packed), a cubic in y
-    whose matrices depend on the form alone and are built here, once.
+    constants y: velocity(y) = (Q_mu, delta_mu(Q_mu) packed, u), a cubic in
+    y whose matrices depend on the form alone and are built here, once.
 
     With Y = y.reshape(21, 7) (pair x index), d_y v = -sum_m Y[:, m] ^ i_m v.
     So u = (*d_y phi, *d_y psi) = M y, X = [i_m u] is a (7, 28) gather of u,
@@ -172,7 +165,7 @@ def _bracket_velocity(s: G2Structure):
             if not np.isfinite(Q).all():
                 raise NonFiniteState("non-finite Q")
             theta = np.bincount(rows, vals * Q.reshape(-1)[cols], n2 * n2).reshape(n2, n2)
-            return Q, (-theta @ Y - Y @ Q.T).reshape(-1)
+            return Q, (-theta @ Y - Y @ Q.T).reshape(-1), u
 
     return velocity
 
@@ -183,18 +176,30 @@ def _canonical_velocity():
     return _bracket_velocity(G2Structure(phi_canonical()))
 
 
+def _in_frame(mu: LieBracket, st: G2Structure):
+    """The pair (mu, st.phi) in the adapted frame F of st: by GL(7)-naturality
+    it is (c, phi_canonical), c = F^-1 . mu, with the identity metric, and
+    has the same |tau|, R and closedness, and Q up to conjugation by F.
+    Returns (Qc, u, c), Qc and u = (*d phi, *d psi) of the canonical
+    compiled velocity at c."""
+    c = bracket_act(st._frame_inv, mu.c, st.frame)
+    Qc, _, u = _canonical_velocity()(pack_constants(c).reshape(-1))
+    return Qc, u, c
+
+
+def _closed(u) -> bool:
+    """Whether |d phi| = |u[:35]| (u from :func:`_in_frame`) is at most CLOSED_TOL |phi|."""
+    return float(np.linalg.norm(u[:NFORMS[3]])) <= CLOSED_TOL * math.sqrt(7.0)  # |phi| = sqrt 7
+
+
 def _natural_q(mu: LieBracket, phi):
-    """Q_phi and Delta_phi phi of the pair (mu, phi), phi given by its
-    coefficients, by GL(7)-naturality.  With F the adapted frame of phi,
-    F^* phi = phi_canonical, so Q_phi = F Q_can F^-1, Q_can the Q of the
-    canonical compiled velocity at F^-1 . mu, and
-    Delta_phi phi = F . theta(Q_can) phi_canonical, the pullback by F^-1 of
-    T Q_can, T the canonical theta map.  No G2Structure, Hodge star or Q
-    solve per call."""
-    _, F, Finv = checked_frame(KForm(3, phi))
-    Qc = _canonical_velocity()(pack_constants(bracket_act(Finv, mu.c, F)).reshape(-1))[0]
+    """Q_phi = F Qc F^-1 and Delta_phi phi = F . T Qc of the pair (mu, phi),
+    phi given by its coefficients (:func:`_in_frame`; T the canonical theta
+    map).  No Hodge star or Q solve per call."""
+    st = G2Structure(KForm(3, phi))
+    Qc = _in_frame(mu, st)[0]
     (T, *_), *_ = _canonical_tables()
-    return F @ Qc @ Finv, pullback3(Finv, T @ Qc.reshape(-1))
+    return st.frame @ Qc @ st._frame_inv, pullback3(st._frame_inv, T @ Qc.reshape(-1))
 
 
 def _bracket_norm(y):
@@ -240,7 +245,7 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     metric_from_3form(phi0)
 
     def rhs(t, y):
-        return laplacian(mu, metric_from_3form(KForm(3, y)), y)[0]
+        return laplacian(mu, metric_from_3form(KForm(3, y)), y)
 
     def make_sample(t, y):
         return _flow_sample(t, mu, G2Structure(KForm(3, y)))
@@ -299,9 +304,9 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     def rhs(t, y):
         h = y[NCONST:NCONST + 49].reshape(DIM, DIM)
         phi_d = y[NCONST + 49:]
-        Qmu, dmu = velocity(y[:NCONST])
+        Qmu, dmu, _ = velocity(y[:NCONST])
         if side == "ii":
-            lap = laplacian(mu0, metric_from_3form(KForm(3, phi_d)), phi_d)[0]
+            lap = laplacian(mu0, metric_from_3form(KForm(3, phi_d)), phi_d)
             dh = -Qmu @ h
         else:
             Q, lap = _natural_q(mu0, phi_d)
@@ -325,16 +330,15 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
 # soliton detection
 # ---------------------------------------------------------------------------
 
-def _fit_soliton(kind, mu, s, project, lap, dphi, dpsi):
+def _fit_soliton(kind, mu, s, project, Qc, u):
     """Least-squares fit of Q over the family {c I + project(D) : D a
-    derivation}; a certificate of the given kind when the residual is below
-    1e-7, relative to |Q|.  lap, dphi and dpsi are as laplacian returns
-    them for s.phi."""
-    Q = s.solve_Q(KForm(3, lap))
+    derivation}, in e-coordinates; a certificate of the given kind when the
+    residual is below 1e-7, relative to |Q|.  Qc and u are as
+    :func:`_in_frame` returns them for (mu, s)."""
+    Q = s.frame @ Qc @ s._frame_inv
     scale = max(1.0, float(np.linalg.norm(Q)))
-    g = s.metric
-    tol = 1e-9 * max(1.0, g.form_norm(s.phi))
-    if g.form_norm(KForm(4, dphi)) <= tol and g.form_norm(KForm(5, dpsi)) <= tol:
+    n3, tol = NFORMS[3], 1e-9 * math.sqrt(7.0)  # |d phi|, |d psi| against |phi|
+    if np.linalg.norm(u[:n3]) <= tol and np.linalg.norm(u[n3:]) <= tol:
         return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
                                   float(np.linalg.norm(Q)), "steady")
     der = derivations(mu)
@@ -352,8 +356,7 @@ def _fit_soliton(kind, mu, s, project, lap, dphi, dpsi):
 
 def detect_algebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
     """Least-squares fit of Q over the family {c I + D : D a derivation}."""
-    return _fit_soliton("algebraic", mu, s, lambda D: D,
-                        *laplacian(mu, s.metric, s.phi.coeffs))
+    return _fit_soliton("algebraic", mu, s, lambda D: D, *_in_frame(mu, s)[:2])
 
 
 def detect_semialgebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
@@ -361,10 +364,10 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
 
     On success the skew part (D - D^t)/2, the rotation generator of the
     norm-normalized bracket flow, is reported alongside."""
-    lap, dphi, dpsi = laplacian(mu, s.metric, s.phi.coeffs)
-    if not _closed(s, dphi):
+    Qc, u, _ = _in_frame(mu, s)
+    if not _closed(u):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    cert = _fit_soliton("semi-algebraic", mu, s, s.sym_part, lap, dphi, dpsi)
+    cert = _fit_soliton("semi-algebraic", mu, s, s.sym_part, Qc, u)
     if cert.kind == "semi-algebraic":
         cert = replace(cert, skew=0.5 * (cert.D - s.metric.transpose(cert.D)))
     return cert

@@ -5,7 +5,7 @@ i/j maps, and torsion-form extraction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -88,9 +88,10 @@ def _sym0_basis():
 class TorsionForms:
     """The four torsion components of a pair (dphi, dpsi).
 
-    tau1-tau3 are e-basis forms; residual is the metric distance of
-    (dphi, dpsi) from the pairs that torsion forms give, and norm the metric
-    norm sqrt(tau0^2 + |tau1|^2 + |tau2|^2 + |tau3|^2).
+    tau1-tau3 are e-basis forms (frame forms from :func:`_frame_torsion`);
+    residual is the metric distance of (dphi, dpsi) from the pairs that
+    torsion forms give, and norm the metric norm
+    sqrt(tau0^2 + |tau1|^2 + |tau2|^2 + |tau3|^2).
     """
 
     tau0: float
@@ -130,7 +131,7 @@ def _canonical_tables():
 
 @cache
 def _torsion_map():
-    """The torsion projections of :meth:`G2Structure.torsion_forms` for
+    """The torsion projections of :func:`_frame_torsion` for
     phi_canonical as one (71, 56) map: (a, b) = (P4 dphi, P5 dpsi) in frame
     coordinates to (tau0, tau1a, tau1b, tau2, tau3), all linear in (a, b).
     With * the identity-metric star, tau0 = <a, psi>/7, tau1a =
@@ -181,43 +182,25 @@ def _adapted_frame(phi: KForm, g: Metric) -> np.ndarray:
     return F
 
 
-def checked_frame(phi: KForm):
-    """The metric g of a positive 3-form, its adapted frame F
-    (:func:`_adapted_frame`) and F^-1 = F^T G, checked: a frame with
-    |F^* phi - phi_canonical| above 1e-9 |phi_canonical| raises
-    SingularSystem, or NonFiniteState when it is not finite.  The one frame
-    of :class:`G2Structure` and of the side-i stage of
-    ``flow.reconstruct_h``."""
-    g = metric_from_3form(phi)
-    F = _adapted_frame(phi, g)
-    phi_c = _canonical_tables()[2]
-    miss = np.linalg.norm(pullback3(F, phi.coeffs) - phi_c.coeffs)
-    if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
-        error = SingularSystem if np.isfinite(miss) else NonFiniteState
-        raise error(f"adapted frame misses phi_canonical by {miss:g}")
-    return g, F, F.T @ g.gram
-
-
 class G2Structure:
     """A positive 3-form with its induced metric and the G2 algebra
     attached to it.
 
-    Construction computes the metric and a G2-adapted frame F: F is
-    orthonormal for the metric and pulls phi back to phi_canonical
-    (:func:`checked_frame`; a frame that misses phi_canonical by more than
-    1e-9 relative raises SingularSystem, or NonFiniteState when it is not
-    finite).  So in frame coordinates every structure has the same G2
-    algebra: the theta map and its pseudo-inverse, the g2 and q bases, the
-    q1/q7/q27 split and phi and psi are constants of phi_canonical
-    (:func:`_canonical_tables`), built once per process, and a structure
-    conjugates them by F.  Construction takes no SVD.  The Hodge dual psi,
-    the (49, 35) map of the Q solve and the frame pullbacks around the
-    canonical torsion map (:func:`_torsion_map`) are filled in on first
-    use.  Like a ``LieBracket``'s cache they hold idempotent values (a table
-    built twice comes out the same), so instances may be shared across
-    threads.  What depends on the metric
-    alone (Hodge stars, the inner product on forms, adjoints) is read from
-    ``metric``.
+    Construction computes the metric and a G2-adapted frame F
+    (:func:`_adapted_frame`), orthonormal for the metric, and checks that F
+    pulls phi back to phi_canonical: a miss above 1e-9 relative raises
+    SingularSystem, or NonFiniteState when it is not finite.  So in frame
+    coordinates every structure has the same G2 algebra: the theta map and
+    its pseudo-inverse, the g2 and q bases, the q1/q7/q27 split and phi and
+    psi are constants of phi_canonical (:func:`_canonical_tables`), built
+    once per process, and a structure conjugates them by F.  Construction
+    takes no SVD.  The Hodge dual psi, the (49, 35) map of the Q solve and
+    the frame pullbacks around the canonical torsion map
+    (:func:`_torsion_map`) are filled in on first use.  Like a
+    ``LieBracket``'s cache they hold idempotent values (a table built twice
+    comes out the same), so instances may be shared across threads.  What
+    depends on the metric alone (Hodge stars, the inner product on forms,
+    adjoints) is read from ``metric``.
 
     Attributes:
         phi, psi: the 3-form and its Hodge dual 4-form.
@@ -231,8 +214,14 @@ class G2Structure:
 
     def __init__(self, phi: KForm):
         self.phi = phi
-        self.metric, self.frame, self._frame_inv = checked_frame(phi)
-        (_, self._solve_op, self._g2_f, self._q_f), self._q_split, *_ = _canonical_tables()
+        self.metric = g = metric_from_3form(phi)
+        self.frame = F = _adapted_frame(phi, g)
+        (_, self._solve_op, self._g2_f, self._q_f), self._q_split, phi_c, _ = _canonical_tables()
+        miss = np.linalg.norm(pullback3(F, phi.coeffs) - phi_c.coeffs)
+        if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
+            error = SingularSystem if np.isfinite(miss) else NonFiniteState
+            raise error(f"adapted frame misses phi_canonical by {miss:g}")
+        self._frame_inv = F.T @ g.gram
 
     # -- tables filled on first use ----------------------------------------
 
@@ -337,26 +326,34 @@ class G2Structure:
 
     def torsion_forms(self, dphi: KForm, dpsi: KForm) -> TorsionForms:
         """Solve dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
-        dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components.
-
-        In the frame, where phi has the identity metric, the terms lie in
-        orthogonal summands, Lambda^4 = 1 + 7 + 27 and Lambda^5 = 7 + 14, so
-        each component is a projection, and all of them are one constant
-        map of the frame pair (:func:`_torsion_map`).  The two tau1 of an
-        inconsistent pair are weighted 3:4, as least squares would weight
-        them."""
+        dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components:
+        :func:`_frame_torsion` of the frame pair (P4 dphi, P5 dpsi), its forms
+        pulled back into e-coordinates."""
         if dphi.degree != 4 or dpsi.degree != 5:
             raise ValueError("need (4-form, 5-form)")
         (P4, P5), (B1, B2, B3) = self._torsion_op
-        a, b = P4 @ dphi.coeffs, P5 @ dpsi.coeffs
-        v = _torsion_map() @ np.concatenate([a, b])
-        tau0, tau1a, tau1b, tau2, tau3 = float(v[0]), v[1:8], v[8:15], v[15:36], v[36:]
-        tau1, miss = (3.0 * tau1a + 4.0 * tau1b) / 7.0, tau1a - tau1b
-        res = 12.0 / math.sqrt(7.0) * math.sqrt(miss @ miss)
-        scale = max(1.0, math.hypot(math.sqrt(a @ a), math.sqrt(b @ b)))
-        if not res <= 1e-6 * scale:  # NaN fails too
-            error = InconsistentTorsion if math.isfinite(res) else NonFiniteState
-            raise error(f"torsion reconstruction residual {res:g}")
-        norm = math.sqrt(tau0 * tau0 + tau1 @ tau1 + tau2 @ tau2 + tau3 @ tau3)
-        return TorsionForms(tau0, KForm(1, B1 @ tau1), KForm(2, B2 @ tau2),
-                            KForm(3, B3 @ tau3), res, norm)
+        tf = _frame_torsion(P4 @ dphi.coeffs, P5 @ dpsi.coeffs)
+        return replace(tf, tau1=KForm(1, B1 @ tf.tau1.coeffs), tau2=KForm(2, B2 @ tf.tau2.coeffs),
+                       tau3=KForm(3, B3 @ tf.tau3.coeffs))
+
+
+def _frame_torsion(a, b) -> TorsionForms:
+    """The torsion forms of (dphi, dpsi) = (a, b) for phi_canonical, in frame
+    coordinates, where phi has the identity metric.
+
+    There the terms lie in orthogonal summands, Lambda^4 = 1 + 7 + 27 and
+    Lambda^5 = 7 + 14, so each component is a projection, and all of them
+    are one constant map of the pair (:func:`_torsion_map`).  The two tau1
+    of an inconsistent pair are weighted 3:4, as least squares would weight
+    them; a residual above 1e-6 max(1, |(a, b)|) raises InconsistentTorsion,
+    or NonFiniteState when it is not finite."""
+    v = _torsion_map() @ np.concatenate([a, b])
+    tau0, tau1a, tau1b, tau2, tau3 = float(v[0]), v[1:8], v[8:15], v[15:36], v[36:]
+    tau1, miss = (3.0 * tau1a + 4.0 * tau1b) / 7.0, tau1a - tau1b
+    res = 12.0 / math.sqrt(7.0) * math.sqrt(miss @ miss)
+    scale = max(1.0, math.hypot(math.sqrt(a @ a), math.sqrt(b @ b)))
+    if not res <= 1e-6 * scale:  # NaN fails too
+        error = InconsistentTorsion if math.isfinite(res) else NonFiniteState
+        raise error(f"torsion reconstruction residual {res:g}")
+    norm = math.sqrt(tau0 * tau0 + tau1 @ tau1 + tau2 @ tau2 + tau3 @ tau3)
+    return TorsionForms(tau0, KForm(1, tau1), KForm(2, tau2), KForm(3, tau3), res, norm)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,10 @@ JACOBI_TOL = 1e-9
 
 
 def jacobi_residual(c) -> float:
-    """Max-norm Jacobi defect of raw antisymmetric structure constants."""
+    """Max-norm Jacobi defect of raw antisymmetric structure constants c relative
+    to max(1, max|c|)^2: that of c / max(1, max|c|), where no product overflows."""
     c = np.asarray(c, dtype=float).reshape(DIM, DIM, DIM)
+    c = c / max(1.0, float(np.abs(c).max()))
     T = np.einsum("ijm,mkl->ijkl", c, c)
     res = T + np.einsum("jkil->ijkl", T) + np.einsum("kijl->ijkl", T)
     return float(np.abs(res).max())
@@ -55,9 +58,9 @@ class LieBracket:
     The bracket norm convention is |mu|^2 = sum over all ordered pairs
     (i,j) and k of (c_ij^k)^2, i.e. twice the sum over increasing pairs.
     The constants are read-only, so a bracket caches what is derived from
-    them: the CE matrices by degree, its derivation space and its Jacobi
-    residual, which the constructor checks unless validate is False (as for
-    the brackets that the group actions and the flows derive).
+    them: the CE matrices by degree, its derivation space and its relative
+    Jacobi residual, which the constructor checks unless validate is False
+    (as for the brackets that the group actions and the flows derive).
     """
 
     __slots__ = ("c", "_cache")
@@ -73,7 +76,7 @@ class LieBracket:
         c.flags.writeable = False
         self.c = c
         self._cache = {}
-        if validate and self.jacobi > JACOBI_TOL:
+        if validate and not self.jacobi <= JACOBI_TOL:  # NaN fails too
             raise InvalidBracket(f"Jacobi residual {self.jacobi:g} exceeds {JACOBI_TOL:g}")
 
     # -- constructors ------------------------------------------------------
@@ -107,13 +110,15 @@ class LieBracket:
 
     @property
     def jacobi(self) -> float:
-        """Max-norm Jacobi defect of the constants, computed on first read."""
+        """The constants' :func:`jacobi_residual`, computed on first read."""
         if "jacobi" not in self._cache:
             self._cache["jacobi"] = jacobi_residual(self.c)
         return self._cache["jacobi"]
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.c ** 2)))
+        # on c / s, s the power of two above max|c|: exact, and no square overflows
+        s = math.ldexp(1.0, math.frexp(float(np.abs(self.c).max()))[1])
+        return s * float(np.sqrt(np.sum((self.c / s) ** 2)))
 
     def packed(self) -> np.ndarray:
         return pack_constants(self.c)
@@ -302,13 +307,13 @@ def ricci(mu: LieBracket, g: Metric | None = None):
     """Ricci operator and scalar curvature of the left-invariant metric.
 
     Computed from the Levi-Civita connection coefficients obtained by the
-    Koszul formula on structure constants, in an orthonormal frame.
+    Koszul formula on structure constants in a g-orthonormal frame, or as they are for no g.
     """
-    if g is None:
-        g = Metric.identity()
-    M = g.frame()
-    Minv = np.linalg.inv(M)
-    chat = bracket_act(Minv, mu.c, M)
+    chat = mu.c
+    if g is not None:
+        M = g.frame()
+        Minv = np.linalg.inv(M)
+        chat = bracket_act(Minv, mu.c, M)
     # Koszul: <nabla_i e_j, e_k> = (c_ijk - c_ikj - c_jki) / 2
     gamma = 0.5 * (chat - np.einsum("ikj->ijk", chat) - np.einsum("jki->ijk", chat))
     N = np.einsum("ijk->ikj", gamma)  # N[i] acts on coordinates: (N_i)_{kj}
@@ -316,5 +321,5 @@ def ricci(mu: LieBracket, g: Metric | None = None):
     R4 = NN - NN.transpose(1, 0, 2, 3) - np.einsum("ijk,kab->ijab", chat, N)
     ric_f = np.einsum("iaib->ab", R4)
     ric_f = 0.5 * (ric_f + ric_f.T)
-    ric_op = M @ ric_f @ Minv
+    ric_op = ric_f if g is None else M @ ric_f @ Minv
     return ric_op, float(np.trace(ric_f))

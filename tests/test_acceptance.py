@@ -345,7 +345,7 @@ def test_criterion_10_property_laplacian_symmetric_psd(s_aa):
             mu = aa.bracket_of(random_sl3c(rng))
             a = random_kform(rng, 3)
             b = random_kform(rng, 3)
-            la, lb = (KForm(3, laplacian(mu, s_aa.metric, x.coeffs)[0]) for x in (a, b))
+            la, lb = (KForm(3, laplacian(mu, s_aa.metric, x.coeffs)) for x in (a, b))
             assert np.array_equal(la.coeffs, hodge_laplacian(mu, s_aa, a).coeffs)
             assert abs(s_aa.metric.inner(la, b) - s_aa.metric.inner(a, lb)) \
                 < 1e-9 * max(1.0, a.norm() * b.norm())

@@ -20,6 +20,7 @@ from g2flow.errors import NonFiniteState, NotClosed, PositivityError, SingularSy
 from g2flow.exterior import (DIM, KForm, _theta_tensor, act, hodge_star, phi_canonical,
                              pullback_matrix, theta)
 from g2flow.flow import (
+    FlowSample,
     IntegratorOptions,
     _bracket_velocity,
     _flow_sample,
@@ -40,6 +41,7 @@ from g2flow.liealg import (
     delta_mu,
     jacobi_residual,
     pack_constants,
+    ricci,
     unpack_constants,
 )
 
@@ -103,30 +105,31 @@ def _bracket_pairs(draw):
 def test_compiled_bracket_rhs_is_the_object_path(pair):
     mu, phi = pair
     s = G2Structure(phi)
-    Q, vel = _bracket_velocity(s)(mu.packed().reshape(-1))
-    lap = laplacian(mu, s.metric, s.phi.coeffs)[0]
+    Q, vel, u = _bracket_velocity(s)(mu.packed().reshape(-1))
+    lap = laplacian(mu, s.metric, s.phi.coeffs)
     assert np.array_equal(lap, hodge_laplacian(mu, s, s.phi).coeffs)
     want_Q = s.solve_Q(KForm(3, lap))
     want = pack_constants(delta_mu(mu, want_Q)).reshape(-1)
     assert np.abs(Q - want_Q).max() <= 1e-12 * np.abs(want_Q).max()
     assert np.abs(vel - want).max() <= 1e-12 * np.abs(want).max()
+    # u = (*d phi, *d psi)
+    want_u = np.concatenate([hodge_star(ce_differential(mu, x), s.metric).coeffs
+                             for x in (s.phi, s.psi)])
+    assert np.abs(u - want_u).max() <= 1e-12 * max(1.0, np.abs(want_u).max())
 
 
 @given(pair=_bracket_pairs(),
        a=st.lists(st.floats(-1.0, 1.0), min_size=35, max_size=35))
 def test_laplacian_is_the_object_chain(pair, a):
     # the one fixed-bracket Laplacian makes the object chain's products in
-    # the same order, so the two agree bit for bit; its differentials are
-    # d a and d *a, and the bare metric of phi gives the structure's result
+    # the same order, so the two agree bit for bit, and the bare metric of
+    # phi gives the structure's result
     mu, phi = pair
     s = G2Structure(phi)
     a = KForm(3, a)
-    lap, da, dsa = laplacian(mu, s.metric, a.coeffs)
+    lap = laplacian(mu, s.metric, a.coeffs)
     assert np.array_equal(lap, hodge_laplacian(mu, s, a).coeffs)
-    assert np.array_equal(da, ce_differential(mu, a).coeffs)
-    assert np.array_equal(dsa, ce_differential(mu, hodge_star(a, s.metric)).coeffs)
-    bare = laplacian(mu, metric_from_3form(phi), a.coeffs)
-    assert all(np.array_equal(x, y) for x, y in zip(bare, (lap, da, dsa)))
+    assert np.array_equal(laplacian(mu, metric_from_3form(phi), a.coeffs), lap)
 
 
 @given(pair=_bracket_pairs(),
@@ -448,7 +451,7 @@ def side_i_stage_by_structure(mu, phi):
     was before it, a G2Structure of phi, the Laplacian through its fresh
     Hodge stars and its Q solve."""
     st = G2Structure(KForm(3, phi))
-    lap = laplacian(mu, st.metric, phi)[0]
+    lap = laplacian(mu, st.metric, phi)
     return st.solve_Q(KForm(3, lap)), lap
 
 
@@ -506,9 +509,9 @@ def test_laplacian_of_an_overflowing_bracket_raises(rng):
             laplacian(huge, metric_from_3form(phi), phi.coeffs)
 
 
-def test_side_i_stages_build_no_structure_and_no_star(s_aa, rng, monkeypatch):
-    # after a warm run has built the canonical velocity, a side-i
-    # reconstruction builds no G2Structure and no Hodge star
+def test_side_i_stages_build_no_star_and_no_q_map(s_aa, rng, monkeypatch):
+    # after a warm run has built the canonical velocity, a side-i stage
+    # builds the G2Structure of its form, and no Hodge star or Q map
     traj = bracket_flow(aa.bracket_of(random_sl3c(rng, 0.8)), s_aa,
                         IntegratorOptions(method="rk4", h0=1e-2, t_end=0.05))
     reconstruct_h(traj, side="i")
@@ -520,11 +523,94 @@ def test_side_i_stages_build_no_structure_and_no_star(s_aa, rng, monkeypatch):
             return f(*args)
         return counting
 
-    monkeypatch.setattr(G2Structure, "__init__", counted("G2Structure", G2Structure.__init__))
+    monkeypatch.setattr(G2Structure, "__init__", counted("stage", G2Structure.__init__))
+    monkeypatch.setattr(G2Structure, "solve_Q_matrix",
+                        counted("Q map", G2Structure.solve_Q_matrix))
     monkeypatch.setattr(exterior, "hodge_matrix", counted("hodge_matrix", exterior.hodge_matrix))
-    monkeypatch.setattr(flow, "checked_frame", counted("stage", flow.checked_frame))
     assert reconstruct_h(traj, side="i").status == "completed"
     assert calls == ["stage"] * 20  # five rk4 steps
+
+
+def sample_by_structure(t, mu, st):
+    """The oracle for flow._flow_sample: the sample as it was before it read
+    the pair in the adapted frame, through the Laplacian with the metric's
+    Hodge stars, the structure's Q solve and torsion forms, and metric
+    norms."""
+    g = st.metric
+    delta = KForm(3, laplacian(mu, g, st.phi.coeffs))
+    dphi, dpsi = ce_differential(mu, st.phi), ce_differential(mu, st.psi)
+    Q = st.solve_Q(delta)
+    closed = g.form_norm(dphi) <= flow.CLOSED_TOL * max(1.0, g.form_norm(st.phi))
+    R = 1.5 * float(np.trace(Q)) if closed else ricci(mu, g)[1]
+    tau = st.torsion_forms(dphi, dpsi).norm
+    return FlowSample(t, mu, st.phi, Q, mu.norm(), R, tau, g.form_norm(delta))
+
+
+def test_sample_is_the_structure_sample(rng):
+    # GL(7)-moved pairs of both orientations, the moves scaled 1e-3 to 1e3:
+    # closed almost-abelian pairs, almost-abelian pairs that are not closed,
+    # and nilpotent brackets with phi_canonical
+    seen = set()
+    for i, scale in enumerate(np.logspace(-3, 3, 24)):
+        if i % 3 == 0:
+            mu, phi = aa.bracket_of(random_sl3c(rng)), aa.phi_almost_abelian()
+        elif i % 3 == 1:
+            A = rng.normal(size=(6, 6))
+            mu = aa.bracket_of(aa.AAMatrix.from_matrix(A - np.trace(A) / 6 * np.eye(6)))
+            phi = aa.phi_almost_abelian()
+        else:
+            mu, phi = mu_nilpotent(*rng.normal(size=4)), phi_canonical()
+        h = random_gl7(rng)
+        if (np.linalg.det(h) > 0) != (i % 2 == 0):
+            h[:, 0] *= -1.0
+        mu, st = mu.act(scale * h), G2Structure(act(scale * h, phi))
+        got, want = _flow_sample(0.5, mu, st), sample_by_structure(0.5, mu, st)
+        assert np.abs(got.Q - want.Q).max() <= 1e-12 * np.abs(want.Q).max()
+        for x in ("R", "torsion_norm", "velocity_norm"):
+            assert abs(getattr(got, x) - getattr(want, x)) <= 1e-12 * abs(getattr(want, x))
+        closed = st.metric.form_norm(ce_differential(mu, st.phi)) <= flow.CLOSED_TOL * math.sqrt(7)
+        seen.add((st.metric.orientation, closed))
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+def test_sample_raises_where_the_structure_sample_raises(s_aa, rng):
+    huge = LieBracket(1e200 * aa.bracket_of(random_sl3c(rng, 0.5)).c, validate=False)
+    for sample in (_flow_sample, sample_by_structure):
+        with pytest.raises(NonFiniteState):
+            sample(0.0, huge, s_aa)
+
+
+def test_samples_and_detectors_solve_no_q_and_no_torsion(s_aa, rng, monkeypatch):
+    # samples and detectors read Q, torsion and closedness in the adapted
+    # frame: once the velocities are built, a bracket-flow run and both
+    # detectors take no Q solve, torsion forms, metric norm, Laplacian or
+    # Hodge star, and a direct-flow run takes those of its right side only
+    _bracket_velocity(s_aa)
+    flow._canonical_velocity()
+    calls = []
+
+    def counted(name, f):
+        def counting(*args):
+            calls.append(name)
+            return f(*args)
+        return counting
+
+    monkeypatch.setattr(G2Structure, "solve_Q", counted("solve_Q", G2Structure.solve_Q))
+    monkeypatch.setattr(G2Structure, "torsion_forms",
+                        counted("torsion_forms", G2Structure.torsion_forms))
+    monkeypatch.setattr(exterior.Metric, "form_norm",
+                        counted("form_norm", exterior.Metric.form_norm))
+    monkeypatch.setattr(flow, "laplacian", counted("laplacian", flow.laplacian))
+    monkeypatch.setattr(exterior, "hodge_matrix", counted("hodge_matrix", exterior.hodge_matrix))
+    mu = aa.bracket_of(random_sl3c(rng, 0.8))
+    opts = IntegratorOptions(method="rk4", h0=1e-2, t_end=0.05)
+    assert bracket_flow(mu, s_aa, opts).status == "completed"
+    assert detect_algebraic(mu, s_aa).kind != "torsion-free"
+    assert detect_semialgebraic(mu, s_aa).kind != "torsion-free"
+    assert calls == []
+    assert laplacian_flow(s_aa.phi, mu, opts).status == "completed"
+    assert set(calls) == {"laplacian", "hodge_matrix"}
+    assert calls.count("laplacian") == 20  # five rk4 steps
 
 
 _sym_embed_49x28 = None

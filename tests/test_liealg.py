@@ -9,9 +9,11 @@ from g2flow import almostabelian as aa
 from g2flow import liealg
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import InvalidBracket, SingularSystem
-from g2flow.exterior import DIM, INDEX_SETS, KForm, NFORMS, RANK, act, phi_canonical, sort_sign
+from g2flow.exterior import (DIM, INDEX_SETS, KForm, Metric, NFORMS, RANK, act, phi_canonical,
+                             sort_sign)
 from g2flow.flow import laplacian
 from g2flow.liealg import (
+    JACOBI_TOL,
     PAIRS,
     _PACK_POS,
     LieBracket,
@@ -51,6 +53,28 @@ def test_jacobi_perturbation_is_positive(rng):
     assert jacobi_residual(pert) > 1e-3
     with pytest.raises(InvalidBracket):
         LieBracket(pert)
+
+
+def test_jacobi_is_checked_relative_to_the_scale(rng):
+    # the residual is relative to max(1, max|c|)^2 and taken of the scaled
+    # constants: a moved bracket passes at any scale, antisymmetric constants
+    # that are not a bracket fail at any scale, and no product overflows,
+    # also through JSON
+    c = rng.normal(size=(7, 7, 7))
+    bad = c - c.transpose(1, 0, 2)
+    good = LieBracket(aa.bracket_of(random_sl3c(rng)).act(random_gl7(rng)).c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1.0, 1e4, 1e160, 1e200, 1e300):
+            for mu in (LieBracket(s * good.c),
+                       LieBracket.from_json_dict(good.scale(s).to_json_dict())):
+                assert mu.jacobi <= JACOBI_TOL
+                assert abs(mu.norm() - s * good.norm()) <= 1e-14 * s * good.norm()
+                assert "inf" not in repr(mu) and "nan" not in repr(mu)
+            for build in (lambda: LieBracket(s * bad), lambda: LieBracket.from_json_dict(
+                    LieBracket(s * bad, validate=False).to_json_dict())):
+                with pytest.raises(InvalidBracket, match="Jacobi"):
+                    build()
 
 
 def test_jacobi_is_checked_where_outside_data_enters(rng, monkeypatch):
@@ -185,11 +209,11 @@ def test_ce_matrix_matches_dense_tensor(k, rng):
 def test_laplacian_displays(s_nilpotent):
     a, b = 1.5, -0.3
     mu = mu_nilpotent(a, b, -b, a)
-    lap = KForm(3, laplacian(mu, s_nilpotent.metric, s_nilpotent.phi.coeffs)[0])
+    lap = KForm(3, laplacian(mu, s_nilpotent.metric, s_nilpotent.phi.coeffs))
     want = KForm.from_terms(3, {(1, 2, 3): 2 * (a * a + b * b)})
     assert (lap - want).norm() < 1e-12
     z = laplacian(LieBracket.zero(), s_nilpotent.metric, KForm.basis((1, 2, 3)).coeffs)
-    assert not any(np.any(x) for x in z)
+    assert not np.any(z)
 
 
 def test_laplacian_self_adjoint_and_psd(s_aa, rng):
@@ -199,7 +223,7 @@ def test_laplacian_self_adjoint_and_psd(s_aa, rng):
         mu = aa.bracket_of(m)
         a = random_kform(rng, 3)
         b = random_kform(rng, 3)
-        la, lb = (KForm(3, laplacian(mu, s_aa.metric, x.coeffs)[0]) for x in (a, b))
+        la, lb = (KForm(3, laplacian(mu, s_aa.metric, x.coeffs)) for x in (a, b))
         assert np.array_equal(la.coeffs, hodge_laplacian(mu, s_aa, a).coeffs)
         assert abs(s_aa.metric.inner(la, b) - s_aa.metric.inner(a, lb)) < 1e-9 * max(
             1.0, a.norm() * b.norm())
@@ -363,6 +387,17 @@ def test_ricci_bi_invariant_compact_oracle():
     ric, R = ricci(LieBracket(c))
     assert np.abs(np.diag(ric)[:3] - 0.5).max() < 1e-13
     assert abs(R - 1.5) < 1e-13
+
+
+def test_ricci_with_no_metric_reads_the_constants(rng):
+    # the identity metric's frame is I, so its result is the constants' own,
+    # bit for bit
+    c = rng.normal(size=(7, 7, 7))
+    brackets = [mu_nilpotent(*rng.normal(size=4)), aa.bracket_of(random_sl3c(rng)),
+                LieBracket.zero(), LieBracket(c - c.transpose(1, 0, 2), validate=False)]
+    for mu in brackets:
+        (ric, R), (ric_i, R_i) = ricci(mu), ricci(mu, Metric(np.eye(DIM)))
+        assert ric.tobytes() == ric_i.tobytes() and R == R_i
 
 
 def test_scalar_curvature_matches_q_trace(s_aa, rng):
