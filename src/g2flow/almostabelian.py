@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBracket, NotClosed, NotTraceFree
+from .errors import InvalidBracket, NonFiniteState, NotClosed, NotTraceFree
 from .exterior import DIM, KForm, theta, wedge
 from .g2core import G2Structure
 from .integrate import IntegratorOptions, Trajectory, drive
@@ -276,8 +276,22 @@ def flow_rhs(A) -> np.ndarray:
     with S = A + A^T and K = A A^T - A^T A.  Since K - S^2 =
     -(A^2 + A^T^2 + 2 A^T A) and [A, A^2] = 0, the last two terms are
     -1/2 [A, B] with B = A^T (A^T + 2 A): three matrix products.  S is
-    symmetric, so tr S^2 is the sum of the squares of its entries."""
+    symmetric, so tr S^2 is the sum of the squares of its entries.
+
+    The cubic cannot overflow while every entry of A is at most 1e100;
+    above that it is computed under np.errstate, and a velocity that
+    overflows raises NonFiniteState."""
     A = np.asarray(A, dtype=float)
+    if np.abs(A).max() <= 1e100:
+        return _matrix_velocity(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vel = _matrix_velocity(A)
+    if not np.isfinite(vel).all():
+        raise NonFiniteState("non-finite matrix flow velocity")
+    return vel
+
+
+def _matrix_velocity(A):
     S = A + A.T
     B = A.T @ (A.T + 2.0 * A)
     return (-float((S * S).sum()) / 6.0) * A - 0.5 * (A @ B - B @ A)
@@ -332,7 +346,8 @@ def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> Trajectory
                             sl3c_residual(A), _q_formula(A_nat),
                             _torsion_formula(A_nat).norm())
 
-    return drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample, np.linalg.norm)
+    return drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample, np.linalg.norm,
+                 cubic=True)
 
 
 # ---------------------------------------------------------------------------

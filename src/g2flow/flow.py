@@ -23,7 +23,7 @@ from .liealg import (
     ce_matrix_of_form,
     derivations,
     pack_constants,
-    ricci,
+    scalar_curvature,
     unpack_constants,
 )
 
@@ -99,7 +99,7 @@ def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     |tau| of the frame pair (d phi, d psi) = (S3 u[:35], S2 u[35:])."""
     Qc, u, c = _in_frame(mu, st)
     (T, *_), *_ = _canonical_tables()
-    R = 1.5 * float(np.trace(Qc)) if _closed(u) else ricci(LieBracket(c, validate=False))[1]
+    R = 1.5 * float(np.trace(Qc)) if _closed(u) else scalar_curvature(c)
     n3 = NFORMS[3]
     tau = _frame_torsion(_star_table(3) @ u[:n3], _star_table(2) @ u[n3:]).norm
     return FlowSample(t, mu, st.phi, st.frame @ Qc @ st._frame_inv, mu.norm(), R, tau,
@@ -209,21 +209,22 @@ def _bracket_norm(y):
 
 def bracket_flow(mu0: LieBracket, s: G2Structure,
                  opts: IntegratorOptions | None = None) -> FlowTrajectory:
-    """Integrate d mu/dt = delta_mu(Q_mu) with the 3-form held fixed."""
+    """Integrate d mu/dt = delta_mu(Q_mu) with the 3-form held fixed.
+
+    The velocity is a homogeneous cubic in mu, so rk45 integrates it in
+    scale-free time, as the normalized flow plus |mu| and t
+    (:func:`integrate.drive`)."""
     opts = opts or IntegratorOptions()
     velocity = _bracket_velocity(s)
 
     def rhs(t, y):
-        vel = velocity(y)[1]
-        if opts.normalize == "unit-bracket-norm":
-            vel = vel - (vel @ y) / max(y @ y, 1e-300) * y
-        return vel
+        return velocity(y)[1]
 
     def make_sample(t, y):
         mu = LieBracket(unpack_constants(y), validate=False)
         return _flow_sample(t, mu, s)
 
-    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, _bracket_norm)
+    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, _bracket_norm, cubic=True)
     return FlowTrajectory(run.samples, run.status, s, velocity, mu0, opts)
 
 

@@ -5,6 +5,7 @@ direction.  `drive` is the one sampling loop every flow runs through."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 # weights of the error estimate y5 - y4; the fifth-order weights are row 6
 _DP_E = _DP_A[6] - _DP_B4
+# (i, c_i, A[i, :i]) of stages 2..7, sliced once
+_DP_STAGES = tuple((i, float(_DP_C[i]), _DP_A[i, :i]) for i in range(1, 7))
 
 
 def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
@@ -101,7 +104,8 @@ def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
         yield t, y
 
 
-def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
+def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
+               scale_free=False):
     """Yield (t, y) after each accepted Dormand-Prince step.
 
     The pair is first-same-as-last: the fifth-order solution is the input of
@@ -111,38 +115,65 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
     of one (7, n) array K: stage i takes y + h * (A[i, :i] @ K[:i]) and the
     error estimate is h * (E @ K).
 
-    A stage whose f raises NonFiniteState (an overflowing trial state) has
-    no finite error estimate, and is rejected like one whose estimate is NaN.
+    A stage whose f raises NonFiniteState (an overflowing trial state) or
+    PositivityError (a trial 3-form off the positive cone) has no error
+    estimate, and is rejected like one whose estimate is NaN.
 
-    Raises StepUnderflow when no step of size >= hmin meets the tolerance,
-    and StepBudgetExhausted before an accepted step beyond max_steps.
+    With scale_free, y is the state (x, ln r, t) of :func:`_scale_free`:
+    the steps are in its time tau, and the run ends when its clock
+    t = y[-1], not tau, reaches t1.  The error of ln r (the relative error
+    of r) is measured against atol, and that of t against
+    atol dt/dtau + rtol |t|, so no tolerance depends on the scale of y.  A
+    step is capped where the clock would reach t1 were a = K[0][-2]
+    constant (:func:`_clock_reach`); a step that passes t1 is shortened by
+    Newton on dt/dtau = K[6][-1] and tried again; the last state's clock is
+    set to t1.
+
+    Raises StepUnderflow when no step of size >= hmin meets the tolerance
+    (the PositivityError of its stage when that is why), and
+    StepBudgetExhausted before an accepted step beyond max_steps.
     """
-    direction = 1.0 if t1 >= t0 else -1.0
-    t = t0
     y = np.asarray(y0, dtype=float).copy()
-    h = min(abs(h0), abs(t1 - t0)) or abs(h0)
+    t = t0
+    end = y[-1] if scale_free else t
+    direction = 1.0 if t1 >= end else -1.0
+    h = abs(h0) if scale_free else (min(abs(h0), abs(t1 - t0)) or abs(h0))
     yield t, y
     n = 0
     K = np.empty((7, y.size))
     K[0] = f(t, y)
-    while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
+    while (t1 - end) * direction > 1e-15 * max(1.0, abs(t1)):
         if n >= max_steps:
-            raise StepBudgetExhausted(f"{n} steps taken by t={t:g}")
-        h = min(h, abs(t1 - t))
+            raise StepBudgetExhausted(f"{n} steps taken by t={end:g}")
+        h = min(h, _clock_reach(K[0], abs(t1 - end), direction) if scale_free
+                else abs(t1 - t))
         hh = direction * h
+        failure = None
         try:
-            for i in range(1, 7):
-                yi = y + hh * (_DP_A[i, :i] @ K[:i])
-                K[i] = f(t + _DP_C[i] * hh, yi)
-        except NonFiniteState:
-            err = math.inf
+            for i, c, a in _DP_STAGES:
+                yi = y + hh * (a @ K[:i])
+                K[i] = f(t + c * hh, yi)
+        except (NonFiniteState, PositivityError) as exc:
+            err, failure = math.inf, exc
         else:
-            # yi, the input of stage 7, is the fifth-order solution
-            r = hh * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi)))
-            err = math.sqrt(float(r @ r) / r.size)
+            # yi, the input of stage 7, is the fifth-order solution; an
+            # estimate that overflows rejects the step, without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
+                if scale_free:
+                    scale[-2:] = atol, atol * K[0][-1] + rtol * max(abs(y[-1]), abs(yi[-1]))
+                err = _rms(hh * (_DP_E @ K) / scale)
+        if err <= 1.0 and scale_free:
+            past = (yi[-1] - t1) * direction
+            if past > _CLOCK_TOL * max(1.0, abs(t1)):
+                h = max(h - past / K[6][-1], 0.2 * h)
+                continue
+            if past >= -_CLOCK_TOL * max(1.0, abs(t1)):
+                yi[-1] = t1
         if err <= 1.0:
             t = t + hh
             y = yi
+            end = y[-1] if scale_free else t
             K[0] = K[6]
             n += 1
             yield t, y
@@ -150,19 +181,124 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
             h = min(hmax, h * grow)
         else:
             if h <= hmin * (1 + 1e-12):
-                raise StepUnderflow(f"step {h:g} below hmin at t={t:g} (err={err:g})")
+                if isinstance(failure, PositivityError):
+                    raise failure
+                raise StepUnderflow(f"step {h:g} below hmin at t={end:g} (err={err:g})")
             h = max(hmin, h * max(0.2, 0.9 * err ** -0.2))
 
 
-def _steps(rhs, y0, opts):
+# a scale-free run ends when its clock is this close to t1, relative
+_CLOCK_TOL = 1e-12
+
+
+def _clock_reach(k, left, direction):
+    """The tau step after which the clock of a scale-free state, with rates
+    k = dz/dtau, has moved by left, were a = k[-2] constant: then
+    dt/dtau = c exp(-2 a (tau - tau0)), c = k[-1].  Unbounded when the
+    clock slows down so fast that it does not get there."""
+    first = left / k[-1]
+    q = 2.0 * k[-2] * direction * first
+    if q == 0.0:
+        return first
+    return first * (-math.log1p(-q) / q) if q < 1.0 else math.inf
+
+
+def _rms(r):
+    """The root mean square of r.  A sum of squares that overflows is taken
+    again from r scaled by its largest entry, so a finite r gives a finite
+    result, and a non-finite r gives inf or NaN.  Call it under np.errstate."""
+    ss = float(r @ r)
+    if ss == math.inf:
+        top = float(np.abs(r).max())
+        return top * math.sqrt(float((r / top) @ (r / top)) / r.size)
+    return math.sqrt(ss / r.size)
+
+
+def _along(v, x):
+    """<v, x> / <x, x>, the coefficient of v's component along x."""
+    return np.dot(v, x) / max(np.dot(x, x), 1e-300)
+
+
+def _scale_free(rhs, fixed_norm):
+    """The scale-free form of y' = rhs(t, y), rhs a homogeneous cubic free
+    of t.  With y = r x and dtau = r^2 dt, on z = (x, ln r, t):
+
+        dx/dtau = rhs(x) - a x,  d(ln r)/dtau = a,  dt/dtau = exp(-2 ln r),
+
+    a = <rhs(x), x> / <x, x>.  The split is exact for any |x|, and the flow
+    leaves |x| where it is; x is the norm-normalized flow.  fixed_norm
+    freezes ln r, which is the unit-bracket-norm flow with tau = r0^2 t.
+    The right side keeps rhs's name, so a profile charges it to the flow."""
+    @functools.wraps(rhs)
+    def tau_rhs(tau, z):
+        x = z[:-2]
+        v = rhs(z[-1], x)
+        a = _along(v, x)
+        dz = np.empty_like(z)
+        np.multiply(x, -a, out=dz[:-2])
+        dz[:-2] += v
+        dz[-2] = 0.0 if fixed_norm else a
+        dz[-1] = math.exp(min(-2.0 * z[-2], _LOG_RATE_MAX))
+        return dz
+    return tau_rhs
+
+
+# dt/dtau = r^-2 is taken as at most e^700: below r = e^-350 (about
+# 1e-152), V moves y by less than its rounding over any t < 1e290, so the
+# rate no longer matters, and it stays finite
+_LOG_RATE_MAX = 700.0
+
+
+def _scale_free_start(y0):
+    """(x0, ln r0, 0) with |x0| = 1 and y0 = r0 x0, by a norm that does not
+    overflow, and r0; a zero y0 is its own x0, with r0 = 1."""
+    top = float(np.abs(y0).max())
+    if top == 0.0:
+        return np.concatenate([y0, (0.0, 0.0)]), 1.0
+    x = y0 / top
+    norm = math.sqrt(x @ x)
+    return np.concatenate([x / norm, (math.log(top) + math.log(norm), 0.0)]), top * norm
+
+
+def _steps(rhs, y0, opts, cubic):
     if opts.method == "rk4":
-        return rk4_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.max_steps)
-    return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
-                      opts.atol, opts.rtol, opts.max_steps)
+        f = rhs
+        if cubic and opts.normalize != "none":
+            @functools.wraps(rhs)
+            def f(t, y):  # y' less its component along y, which keeps |y|
+                v = rhs(t, y)
+                return v - _along(v, y) * y
+        return rk4_steps(f, y0, 0.0, opts.t_end, opts.h0, opts.max_steps)
+    if not cubic:
+        return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
+                          opts.atol, opts.rtol, opts.max_steps)
+    fixed_norm = opts.normalize != "none"
+    z0, r0 = _scale_free_start(y0)
+    # under a fixed norm |y| = r0 throughout, and atol, a tolerance on y, is
+    # atol / r0 on x; otherwise atol applies to x, relative to |y|
+    atol = opts.atol / r0 if fixed_norm else opts.atol
+    steps = rk45_steps(_scale_free(rhs, fixed_norm), z0, 0.0, opts.t_end, opts.h0,
+                       opts.hmin, opts.hmax, atol, opts.rtol, opts.max_steps, scale_free=True)
+    return _in_time(steps, y0)
 
 
-def drive(rhs, y0, opts, make_sample, norm_of) -> Trajectory:
+def _in_time(steps, y0):
+    """The scale-free steps as (t, y = r x), starting at (0, y0) itself."""
+    next(steps)
+    yield 0.0, y0
+    for _, z in steps:
+        yield float(z[-1]), math.exp(z[-2]) * z[:-2]
+
+
+def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
     """Integrate y' = rhs(t, y) from t = 0 to opts.t_end.
+
+    cubic says that rhs is a homogeneous cubic in y, free of t, as the
+    bracket flows are.  Then rk45 integrates the scale-free form of
+    :func:`_scale_free`, whose h0, hmin and hmax bound steps in its time
+    tau, and opts.normalize = unit-bracket-norm keeps |y| at |y0|: in
+    scale-free form by freezing r, with rk4 by taking y' less its component
+    along y.
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
     the last state reached.  Returns a Trajectory whose status is one of
@@ -172,8 +308,9 @@ def drive(rhs, y0, opts, make_sample, norm_of) -> Trajectory:
     - non-finite: the state turned to NaN or overflowed (norm_of(y) is NaN
       or infinite), or rhs or make_sample raised a NonFiniteState; the last
       finite state is sampled;
-    - positivity-lost: rhs or make_sample raised a PositivityError (the
-      3-form of the direct flow stopped being definite);
+    - positivity-lost: a PositivityError (the 3-form of the direct flow
+      stopped being definite) came from make_sample, from rhs with rk4, or
+      from an rk45 stage at the smallest step, opts.hmin;
     - step-underflow: no step of size >= opts.hmin met the tolerance;
     - step-budget-exhausted: opts.max_steps steps did not reach t_end.
     """
@@ -182,7 +319,7 @@ def drive(rhs, y0, opts, make_sample, norm_of) -> Trajectory:
     last = None
     sampled_last = False
     try:
-        for n, (t, y) in enumerate(_steps(rhs, y0, opts)):
+        for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic)):
             norm = norm_of(y)
             if not math.isfinite(norm):
                 status = "non-finite"

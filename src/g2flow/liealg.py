@@ -323,3 +323,17 @@ def ricci(mu: LieBracket, g: Metric | None = None):
     ric_f = 0.5 * (ric_f + ric_f.T)
     ric_op = ric_f if g is None else M @ ric_f @ Minv
     return ric_op, float(np.trace(ric_f))
+
+
+def scalar_curvature(c) -> float:
+    """Scalar curvature of the left-invariant metric in which the basis of
+    the constants c (c[i, j, k] the e_k part of [e_i, e_j]) is orthonormal:
+
+        R = -1/4 sum c_ijk^2 - 1/2 sum c_ijk c_ikj - |H|^2,
+
+    H_k = tr ad_k = sum_i c_kii.  It is the trace that :func:`ricci` takes,
+    from three contractions of c and no (7, 7, 7, 7) products."""
+    flat = c.reshape(-1)
+    H = c.trace(axis1=1, axis2=2)
+    return (-0.25 * float(flat @ flat) - 0.5 * float(flat @ c.transpose(0, 2, 1).reshape(-1))
+            - float(H @ H))

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
-from g2flow import exterior, flow, g2core, liealg
+from g2flow import exterior, flow, g2core, integrate, liealg
 from g2flow.corpus import (
+    aa_n2,
     aa_n6_soliton,
     aa_n6_soliton_partner,
     mu_nilpotent,
@@ -269,6 +270,85 @@ def test_unit_norm_projection_keeps_norm(s_aa, rng):
                                           normalize="unit-bracket-norm"))
     norms = [s.norm_mu for s in traj.samples]
     assert max(abs(n - norms[0]) for n in norms) < 1e-7
+
+
+@pytest.mark.parametrize("s", [0.1, 10.0])
+def test_scale_free_flow_obeys_the_scaling_law(s, s_aa, rng):
+    # the flow of s mu at t / s^2 is s times the flow of mu at t; in
+    # scale-free time the two runs take the same steps, so the law holds to
+    # rounding, for the 7-dim and the 6x6 flows alike
+    m = random_sl3c(rng, 1.0)
+    mu = aa.bracket_of(m)
+    base = bracket_flow(mu, s_aa, IntegratorOptions(t_end=2.0))
+    run = bracket_flow(mu.scale(s), s_aa, IntegratorOptions(t_end=2.0 / s ** 2))
+    assert run.final.t == 2.0 / s ** 2
+    assert np.abs(run.final.mu.c - s * base.final.mu.c).max() <= 1e-12 * s * np.abs(mu.c).max()
+    base = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
+    run = aa.matrix_bracket_flow(aa.AAMatrix.from_matrix(s * m.A),
+                                 IntegratorOptions(t_end=50.0 / s ** 2))
+    assert np.abs(run.final.A - s * base.final.A).max() <= 1e-12 * s * np.abs(m.A).max()
+
+
+def test_unit_bracket_norm_keeps_the_norm_over_long_runs(s_aa, rng):
+    # |x| is neutral under dx/dtau = V(x) - <V(x), x> x / <x, x>, so |mu|
+    # drifts only by the local errors (about 5 atol over t = 10); without
+    # the division by <x, x>, |x| = 1 is unstable where |mu| decays
+    for _ in range(20):
+        mu = aa.bracket_of(random_sl3c(rng, 1.0))
+        traj = bracket_flow(mu, s_aa, IntegratorOptions(
+            t_end=10.0, sample_every=1, normalize="unit-bracket-norm"))
+        assert traj.status == "completed" and traj.final.t == 10.0
+        assert max(abs(smp.norm_mu / mu.norm() - 1) for smp in traj.samples) < 1e-8
+
+
+@pytest.mark.parametrize("t_end", [0.37, 3.0, -0.05])
+def test_scale_free_runs_end_at_t_end_exactly(t_end, s_aa, rng):
+    m = random_sl3c(rng, 1.0)
+    runs = [aa.matrix_bracket_flow(m, IntegratorOptions(t_end=t_end))]
+    for normalize in ("none", "unit-bracket-norm"):
+        runs.append(bracket_flow(aa.bracket_of(m), s_aa,
+                                 IntegratorOptions(t_end=t_end, normalize=normalize)))
+    for traj in runs:
+        assert traj.status == "completed" and traj.final.t == t_end
+        assert np.all(np.diff(traj.times) * t_end > 0)
+
+
+def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
+    # machine-independent costs of three fixed runs at atol = rtol = 1e-9;
+    # in t they took 421, 361 and 391 evaluations
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return f(t, y)
+        return rk45_steps(counted, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "rk45_steps", counting)
+    counts = []
+    for m in (aa_n6_soliton(), aa_n2()):
+        calls.clear()
+        traj = aa.matrix_bracket_flow(aa.AAMatrix.from_complex(m), IntegratorOptions(t_end=50.0))
+        assert traj.status == "completed"
+        counts.append(len(calls))
+    calls.clear()
+    traj = bracket_flow(mu_nilpotent(1, 2, 3, 4), s_nilpotent, IntegratorOptions(t_end=10.0))
+    assert traj.status == "completed"
+    counts.append(len(calls))
+    assert counts == [181, 151, 229]
+
+
+def test_direct_flow_rejects_a_stage_off_the_positive_cone():
+    # at mu x 1e2 the first stage of the default step leaves the positive
+    # cone; rk45 rejects it and shrinks the step, and the run completes on
+    # the 6x6 flow of the scaled matrix
+    m = random_sl3c(np.random.default_rng(1), 1.0)
+    traj = laplacian_flow(aa.phi_almost_abelian(), aa.bracket_of(m).scale(1e2),
+                          IntegratorOptions(t_end=1.0))
+    ref = aa.matrix_bracket_flow(aa.AAMatrix.from_matrix(1e2 * m.A),
+                                 IntegratorOptions(t_end=1.0, atol=1e-12, rtol=1e-12))
+    assert traj.status == "completed" and traj.final.t == 1.0
+    assert abs(traj.final.R - ref.final.R) <= 1e-6 * abs(ref.final.R)
 
 
 def test_laplacian_flow_constant_for_abelian(s_nilpotent):

@@ -1,17 +1,23 @@
 import contextlib
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import g2flow
 from g2flow import almostabelian as aa
 from g2flow import cli
-from g2flow.flow import bracket_flow, laplacian_flow, reconstruct_h
-from g2flow.integrate import IntegratorOptions, Trajectory, drive
+from g2flow.errors import NonFiniteState
+from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
+from g2flow.integrate import IntegratorOptions, Trajectory, _rms, drive, rk45_steps
 
 from conftest import random_sl3c
 
@@ -50,16 +56,17 @@ def test_drive_samples_the_last_finite_state():
 
 @pytest.mark.parametrize("flow", ["matrix", "bracket"])
 def test_an_overflowing_state_ends_the_run_as_non_finite(flow):
-    # the first rk4 step from a bracket of norm about 1e5 overflows, and
-    # inf - inf turns the state to NaN (numpy warns of both): the matrix flow
-    # sees it in the norm, the bracket flow in the Q solve of a stage.  The
-    # run keeps the sample of the last finite state, the initial one
+    # the first rk4 step from a bracket of norm about 1e5 overflows: the
+    # matrix flow's velocity raises NonFiniteState on the overflowing stage,
+    # without a warning; the bracket flow's step reaches a finite state whose
+    # norm overflows (numpy warns of it).  The run keeps the sample of the
+    # last finite state, the initial one
     m = random_sl3c(np.random.default_rng(1), 1e5)
     opts = IntegratorOptions(method="rk4", h0=1e-3, t_end=0.01)
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        if flow == "matrix":
-            traj = aa.matrix_bracket_flow(m, opts)
-        else:
+    if flow == "matrix":
+        traj = aa.matrix_bracket_flow(m, opts)
+    else:
+        with pytest.warns(RuntimeWarning, match="overflow"):
             traj = bracket_flow(aa.bracket_of(m), aa.structure(), opts)
     assert traj.status == "non-finite"
     assert list(traj.times) == [0.0]
@@ -88,16 +95,68 @@ def test_an_infinite_state_ends_the_run_as_non_finite():
 
 @pytest.mark.parametrize("scale", [1e3, 3e4])
 def test_rk45_rejects_a_step_whose_stage_overflows(scale):
-    # a trial stage of the bracket flow overflows and its Q solve raises
-    # NonFiniteState; rk45 rejects that step and shrinks it, as the 6x6 flow
-    # does on its NaN error estimate, so both flows complete
+    # in t, a trial stage of the bracket flow overflows and its Q solve
+    # raises NonFiniteState: rk45 rejects that step and shrinks it, and
+    # reaches t_end without a warning.  In scale-free time no stage
+    # overflows, and both flows complete
     m = random_sl3c(np.random.default_rng(1), scale)
+    velocity = _bracket_velocity(aa.structure())
+    raised = []
+
+    def rhs(t, y):
+        try:
+            return velocity(y)[1]
+        except NonFiniteState:
+            raised.append(t)
+            raise
+
+    steps = list(rk45_steps(rhs, aa.bracket_of(m).packed().reshape(-1), 0.0, 0.01, 1e-3,
+                            1e-12, math.inf, 1e-9, 1e-9))
+    assert raised and steps[-1][0] == 0.01 and len(steps) > 2
     opts = IntegratorOptions(h0=1e-3, t_end=0.01)
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        traj = bracket_flow(aa.bracket_of(m), aa.structure(), opts)
-        ref = aa.matrix_bracket_flow(m, opts)
+    traj = bracket_flow(aa.bracket_of(m), aa.structure(), opts)
+    ref = aa.matrix_bracket_flow(m, opts)
     assert traj.status == ref.status == "completed"
-    assert traj.final.t == pytest.approx(0.01, abs=1e-15) and len(traj.samples) > 2
+    assert traj.final.t == ref.final.t == 0.01 and len(traj.samples) > 2
+
+
+def test_rms_of_an_estimate_whose_squares_overflow():
+    # a finite error estimate has a finite norm; the sum of squares of a
+    # normal-range one is taken as before, bit for bit
+    r = np.array([3e200, -4e200, 0.0, 1e199])
+    with np.errstate(over="ignore"):
+        assert _rms(r) == pytest.approx(math.sqrt((9 + 16 + 0.01) / 4) * 1e200, rel=1e-15)
+    r = np.random.default_rng(3).normal(size=149)
+    assert _rms(r) == math.sqrt(float(r @ r) / r.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(_rms(np.array([np.inf, 1.0])))
+
+
+def test_the_matrix_velocity_overflows_into_non_finite_state():
+    # below 1e100 an entry cannot overflow the cubic; above, an overflowing
+    # velocity raises NonFiniteState, without a warning
+    m = random_sl3c(np.random.default_rng(4), 1.0)
+    unit = m.A / np.abs(m.A).max()
+    vel = aa.flow_rhs(1e100 * unit)
+    assert np.isfinite(vel).all()
+    assert np.allclose(vel, 1e300 * aa.flow_rhs(unit), rtol=1e-13, atol=0)
+    assert np.isfinite(aa.flow_rhs(1e101 * unit)).all()
+    with pytest.raises(NonFiniteState):
+        aa.flow_rhs(1e200 * unit)
+
+
+def test_the_norm_300_matrix_flow_prints_one_json_document():
+    # under -W error: no numpy warning, so no traceback, and nothing on stderr
+    payload = json.dumps({"B": [[0, 300, 0], [0, 0, 424.26], [0, 0, 0]]})
+    src = str(Path(g2flow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "g2flow.cli", "aa-flow",
+                          "--t-end", "1", "--format", "json", "--input", payload],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    doc = json.loads(out.stdout)
+    assert doc["status"] == "completed" and doc["rows"][-1][0] == 1.0
 
 
 def test_drive_and_readme_list_the_same_statuses():

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from g2flow import almostabelian as aa
 from g2flow import liealg
+from g2flow import corpus
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import InvalidBracket, SingularSystem
 from g2flow.exterior import (DIM, INDEX_SETS, KForm, Metric, NFORMS, RANK, act, phi_canonical,
@@ -25,6 +26,7 @@ from g2flow.liealg import (
     derivations,
     jacobi_residual,
     ricci,
+    scalar_curvature,
 )
 
 from conftest import hodge_laplacian, random_gl7, random_kform, random_sl3c
@@ -363,6 +365,23 @@ def test_ricci_block_form_almost_abelian(rng):
 def test_ricci_abelian_is_flat():
     ric, R = ricci(LieBracket.zero())
     assert np.abs(ric).max() == 0.0 and R == 0.0
+
+
+def test_scalar_curvature_is_the_trace_of_ricci(rng):
+    # the corpus brackets, then 50 seeded ones moved by GL(7): almost-abelian
+    # of norms 0.1 to 10, and nilpotent
+    brackets = [LieBracket.zero(), mu_nilpotent(1, 0, 0, 1), mu_nilpotent(1, 2, 3, 4),
+                LieBracket.from_adjoint(np.diag([1.0, 1, 1, 0, 0, 0]))]
+    brackets += [aa.bracket_of(aa.AAMatrix.from_complex(B)) for B in (
+        corpus.aa_n2(), corpus.aa_n6_soliton(), corpus.aa_diag(1, -1, 0),
+        corpus.aa_heber_example()[0])]
+    for i in range(50):
+        mu = (aa.bracket_of(random_sl3c(rng, rng.uniform(0.1, 10))) if i % 2
+              else mu_nilpotent(*rng.normal(size=4)))
+        brackets.append(mu.act(random_gl7(rng)))
+    for mu in brackets:
+        want = ricci(mu)[1]
+        assert abs(scalar_curvature(mu.c) - want) <= 1e-13 * abs(want)
 
 
 def test_ricci_non_unimodular_hyperbolic_oracles():
