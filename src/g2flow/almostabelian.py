@@ -87,9 +87,20 @@ def structure() -> G2Structure:
 # the encoding matrix
 # ---------------------------------------------------------------------------
 
+def _unit_scale(A) -> float:
+    """The power of two p just below max|A| when that is at least 1, else 1:
+    A / p is exact, and its entries, below 2, keep its products finite."""
+    top = float(np.abs(A).max())
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top >= 1.0 else 1.0
+
+
 @dataclass(frozen=True)
 class AAMatrix:
-    """A 6x6 real matrix in the paper-order basis with membership flags."""
+    """A 6x6 real matrix in the paper-order basis with membership flags.
+
+    The flags are taken on A / p (:func:`_unit_scale`).  Each test against
+    a tolerance times max(1, |A|) is homogeneous once |A| >= 1, so a flag
+    in range is as it is on A itself, and none overflows at any scale."""
 
     A: np.ndarray
     in_sl3C: bool
@@ -107,16 +118,17 @@ class AAMatrix:
             A = natural_to_paper(A)
         elif basis != "paper":
             raise ValueError("basis must be 'paper' or 'natural'")
-        scale = max(1.0, float(np.linalg.norm(A)))
-        sl = bool(np.linalg.norm(A @ J6 - J6 @ A) <= FLAG_TOL * scale
-                  and abs(np.trace(A)) <= FLAG_TOL * scale
-                  and abs(np.trace(A @ J6)) <= FLAG_TOL * scale)
-        sp = bool(np.linalg.norm(A.T @ J6 + J6 @ A) <= FLAG_TOL * scale)
-        nA = float(np.linalg.norm(A))
-        nil = bool(nA == 0.0 or np.linalg.norm(
-            np.linalg.matrix_power(A, 6)) <= 1e-9 * nA ** 6)
-        normal = bool(np.linalg.norm(A @ A.T - A.T @ A)
-                      <= 1e-9 * max(nA ** 2, 1e-300))
+        X = A / _unit_scale(A)
+        nX = float(np.linalg.norm(X))
+        scale = max(1.0, nX)
+        sl = bool(np.linalg.norm(X @ J6 - J6 @ X) <= FLAG_TOL * scale
+                  and abs(np.trace(X)) <= FLAG_TOL * scale
+                  and abs(np.trace(X @ J6)) <= FLAG_TOL * scale)
+        sp = bool(np.linalg.norm(X.T @ J6 + J6 @ X) <= FLAG_TOL * scale)
+        nil = bool(nX == 0.0 or np.linalg.norm(
+            np.linalg.matrix_power(X, 6)) <= 1e-9 * nX ** 6)
+        normal = bool(np.linalg.norm(X @ X.T - X.T @ X)
+                      <= 1e-9 * max(nX ** 2, 1e-300))
         A = A.copy()
         A.flags.writeable = False
         return cls(A, sl, sp, sl and sp, nil, normal)
@@ -137,8 +149,8 @@ class AAMatrix:
         return float(np.sum(self.A ** 2))
 
     def is_skew(self) -> bool:
-        return bool(np.linalg.norm(self.A + self.A.T)
-                    <= FLAG_TOL * max(1.0, np.linalg.norm(self.A)))
+        X = self.A / _unit_scale(self.A)
+        return bool(np.linalg.norm(X + X.T) <= FLAG_TOL * max(1.0, np.linalg.norm(X)))
 
     def to_json_dict(self):
         return {"A": self.A.tolist(), "basis": "paper"}
@@ -365,26 +377,17 @@ class AAClassification:
     eigenvalues: np.ndarray | None = None
 
 
-def _soliton_constants(A):
-    u = _sym_sq_trace(A)
-    K = A @ A.T - A.T @ A
-    d = float(np.sum(K ** 2)) / (2.0 * float(np.sum(A ** 2)))
-    return -u / 6.0 - d, d
-
-
-def _normal_form_of(aa) -> str:
-    A = aa.A
+def _normal_form_of(A, nilpotent) -> str:
     nA = np.linalg.norm(A)
     if nA == 0.0:
         return "diagonal-complex"
-    if aa.is_nilpotent:
+    if nilpotent:
         if np.linalg.norm(A @ A) <= 1e-9 * nA ** 2:
             return "nilpotent-n2"
         if np.linalg.norm(A @ A @ A) <= 1e-9 * nA ** 3:
             return "nilpotent-n6"
         return "other"
-    B = aa.complex_view
-    lam, V = np.linalg.eig(B)
+    lam, V = np.linalg.eig(real_to_complex(A))
     if np.linalg.cond(V) < 1e8:
         return "diagonal-complex"
     return "other"
@@ -408,43 +411,53 @@ def _semialgebraic_system(A, d):
 
 def classify_soliton(A) -> AAClassification:
     """Decide torsion-free / algebraic / semi-algebraic / none for a closed
-    structure, with the shared constants c and d and a feasible D1."""
+    structure, with the shared constants c and d and a feasible D1.
+
+    The kind is scale-invariant, so it is that of M = A / p
+    (:func:`_unit_scale`).  c, d, D1 and the residuals are p^2 times those
+    of M (the cubic algebraic residual p^3 times), the eigenvalues p times;
+    a finite one that overflows raises NonFiniteState."""
     aa = _as_aa(A)
     if not aa.in_sl3C:
         raise NotClosed("classification applies to closed structures")
-    M = aa.A
+    p = _unit_scale(aa.A)
+    M = aa.A / p
     nM = float(np.linalg.norm(M))
-    nform = _normal_form_of(aa)
-    eig = np.linalg.eigvals(aa.complex_view) if nM > 0 else np.zeros(3, complex)
+    nform = _normal_form_of(M, aa.is_nilpotent)
+    eig = np.linalg.eigvals(real_to_complex(M)) if nM > 0 else np.zeros(3, complex)
+
+    def scaled_back(kind, c=None, d=None, D1=None, residual=0.0):
+        with np.errstate(over="ignore"):
+            c, d, D1, res = (None if x is None else x * p * p for x in (c, d, D1, residual))
+            out = AAClassification(kind, c, d, D1, nform, res, eig * p)
+        if (math.isinf(res) and not math.isinf(residual)) or not all(
+                np.isfinite(x).all() for x in (c, d, D1, out.eigenvalues) if x is not None):
+            raise NonFiniteState(f"soliton constants overflow at scale {p:g}")
+        return out
 
     if aa.is_skew():
-        return AAClassification("torsion-free", 0.0, 0.0, np.zeros((6, 6)),
-                                nform, 0.0, eig)
+        return scaled_back("torsion-free", 0.0, 0.0, np.zeros((6, 6)))
 
-    c, d = _soliton_constants(M)
+    K = M @ M.T - M.T @ M
+    d = float(np.sum(K ** 2)) / (2.0 * float(np.sum(M ** 2)))
+    c = -_sym_sq_trace(M) / 6.0 - d
     Q1 = _q_formula(M)[:6, :6]
 
     if aa.is_normal:
-        return AAClassification("algebraic", c, d, Q1 - c * np.eye(6),
-                                nform, 0.0, eig)
+        return scaled_back("algebraic", c, d, Q1 - c * np.eye(6))
 
     if aa.is_nilpotent:
-        K = M @ M.T - M.T @ M
         SS = (M + M.T) @ (M + M.T)
         lhs = M @ (K - SS) - (K - SS) @ M
-        res_alg = float(np.linalg.norm(
-            lhs + (np.sum(K ** 2) / np.sum(M ** 2)) * M))
+        res_alg = float(np.linalg.norm(lhs + (np.sum(K ** 2) / np.sum(M ** 2)) * M))
         if res_alg <= 1e-8 * max(1.0, nM) ** 3:
-            return AAClassification("algebraic", c, d, Q1 - c * np.eye(6),
-                                    nform, res_alg, eig)
+            return scaled_back("algebraic", c, d, Q1 - c * np.eye(6), res_alg * p)
         D1, res_semi = _semialgebraic_system(M, d)
         if res_semi <= 1e-7 * max(1.0, nM ** 2):
-            return AAClassification("semi-algebraic", c, d, D1,
-                                    nform, res_semi, eig)
-        return AAClassification("none", None, None, None, nform, res_semi, eig)
+            return scaled_back("semi-algebraic", c, d, D1, res_semi)
+        return scaled_back("none", residual=res_semi)
 
-    return AAClassification("none", None, None, None, nform,
-                            float("inf"), eig)
+    return scaled_back("none", residual=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -210,15 +210,14 @@ class Metric:
     """Inner product on the fixed space: symmetric positive definite gram
     matrix plus an orientation sign.
 
-    Everything that depends on the metric alone lives here: the volume
-    factor o sqrt(det G), computed once, the Hodge star of each degree,
-    built by :func:`hodge_matrix` on first use and cached read-only (so a
-    metric may be shared across threads), and the inner product on forms.
-    The constructor is the one check of a gram matrix: finite, symmetric and
-    positive definite, by a Cholesky factor that :meth:`frame` reads.
+    A plain value: the constructor sets the volume factor o sqrt(det G) and
+    a Cholesky factor that :meth:`frame` reads, and nothing is filled in
+    later; the Hodge stars of the metric are :func:`hodge_matrix`'s.  The
+    constructor is the one check of a gram matrix: finite, symmetric and
+    positive definite.
     """
 
-    __slots__ = ("gram", "orientation", "volume", "_stars", "_cholesky")
+    __slots__ = ("gram", "orientation", "volume", "_cholesky")
 
     def __init__(self, gram, orientation=1):
         g = np.array(gram, dtype=float).reshape(DIM, DIM)
@@ -239,7 +238,6 @@ class Metric:
         self.orientation = int(orientation)
         #: o sqrt(det G), the coefficient of the volume form
         self.volume = self.orientation * np.sqrt(np.linalg.det(g))
-        self._stars = [None] * (DIM + 1)
 
     def frame(self):
         """Columns form an oriented orthonormal basis: M^T gram M = I, from
@@ -252,20 +250,13 @@ class Metric:
     def volume_form(self):
         return KForm.volume(self.volume)
 
-    def star_matrix(self, k):
-        """Matrix H_k of the Hodge star from degree k to degree 7 - k."""
-        H = self._stars[k]
-        if H is None:
-            H = self._stars[k] = _frozen(hodge_matrix(self, k))
-        return H
-
     def inner(self, a: KForm, b: KForm) -> float:
         """<a, b> from a ^ *b = <a, b> vol: (S_k a) . (H_k b) / o sqrt(det G),
         with S_k the identity-metric star."""
         if a.degree != b.degree:
             raise ValueError("degree mismatch")
         k = a.degree
-        return float((_star_table(k) @ a.coeffs) @ (self.star_matrix(k) @ b.coeffs)
+        return float((_star_table(k) @ a.coeffs) @ (hodge_matrix(self, k) @ b.coeffs)
                      / self.volume)
 
     def form_norm(self, a: KForm) -> float:
@@ -472,7 +463,7 @@ def hodge_matrix(g: Metric, k: int) -> np.ndarray:
     For k >= 4, Jacobi's identity on P_k(G^-1) and ** = 1 in dimension 7
     give H_k = o det(G)^(-1/2) P_{7-k}(G) S_k, from minors of G itself of
     size at most 3, so only H_0..H_3 invert G.  The only place a star is
-    built; :meth:`Metric.star_matrix` caches what it returns.
+    built.
     """
     if k <= 3:
         raised = pullback_matrix(np.linalg.inv(g.gram), k)
@@ -481,10 +472,9 @@ def hodge_matrix(g: Metric, k: int) -> np.ndarray:
 
 
 def hodge_star(a: KForm, g: Metric | None = None) -> KForm:
-    """Hodge star of a k-form for the metric g, whose cached star is read, or
-    for the identity metric with positive orientation (the signed complement
-    table) when g is None."""
-    H = _star_table(a.degree) if g is None else g.star_matrix(a.degree)
+    """Hodge star of a k-form for the metric g, or for the identity metric
+    with positive orientation (the signed complement table) when g is None."""
+    H = _star_table(a.degree) if g is None else hodge_matrix(g, a.degree)
     return KForm(DIM - a.degree, H @ a.coeffs)
 
 

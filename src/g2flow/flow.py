@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonFiniteState, NotClosed
 from .exterior import (DIM, NFORMS, KForm, Metric, _frozen, _star_table, _theta_tensor,
-                       _wedge_table, phi_canonical, pullback3, pullback_matrix)
+                       _wedge_table, hodge_matrix, phi_canonical, pullback3, pullback_matrix)
 from .g2core import G2Structure, _canonical_tables, _frame_torsion, metric_from_3form
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
@@ -80,7 +80,7 @@ def laplacian(mu: LieBracket, g: Metric, a):
     """Delta a = *d*d a - d*d* a for 3-form coefficients a, the fixed
     bracket mu and the Hodge stars of the metric g, as coefficients.  An
     overflowing Delta a raises NonFiniteState."""
-    H3, H4, H5 = g.star_matrix(3), g.star_matrix(4), g.star_matrix(5)
+    H3, H4, H5 = hodge_matrix(g, 3), hodge_matrix(g, 4), hodge_matrix(g, 5)
     d2, d3, d4 = ce_matrix(mu, 2), ce_matrix(mu, 3), ce_matrix(mu, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         lap = H4 @ (d3 @ (H4 @ (d3 @ a))) - d2 @ (H5 @ (d4 @ (H3 @ a)))
@@ -147,9 +147,9 @@ def _bracket_velocity(s: G2Structure):
     A non-finite Q raises NonFiniteState.
     """
     g = s.metric
-    H4 = g.star_matrix(4)
+    H4 = hodge_matrix(g, 4)
     gather, pairs, rank, sign, rows, cols, vals = _velocity_tables()
-    M = np.vstack([H4 @ ce_matrix_of_form(s.phi), g.star_matrix(5) @ ce_matrix_of_form(s.psi)])
+    M = np.vstack([H4 @ ce_matrix_of_form(s.phi), hodge_matrix(g, 5) @ ce_matrix_of_form(s.psi)])
     PQ = s.solve_Q_matrix()
     PQ = np.hstack([PQ @ H4, PQ])  # the 4-forms of the wedges are starred
     n2, n_w = NFORMS[2], 2 * NFORMS[3]

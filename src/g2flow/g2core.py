@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .exterior import (
     _star_table,
     _theta_tensor,
     _wedge_table,
+    hodge_matrix,
     hodge_star,
     phi_canonical,
     pullback3,
@@ -194,11 +195,8 @@ class G2Structure:
     its pseudo-inverse, the g2 and q bases, the q1/q7/q27 split and phi and
     psi are constants of phi_canonical (:func:`_canonical_tables`), built
     once per process, and a structure conjugates them by F.  Construction
-    takes no SVD.  The Hodge dual psi, the (49, 35) map of the Q solve and
-    the frame pullbacks around the canonical torsion map
-    (:func:`_torsion_map`) are filled in on first use.  Like a
-    ``LieBracket``'s cache they hold idempotent values (a table built twice
-    comes out the same), so instances may be shared across threads.  What
+    takes no SVD.  A plain value: it holds what the constructor sets, and
+    psi, the Q solve and the torsion forms are computed on each call.  What
     depends on the metric alone (Hodge stars, the inner product on forms,
     adjoints) is read from ``metric``.
 
@@ -223,25 +221,9 @@ class G2Structure:
             raise error(f"adapted frame misses phi_canonical by {miss:g}")
         self._frame_inv = F.T @ g.gram
 
-    # -- tables filled on first use ----------------------------------------
-
-    @cached_property
+    @property
     def psi(self) -> KForm:
         return hodge_star(self.phi, self.metric)
-
-    @cached_property
-    def _torsion_op(self):
-        """The frame pullbacks of degrees 4 and 5 (into frame coordinates)
-        and those of degrees 1-3 by the inverse frame (back again).  The
-        frame is oriented and orthonormal, so its pullback takes the star H
-        of the metric to the identity-metric star S: P_{7-k} H_k = S_k P_k,
-        and with H_{7-k} H_k = 1, P4 = S3 P3 H4 and P5 = S2 P2 H5, from
-        pullbacks of degree at most 3."""
-        g = self.metric
-        into = [_star_table(3) @ self._P3 @ g.star_matrix(4),
-                _star_table(2) @ pullback_matrix(self.frame, 2) @ g.star_matrix(5)]
-        back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
-        return into, back
 
     # -- basic operators ---------------------------------------------------
 
@@ -284,20 +266,11 @@ class G2Structure:
         return Q
 
     def solve_Q_matrix(self) -> np.ndarray:
-        """The Q solve as one read-only (49, 35) matrix, built on first use:
-        Q = F X F^-1, X the canonical solve (checked once per process)."""
-        return self._q_map
-
-    @cached_property
-    def _P3(self):
-        """The pullback by the frame: 3-form coefficients into frame coordinates."""
-        return pullback_matrix(self.frame, 3)
-
-    @cached_property
-    def _q_map(self):
-        P = self._solve_op @ self._P3
+        """The Q solve as one (49, 35) matrix: Q = F X F^-1, X the canonical
+        solve (checked once per process) of the 3-form pulled back by F."""
+        P = self._solve_op @ pullback_matrix(self.frame, 3)
         PQ = self._frame_inv.T @ (self.frame @ P.reshape(DIM, -1)).reshape(DIM, DIM, -1)
-        return _frozen(PQ.reshape(DIM * DIM, -1))
+        return PQ.reshape(DIM * DIM, -1)
 
     def q_components(self, Q) -> dict:
         """Norms of the q1/q7/q27 components of an endomorphism in q."""
@@ -328,11 +301,17 @@ class G2Structure:
         """Solve dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
         dpsi = 4 tau1 ^ psi + tau2 ^ phi for the constrained components:
         :func:`_frame_torsion` of the frame pair (P4 dphi, P5 dpsi), its forms
-        pulled back into e-coordinates."""
+        pulled back into e-coordinates by the inverse frame.  The frame is
+        oriented and orthonormal, so its pullback takes the star H of the
+        metric to the identity-metric star S: P_{7-k} H_k = S_k P_k, and with
+        H_{7-k} H_k = 1, P4 = S3 P3 H4 and P5 = S2 P2 H5, from pullbacks of
+        degree at most 3."""
         if dphi.degree != 4 or dpsi.degree != 5:
             raise ValueError("need (4-form, 5-form)")
-        (P4, P5), (B1, B2, B3) = self._torsion_op
+        P4 = _star_table(3) @ pullback_matrix(self.frame, 3) @ hodge_matrix(self.metric, 4)
+        P5 = _star_table(2) @ pullback_matrix(self.frame, 2) @ hodge_matrix(self.metric, 5)
         tf = _frame_torsion(P4 @ dphi.coeffs, P5 @ dpsi.coeffs)
+        B1, B2, B3 = (pullback_matrix(self._frame_inv, k) for k in (1, 2, 3))
         return replace(tf, tau1=KForm(1, B1 @ tf.tau1.coeffs), tau2=KForm(2, B2 @ tf.tau2.coeffs),
                        tau3=KForm(3, B3 @ tf.tau3.coeffs))
 

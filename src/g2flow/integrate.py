@@ -162,7 +162,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
                 if scale_free:
                     scale[-2:] = atol, atol * K[0][-1] + rtol * max(abs(y[-1]), abs(yi[-1]))
-                err = _rms(hh * (_DP_E @ K) / scale)
+                r = hh * (_DP_E @ K) / scale
+                err = math.sqrt(float(r @ r) / r.size)
         if err <= 1.0 and scale_free:
             past = (yi[-1] - t1) * direction
             if past > _CLOCK_TOL * max(1.0, abs(t1)):
@@ -201,17 +202,6 @@ def _clock_reach(k, left, direction):
     if q == 0.0:
         return first
     return first * (-math.log1p(-q) / q) if q < 1.0 else math.inf
-
-
-def _rms(r):
-    """The root mean square of r.  A sum of squares that overflows is taken
-    again from r scaled by its largest entry, so a finite r gives a finite
-    result, and a non-finite r gives inf or NaN.  Call it under np.errstate."""
-    ss = float(r @ r)
-    if ss == math.inf:
-        top = float(np.abs(r).max())
-        return top * math.sqrt(float((r / top) @ (r / top)) / r.size)
-    return math.sqrt(ss / r.size)
 
 
 def _along(v, x):
@@ -320,7 +310,8 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
     sampled_last = False
     try:
         for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic)):
-            norm = norm_of(y)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN ends the run
+                norm = norm_of(y)
             if not math.isfinite(norm):
                 status = "non-finite"
                 break

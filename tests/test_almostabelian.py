@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from g2flow import almostabelian as aa
 from g2flow import corpus
-from g2flow.errors import InvalidBracket, NotClosed, NotTraceFree
+from g2flow.errors import G2FlowError, InvalidBracket, NotClosed, NotTraceFree
 from g2flow.exterior import KForm, hodge_star, skew_from_form
 from g2flow.flow import (
     IntegratorOptions,
@@ -377,6 +378,44 @@ def test_classify_neither_normal_nor_nilpotent():
     A, _, _ = corpus.aa_heber_example()
     cls = aa.classify_soliton(aa.AAMatrix.from_complex(A))
     assert cls.kind == "none"
+
+
+def _flags(m):
+    return m.in_sl3C, m.in_sp3R, m.in_su3, m.is_nilpotent, m.is_normal, m.is_skew()
+
+
+@pytest.mark.parametrize("s", [1e50, 1e100, 1e160, 1e300])
+def test_flags_and_kinds_do_not_depend_on_the_scale(s):
+    # flags are taken on A over a power of two, so they read as at s = 1;
+    # a classification is that of the scaled matrix, c and d scaled back by
+    # s^2, or a typed error where they overflow; nothing warns
+    units = [corpus.aa_n2(), corpus.aa_n6(1.0), corpus.aa_diag(1, -1, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = [(aa.AAMatrix.from_complex(B), aa.AAMatrix.from_complex(s * B)) for B in units]
+        pairs += [(corpus.random_sl3c(np.random.default_rng(seed), 1.0),
+                   corpus.random_sl3c(np.random.default_rng(seed), s)) for seed in (1, 2)]
+        for one, big in pairs:
+            assert _flags(big) == _flags(one)
+            want = aa.classify_soliton(one)
+            try:
+                got = aa.classify_soliton(big)
+            except G2FlowError:
+                continue
+            assert (got.kind, got.normal_form) == (want.kind, want.normal_form)
+            if want.c is not None:
+                assert got.c == pytest.approx(want.c * s * s, rel=1e-14)
+                assert got.d == pytest.approx(want.d * s * s, rel=1e-14, abs=0.0)
+
+
+def test_a_scaled_rotating_soliton_stays_semi_algebraic():
+    # its semi-algebraic system mixes terms of degree 2 and 3 in A, which a
+    # tolerance of degree 2 compares well only near |A| = 1: it is solved for
+    # A over a power of two, so the verdict holds at any scale
+    for s in (1e5, 1e10, 1e100):
+        cls = aa.classify_soliton(aa.AAMatrix.from_complex(s * corpus.aa_n6_soliton()))
+        assert cls.kind == "semi-algebraic"
+        assert cls.c == pytest.approx(-3.0 * s * s, rel=1e-10)
 
 
 def test_classify_requires_closed(rng):

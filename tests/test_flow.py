@@ -606,7 +606,9 @@ def test_side_i_stages_build_no_star_and_no_q_map(s_aa, rng, monkeypatch):
     monkeypatch.setattr(G2Structure, "__init__", counted("stage", G2Structure.__init__))
     monkeypatch.setattr(G2Structure, "solve_Q_matrix",
                         counted("Q map", G2Structure.solve_Q_matrix))
-    monkeypatch.setattr(exterior, "hodge_matrix", counted("hodge_matrix", exterior.hodge_matrix))
+    for module in (exterior, flow, g2core):
+        monkeypatch.setattr(module, "hodge_matrix",
+                            counted("hodge_matrix", exterior.hodge_matrix))
     assert reconstruct_h(traj, side="i").status == "completed"
     assert calls == ["stage"] * 20  # five rk4 steps
 
@@ -662,10 +664,11 @@ def test_sample_raises_where_the_structure_sample_raises(s_aa, rng):
 
 def test_samples_and_detectors_solve_no_q_and_no_torsion(s_aa, rng, monkeypatch):
     # samples and detectors read Q, torsion and closedness in the adapted
-    # frame: once the velocities are built, a bracket-flow run and both
-    # detectors take no Q solve, torsion forms, metric norm, Laplacian or
-    # Hodge star, and a direct-flow run takes those of its right side only
-    _bracket_velocity(s_aa)
+    # frame: once the canonical velocity is built, a bracket-flow run builds
+    # the three stars of its velocity (H3 for psi, H4 and H5) and takes no
+    # Q solve, torsion forms, metric norm or Laplacian, both detectors take
+    # none of these, and a direct-flow run takes those of its right side
+    # only.  Stars are counted wherever a module looks hodge_matrix up
     flow._canonical_velocity()
     calls = []
 
@@ -675,22 +678,30 @@ def test_samples_and_detectors_solve_no_q_and_no_torsion(s_aa, rng, monkeypatch)
             return f(*args)
         return counting
 
+    def star(g, k, build=exterior.hodge_matrix):
+        calls.append(f"H{k}")
+        return build(g, k)
+
     monkeypatch.setattr(G2Structure, "solve_Q", counted("solve_Q", G2Structure.solve_Q))
     monkeypatch.setattr(G2Structure, "torsion_forms",
                         counted("torsion_forms", G2Structure.torsion_forms))
     monkeypatch.setattr(exterior.Metric, "form_norm",
                         counted("form_norm", exterior.Metric.form_norm))
     monkeypatch.setattr(flow, "laplacian", counted("laplacian", flow.laplacian))
-    monkeypatch.setattr(exterior, "hodge_matrix", counted("hodge_matrix", exterior.hodge_matrix))
+    for module in (exterior, flow, g2core):
+        monkeypatch.setattr(module, "hodge_matrix", star)
     mu = aa.bracket_of(random_sl3c(rng, 0.8))
     opts = IntegratorOptions(method="rk4", h0=1e-2, t_end=0.05)
     assert bracket_flow(mu, s_aa, opts).status == "completed"
+    assert sorted(calls) == ["H3", "H4", "H5"]
+    calls.clear()
     assert detect_algebraic(mu, s_aa).kind != "torsion-free"
     assert detect_semialgebraic(mu, s_aa).kind != "torsion-free"
     assert calls == []
     assert laplacian_flow(s_aa.phi, mu, opts).status == "completed"
-    assert set(calls) == {"laplacian", "hodge_matrix"}
-    assert calls.count("laplacian") == 20  # five rk4 steps
+    # five rk4 steps, each star of the Laplacian once per stage
+    assert sorted(set(calls)) == ["H3", "H4", "H5", "laplacian"]
+    assert all(calls.count(name) == 20 for name in ("H3", "H4", "H5", "laplacian"))
 
 
 _sym_embed_49x28 = None

@@ -1,4 +1,4 @@
-from functools import cached_property
+import pickle
 
 import numpy as np
 import pytest
@@ -162,6 +162,49 @@ def test_solve_q_matrix_is_solve_q(rng):
         x, *_ = np.linalg.lstsq(q, Q.ravel(), rcond=None)
         assert np.abs(q @ x - Q.ravel()).max() <= 1e-12 * np.abs(Q).max()
         assert np.array_equal(s.solve_Q(psi), Q)
+
+
+def _public(cls):
+    """The names of a class's public methods and properties."""
+    return {n for n in dir(cls) if not n.startswith("_")
+            and (callable(getattr(cls, n)) or isinstance(getattr(cls, n), property))}
+
+
+def _held(obj):
+    """What an instance holds: each attribute it has, by name, pickled."""
+    names = [n for n in getattr(type(obj), "__slots__", ()) if hasattr(obj, n)]
+    return {n: pickle.dumps(getattr(obj, n)) for n in names + list(getattr(obj, "__dict__", ()))}
+
+
+def test_metric_and_structure_are_plain_values(rng):
+    # no call fills anything in: after every public method and property has
+    # been used, a Metric and a G2Structure hold the attributes their
+    # constructors set, with the values they set
+    s = G2Structure(random_positive_form(rng))
+    g = s.metric
+    held = _held(g), _held(s)
+    a, b, A = random_kform(rng, 3), random_kform(rng, 3), rng.normal(size=(7, 7))
+    mu = mu_nilpotent(1, 2, 3, 4)
+    metric_calls = {"frame": g.frame, "volume_form": g.volume_form,
+                    "inner": lambda: g.inner(a, b), "form_norm": lambda: g.form_norm(a),
+                    "transpose": lambda: g.transpose(A)}
+    structure_calls = {
+        **{n: lambda n=n: getattr(s, n)
+           for n in ("psi", "g2_basis", "q_basis", "q1_basis", "q7_basis", "q27_basis")},
+        "sym_part": lambda: s.sym_part(A), "solve_Q": lambda: s.solve_Q(a),
+        "solve_Q_matrix": s.solve_Q_matrix, "q_components": lambda: s.q_components(A),
+        "iop": lambda: s.iop(A + A.T), "jop": lambda: s.jop(a),
+        "torsion_forms": lambda: s.torsion_forms(ce_differential(mu, s.phi),
+                                                 ce_differential(mu, s.psi))}
+    assert set(metric_calls) == _public(exterior.Metric)
+    assert set(structure_calls) == _public(G2Structure)
+    for call in [*metric_calls.values(), *structure_calls.values()]:
+        call()
+    for k in range(8):
+        hodge_star(random_kform(rng, k), g)
+    assert (_held(g), _held(s)) == held
+    assert set(held[1]) == {"phi", "metric", "frame", "_frame_inv", "_solve_op", "_g2_f",
+                            "_q_f", "_q_split"}
 
 
 def test_solve_q_singular_system_surfaces(s_canonical, monkeypatch):
@@ -419,8 +462,7 @@ class SVDStructure(G2Structure):
         self.metric = metric_from_3form(phi)
         self.frame = self.metric.frame()
         self._frame_inv = np.linalg.inv(self.frame)
-        self._P3 = pullback_matrix(self.frame, 3)
-        self._phi_f = self._P3 @ phi.coeffs
+        self._phi_f = pullback_matrix(self.frame, 3) @ phi.coeffs
         Tmap = np.einsum("jabi,i->jab", _theta_tensor(3), self._phi_f).reshape(35, 49)
         U, s, Vh = np.linalg.svd(Tmap)
         rank = int(np.sum(s > 1e-8 * s[0]))
@@ -432,12 +474,6 @@ class SVDStructure(G2Structure):
         q7 = np.array([skew_from_form(KForm(2, c)) for c in cross]) / np.sqrt(6.0)
         self._q_split = (np.eye(7) / np.sqrt(7))[None, :, :], q7, _sym0_basis()
 
-    @cached_property
-    def _torsion_op(self):
-        into = [pullback_matrix(self.frame, k) for k in (4, 5)]
-        back = [pullback_matrix(self._frame_inv, k) for k in (1, 2, 3)]
-        return into, back
-
     def torsion_forms(self, dphi, dpsi):
         return torsion_by_projections(self, dphi, dpsi, KForm(3, self._phi_f))
 
@@ -445,9 +481,11 @@ class SVDStructure(G2Structure):
 def torsion_by_projections(s, dphi, dpsi, phi_f=phi_canonical()):
     """The oracle for the canonical torsion map: G2Structure.torsion_forms
     as it was before that map, one projection per component, from stars and
-    wedges in the frame of s, where the form is phi_f."""
+    wedges in the frame of s, where the form is phi_f: the pair is pulled
+    back by the frame F, the forms back by F^-1."""
     psi_f = hodge_star(phi_f)
-    (P4, P5), (B1, B2, B3) = s._torsion_op
+    P4, P5 = (pullback_matrix(s.frame, k) for k in (4, 5))
+    B1, B2, B3 = (pullback_matrix(s._frame_inv, k) for k in (1, 2, 3))
     a, b = KForm(4, P4 @ dphi.coeffs), KForm(5, P5 @ dpsi.coeffs)
     tau0 = float(a.coeffs @ psi_f.coeffs) / 7.0
     tau1a = hodge_star(wedge(phi_f, hodge_star(a))) / 12.0

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from g2flow import almostabelian as aa
 from g2flow import cli
 from g2flow.errors import NonFiniteState
 from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
-from g2flow.integrate import IntegratorOptions, Trajectory, _rms, drive, rk45_steps
+from g2flow.integrate import IntegratorOptions, Trajectory, drive, rk45_steps
 
 from conftest import random_sl3c
 
@@ -57,16 +58,17 @@ def test_drive_samples_the_last_finite_state():
 @pytest.mark.parametrize("flow", ["matrix", "bracket"])
 def test_an_overflowing_state_ends_the_run_as_non_finite(flow):
     # the first rk4 step from a bracket of norm about 1e5 overflows: the
-    # matrix flow's velocity raises NonFiniteState on the overflowing stage,
-    # without a warning; the bracket flow's step reaches a finite state whose
-    # norm overflows (numpy warns of it).  The run keeps the sample of the
-    # last finite state, the initial one
+    # matrix flow's velocity raises NonFiniteState on the overflowing stage;
+    # the bracket flow's step reaches a finite state whose norm overflows to
+    # inf.  Neither warns.  The run keeps the sample of the last finite
+    # state, the initial one
     m = random_sl3c(np.random.default_rng(1), 1e5)
     opts = IntegratorOptions(method="rk4", h0=1e-3, t_end=0.01)
-    if flow == "matrix":
-        traj = aa.matrix_bracket_flow(m, opts)
-    else:
-        with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if flow == "matrix":
+            traj = aa.matrix_bracket_flow(m, opts)
+        else:
             traj = bracket_flow(aa.bracket_of(m), aa.structure(), opts)
     assert traj.status == "non-finite"
     assert list(traj.times) == [0.0]
@@ -80,13 +82,14 @@ def _refuse(constant):
 
 def test_an_infinite_state_ends_the_run_as_non_finite():
     # the first rk4 step from a matrix of norm 3e3 overflows to inf without
-    # NaN: the run ends non-finite before sampling that state, so the JSON
-    # output holds no Infinity or NaN
+    # NaN: the run ends non-finite before sampling that state, without a
+    # warning, so the JSON output holds no Infinity or NaN
     m = random_sl3c(np.random.default_rng(1), 3e3)
     argv = ["aa-flow", "--input", json.dumps({"A": m.A.tolist()}), "--method", "rk4",
             "--h0", "1e-3", "--t-end", "0.01", "--format", "json"]
     buf = io.StringIO()
-    with pytest.warns(RuntimeWarning, match="overflow"), contextlib.redirect_stdout(buf):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(buf):
+        warnings.simplefilter("error")
         assert cli.main(argv) == 0
     doc = json.loads(buf.getvalue(), parse_constant=_refuse)
     assert doc["status"] == "non-finite"
@@ -120,16 +123,22 @@ def test_rk45_rejects_a_step_whose_stage_overflows(scale):
     assert traj.final.t == ref.final.t == 0.01 and len(traj.samples) > 2
 
 
-def test_rms_of_an_estimate_whose_squares_overflow():
-    # a finite error estimate has a finite norm; the sum of squares of a
-    # normal-range one is taken as before, bit for bit
-    r = np.array([3e200, -4e200, 0.0, 1e199])
-    with np.errstate(over="ignore"):
-        assert _rms(r) == pytest.approx(math.sqrt((9 + 16 + 0.01) / 4) * 1e200, rel=1e-15)
-    r = np.random.default_rng(3).normal(size=149)
-    assert _rms(r) == math.sqrt(float(r @ r) / r.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(_rms(np.array([np.inf, 1.0])))
+def test_rk45_rejects_a_step_whose_error_estimate_overflows():
+    # y' = 0, but the seventh evaluation, the last stage of the first step,
+    # which the fifth-order solution does not read, is 1e200: the error
+    # estimate's sum of squares overflows to inf, and the step is rejected
+    # and shrunk by 0.2, as for any estimate above 1e150, without a warning
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.full_like(y, 1e200 if len(calls) == 7 else 0.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps = rk45_steps(f, np.zeros(3), 0.0, 1.0, 1e-2, 1e-12, math.inf, 1e-9, 1e-9)
+        assert [t for t, _ in (next(steps), next(steps))] == [0.0, 0.2 * 1e-2]
+    assert len(calls) == 13  # the first stage, then six of each attempt
 
 
 def test_the_matrix_velocity_overflows_into_non_finite_state():
