@@ -88,19 +88,31 @@ def structure() -> G2Structure:
 # ---------------------------------------------------------------------------
 
 def _unit_scale(A) -> float:
-    """The power of two p just below max|A| when that is at least 1, else 1:
-    A / p is exact, and its entries, below 2, keep its products finite."""
+    """The power of two p just below max|A|, 1 for A = 0: A / p is exact,
+    and its largest entry, in [1, 2), keeps its products finite and clear
+    of underflow."""
     top = float(np.abs(A).max())
-    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top >= 1.0 else 1.0
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+
+
+def _times_p2(p, x):
+    """x p^2: a value x of degree 2 in A / p scaled back to A.  A finite x
+    that overflows raises NonFiniteState."""
+    with np.errstate(over="ignore"):
+        y = x * p * p
+    if not np.isfinite(y).all():
+        raise NonFiniteState(f"closed form overflows at scale {p:g}")
+    return y
 
 
 @dataclass(frozen=True)
 class AAMatrix:
     """A 6x6 real matrix in the paper-order basis with membership flags.
 
-    The flags are taken on A / p (:func:`_unit_scale`).  Each test against
-    a tolerance times max(1, |A|) is homogeneous once |A| >= 1, so a flag
-    in range is as it is on A itself, and none overflows at any scale."""
+    The flags are taken on A / p (:func:`_unit_scale`), whose norm is at
+    least 1, where each test against a tolerance times max(1, |A|) is
+    homogeneous: a flag is that of A at every scale, and none overflows or
+    underflows."""
 
     A: np.ndarray
     in_sl3C: bool
@@ -198,16 +210,25 @@ class ClosedForms:
     R: float
 
 
+def _trace_free_unit(aa, what):
+    """(X, p), X = A / p in the natural basis (:func:`_unit_scale`), for a
+    trace-free A; NotTraceFree otherwise.  The quadratic closed forms are
+    p^2 times those of X (:func:`_times_p2`)."""
+    p = _unit_scale(aa.A)
+    X = aa.A / p
+    if abs(np.trace(X)) > FLAG_TOL * max(1.0, np.linalg.norm(X)):
+        raise NotTraceFree(f"{what} formula needs tr A = 0")
+    return paper_to_natural(X), p
+
+
 def laplacian_phi(aa) -> KForm:
     """Hodge Laplacian of the fixed form, for trace-free A."""
-    aa = _as_aa(aa)
-    if abs(np.trace(aa.A)) > FLAG_TOL * max(1.0, np.linalg.norm(aa.A)):
-        raise NotTraceFree("Laplacian formula needs tr A = 0")
-    A7 = _embed7(aa.natural)
+    X, p = _trace_free_unit(_as_aa(aa), "Laplacian")
+    X7 = _embed7(X)
     e7 = KForm.basis((7,))
-    term1 = wedge(theta(A7, theta(A7.T, omega_form())), e7)
-    term2 = theta(A7.T, theta(A7, rho_plus_form()))
-    return term1 - term2
+    term1 = wedge(theta(X7, theta(X7.T, omega_form())), e7)
+    term2 = theta(X7.T, theta(X7, rho_plus_form()))
+    return KForm(3, _times_p2(p, (term1 - term2).coeffs))
 
 
 def _q_formula(A) -> np.ndarray:
@@ -233,7 +254,8 @@ def q_operator(aa) -> np.ndarray:
     aa = _as_aa(aa)
     if not aa.in_sl3C:
         raise NotClosed("Q formula needs A in sl(3,C)")
-    return _q_formula(aa.natural)
+    p = _unit_scale(aa.A)
+    return _times_p2(p, _q_formula(paper_to_natural(aa.A / p)))
 
 
 def torsion_two_form(aa) -> KForm:
@@ -245,15 +267,12 @@ def torsion_two_form(aa) -> KForm:
 
 def ricci_aa(aa):
     """Ricci operator and scalar curvature (natural basis), tr A = 0."""
-    aa = _as_aa(aa)
-    if abs(np.trace(aa.A)) > FLAG_TOL * max(1.0, np.linalg.norm(aa.A)):
-        raise NotTraceFree("Ricci formula needs tr A = 0")
-    A = aa.natural
-    u = _sym_sq_trace(A)
+    X, p = _trace_free_unit(_as_aa(aa), "Ricci")
+    u = _sym_sq_trace(X)
     Ric = np.zeros((DIM, DIM))
-    Ric[:6, :6] = 0.5 * (A @ A.T - A.T @ A)
+    Ric[:6, :6] = 0.5 * (X @ X.T - X.T @ X)
     Ric[6, 6] = -u / 4.0
-    return Ric, -u / 4.0
+    return _times_p2(p, Ric), _times_p2(p, -u / 4.0)
 
 
 def closed_forms(aa) -> ClosedForms:
@@ -269,11 +288,12 @@ def closed_forms(aa) -> ClosedForms:
 def moment_map(aa) -> np.ndarray:
     """Block operator governing the bracket-norm evolution (natural basis)."""
     aa = _as_aa(aa)
-    A = aa.natural
+    p = _unit_scale(aa.A)
+    X = paper_to_natural(aa.A / p)
     M = np.zeros((DIM, DIM))
-    M[:6, :6] = 0.5 * (A @ A.T - A.T @ A)
-    M[6, 6] = -0.5 * float(np.sum(A ** 2))
-    return M
+    M[:6, :6] = 0.5 * (X @ X.T - X.T @ X)
+    M[6, 6] = -0.5 * float(np.sum(X ** 2))
+    return _times_p2(p, M)
 
 
 # ---------------------------------------------------------------------------

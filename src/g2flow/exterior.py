@@ -214,7 +214,9 @@ class Metric:
     a Cholesky factor that :meth:`frame` reads, and nothing is filled in
     later; the Hodge stars of the metric are :func:`hodge_matrix`'s.  The
     constructor is the one check of a gram matrix: finite, symmetric and
-    positive definite.
+    positive definite.  :meth:`_trusted` takes a gram that is exactly
+    symmetric by construction, and checks it by the Cholesky factor and
+    the volume alone.
     """
 
     __slots__ = ("gram", "orientation", "volume", "_cholesky")
@@ -228,6 +230,23 @@ class Metric:
         atol = 1e-12 * max(1.0, float(a.max()))
         if not (np.abs(g - g.T) <= atol + 1e-5 * a.T).all():
             raise BadMetric("gram matrix must be symmetric")
+        self._factor(g, orientation)
+
+    @classmethod
+    def _trusted(cls, g, orientation):
+        """The metric of a (7, 7) float gram g, exactly symmetric, which it
+        keeps without a copy.  BadMetric as from the constructor: a g with
+        an infinite entry either has no Cholesky factor or an infinite
+        volume."""
+        m = cls.__new__(cls)
+        m._factor(g, orientation)
+        if not np.isfinite(m.volume):
+            raise BadMetric("gram matrix must be finite")
+        return m
+
+    def _factor(self, g, orientation):
+        """Set the fields from a symmetric gram g: BadMetric unless g
+        is positive definite and orientation is +1 or -1."""
         try:
             L = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:

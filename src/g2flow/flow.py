@@ -11,8 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteState, NotClosed
-from .exterior import (DIM, NFORMS, KForm, Metric, _frozen, _star_table, _theta_tensor,
-                       _wedge_table, hodge_matrix, phi_canonical, pullback3, pullback_matrix)
+from .exterior import (DIM, NFORMS, PAIR_I, PAIR_J, KForm, Metric, _frozen, _star_table,
+                       _theta_tensor, _wedge_table, hodge_matrix, phi_canonical, pullback3,
+                       pullback_matrix)
 from .g2core import G2Structure, _canonical_tables, _frame_torsion, metric_from_3form
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
@@ -87,6 +88,51 @@ def laplacian(mu: LieBracket, g: Metric, a):
     if not np.isfinite(lap).all():
         raise NonFiniteState("non-finite Laplacian")
     return lap
+
+
+#: flat gathers between 2-form coefficients x and their skew matrix X
+#: (:func:`skew_from_form`): X is [0, x, -x][_SKEW], x is X.ravel()[_PAIRS]
+_PAIRS = PAIR_J * DIM + PAIR_I
+_SKEW = np.zeros(DIM * DIM, dtype=np.intp)
+_SKEW[_PAIRS] = 1 + np.arange(NFORMS[2])
+_SKEW[PAIR_I * DIM + PAIR_J] = 1 + NFORMS[2] + np.arange(NFORMS[2])
+_frozen(_PAIRS, _SKEW)
+
+
+def _direct_velocity(mu: LieBracket):
+    """The direct-flow right side for the fixed bracket mu, on the flat 35
+    coefficients a of phi: velocity(a) = Delta_phi phi, which
+    :func:`laplacian` gives as laplacian(mu, metric_from_3form(phi), a), up
+    to rounding, with no star matrix built per call.
+
+    With G the gram of phi, v = o sqrt(det G) its volume factor and S_k the
+    identity-metric stars, each star of :func:`hodge_matrix` acts on a
+    vector: H4 x = P3(G) S4 x / v and H3 x = v S3 P3(G^-1) x by
+    :func:`pullback3`, and H5 x = P2(G) S5 x / v, P2(G) taking the skew
+    matrix X of a 2-form to G^T X G.  So *d*d phi = H4 d3 H4 d3 phi is two
+    pullbacks by G through A1 = S4 d3, and d*d* phi = d2 H5 d4 H3 phi is
+    d2 P2(G) A2 P3(G^-1) phi with A2 = S5 d4 S3, v cancelling; A1, A2 and d2
+    are built here, once.  A phi off the positive cone raises
+    PositivityError (from :func:`metric_from_3form`), and an overflowing
+    Delta NonFiniteState."""
+    S3, S4, S5 = (_star_table(k) for k in (3, 4, 5))
+    A1 = S4 @ ce_matrix(mu, 3)
+    A2 = S5 @ ce_matrix(mu, 4) @ S3
+    d2 = ce_matrix(mu, 2)
+
+    def velocity(a):
+        g = metric_from_3form(KForm(3, a))
+        G, v = g.gram, g.volume
+        with np.errstate(over="ignore", invalid="ignore"):
+            dd = pullback3(G, A1 @ (pullback3(G, A1 @ a) / v)) / v
+            x = A2 @ pullback3(np.linalg.inv(G), a)
+            X = np.concatenate(([0.0], x, -x))[_SKEW].reshape(DIM, DIM)
+            lap = dd - d2 @ (G.T @ X @ G).reshape(-1)[_PAIRS]
+        if not np.isfinite(lap).all():
+            raise NonFiniteState("non-finite Laplacian")
+        return lap
+
+    return velocity
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +282,8 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
                    opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate dphi/dt = Delta_phi phi with the bracket held fixed.
 
-    The metric is recomputed from phi at every stage.  A phi0 that is not
+    The metric is recomputed from phi at every stage, and the right side is
+    the compiled :func:`_direct_velocity` of mu.  A phi0 that is not
     positive raises PositivityError; loss of positivity later ends the run
     with status positivity-lost.
     """
@@ -244,9 +291,10 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     if opts.normalize != "none":
         raise ValueError("normalization applies to the bracket flow only")
     metric_from_3form(phi0)
+    velocity = _direct_velocity(mu)
 
     def rhs(t, y):
-        return laplacian(mu, metric_from_3form(KForm(3, y)), y)
+        return velocity(y)
 
     def make_sample(t, y):
         return _flow_sample(t, mu, G2Structure(KForm(3, y)))
@@ -284,7 +332,8 @@ class HReconstruction(Trajectory):
 def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     """Integrate the equivalence maps h(t) linking the two flow pictures.
 
-    side "ii": dh/dt = -Q_mu(t) h, driven by the bracket-flow operator;
+    side "ii": dh/dt = -Q_mu(t) h, driven by the bracket-flow operator
+    (with Delta_phi phi by :func:`_direct_velocity`);
     side "i":  dh/dt = -h Q_phi(t), driven by the direct-flow operator
     (Q_phi and Delta_phi phi by :func:`_natural_q`).
     Either way h(0) = I.  The bracket flow, the direct flow and h are
@@ -301,13 +350,14 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
         raise ValueError("equivalence maps link the unnormalized flows only")
     s, velocity, mu0, opts = traj.structure, traj.velocity, traj.mu0, traj.opts
     phi_c = s.phi.coeffs
+    direct = _direct_velocity(mu0) if side == "ii" else None
 
     def rhs(t, y):
         h = y[NCONST:NCONST + 49].reshape(DIM, DIM)
         phi_d = y[NCONST + 49:]
         Qmu, dmu, _ = velocity(y[:NCONST])
         if side == "ii":
-            lap = laplacian(mu0, metric_from_3form(KForm(3, phi_d)), phi_d)
+            lap = direct(phi_d)
             dh = -Qmu @ h
         else:
             Q, lap = _natural_q(mu0, phi_d)

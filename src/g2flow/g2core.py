@@ -50,8 +50,9 @@ def induced_bilinear(phi: KForm) -> np.ndarray:
 def metric_from_3form(phi: KForm) -> Metric:
     """The metric g = |det B|^(-1/9) o B of a positive 3-form, o = sign det B
     (in dimension 7, the sign of a definite B); only :class:`Metric` decides
-    that g is definite.  PositivityError: phi not finite, det B not a normal
-    float (B is cubic in phi), or B singular or not definite."""
+    that g is definite, on its trusted path, as B is exactly symmetric.
+    PositivityError: phi not finite, det B not a normal float (B is cubic
+    in phi), or B singular or not definite."""
     if not np.isfinite(phi.coeffs).all():
         raise PositivityError("3-form coefficients must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # range checked below
@@ -63,7 +64,7 @@ def metric_from_3form(phi: KForm) -> Metric:
         singular = o == 0 and (s == 0 or np.linalg.slogdet(induced_bilinear(phi / s))[0] == 0)
         raise PositivityError(_NOT_DEFINITE if singular else "3-form coefficients out of range")
     try:
-        return Metric(math.exp(logdet) ** (-1.0 / 9.0) * (o * B), int(o))
+        return Metric._trusted(math.exp(logdet) ** (-1.0 / 9.0) * (o * B), int(o))
     except BadMetric:
         raise PositivityError(_NOT_DEFINITE) from None
 

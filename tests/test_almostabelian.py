@@ -6,7 +6,7 @@ import pytest
 
 from g2flow import almostabelian as aa
 from g2flow import corpus
-from g2flow.errors import G2FlowError, InvalidBracket, NotClosed, NotTraceFree
+from g2flow.errors import G2FlowError, InvalidBracket, NonFiniteState, NotClosed, NotTraceFree
 from g2flow.exterior import KForm, hodge_star, skew_from_form
 from g2flow.flow import (
     IntegratorOptions,
@@ -384,7 +384,7 @@ def _flags(m):
     return m.in_sl3C, m.in_sp3R, m.in_su3, m.is_nilpotent, m.is_normal, m.is_skew()
 
 
-@pytest.mark.parametrize("s", [1e50, 1e100, 1e160, 1e300])
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1e-60, 1e50, 1e100, 1e160, 1e300])
 def test_flags_and_kinds_do_not_depend_on_the_scale(s):
     # flags are taken on A over a power of two, so they read as at s = 1;
     # a classification is that of the scaled matrix, c and d scaled back by
@@ -406,6 +406,29 @@ def test_flags_and_kinds_do_not_depend_on_the_scale(s):
             if want.c is not None:
                 assert got.c == pytest.approx(want.c * s * s, rel=1e-14)
                 assert got.d == pytest.approx(want.d * s * s, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-60, 1e100, 1e160, 1e300])
+def test_quadratic_closed_forms_scale_or_raise(s):
+    # the trace test and the quadratic closed forms (Laplacian, Q, Ricci and
+    # the moment map) are taken on A over a power of two and scaled back by
+    # its square: s^2 times the values at s = 1, or a typed error where that
+    # overflows; nothing warns
+    one = aa.AAMatrix.from_complex(corpus.aa_diag(1, -1, 0))
+    big = aa.AAMatrix.from_complex(s * corpus.aa_diag(1, -1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (lambda m: aa.ricci_aa(m)[0], lambda m: aa.laplacian_phi(m).coeffs,
+                  aa.q_operator, aa.moment_map, lambda m: aa.closed_forms(m).R):
+            try:
+                got = f(big)
+            except G2FlowError as exc:
+                assert isinstance(exc, NonFiniteState) and s * s > 1e300
+                continue
+            want = s * s * np.asarray(f(one))
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        with pytest.raises(NotTraceFree):
+            aa.ricci_aa(aa.AAMatrix.from_matrix(s * np.eye(6)))
 
 
 def test_a_scaled_rotating_soliton_stays_semi_algebraic():

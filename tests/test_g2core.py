@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from g2flow import almostabelian as aa
 from g2flow import exterior, g2core
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
-from g2flow.errors import (ComponentError, G2FlowError, InconsistentTorsion, NonFiniteState,
-                           PositivityError, SingularSystem)
+from g2flow.errors import (BadMetric, ComponentError, G2FlowError, InconsistentTorsion,
+                           NonFiniteState, PositivityError, SingularSystem)
 from g2flow.exterior import (KForm, _interior_table, _star_table, _theta_tensor, act,
                              form_from_skew, hodge_star, interior, phi_canonical, pullback,
                              pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
@@ -658,6 +658,29 @@ def test_metric_recovery_is_the_eigvalsh_rule(rng):
         assert g.gram.tobytes() == gram.tobytes()
         orientations.add(o)
     assert orientations == {1, -1}
+
+
+def test_metric_recovery_is_the_public_metric(rng):
+    # the trusted path skips only re-checks: the public constructor on the
+    # same gram and orientation keeps the same fields, bit for bit
+    orientations = set()
+    for phi in _moved_forms(rng, np.logspace(-3, 3, 200)):
+        g = metric_from_3form(phi)
+        want = exterior.Metric(g.gram, g.orientation)
+        assert g.gram.tobytes() == want.gram.tobytes()
+        assert g._cholesky.tobytes() == want._cholesky.tobytes()
+        assert (g.orientation, g.volume.tobytes()) == (want.orientation, want.volume.tobytes())
+        orientations.add(g.orientation)
+    assert orientations == {1, -1}
+
+
+def test_trusted_metric_refuses_what_the_constructor_refuses():
+    # a gram with no Cholesky factor, or an infinite one that has a factor
+    for gram in (np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+                 np.diag([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])):
+        for build in (exterior.Metric, exterior.Metric._trusted):
+            with pytest.raises(BadMetric):
+                build(gram, 1)
 
 
 @_BAD_FORMS
