@@ -266,7 +266,9 @@ def _build_parser():
         q.add_argument("--t-end", dest="t_end", type=float, default=opts.t_end)
         q.add_argument("--atol", type=float, default=opts.atol)
         q.add_argument("--rtol", type=float, default=opts.rtol)
-        q.add_argument("--h0", type=float, default=opts.h0)
+        q.add_argument("--h0", type=float, default=opts.h0,
+                       help="first step (the rk4 step); by default rk45 picks its own "
+                            "starting step and rk4 takes 1e-3")
         q.add_argument("--method", choices=("rk4", "rk45"), default=opts.method)
         q.add_argument("--sample-every", dest="sample_every", type=int, default=opts.sample_every)
     parsers["flow"].add_argument("--normalize", default=opts.normalize,

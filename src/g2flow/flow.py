@@ -24,7 +24,9 @@ from .liealg import (
     ce_matrix_of_form,
     derivations,
     pack_constants,
+    pow2_above,
     scalar_curvature,
+    scaled_norm,
     unpack_constants,
 )
 
@@ -149,7 +151,7 @@ def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     n3 = NFORMS[3]
     tau = _frame_torsion(_star_table(3) @ u[:n3], _star_table(2) @ u[n3:]).norm
     return FlowSample(t, mu, st.phi, st.frame @ Qc @ st._frame_inv, mu.norm(), R, tau,
-                      float(np.linalg.norm(T @ Qc.reshape(-1))))
+                      scaled_norm(T @ Qc.reshape(-1)))
 
 
 @functools.cache
@@ -387,7 +389,7 @@ def _fit_soliton(kind, mu, s, project, Qc, u):
     residual is below 1e-7, relative to |Q|.  Qc and u are as
     :func:`_in_frame` returns them for (mu, s)."""
     Q = s.frame @ Qc @ s._frame_inv
-    scale = max(1.0, float(np.linalg.norm(Q)))
+    scale = max(1.0, scaled_norm(Q))
     n3, tol = NFORMS[3], 1e-9 * math.sqrt(7.0)  # |d phi|, |d psi| against |phi|
     if np.linalg.norm(u[:n3]) <= tol and np.linalg.norm(u[n3:]) <= tol:
         return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
@@ -396,7 +398,8 @@ def _fit_soliton(kind, mu, s, project, Qc, u):
     cols = [np.eye(DIM).reshape(-1)] + [project(D).reshape(-1) for D in der.basis]
     A = np.array(cols).T
     x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
-    residual = float(np.linalg.norm(A @ x - Q.reshape(-1)))
+    p = pow2_above(Q)  # |residual| <= |Q|, so no square of r / p overflows
+    residual = p * float(np.linalg.norm((A @ x - Q.reshape(-1)) / p))
     if residual >= 1e-7 * scale:
         return SolitonCertificate("none", float("nan"),
                                   np.full((DIM, DIM), np.nan), residual, "none")

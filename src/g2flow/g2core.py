@@ -35,6 +35,7 @@ from .exterior import (
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
 _LOG_RANGE = np.log([np.finfo(float).tiny, np.finfo(float).max])  # |det B| a normal float
 _NOT_DEFINITE = "induced bilinear form is not definite"
+_OUT_OF_RANGE = "3-form coefficients out of range"
 
 def induced_bilinear(phi: KForm) -> np.ndarray:
     """The symmetric matrix B with B(u,v) e^{1..7} = (1/6) i_u(phi)^i_v(phi)^phi."""
@@ -52,21 +53,23 @@ def metric_from_3form(phi: KForm) -> Metric:
     (in dimension 7, the sign of a definite B); only :class:`Metric` decides
     that g is definite, on its trusted path, as B is exactly symmetric.
     PositivityError: phi not finite, det B not a normal float (B is cubic
-    in phi), or B singular or not definite."""
+    in phi), g not finite, or B singular or not definite."""
     if not np.isfinite(phi.coeffs).all():
         raise PositivityError("3-form coefficients must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # range checked below
         B = induced_bilinear(phi)
         o, logdet = np.linalg.slogdet(B)  # det B = o exp(logdet), as np.linalg.det has it
-    if not _LOG_RANGE[0] < logdet < _LOG_RANGE[1]:  # NaN fails too
-        # o = 0 for a singular B, and for one that underflowed; B(phi / max|phi|) cannot
-        s = np.abs(phi.coeffs).max()
-        singular = o == 0 and (s == 0 or np.linalg.slogdet(induced_bilinear(phi / s))[0] == 0)
-        raise PositivityError(_NOT_DEFINITE if singular else "3-form coefficients out of range")
+        if not _LOG_RANGE[0] < logdet < _LOG_RANGE[1]:  # NaN fails too
+            # o = 0 for a singular B, and for one that underflowed; B(phi / max|phi|) cannot
+            s = np.abs(phi.coeffs).max()
+            singular = o == 0 and (s == 0 or np.linalg.slogdet(induced_bilinear(phi / s))[0] == 0)
+            raise PositivityError(_NOT_DEFINITE if singular else _OUT_OF_RANGE)
+        # g can overflow although B and det B do not, as for diag(1e160, 1e-30, ...) . phi0
+        g = math.exp(logdet) ** (-1.0 / 9.0) * (o * B)
     try:
-        return Metric._trusted(math.exp(logdet) ** (-1.0 / 9.0) * (o * B), int(o))
+        return Metric._trusted(g, int(o))
     except BadMetric:
-        raise PositivityError(_NOT_DEFINITE) from None
+        raise PositivityError(_NOT_DEFINITE if np.isfinite(g).all() else _OUT_OF_RANGE) from None
 
 
 def _sym0_basis():

@@ -19,7 +19,7 @@ class IntegratorOptions:
     """Knobs for the ODE integrators."""
 
     method: str = "rk45"  # rk45 (adaptive) or rk4 (fixed step)
-    h0: float = 1e-3
+    h0: float | None = None  # None: rk45 picks it (_first_step), rk4 takes 1e-3
     hmin: float = 1e-12
     hmax: float = math.inf
     atol: float = 1e-9
@@ -31,7 +31,8 @@ class IntegratorOptions:
     max_steps: int = 1_000_000  # accepted steps before a run is stopped
 
     def __post_init__(self):
-        if not (self.hmin <= self.h0 <= self.hmax):
+        h0 = self.hmin if self.h0 is None else self.h0
+        if not (self.hmin <= h0 <= self.hmax):
             raise ValueError("need hmin <= h0 <= hmax")
         if self.atol <= 0 or self.rtol <= 0:
             raise ValueError("tolerances must be positive")
@@ -111,9 +112,10 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     The pair is first-same-as-last: the fifth-order solution is the input of
     stage 7, so an accepted step hands its last stage to the next step as
     k1, and a rejected step keeps k1.  A run of n attempted steps makes
-    1 + 6 n evaluations of f.  The seven stages of a step live in the rows
-    of one (7, n) array K: stage i takes y + h * (A[i, :i] @ K[:i]) and the
-    error estimate is h * (E @ K).
+    1 + 6 n evaluations of f, and one more, the trial stage of
+    :func:`_first_step`, when h0 is None.  The seven stages of a step live
+    in the rows of one (7, n) array K: stage i takes
+    y + h * (A[i, :i] @ K[:i]) and the error estimate is h * (E @ K).
 
     A stage whose f raises NonFiniteState (an overflowing trial state) or
     PositivityError (a trial 3-form off the positive cone) has no error
@@ -137,7 +139,7 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     t = t0
     end = y[-1] if scale_free else t
     direction = 1.0 if t1 >= end else -1.0
-    h = abs(h0) if scale_free else (min(abs(h0), abs(t1 - t0)) or abs(h0))
+    h = None if h0 is None else abs(h0)  # each step is capped at t1 below
     yield t, y
     n = 0
     K = np.empty((7, y.size))
@@ -145,6 +147,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     while (t1 - end) * direction > 1e-15 * max(1.0, abs(t1)):
         if n >= max_steps:
             raise StepBudgetExhausted(f"{n} steps taken by t={end:g}")
+        if h is None:
+            h = _first_step(f, t, y, K[0], direction, hmin, hmax, atol, rtol, scale_free)
         h = min(h, _clock_reach(K[0], abs(t1 - end), direction) if scale_free
                 else abs(t1 - t))
         hh = direction * h
@@ -159,11 +163,7 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
             # yi, the input of stage 7, is the fifth-order solution; an
             # estimate that overflows rejects the step, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-                if scale_free:
-                    scale[-2:] = atol, atol * K[0][-1] + rtol * max(abs(y[-1]), abs(yi[-1]))
-                r = hh * (_DP_E @ K) / scale
-                err = math.sqrt(float(r @ r) / r.size)
+                err = _rms(hh * (_DP_E @ K) / _tol_scale(y, yi, K[0], atol, rtol, scale_free))
         if err <= 1.0 and scale_free:
             past = (yi[-1] - t1) * direction
             if past > _CLOCK_TOL * max(1.0, abs(t1)):
@@ -186,6 +186,62 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
                     raise failure
                 raise StepUnderflow(f"step {h:g} below hmin at t={end:g} (err={err:g})")
             h = max(hmin, h * max(0.2, 0.9 * err ** -0.2))
+
+
+def _rms(r):
+    """The root mean square of the array r: the norm of the error test."""
+    return math.sqrt(float(r @ r) / r.size)
+
+
+def _tol_scale(y, yi, k0, atol, rtol, scale_free):
+    """The error test's scale of each component of a step from y to yi, k0
+    the rates at y (see :func:`rk45_steps`)."""
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
+    if scale_free:
+        scale[-2:] = atol, atol * k0[-1] + rtol * max(abs(y[-1]), abs(yi[-1]))
+    return scale
+
+
+def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, scale_free):
+    """The starting step of Hairer, Norsett and Wanner (Solving Ordinary
+    Differential Equations I, II.4), as dopri5's hinit takes it, for rates
+    k = f(t, y).  In the error test's norm, d0 = |y|, d1 = |k| and d2 =
+    |f(t + h', y + h' k) - k| / h' at the trial step h' = 0.01 d0 / d1
+    (1e-6 if d0 or d1 is below 1e-5); the step is min(100 h', h1) in
+    [hmin, hmax], h1 = (0.01 / max(d1, d2))^(1/5) (max(1e-6, 1e-3 h') if
+    both are below 1e-15).
+
+    With scale_free, d0 is taken on x alone: ln r, whose scale is atol,
+    would make the step depend on the scale of the state.  A trial stage
+    that raises NonFiniteState or PositivityError, or whose d2 is not
+    finite, is tried again at a tenth of h', at most _FIRST_TRIALS times in
+    all; when the last one fails too, the step is a tenth of its h'."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = _tol_scale(y, y, k, atol, rtol, scale_free)
+        x = slice(0, -2) if scale_free else slice(None)
+        d0, d1 = _rms(y[x] / scale[x]), _rms(k / scale)
+    h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+    h = min(max(h, hmin), hmax)
+    for _ in range(_FIRST_TRIALS):
+        try:
+            k1 = f(t + direction * h, y + (direction * h) * k)
+        except (NonFiniteState, PositivityError):
+            d2 = math.inf
+        else:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                d2 = _rms((k1 - k) / (h * scale))
+        if math.isfinite(d2) or h <= hmin:
+            break
+        h = max(hmin, 0.1 * h)
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        return h
+    top = max(d1, d2)
+    h1 = (0.01 / top) ** 0.2 if top > 1e-15 else max(1e-6, 1e-3 * h)
+    return min(max(min(100.0 * h, h1), hmin), hmax)
+
+
+# trial evaluations of _first_step, at most
+_FIRST_TRIALS = 4
 
 
 # a scale-free run ends when its clock is this close to t1, relative
@@ -250,6 +306,10 @@ def _scale_free_start(y0):
     return np.concatenate([x / norm, (math.log(top) + math.log(norm), 0.0)]), top * norm
 
 
+# the step of rk4 when IntegratorOptions.h0 is None
+_RK4_STEP = 1e-3
+
+
 def _steps(rhs, y0, opts, cubic):
     if opts.method == "rk4":
         f = rhs
@@ -258,7 +318,8 @@ def _steps(rhs, y0, opts, cubic):
             def f(t, y):  # y' less its component along y, which keeps |y|
                 v = rhs(t, y)
                 return v - _along(v, y) * y
-        return rk4_steps(f, y0, 0.0, opts.t_end, opts.h0, opts.max_steps)
+        h = _RK4_STEP if opts.h0 is None else opts.h0
+        return rk4_steps(f, y0, 0.0, opts.t_end, h, opts.max_steps)
     if not cubic:
         return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
                           opts.atol, opts.rtol, opts.max_steps)

@@ -32,6 +32,18 @@ _UNPACK_SRC[_NEG_POS] = 1 + NCONST + np.arange(NCONST)
 JACOBI_TOL = 1e-9
 
 
+def pow2_above(a) -> float:
+    """The power of two above max|a|, 1 for a zero a: a / pow2_above(a) is
+    exact, and no square of its entries overflows."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1])
+
+
+def scaled_norm(a) -> float:
+    """The Euclidean norm of the array a, taken on a / pow2_above(a)."""
+    s = pow2_above(a)
+    return s * float(np.sqrt(np.sum((a / s) ** 2)))
+
+
 def jacobi_residual(c) -> float:
     """Max-norm Jacobi defect of raw antisymmetric structure constants c relative
     to max(1, max|c|)^2: that of c / max(1, max|c|), where no product overflows."""
@@ -116,9 +128,7 @@ class LieBracket:
         return self._cache["jacobi"]
 
     def norm(self) -> float:
-        # on c / s, s the power of two above max|c|: exact, and no square overflows
-        s = math.ldexp(1.0, math.frexp(float(np.abs(self.c).max()))[1])
-        return s * float(np.sqrt(np.sum((self.c / s) ** 2)))
+        return scaled_norm(self.c)
 
     def packed(self) -> np.ndarray:
         return pack_constants(self.c)

@@ -17,7 +17,8 @@ from g2flow.corpus import (
     mu_nilpotent,
     phi_nilpotent_example,
 )
-from g2flow.errors import NonFiniteState, NotClosed, PositivityError, SingularSystem, StepUnderflow
+from g2flow.errors import (G2FlowError, NonFiniteState, NotClosed, PositivityError,
+                           SingularSystem, StepUnderflow)
 from g2flow.exterior import (DIM, KForm, _theta_tensor, act, hodge_star, phi_canonical,
                              pullback_matrix, theta)
 from g2flow.flow import (
@@ -315,7 +316,8 @@ def test_scale_free_runs_end_at_t_end_exactly(t_end, s_aa, rng):
 
 def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     # machine-independent costs of three fixed runs at atol = rtol = 1e-9;
-    # in t they took 421, 361 and 391 evaluations
+    # in t, from h0 = 1e-3, they took 421, 361 and 391 evaluations.  The
+    # default starting step (h0 = None) skips the ramp up from 1e-3
     calls = []
 
     def counting(f, *args, **kwargs):
@@ -325,30 +327,61 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
         return rk45_steps(counted, *args, **kwargs)
 
     monkeypatch.setattr(integrate, "rk45_steps", counting)
-    counts = []
-    for m in (aa_n6_soliton(), aa_n2()):
+    counts = {}
+    for h0 in (1e-3, None):
+        counts[h0] = []
+        for m in (aa_n6_soliton(), aa_n2()):
+            calls.clear()
+            traj = aa.matrix_bracket_flow(aa.AAMatrix.from_complex(m),
+                                          IntegratorOptions(h0=h0, t_end=50.0))
+            assert traj.status == "completed"
+            counts[h0].append(len(calls))
         calls.clear()
-        traj = aa.matrix_bracket_flow(aa.AAMatrix.from_complex(m), IntegratorOptions(t_end=50.0))
+        traj = bracket_flow(mu_nilpotent(1, 2, 3, 4), s_nilpotent,
+                            IntegratorOptions(h0=h0, t_end=10.0))
         assert traj.status == "completed"
-        counts.append(len(calls))
-    calls.clear()
-    traj = bracket_flow(mu_nilpotent(1, 2, 3, 4), s_nilpotent, IntegratorOptions(t_end=10.0))
-    assert traj.status == "completed"
-    counts.append(len(calls))
-    assert counts == [181, 151, 229]
+        counts[h0].append(len(calls))
+    assert counts == {1e-3: [181, 151, 229], None: [170, 146, 224]}
 
 
 def test_direct_flow_rejects_a_stage_off_the_positive_cone():
-    # at mu x 1e2 the first stage of the default step leaves the positive
+    # at mu x 1e2 the first stage of a step of 1e-3 leaves the positive
     # cone; rk45 rejects it and shrinks the step, and the run completes on
     # the 6x6 flow of the scaled matrix
     m = random_sl3c(np.random.default_rng(1), 1.0)
     traj = laplacian_flow(aa.phi_almost_abelian(), aa.bracket_of(m).scale(1e2),
-                          IntegratorOptions(t_end=1.0))
+                          IntegratorOptions(h0=1e-3, t_end=1.0))
     ref = aa.matrix_bracket_flow(aa.AAMatrix.from_matrix(1e2 * m.A),
                                  IntegratorOptions(t_end=1.0, atol=1e-12, rtol=1e-12))
     assert traj.status == "completed" and traj.final.t == 1.0
     assert abs(traj.final.R - ref.final.R) <= 1e-6 * abs(ref.final.R)
+
+
+@pytest.mark.parametrize("pair", ["nil1234", "almost-abelian"])
+def test_flows_and_detectors_end_typed_at_every_scale(pair, s_nilpotent, s_aa):
+    # brackets scaled 1e-150 to 1e150: each flow, from the default starting
+    # step, ends in a status, and each detector in a certificate or a
+    # G2FlowError, with no floating-point warning on the way
+    if pair == "nil1234":
+        mu, s = mu_nilpotent(1, 2, 3, 4), s_nilpotent
+    else:
+        mu, s = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)), s_aa
+    opts = IntegratorOptions(t_end=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-150, 151, 10):
+            m = mu.scale(10.0 ** e)
+            assert bracket_flow(m, s, opts).status in _STATUSES
+            assert laplacian_flow(s.phi, m, opts).status in _STATUSES
+            for detect in (detect_algebraic, detect_semialgebraic):
+                try:
+                    assert isinstance(detect(m, s).kind, str)
+                except G2FlowError:
+                    pass
+
+
+_STATUSES = {"completed", "blowup-detected", "non-finite", "positivity-lost",
+             "step-underflow", "step-budget-exhausted"}
 
 
 def test_laplacian_flow_constant_for_abelian(s_nilpotent):
@@ -789,7 +822,7 @@ def test_solve_q_is_the_symmetric_solve_on_closed_forms(s_aa, rng):
     # least-squares solve over G-symmetric matrices (the former closed-case
     # solver of reconstruct_h, kept above as it was)
     mu = aa.bracket_of(random_sl3c(rng, 0.6))
-    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=0.5, sample_every=5))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(h0=1e-3, t_end=0.5, sample_every=5))
     assert len(traj.samples) > 3
     for smp in traj.samples:
         st = G2Structure(smp.phi)

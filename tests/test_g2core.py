@@ -710,3 +710,12 @@ def test_out_of_range_forms_raise_a_typed_error(scale, cause):
         coeffs[4] = scale
     with pytest.raises(PositivityError, match=cause):
         G2Structure(KForm(3, coeffs))
+
+
+def test_a_metric_that_overflows_is_out_of_range():
+    # B_11 = 1e300 and det B = 1e-180 are in range, but g_11 = 1e320 is
+    # not; under the suite's warnings-as-errors no RuntimeWarning escapes,
+    # and the error names the range, not definiteness
+    phi = pullback(np.diag([1e160] + [1e-30] * 6), phi_canonical())
+    with pytest.raises(PositivityError, match="out of range"):
+        metric_from_3form(phi)

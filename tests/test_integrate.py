@@ -16,9 +16,10 @@ import pytest
 import g2flow
 from g2flow import almostabelian as aa
 from g2flow import cli
-from g2flow.errors import NonFiniteState
+from g2flow.errors import NonFiniteState, PositivityError
 from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
-from g2flow.integrate import IntegratorOptions, Trajectory, drive, rk45_steps
+from g2flow.integrate import (_DP_C, _FIRST_TRIALS, IntegratorOptions, Trajectory, drive,
+                              rk45_steps)
 
 from conftest import random_sl3c
 
@@ -139,6 +140,75 @@ def test_rk45_rejects_a_step_whose_error_estimate_overflows():
         steps = rk45_steps(f, np.zeros(3), 0.0, 1.0, 1e-2, 1e-12, math.inf, 1e-9, 1e-9)
         assert [t for t, _ in (next(steps), next(steps))] == [0.0, 0.2 * 1e-2]
     assert len(calls) == 13  # the first stage, then six of each attempt
+
+
+def test_the_default_first_step_costs_one_evaluation():
+    # with h0 = None a run of n attempted steps makes 2 + 6 n evaluations:
+    # f(t0, y0), the trial stage of the starting step, and six stages at
+    # t + c_i h for each attempt.  The attempts are read off the stage
+    # times, so the rejected ones are counted too
+    calls = []
+
+    def van_der_pol(t, y):
+        calls.append(t)
+        return np.array([y[1], 10.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+    steps = list(rk45_steps(van_der_pol, np.array([2.0, 0.0]), 0.0, 3.0, None,
+                            1e-12, math.inf, 1e-6, 1e-6))
+    assert steps[-1][0] == 3.0 and (len(calls) - 2) % 6 == 0
+    accepted = iter(t for t, _ in steps)
+    start, attempts, rejected = next(accepted), 0, 0
+    end = next(accepted)
+    for group in np.reshape(calls[2:], (-1, 6)):
+        h = group[-1] - start
+        assert np.allclose(group, start + _DP_C[1:] * h, rtol=1e-14, atol=0)
+        attempts += 1
+        if group[-1] == end:
+            start, end = end, next(accepted, None)
+        else:
+            rejected += 1
+    assert end is None and rejected > 0
+    assert len(calls) == 2 + 6 * attempts
+
+
+def test_a_trial_stage_off_the_positive_cone_does_not_end_the_run():
+    # the trial stage of the starting step raises PositivityError, as a
+    # 3-form off the positive cone does: it is tried again at a tenth of its
+    # step, and the run completes
+    calls = []
+
+    def decay(t, y):
+        calls.append(t)
+        if len(calls) == 2:
+            raise PositivityError("off the positive cone")
+        return -y
+
+    traj = drive(decay, np.ones(3), IntegratorOptions(t_end=1.0, sample_every=1),
+                 lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
+    assert traj.status == "completed" and traj.final.t == 1.0
+    assert np.allclose(traj.final.y, math.exp(-1.0), rtol=1e-8, atol=0)
+    assert calls[2] == pytest.approx(0.1 * calls[1], rel=1e-14)
+    assert (len(calls) - 3) % 6 == 0
+
+
+def test_the_trial_stage_is_retried_a_bounded_number_of_times():
+    # every trial raises: after _FIRST_TRIALS tries, each at a tenth of the
+    # last, the first step is a tenth of the last trial step, and its stages
+    # fail down to hmin as any stage off the cone does
+    calls = []
+
+    def off_the_cone(t, y):
+        calls.append(t)
+        if len(calls) > 1:
+            raise PositivityError("off the positive cone")
+        return -y
+
+    traj = drive(off_the_cone, np.ones(3), IntegratorOptions(t_end=1.0),
+                 lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
+    assert traj.status == "positivity-lost" and traj.final.t == 0.0
+    trials = calls[1:1 + _FIRST_TRIALS]
+    assert np.allclose(np.divide(trials[1:], trials[:-1]), 0.1, rtol=1e-14, atol=0)
+    assert calls[1 + _FIRST_TRIALS] == pytest.approx(0.2 * 0.1 * trials[-1], rel=1e-14)
 
 
 def test_the_matrix_velocity_overflows_into_non_finite_state():
