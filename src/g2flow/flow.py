@@ -70,10 +70,10 @@ class SolitonCertificate:
     skew: np.ndarray | None = None
 
 
-def _soliton_label(kind, c, scale=1.0):
+def _soliton_label(kind, c, scale):
     if kind == "none":
         return "none"
-    if kind == "torsion-free" or abs(c) <= 1e-12 * max(1.0, scale):
+    if kind == "torsion-free" or abs(c) <= 1e-12 * scale:
         return "steady"
     # the self-similar rescaling constant is -3c, so c < 0 means expanding
     return "expanding" if c < 0 else "shrinking"
@@ -147,7 +147,7 @@ def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     |tau| of the frame pair (d phi, d psi) = (S3 u[:35], S2 u[35:])."""
     Qc, u, c = _in_frame(mu, st)
     (T, *_), *_ = _canonical_tables()
-    R = 1.5 * float(np.trace(Qc)) if _closed(u) else scalar_curvature(c)
+    R = 1.5 * float(np.trace(Qc)) if _closed(u, c) else scalar_curvature(c)
     n3 = NFORMS[3]
     tau = _frame_torsion(_star_table(3) @ u[:n3], _star_table(2) @ u[n3:]).norm
     return FlowSample(t, mu, st.phi, st.frame @ Qc @ st._frame_inv, mu.norm(), R, tau,
@@ -235,9 +235,11 @@ def _in_frame(mu: LieBracket, st: G2Structure):
     return Qc, u, c
 
 
-def _closed(u) -> bool:
-    """Whether |d phi| = |u[:35]| (u from :func:`_in_frame`) is at most CLOSED_TOL |phi|."""
-    return float(np.linalg.norm(u[:NFORMS[3]])) <= CLOSED_TOL * math.sqrt(7.0)  # |phi| = sqrt 7
+def _closed(u, c) -> bool:
+    """Whether |d phi| = |u[:35]| (u and the frame bracket c from
+    :func:`_in_frame`) is at most CLOSED_TOL |phi| |c|, |phi| = sqrt 7.
+    d phi is linear in c, so the test does not depend on the scale of c."""
+    return scaled_norm(u[:NFORMS[3]]) <= CLOSED_TOL * math.sqrt(7.0) * scaled_norm(c)
 
 
 def _natural_q(mu: LieBracket, phi):
@@ -383,24 +385,24 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
 # soliton detection
 # ---------------------------------------------------------------------------
 
-def _fit_soliton(kind, mu, s, project, Qc, u):
+def _fit_soliton(kind, mu, s, project, Qc, u, cf):
     """Least-squares fit of Q over the family {c I + project(D) : D a
     derivation}, in e-coordinates; a certificate of the given kind when the
-    residual is below 1e-7, relative to |Q|.  Qc and u are as
-    :func:`_in_frame` returns them for (mu, s)."""
+    residual is below 1e-7, relative to |Q|.  Qc, u and the frame bracket
+    cf are as :func:`_in_frame` returns them for (mu, s).  Every test is
+    homogeneous, so the kind of s mu is that of mu."""
     Q = s.frame @ Qc @ s._frame_inv
-    scale = max(1.0, scaled_norm(Q))
-    n3, tol = NFORMS[3], 1e-9 * math.sqrt(7.0)  # |d phi|, |d psi| against |phi|
-    if np.linalg.norm(u[:n3]) <= tol and np.linalg.norm(u[n3:]) <= tol:
-        return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)),
-                                  float(np.linalg.norm(Q)), "steady")
+    scale = scaled_norm(Q)
+    n3, tol = NFORMS[3], 1e-9 * math.sqrt(7.0) * scaled_norm(cf)  # against |phi| |c|
+    if scaled_norm(u[:n3]) <= tol and scaled_norm(u[n3:]) <= tol:
+        return SolitonCertificate("torsion-free", 0.0, np.zeros((DIM, DIM)), scale, "steady")
     der = derivations(mu)
     cols = [np.eye(DIM).reshape(-1)] + [project(D).reshape(-1) for D in der.basis]
     A = np.array(cols).T
     x, *_ = np.linalg.lstsq(A, Q.reshape(-1), rcond=None)
     p = pow2_above(Q)  # |residual| <= |Q|, so no square of r / p overflows
     residual = p * float(np.linalg.norm((A @ x - Q.reshape(-1)) / p))
-    if residual >= 1e-7 * scale:
+    if residual > 1e-7 * scale:
         return SolitonCertificate("none", float("nan"),
                                   np.full((DIM, DIM), np.nan), residual, "none")
     c = float(x[0])
@@ -410,7 +412,7 @@ def _fit_soliton(kind, mu, s, project, Qc, u):
 
 def detect_algebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
     """Least-squares fit of Q over the family {c I + D : D a derivation}."""
-    return _fit_soliton("algebraic", mu, s, lambda D: D, *_in_frame(mu, s)[:2])
+    return _fit_soliton("algebraic", mu, s, lambda D: D, *_in_frame(mu, s))
 
 
 def detect_semialgebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
@@ -418,10 +420,10 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
 
     On success the skew part (D - D^t)/2, the rotation generator of the
     norm-normalized bracket flow, is reported alongside."""
-    Qc, u, _ = _in_frame(mu, s)
-    if not _closed(u):
+    Qc, u, c = _in_frame(mu, s)
+    if not _closed(u, c):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    cert = _fit_soliton("semi-algebraic", mu, s, s.sym_part, Qc, u)
+    cert = _fit_soliton("semi-algebraic", mu, s, s.sym_part, Qc, u, c)
     if cert.kind == "semi-algebraic":
         cert = replace(cert, skew=0.5 * (cert.D - s.metric.transpose(cert.D)))
     return cert

@@ -193,8 +193,10 @@ class G2Structure:
 
     Construction computes the metric and a G2-adapted frame F
     (:func:`_adapted_frame`), orthonormal for the metric, and checks that F
-    pulls phi back to phi_canonical: a miss above 1e-9 relative raises
-    SingularSystem, or NonFiniteState when it is not finite.  So in frame
+    pulls phi back to phi_canonical: a miss above 1e-9 relative, or above
+    the rounding of that pullback, eps |F|^3 |phi|, when the frame is so
+    ill-conditioned that this is larger, raises SingularSystem, or
+    NonFiniteState when it is not finite.  So in frame
     coordinates every structure has the same G2 algebra: the theta map and
     its pseudo-inverse, the g2 and q bases, the q1/q7/q27 split and phi and
     psi are constants of phi_canonical (:func:`_canonical_tables`), built
@@ -220,7 +222,9 @@ class G2Structure:
         self.frame = F = _adapted_frame(phi, g)
         (_, self._solve_op, self._g2_f, self._q_f), self._q_split, phi_c, _ = _canonical_tables()
         miss = np.linalg.norm(pullback3(F, phi.coeffs) - phi_c.coeffs)
-        if not miss <= 1e-9 * phi_c.norm():  # NaN fails too
+        size = float(np.linalg.norm(F))
+        rounding = math.ulp(1.0) * size * size * size * phi.norm()  # floats: inf, no warning
+        if not (miss <= max(1e-9 * phi_c.norm(), rounding) and np.isfinite(miss)):
             error = SingularSystem if np.isfinite(miss) else NonFiniteState
             raise error(f"adapted frame misses phi_canonical by {miss:g}")
         self._frame_inv = F.T @ g.gram

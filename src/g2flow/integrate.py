@@ -1,5 +1,5 @@
-"""Small explicit ODE integrators: fixed-step RK4 for reproducibility and an
-embedded Dormand-Prince 5(4) pair with step-size control for everything else.
+"""Small explicit ODE integrators: fixed-step RK4 for reproducibility and the
+embedded Dormand-Prince 8(5,3) pair with step-size control for everything else.
 State vectors are flat float arrays; integration can run in either time
 direction.  `drive` is the one sampling loop every flow runs through."""
 
@@ -62,23 +62,120 @@ class Trajectory:
         return self.samples[-1]
 
 
-# Dormand-Prince 5(4) tableau; row i of _DP_A holds the weights of stage i
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-# weights of the error estimate y5 - y4; the fifth-order weights are row 6
-_DP_E = _DP_A[6] - _DP_B4
-# (i, c_i, A[i, :i]) of stages 2..7, sliced once
-_DP_STAGES = tuple((i, float(_DP_C[i]), _DP_A[i, :i]) for i in range(1, 7))
+# The Dormand-Prince 8(5,3) pair, DOP853 (Hairer, Norsett and Wanner, Solving
+# Ordinary Differential Equations I, II.10, and their code dop853).  Stages
+# 1-12 make a step, stage 13 is f at the eighth-order solution (the next
+# step's stage 1), and stages 14-16 serve the continuous extension only.
+# _DOP_A[i, j] is the weight of stage j + 1 in the input of stage i + 1.
+_DOP_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
+
+
+def _tableau(rows, width):
+    """An array of len(rows) x width, row i holding the {column: value} of rows[i]."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            out[i, j] = value
+    return out
+
+
+_DOP_A = _tableau([
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    # the eighth-order weights
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+], 16)
+_DOP_B = _DOP_A[12, :12]
+# the error estimates: E3, the eighth-order less the third-order weights, and
+# E5, of the fifth-order error
+_DOP_E3 = _DOP_B - _tableau([{0: 0.244094488188976377952755905512,
+                              8: 0.733846688281611857341361741547,
+                              11: 0.220588235294117647058823529412e-1}], 12)[0]
+_DOP_E5 = _tableau([{
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1}], 12)[0]
+# one product of the stages gives the increment and both error estimates
+_DOP_W = np.vstack([_DOP_B, _DOP_E3, _DOP_E5])
+# the last four coefficients of the seventh-order continuous extension, as
+# weights of the 16 stages (see _extension)
+_DOP_D = _tableau([
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+], 16)
+# (i, c_i, A[i, :i]) of stages 2..12 and of the extension's 14..16, sliced once
+_DOP_STAGES = tuple((i, float(_DOP_C[i]), _DOP_A[i, :i]) for i in range(1, 12))
+_DOP_EXTRA = tuple((i, float(_DOP_C[i]), _DOP_A[i, :i]) for i in range(13, 16))
 
 
 def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
@@ -107,15 +204,19 @@ def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
 
 def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
                scale_free=False):
-    """Yield (t, y) after each accepted Dormand-Prince step.
+    """Yield (t, y) after each accepted step of the Dormand-Prince 8(5,3)
+    pair (the name predates the pair).
 
-    The pair is first-same-as-last: the fifth-order solution is the input of
-    stage 7, so an accepted step hands its last stage to the next step as
-    k1, and a rejected step keeps k1.  A run of n attempted steps makes
-    1 + 6 n evaluations of f, and one more, the trial stage of
-    :func:`_first_step`, when h0 is None.  The seven stages of a step live
-    in the rows of one (7, n) array K: stage i takes
-    y + h * (A[i, :i] @ K[:i]) and the error estimate is h * (E @ K).
+    The stages of a step live in the rows of one (16, n) array K: stage i
+    takes y + h * (A[i, :i] @ K[:i]).  Eleven evaluations, stages 2-12, make
+    the eighth-order solution y + h * (B @ K[:12]) and its error, h |E5 @ K|^2
+    / sqrt(|E5 @ K|^2 + 0.01 |E3 @ K|^2) in the root-mean-square norm of the
+    error test (:func:`_error_norm`); a step passes when that is at most 1,
+    and the next step is the last times 0.9 err^(-1/8) in [0.2, 10].  An
+    accepted step then evaluates f at its solution, and hands that to the
+    next step as K[0] (first-same-as-last); a rejected step keeps K[0].  So
+    a run makes 1 + 11 a + s evaluations, a attempted and s accepted steps,
+    and one more, the trial stage of :func:`_first_step`, when h0 is None.
 
     A stage whose f raises NonFiniteState (an overflowing trial state) or
     PositivityError (a trial 3-form off the positive cone) has no error
@@ -126,10 +227,12 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     t = y[-1], not tau, reaches t1.  The error of ln r (the relative error
     of r) is measured against atol, and that of t against
     atol dt/dtau + rtol |t|, so no tolerance depends on the scale of y.  A
-    step is capped where the clock would reach t1 were a = K[0][-2]
-    constant (:func:`_clock_reach`); a step that passes t1 is shortened by
-    Newton on dt/dtau = K[6][-1] and tried again; the last state's clock is
-    set to t1.
+    step is capped a little past where the clock would reach t1 were
+    a = K[0][-2] constant (:func:`_clock_reach`).  The last state is that
+    of the step that passes t1, taken where its clock is t1 on the
+    seventh-order continuous extension (:func:`_extension`, three more
+    evaluations), with the clock set to t1.  An evaluation of the extension
+    that raises ends the run with that error.
 
     Raises StepUnderflow when no step of size >= hmin meets the tolerance
     (the PositivityError of its stage when that is why), and
@@ -142,50 +245,110 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     h = None if h0 is None else abs(h0)  # each step is capped at t1 below
     yield t, y
     n = 0
-    K = np.empty((7, y.size))
+    K = np.empty((16, y.size))
     K[0] = f(t, y)
     while (t1 - end) * direction > 1e-15 * max(1.0, abs(t1)):
         if n >= max_steps:
             raise StepBudgetExhausted(f"{n} steps taken by t={end:g}")
         if h is None:
             h = _first_step(f, t, y, K[0], direction, hmin, hmax, atol, rtol, scale_free)
-        h = min(h, _clock_reach(K[0], abs(t1 - end), direction) if scale_free
-                else abs(t1 - t))
+        h = min(h, _REACH_MARGIN * _clock_reach(K[0], abs(t1 - end), direction)
+                if scale_free else abs(t1 - t))
         hh = direction * h
         failure = None
         try:
-            for i, c, a in _DP_STAGES:
-                yi = y + hh * (a @ K[:i])
-                K[i] = f(t + c * hh, yi)
+            for i, c, a in _DOP_STAGES:
+                K[i] = f(t + c * hh, y + hh * (a @ K[:i]))
+            # an increment or estimate that overflows rejects the step,
+            # without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                W = _DOP_W @ K[:12]
+                yi = y + hh * W[0]
+                err = _error_norm(h, W[1], W[2], _tol_scale(y, yi, K[0], atol, rtol, scale_free))
+            if err <= 1.0:
+                K[12] = f(t + hh, yi)
         except (NonFiniteState, PositivityError) as exc:
             err, failure = math.inf, exc
-        else:
-            # yi, the input of stage 7, is the fifth-order solution; an
-            # estimate that overflows rejects the step, without a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = _rms(hh * (_DP_E @ K) / _tol_scale(y, yi, K[0], atol, rtol, scale_free))
-        if err <= 1.0 and scale_free:
-            past = (yi[-1] - t1) * direction
-            if past > _CLOCK_TOL * max(1.0, abs(t1)):
-                h = max(h - past / K[6][-1], 0.2 * h)
-                continue
-            if past >= -_CLOCK_TOL * max(1.0, abs(t1)):
-                yi[-1] = t1
         if err <= 1.0:
-            t = t + hh
-            y = yi
-            end = y[-1] if scale_free else t
-            K[0] = K[6]
             n += 1
+            past = (yi[-1] - t1) * direction if scale_free else -math.inf
+            if past > _CLOCK_TOL * max(1.0, abs(t1)):
+                F = _extension(f, t, y, yi, K, hh)
+                x = _crossing(F[:, -1], t1 - y[-1])
+                t, y = t + x * hh, y + _at(F, x)[0]
+            else:
+                t, y = t + hh, yi
+            if past >= -_CLOCK_TOL * max(1.0, abs(t1)):
+                y[-1] = t1
+            end = y[-1] if scale_free else t
+            K[0] = K[12]
             yield t, y
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h = min(hmax, h * grow)
+            h = min(hmax, h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)))
         else:
             if h <= hmin * (1 + 1e-12):
                 if isinstance(failure, PositivityError):
                     raise failure
                 raise StepUnderflow(f"step {h:g} below hmin at t={end:g} (err={err:g})")
-            h = max(hmin, h * max(0.2, 0.9 * err ** -0.2))
+            h = max(hmin, h * max(0.2, 0.9 * err ** -0.125))
+
+
+def _error_norm(h, e3, e5, scale):
+    """DOP853's error of a step of size h whose estimates are e3 = E3 @ K
+    and e5 = E5 @ K, in the error test's norm (see :func:`rk45_steps`)."""
+    r3, r5 = e3 / scale, e5 / scale
+    s3, s5 = float(r3 @ r3), float(r5 @ r5)
+    return 0.0 if s5 == 0.0 else h * s5 / math.sqrt((s5 + 0.01 * s3) * r5.size)
+
+
+def _extension(f, t, y, yi, K, hh):
+    """The coefficients F (7, n) of DOP853's seventh-order continuous
+    extension of the accepted step hh from (t, y) to yi, whose 13 stages are
+    in K[:13]: it evaluates stages 14-16 into K.  :func:`_at` reads it."""
+    for i, c, a in _DOP_EXTRA:
+        K[i] = f(t + c * hh, y + hh * (a @ K[:i]))
+    dy = yi - y
+    F = np.empty((7, y.size))
+    F[0] = dy
+    F[1] = hh * K[0] - dy
+    F[2] = 2.0 * dy - hh * (K[12] + K[0])
+    F[3:] = hh * (_DOP_D @ K)
+    return F
+
+
+def _at(F, x):
+    """The increment of the continuous extension F (:func:`_extension`) at
+    the fraction x of its step, and its derivative in x: x (F0 + (1 - x)
+    (F1 + x (F2 + (1 - x) (F3 + x (F4 + (1 - x) (F5 + x F6))))))."""
+    v, dv = F[6], 0.0
+    for j in range(5, -1, -1):
+        m, dm = (x, 1.0) if j % 2 else (1.0 - x, -1.0)
+        v, dv = F[j] + m * v, dm * v + m * dv
+    return x * v, v + x * dv
+
+
+def _crossing(Fc, left):
+    """The fraction x of a step at which the extension's clock, whose
+    coefficients are Fc, has moved by left: Newton from the chord, kept
+    inside the bracket [0, 1] that the step's clock spans by bisection."""
+    lo, hi = 0.0, 1.0
+    x = left / Fc[0]
+    for _ in range(_CROSSING_ITERS):
+        value, slope = _at(Fc, x)
+        miss = value - left
+        if miss * left < 0.0:
+            lo = x
+        else:
+            hi = x
+        if slope == 0.0 or not lo < (nxt := x - miss / slope) < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 4.0 * np.finfo(float).eps:
+            return nxt
+        x = nxt
+    return x
+
+
+# Newton steps of _crossing, at most: it converges in a handful
+_CROSSING_ITERS = 60
 
 
 def _rms(r):
@@ -208,7 +371,7 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, scale_free):
     k = f(t, y).  In the error test's norm, d0 = |y|, d1 = |k| and d2 =
     |f(t + h', y + h' k) - k| / h' at the trial step h' = 0.01 d0 / d1
     (1e-6 if d0 or d1 is below 1e-5); the step is min(100 h', h1) in
-    [hmin, hmax], h1 = (0.01 / max(d1, d2))^(1/5) (max(1e-6, 1e-3 h') if
+    [hmin, hmax], h1 = (0.01 / max(d1, d2))^(1/8) (max(1e-6, 1e-3 h') if
     both are below 1e-15).
 
     With scale_free, d0 is taken on x alone: ln r, whose scale is atol,
@@ -236,7 +399,7 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, scale_free):
     if not (math.isfinite(d1) and math.isfinite(d2)):
         return h
     top = max(d1, d2)
-    h1 = (0.01 / top) ** 0.2 if top > 1e-15 else max(1e-6, 1e-3 * h)
+    h1 = (0.01 / top) ** 0.125 if top > 1e-15 else max(1e-6, 1e-3 * h)
     return min(max(min(100.0 * h, h1), hmin), hmax)
 
 
@@ -246,6 +409,10 @@ _FIRST_TRIALS = 4
 
 # a scale-free run ends when its clock is this close to t1, relative
 _CLOCK_TOL = 1e-12
+
+# a scale-free step is capped at this multiple of _clock_reach, so that the
+# step that reaches t1 passes it and lands by the continuous extension
+_REACH_MARGIN = 1.05
 
 
 def _clock_reach(k, left, direction):

@@ -8,6 +8,7 @@ from g2flow import almostabelian as aa
 from g2flow.corpus import random_sl3c  # noqa: F401 - shared with the tests
 from g2flow.exterior import KForm, Metric, hodge_star, phi_canonical, act
 from g2flow.g2core import G2Structure
+from g2flow.integrate import _DOP_C
 from g2flow.liealg import ce_differential
 
 SEED = int(os.environ.get("G2FLOW_SEED", "20260809"))
@@ -36,6 +37,26 @@ def s_nilpotent():
 @pytest.fixture(scope="session")
 def s_aa():
     return aa.structure()
+
+
+def rk45_attempts(calls, times):
+    """The attempted and the rejected steps of a t-form rk45 run whose
+    accepted times are times, read off the times of its evaluations after
+    the first stage: eleven at t + c_i h, c_2..c_12, per attempt, and one at
+    the new t after an accepted one."""
+    start, accepted = times[0], iter(times[1:])
+    end, i, attempts, rejected = next(accepted), 0, 0, 0
+    while i < len(calls):
+        group = np.array(calls[i:i + 11])
+        h = group[-1] - start
+        assert np.abs(group - (start + _DOP_C[1:12] * h)).max() <= 1e-14 * max(1.0, abs(start))
+        attempts, i = attempts + 1, i + 11
+        if group[-1] == end and i < len(calls) and calls[i] == end:
+            start, end, i = end, next(accepted, None), i + 1
+        else:
+            rejected += 1
+    assert end is None
+    return attempts, rejected
 
 
 def random_gl7(rng, spread=0.6):

@@ -138,9 +138,11 @@ def test_criterion_05_rotating_soliton(s_aa):
         traj7 = bracket_flow(mu, s_aa, IntegratorOptions(t_end=2.0,
                                                          sample_every=10))
         assert not lf_diagonal_test(traj7)
+        # hmax (in scale-free time) keeps the 66 samples that the
+        # Dormand-Prince 5(4) pair took at hmax = 2
         traj = aa.matrix_bracket_flow(
             m, IntegratorOptions(t_end=50.0, atol=1e-11, rtol=1e-11,
-                                 hmax=2.0, sample_every=1))
+                                 hmax=0.09, sample_every=1))
         Aperp = aa.complex_to_real(corpus.aa_n6_soliton_partner())
         checked = 0
         for smp in traj.samples:
@@ -183,8 +185,10 @@ def test_criterion_06_scalar_bound_as_stated():
     # falls at the sharp rate 4/3 and lies strictly below the quoted bound.
     with criterion(6, "scalar-curvature bound: the stated constant 2 is the "
                       "rotating soliton's exact rate, not a lower bound"):
+        # hmax (in scale-free time) keeps at least the 49 and 46 samples
+        # that the Dormand-Prince 5(4) pair took without it
         opts = IntegratorOptions(t_end=10.0, atol=1e-11, rtol=1e-11,
-                                 sample_every=1)
+                                 hmax=0.06, sample_every=1)
 
         def stated_bound(t, R0):
             return 1.0 / (-2.0 * t + 1.0 / R0)

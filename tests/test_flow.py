@@ -35,7 +35,7 @@ from g2flow.flow import (
     reconstruct_h,
 )
 from g2flow.g2core import G2Structure, metric_from_3form
-from g2flow.integrate import rk45_steps
+from g2flow.integrate import _DOP_A, _DOP_C, _DOP_E3, _DOP_E5, rk45_steps
 from g2flow.liealg import (
     LieBracket,
     bracket_act,
@@ -47,7 +47,7 @@ from g2flow.liealg import (
     unpack_constants,
 )
 
-from conftest import hodge_laplacian, random_gl7, random_sl3c, random_su3
+from conftest import hodge_laplacian, random_gl7, random_sl3c, random_su3, rk45_attempts
 
 
 def test_options_validation():
@@ -314,9 +314,37 @@ def test_scale_free_runs_end_at_t_end_exactly(t_end, s_aa, rng):
         assert np.all(np.diff(traj.times) * t_end > 0)
 
 
+@pytest.mark.parametrize("t_end", [0.37, 10.0, 50.0])
+def test_a_scale_free_run_lands_on_t_end_without_a_sliver_step(t_end, rng, monkeypatch):
+    # the step that passes t_end is cut where its clock is t_end, on the
+    # continuous extension: the clock ends at t_end exactly, the last step
+    # is no sliver of the one before, and the landing costs three
+    # evaluations over the 2 + 11 a + s of a attempted and s accepted steps
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return f(t, y)
+        return rk45_steps(counted, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "rk45_steps", counting)
+    m = random_sl3c(rng, 1.0)
+    traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=t_end, sample_every=1))
+    assert traj.status == "completed" and traj.final.t == t_end
+    steps = np.diff(traj.times)
+    assert steps[-1] >= 1e-2 * steps[-2]
+    assert (len(calls) - 2 - len(steps) - 3) % 11 == 0
+    monkeypatch.undo()
+    ref = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=t_end, atol=1e-13, rtol=1e-13))
+    assert ref.final.t == t_end
+    assert np.abs(traj.final.A - ref.final.A).max() <= 1e-8 * np.abs(ref.final.A).max()
+
+
 def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     # machine-independent costs of three fixed runs at atol = rtol = 1e-9;
-    # in t, from h0 = 1e-3, they took 421, 361 and 391 evaluations.  The
+    # in t, from h0 = 1e-3, they took 421, 361 and 391 evaluations with the
+    # Dormand-Prince 5(4) pair, and in scale-free time 181, 151 and 229.  The
     # default starting step (h0 = None) skips the ramp up from 1e-3
     calls = []
 
@@ -341,7 +369,7 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
                             IntegratorOptions(h0=h0, t_end=10.0))
         assert traj.status == "completed"
         counts[h0].append(len(calls))
-    assert counts == {1e-3: [181, 151, 229], None: [170, 146, 224]}
+    assert counts == {1e-3: [136, 124, 148], None: [113, 101, 137]}
 
 
 def test_direct_flow_rejects_a_stage_off_the_positive_cone():
@@ -378,6 +406,34 @@ def test_flows_and_detectors_end_typed_at_every_scale(pair, s_nilpotent, s_aa):
                     assert isinstance(detect(m, s).kind, str)
                 except G2FlowError:
                     pass
+
+
+def _kinds(mu, s):
+    """The (kind, label) of both detectors for (mu, s), or the error's name."""
+    out = []
+    for detect in (detect_algebraic, detect_semialgebraic):
+        try:
+            cert = detect(mu, s)
+            out.append((cert.kind, cert.label))
+        except G2FlowError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+@pytest.mark.parametrize("pair", ["nil1234", "nil1001", "n6sol", "almost-abelian"])
+def test_soliton_kinds_do_not_depend_on_the_scale(pair, s_nilpotent, s_aa):
+    # the closedness tests are relative to the frame bracket's norm and the
+    # residual test to |Q|, so s mu gets the certificates of mu, from
+    # s = 1e-12 to 1e12
+    mu, s = {
+        "nil1234": (mu_nilpotent(1, 2, 3, 4), s_nilpotent),
+        "nil1001": (mu_nilpotent(1, 0, 0, 1), s_nilpotent),
+        "n6sol": (aa.bracket_of(aa.AAMatrix.from_complex(aa_n6_soliton())), s_aa),
+        "almost-abelian": (aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)), s_aa),
+    }[pair]
+    want = _kinds(mu, s)
+    for e in range(-12, 13):
+        assert _kinds(mu.scale(10.0 ** e), s) == want, e
 
 
 _STATUSES = {"completed", "blowup-detected", "non-finite", "positivity-lost",
@@ -822,7 +878,7 @@ def test_solve_q_is_the_symmetric_solve_on_closed_forms(s_aa, rng):
     # least-squares solve over G-symmetric matrices (the former closed-case
     # solver of reconstruct_h, kept above as it was)
     mu = aa.bracket_of(random_sl3c(rng, 0.6))
-    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(h0=1e-3, t_end=0.5, sample_every=5))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(h0=1e-3, t_end=0.5, sample_every=2))
     assert len(traj.samples) > 3
     for smp in traj.samples:
         st = G2Structure(smp.phi)
@@ -879,7 +935,7 @@ def test_tau_agrees_across_the_three_flows(s_aa, rng):
 def test_tau_decreases_along_the_closed_direct_flow(s_aa, rng):
     # closed case: R = -|tau|^2 / 2, and |tau| strictly decreases
     mu = aa.bracket_of(random_sl3c(rng))
-    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=1.0, sample_every=5))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=1.0, sample_every=2))
     assert traj.status == "completed" and len(traj.samples) > 3
     for smp in traj.samples:
         assert abs(smp.R + 0.5 * smp.torsion_norm ** 2) <= 1e-10 * max(1.0, abs(smp.R))
@@ -1003,11 +1059,10 @@ def test_step_underflow_raised():
 
 
 def test_rk45_reuses_the_last_stage():
-    # first-same-as-last: the derivative at an accepted state, the input of
-    # the step's last stage, is the next step's first stage, and a rejected
-    # step keeps it; so every attempted step costs the six evaluations at
-    # t_n + c_i hh of the nodes c_2..c_7, and none at t_n
-    nodes = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+    # first-same-as-last: the derivative at an accepted state is the next
+    # step's first stage, and a rejected step keeps it; so every attempted
+    # step costs the eleven evaluations at t_n + c_i hh of the nodes
+    # c_2..c_12, an accepted one one more, at its new t, and none is at t_n
     calls = []
 
     def decay(t, y):
@@ -1017,60 +1072,40 @@ def test_rk45_reuses_the_last_stage():
     steps = list(rk45_steps(decay, np.ones(1), 0.0, 2.0, 0.5, 1e-12, math.inf,
                             1e-10, 1e-10))
     times = [t for t, _ in steps]
-    assert calls[0] == 0.0 and (len(calls) - 1) % 6 == 0
-    accepted = rejected = 0
-    t_n = 0.0
-    for n in range(1, len(calls), 6):
-        stage_t = np.array(calls[n:n + 6])
-        hh = stage_t[-1] - t_n
-        assert np.abs(stage_t - (t_n + nodes * hh)).max() < 1e-15
-        if stage_t[-1] == times[accepted + 1]:
-            accepted += 1
-            t_n = stage_t[-1]
-        else:
-            rejected += 1
-    assert accepted == len(steps) - 1 and rejected >= 1
-    assert len(calls) == 1 + 6 * (accepted + rejected)
+    assert calls[0] == 0.0
+    attempts, rejected = rk45_attempts(calls[1:], times)
+    assert rejected >= 1
+    assert len(calls) == 1 + 11 * attempts + len(steps) - 1
     assert times[-1] == 2.0
     assert abs(steps[-1][1][0] - math.exp(-2.0)) < 1e-9
 
 
-_DP_STAGES = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_ERROR = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]) \
-    - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-
-
 def _rk45_stage_list(f, y0, t1, h0, tol):
-    """Reference Dormand-Prince stepper with the stages in a Python list,
-    from t = 0 with atol = rtol = tol: yields (t, y) per accepted step."""
+    """Reference Dormand-Prince 8(5,3) stepper with the stages in a Python
+    list, from t = 0 with atol = rtol = tol: yields (t, y) per accepted
+    step."""
     t, y = 0.0, np.array(y0, dtype=float)
     h = min(h0, t1)
     yield t, y
     k1 = f(t, y)
-    nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
     while t1 - t > 1e-15 * max(1.0, t1):
         h = min(h, t1 - t)
         k = [k1]
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_STAGES[i]))
-            k.append(f(t + nodes[i] * h, yi))
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(yi))
-        err = math.sqrt(float(np.mean((h * (_DP_ERROR @ np.array(k)) / scale) ** 2)))
+        for i in range(1, 12):
+            yi = y + h * sum(a * k[j] for j, a in enumerate(_DOP_A[i, :i]))
+            k.append(f(t + _DOP_C[i] * h, yi))
+        y_new = y + h * sum(b * kj for b, kj in zip(_DOP_A[12], k))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        s3, s5 = (float(np.sum((sum(e * kj for e, kj in zip(E, k)) / scale) ** 2))
+                  for E in (_DOP_E3, _DOP_E5))
+        err = 0.0 if s5 == 0.0 else h * s5 / math.sqrt((s5 + 0.01 * s3) * y.size)
         if err <= 1.0:
-            t, y, k1 = t + h, yi, k[6]
+            t, y = t + h, y_new
+            k1 = f(t, y)
             yield t, y
-            h = h * (5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2))
+            h = h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125))
         else:
-            h = h * max(0.2, 0.9 * err ** -0.2)
+            h = h * max(0.2, 0.9 * err ** -0.125)
 
 
 def _counted(f):

@@ -13,7 +13,9 @@ from g2flow.errors import (BadMetric, ComponentError, G2FlowError, InconsistentT
 from g2flow.exterior import (KForm, _interior_table, _star_table, _theta_tensor, act,
                              form_from_skew, hodge_star, interior, phi_canonical, pullback,
                              pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
+from g2flow.flow import laplacian_flow
 from g2flow.g2core import G2Structure, _sym0_basis, induced_bilinear, metric_from_3form
+from g2flow.integrate import IntegratorOptions
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
 from conftest import hodge_laplacian, random_gl7, random_kform, random_positive_form, random_sl3c
@@ -592,6 +594,34 @@ def test_a_frame_that_misses_phi_canonical_raises(rng, monkeypatch):
     monkeypatch.setattr(g2core, "_adapted_frame", lambda phi, g: np.full((7, 7), np.nan))
     with pytest.raises(NonFiniteState):
         G2Structure(phi)
+
+
+def test_the_frame_bound_is_1e_9_on_a_well_conditioned_form(monkeypatch):
+    # for phi_canonical the pullback's rounding, eps |F|^3 |phi|, is about
+    # 1e-14, so the bound stays 1e-9 |phi_canonical|: a frame off by
+    # 1e-10 relative misses by 3e-10 and passes, one off by 5e-10 misses
+    # by 1.5e-9 and raises
+    adapted = g2core._adapted_frame
+    for error, raises in ((1e-10, False), (5e-10, True)):
+        monkeypatch.setattr(g2core, "_adapted_frame",
+                            lambda phi, g, e=error: (1.0 + e) * adapted(phi, g))
+        if raises:
+            with pytest.raises(SingularSystem, match="misses phi_canonical"):
+                G2Structure(phi_canonical())
+        else:
+            G2Structure(phi_canonical())
+
+
+@pytest.mark.parametrize("scale", [10.0, 1e4])
+def test_the_frame_bound_grows_with_the_rounding_of_the_pullback(scale):
+    # the direct flow of a scaled nil1234 samples forms whose adapted frame
+    # has |F| about 40: pullback3 rounds by about eps |F|^3 |phi| = 4e-7,
+    # and the frame misses phi_canonical by 3e-9 to 8e-9, above 1e-9
+    # |phi_canonical|.  The run ends at its step budget, not in a
+    # SingularSystem from a sample
+    traj = laplacian_flow(phi_nilpotent_example(), mu_nilpotent(1, 2, 3, 4).scale(scale),
+                          IntegratorOptions(t_end=0.1, sample_every=1, max_steps=150))
+    assert traj.status == "step-budget-exhausted" and len(traj.samples) == 151
 
 
 def test_no_svd_per_structure(rng, monkeypatch):

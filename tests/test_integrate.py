@@ -18,10 +18,10 @@ from g2flow import almostabelian as aa
 from g2flow import cli
 from g2flow.errors import NonFiniteState, PositivityError
 from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
-from g2flow.integrate import (_DP_C, _FIRST_TRIALS, IntegratorOptions, Trajectory, drive,
-                              rk45_steps)
+from g2flow.integrate import (_DOP_C, _DOP_STAGES, _DOP_W, _FIRST_TRIALS, IntegratorOptions,
+                              Trajectory, _at, _extension, drive, rk45_steps)
 
-from conftest import random_sl3c
+from conftest import random_sl3c, rk45_attempts
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -125,28 +125,30 @@ def test_rk45_rejects_a_step_whose_stage_overflows(scale):
 
 
 def test_rk45_rejects_a_step_whose_error_estimate_overflows():
-    # y' = 0, but the seventh evaluation, the last stage of the first step,
-    # which the fifth-order solution does not read, is 1e200: the error
+    # y' = 0, but the twelfth evaluation, the last stage of the first step,
+    # which no other stage reads, is 1e200: at atol = rtol = 1e-300 the error
     # estimate's sum of squares overflows to inf, and the step is rejected
-    # and shrunk by 0.2, as for any estimate above 1e150, without a warning
+    # and shrunk by 0.2, as for any error above 4.5^8, without a warning
     calls = []
 
     def f(t, y):
         calls.append(t)
-        return np.full_like(y, 1e200 if len(calls) == 7 else 0.0)
+        return np.full_like(y, 1e200 if len(calls) == 12 else 0.0)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        steps = rk45_steps(f, np.zeros(3), 0.0, 1.0, 1e-2, 1e-12, math.inf, 1e-9, 1e-9)
+        steps = rk45_steps(f, np.zeros(3), 0.0, 1.0, 1e-2, 1e-12, math.inf, 1e-300, 1e-300)
         assert [t for t, _ in (next(steps), next(steps))] == [0.0, 0.2 * 1e-2]
-    assert len(calls) == 13  # the first stage, then six of each attempt
+    # the first stage, eleven of each attempt, and f at the accepted state
+    assert len(calls) == 1 + 11 + 11 + 1
 
 
 def test_the_default_first_step_costs_one_evaluation():
-    # with h0 = None a run of n attempted steps makes 2 + 6 n evaluations:
-    # f(t0, y0), the trial stage of the starting step, and six stages at
-    # t + c_i h for each attempt.  The attempts are read off the stage
-    # times, so the rejected ones are counted too
+    # with h0 = None a run of a attempted and s accepted steps makes
+    # 2 + 11 a + s evaluations: f(t0, y0), the trial stage of the starting
+    # step, eleven stages at t + c_i h for each attempt, and f at each
+    # accepted state.  The attempts are read off the stage times, so the
+    # rejected ones are counted too
     calls = []
 
     def van_der_pol(t, y):
@@ -155,20 +157,11 @@ def test_the_default_first_step_costs_one_evaluation():
 
     steps = list(rk45_steps(van_der_pol, np.array([2.0, 0.0]), 0.0, 3.0, None,
                             1e-12, math.inf, 1e-6, 1e-6))
-    assert steps[-1][0] == 3.0 and (len(calls) - 2) % 6 == 0
-    accepted = iter(t for t, _ in steps)
-    start, attempts, rejected = next(accepted), 0, 0
-    end = next(accepted)
-    for group in np.reshape(calls[2:], (-1, 6)):
-        h = group[-1] - start
-        assert np.allclose(group, start + _DP_C[1:] * h, rtol=1e-14, atol=0)
-        attempts += 1
-        if group[-1] == end:
-            start, end = end, next(accepted, None)
-        else:
-            rejected += 1
-    assert end is None and rejected > 0
-    assert len(calls) == 2 + 6 * attempts
+    times = [t for t, _ in steps]
+    assert times[-1] == 3.0
+    attempts, rejected = rk45_attempts(calls[2:], times)
+    assert rejected > 0
+    assert len(calls) == 2 + 11 * attempts + len(steps) - 1
 
 
 def test_a_trial_stage_off_the_positive_cone_does_not_end_the_run():
@@ -188,13 +181,15 @@ def test_a_trial_stage_off_the_positive_cone_does_not_end_the_run():
     assert traj.status == "completed" and traj.final.t == 1.0
     assert np.allclose(traj.final.y, math.exp(-1.0), rtol=1e-8, atol=0)
     assert calls[2] == pytest.approx(0.1 * calls[1], rel=1e-14)
-    assert (len(calls) - 3) % 6 == 0
+    attempts, _ = rk45_attempts(calls[3:], traj.times)
+    assert len(calls) == 3 + 11 * attempts + len(traj.samples) - 1
 
 
 def test_the_trial_stage_is_retried_a_bounded_number_of_times():
     # every trial raises: after _FIRST_TRIALS tries, each at a tenth of the
     # last, the first step is a tenth of the last trial step, and its stages
-    # fail down to hmin as any stage off the cone does
+    # fail down to hmin as any stage off the cone does; the first of them is
+    # at c_2 of that step
     calls = []
 
     def off_the_cone(t, y):
@@ -208,7 +203,54 @@ def test_the_trial_stage_is_retried_a_bounded_number_of_times():
     assert traj.status == "positivity-lost" and traj.final.t == 0.0
     trials = calls[1:1 + _FIRST_TRIALS]
     assert np.allclose(np.divide(trials[1:], trials[:-1]), 0.1, rtol=1e-14, atol=0)
-    assert calls[1 + _FIRST_TRIALS] == pytest.approx(0.2 * 0.1 * trials[-1], rel=1e-14)
+    assert calls[1 + _FIRST_TRIALS] == pytest.approx(_DOP_C[1] * 0.1 * trials[-1], rel=1e-14)
+
+
+def test_rk45_is_of_order_eight():
+    # y' = y^2, y(0) = 1, is 1 / (1 - t).  Fixed steps (hmin = hmax = h, at
+    # tolerances that every step meets) of 0.75/16 and 0.75/32 to t = 0.75
+    # leave errors 2^8 apart, to within 2^0.3
+    errors = []
+    for n in (16, 32):
+        h = 0.75 / n
+        steps = list(rk45_steps(lambda t, y: y * y, np.ones(1), 0.0, 0.75, h, h, h, 1.0, 1.0))
+        assert len(steps) == n + 1
+        errors.append(abs(steps[-1][1][0] - 4.0))
+    assert 7.7 <= math.log2(errors[0] / errors[1]) <= 8.3
+
+
+def _one_step(f, t, y, h):
+    """One DOP853 step of size h from (t, y): its solution and extension."""
+    K = np.empty((16, y.size))
+    K[0] = f(t, y)
+    for i, c, a in _DOP_STAGES:
+        K[i] = f(t + c * h, y + h * (a @ K[:i]))
+    yi = y + h * (_DOP_W[0] @ K[:12])
+    K[12] = f(t + h, yi)
+    return yi, _extension(f, t, y, yi, K, h)
+
+
+def test_the_continuous_extension_meets_the_step_at_order_seven():
+    # one step of y' = -2 t y^2 (y = 1 / (1 + t^2)) from t = 0.3: the
+    # extension starts at y and ends at the step's solution, with slopes
+    # h f at both ends, and its error inside the step falls as h^8, the
+    # local error of a seventh-order extension
+    def f(t, y):
+        return -2.0 * t * y * y
+
+    def exact(t):
+        return 1.0 / (1.0 + t * t)
+
+    t0, y0 = 0.3, np.array([exact(0.3)])
+    errors = []
+    for h in (0.8, 0.4):
+        yi, F = _one_step(f, t0, y0, h)
+        assert _at(F, 0.0)[0] == 0.0 and y0 + _at(F, 1.0)[0] == pytest.approx(yi, rel=1e-15)
+        assert _at(F, 0.0)[1] == pytest.approx(h * f(t0, y0), rel=1e-13)
+        assert _at(F, 1.0)[1] == pytest.approx(h * f(t0 + h, yi), rel=1e-13)
+        errors.append(max(abs(y0[0] + _at(F, x)[0][0] - exact(t0 + x * h))
+                          for x in (0.25, 0.5, 0.75)))
+    assert math.log2(errors[0] / errors[1]) >= 7.5
 
 
 def test_the_matrix_velocity_overflows_into_non_finite_state():
