@@ -3,7 +3,6 @@
 from . import almostabelian, exterior, flow, g2core, liealg
 from .errors import (
     BadMetric,
-    ComponentError,
     DegreeUnderflow,
     G2FlowError,
     InconsistentTorsion,
@@ -26,7 +25,7 @@ __all__ = [
     "G2Structure", "metric_from_3form",
     "LieBracket", "ce_differential", "delta_mu", "derivations",
     "jacobi_residual", "ricci",
-    "G2FlowError", "BadMetric", "ComponentError", "DegreeUnderflow",
+    "G2FlowError", "BadMetric", "DegreeUnderflow",
     "InconsistentTorsion", "InvalidBracket", "NonFiniteState", "NotClosed", "NotTraceFree",
     "PositivityError", "SingularSystem", "StepBudgetExhausted", "StepUnderflow",
 ]

@@ -25,10 +25,6 @@ class NonFiniteState(SingularSystem):
     """A solve met NaN or infinite input: the flowing state overflowed."""
 
 
-class ComponentError(G2FlowError):
-    """A 3-form has a vector-type component where none is allowed."""
-
-
 class InconsistentTorsion(G2FlowError):
     """(dphi, dpsi) cannot be reconstructed from any torsion forms."""
 

@@ -497,19 +497,30 @@ def hodge_star(a: KForm, g: Metric | None = None) -> KForm:
     return KForm(DIM - a.degree, H @ a.coeffs)
 
 
+#: flat gathers between 2-form coefficients x and their skew matrix X
+#: (:func:`skew_from_form`): X is [0, x, -x][_SKEW], x is X.ravel()[_PAIRS]
+_PAIRS = PAIR_J * DIM + PAIR_I
+_SKEW = np.zeros(DIM * DIM, dtype=np.intp)
+_SKEW[_PAIRS] = 1 + np.arange(NFORMS[2])
+_SKEW[PAIR_I * DIM + PAIR_J] = 1 + NFORMS[2] + np.arange(NFORMS[2])
+_frozen(_PAIRS, _SKEW)
+
+
+def _skew_matrix(x) -> np.ndarray:
+    """The skew matrix of the 21 coefficients x of a 2-form, by :data:`_SKEW`."""
+    return np.concatenate(([0.0], x, -x))[_SKEW].reshape(DIM, DIM)
+
+
 def form_from_skew(X) -> KForm:
     """2-form <X.,.> of a skew matrix (identity-metric identification)."""
-    return KForm(2, np.asarray(X, dtype=float)[PAIR_J, PAIR_I])
+    return KForm(2, np.asarray(X, dtype=float).reshape(-1)[_PAIRS])
 
 
 def skew_from_form(a: KForm) -> np.ndarray:
     """Skew matrix X with a = <X.,.> (identity-metric identification)."""
     if a.degree != 2:
         raise ValueError("need a 2-form")
-    X = np.zeros((DIM, DIM))
-    X[PAIR_J, PAIR_I] = a.coeffs
-    X[PAIR_I, PAIR_J] = -a.coeffs
-    return X
+    return _skew_matrix(a.coeffs)
 
 
 def phi_canonical() -> KForm:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteState, NotClosed
-from .exterior import (DIM, NFORMS, PAIR_I, PAIR_J, KForm, Metric, _frozen, _star_table,
+from .exterior import (DIM, NFORMS, _PAIRS, KForm, Metric, _frozen, _skew_matrix, _star_table,
                        _theta_tensor, _wedge_table, hodge_matrix, phi_canonical, pullback3,
                        pullback_matrix)
 from .g2core import G2Structure, _canonical_tables, _frame_torsion, metric_from_3form
@@ -92,15 +92,6 @@ def laplacian(mu: LieBracket, g: Metric, a):
     return lap
 
 
-#: flat gathers between 2-form coefficients x and their skew matrix X
-#: (:func:`skew_from_form`): X is [0, x, -x][_SKEW], x is X.ravel()[_PAIRS]
-_PAIRS = PAIR_J * DIM + PAIR_I
-_SKEW = np.zeros(DIM * DIM, dtype=np.intp)
-_SKEW[_PAIRS] = 1 + np.arange(NFORMS[2])
-_SKEW[PAIR_I * DIM + PAIR_J] = 1 + NFORMS[2] + np.arange(NFORMS[2])
-_frozen(_PAIRS, _SKEW)
-
-
 def _direct_velocity(mu: LieBracket):
     """The direct-flow right side for the fixed bracket mu, on the flat 35
     coefficients a of phi: velocity(a) = Delta_phi phi, which
@@ -127,8 +118,7 @@ def _direct_velocity(mu: LieBracket):
         G, v = g.gram, g.volume
         with np.errstate(over="ignore", invalid="ignore"):
             dd = pullback3(G, A1 @ (pullback3(G, A1 @ a) / v)) / v
-            x = A2 @ pullback3(np.linalg.inv(G), a)
-            X = np.concatenate(([0.0], x, -x))[_SKEW].reshape(DIM, DIM)
+            X = _skew_matrix(A2 @ pullback3(np.linalg.inv(G), a))
             lap = dd - d2 @ (G.T @ X @ G).reshape(-1)[_PAIRS]
         if not np.isfinite(lap).all():
             raise NonFiniteState("non-finite Laplacian")
@@ -150,7 +140,7 @@ def _flow_sample(t, mu: LieBracket, st: G2Structure) -> FlowSample:
     R = 1.5 * float(np.trace(Qc)) if _closed(u, c) else scalar_curvature(c)
     n3 = NFORMS[3]
     tau = _frame_torsion(_star_table(3) @ u[:n3], _star_table(2) @ u[n3:]).norm
-    return FlowSample(t, mu, st.phi, st.frame @ Qc @ st._frame_inv, mu.norm(), R, tau,
+    return FlowSample(t, mu, st.phi, st._conj_to_e(Qc), mu.norm(), R, tau,
                       scaled_norm(T @ Qc.reshape(-1)))
 
 
@@ -249,7 +239,7 @@ def _natural_q(mu: LieBracket, phi):
     st = G2Structure(KForm(3, phi))
     Qc = _in_frame(mu, st)[0]
     (T, *_), *_ = _canonical_tables()
-    return st.frame @ Qc @ st._frame_inv, pullback3(st._frame_inv, T @ Qc.reshape(-1))
+    return st._conj_to_e(Qc), pullback3(st._frame_inv, T @ Qc.reshape(-1))
 
 
 def _bracket_norm(y):
@@ -391,7 +381,7 @@ def _fit_soliton(kind, mu, s, project, Qc, u, cf):
     residual is below 1e-7, relative to |Q|.  Qc, u and the frame bracket
     cf are as :func:`_in_frame` returns them for (mu, s).  Every test is
     homogeneous, so the kind of s mu is that of mu."""
-    Q = s.frame @ Qc @ s._frame_inv
+    Q = s._conj_to_e(Qc)
     scale = scaled_norm(Q)
     n3, tol = NFORMS[3], 1e-9 * math.sqrt(7.0) * scaled_norm(cf)  # against |phi| |c|
     if scaled_norm(u[:n3]) <= tol and scaled_norm(u[n3:]) <= tol:

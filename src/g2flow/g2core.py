@@ -1,6 +1,6 @@
 """Linear algebra attached to a positive 3-form: induced metric, the
-stabilizer-algebra splitting gl(7) = g2 + q, the Q-operator solver, the
-i/j maps, and torsion-form extraction."""
+stabilizer-algebra splitting gl(7) = g2 + q, the Q-operator solver and
+torsion-form extraction."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import (BadMetric, ComponentError, InconsistentTorsion, NonFiniteState,
-                     PositivityError, SingularSystem)
+from .errors import BadMetric, InconsistentTorsion, NonFiniteState, PositivityError, SingularSystem
 from .exterior import (
     DIM,
     KForm,
@@ -19,6 +18,7 @@ from .exterior import (
     NFORMS,
     _frozen,
     _interior_table,
+    _skew_matrix,
     _star_table,
     _theta_tensor,
     _wedge_table,
@@ -27,8 +27,6 @@ from .exterior import (
     phi_canonical,
     pullback3,
     pullback_matrix,
-    skew_from_form,
-    theta,
     wedge_matrix,
 )
 
@@ -128,8 +126,7 @@ def _canonical_tables():
     if not res <= 1e-9 * np.sqrt(rank):  # NaN fails too
         raise SingularSystem(f"Q solve residual {res:g}")
     g2_f, q_f = Vh[rank:].reshape(-1, DIM, DIM), Vh[:rank].reshape(rank, DIM, DIM)
-    q7 = np.array([skew_from_form(KForm(2, c))
-                   for c in _interior_table(3) @ phi.coeffs]) / np.sqrt(6.0)
+    q7 = np.array([_skew_matrix(c) for c in _interior_table(3) @ phi.coeffs]) / np.sqrt(6.0)
     q_split = _frozen((np.eye(DIM) / np.sqrt(DIM))[None, :, :], q7, _sym0_basis())
     return _frozen(Tmap, solve_op, g2_f, q_f), q_split, phi, hodge_star(phi)
 
@@ -172,7 +169,7 @@ def _adapted_frame(phi: KForm, g: Metric) -> np.ndarray:
     X = _interior_table(3) @ phi.coeffs  # row u: the 2-form phi(e_u, ., .)
 
     def contract(u):  # the matrix S with S v = phi(u, v, .)
-        return skew_from_form(KForm(2, u @ X))
+        return _skew_matrix(u @ X)
 
     ginv = M @ M.T
     F = np.empty((DIM, DIM))
@@ -235,28 +232,29 @@ class G2Structure:
 
     # -- basic operators ---------------------------------------------------
 
-    def _conj_to_e(self, mats):
-        return [self.frame @ X @ self._frame_inv for X in mats]
+    def _conj_to_e(self, X):
+        """F X F^-1: a frame-coordinate endomorphism in e-coordinates."""
+        return self.frame @ X @ self._frame_inv
 
     @property
     def g2_basis(self):
-        return self._conj_to_e(self._g2_f)
+        return [self._conj_to_e(X) for X in self._g2_f]
 
     @property
     def q_basis(self):
-        return self._conj_to_e(self._q_f)
+        return [self._conj_to_e(X) for X in self._q_f]
 
     @property
     def q1_basis(self):
-        return self._conj_to_e(self._q_split[0])
+        return [self._conj_to_e(X) for X in self._q_split[0]]
 
     @property
     def q7_basis(self):
-        return self._conj_to_e(self._q_split[1])
+        return [self._conj_to_e(X) for X in self._q_split[1]]
 
     @property
     def q27_basis(self):
-        return self._conj_to_e(self._q_split[2])
+        return [self._conj_to_e(X) for X in self._q_split[2]]
 
     def sym_part(self, A):
         return 0.5 * (np.asarray(A) + self.metric.transpose(A))
@@ -279,29 +277,6 @@ class G2Structure:
         P = self._solve_op @ pullback_matrix(self.frame, 3)
         PQ = self._frame_inv.T @ (self.frame @ P.reshape(DIM, -1)).reshape(DIM, DIM, -1)
         return PQ.reshape(DIM * DIM, -1)
-
-    def q_components(self, Q) -> dict:
-        """Norms of the q1/q7/q27 components of an endomorphism in q."""
-        v = (self._frame_inv @ np.asarray(Q) @ self.frame).reshape(-1)
-        return {name: float(np.linalg.norm(basis.reshape(len(basis), -1) @ v))
-                for name, basis in zip(("q1", "q7", "q27"), self._q_split)}
-
-    # -- i and j maps ------------------------------------------------------
-
-    def iop(self, A) -> KForm:
-        """i(A) = -2 theta(A) phi, for symmetric A."""
-        return -2.0 * theta(np.asarray(A, dtype=float), self.phi)
-
-    def jop(self, psi: KForm, strict: bool = False) -> np.ndarray:
-        """j(psi) = -2 tr(Q) I - 4 Q on the scalar+traceless part, zero on
-        the vector-type 3-forms; with strict=True a vector-type component
-        above tolerance raises ComponentError."""
-        Q = self.solve_Q(psi)
-        comps = self.q_components(Q)
-        if strict and comps["q7"] > 1e-8 * max(1.0, self.metric.form_norm(psi)):
-            raise ComponentError("psi has a vector-type component")
-        Qs = self.sym_part(Q)
-        return -2.0 * np.trace(Qs) * np.eye(DIM) - 4.0 * Qs
 
     # -- torsion forms -----------------------------------------------------
 

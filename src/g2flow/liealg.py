@@ -70,7 +70,7 @@ class LieBracket:
     The bracket norm convention is |mu|^2 = sum over all ordered pairs
     (i,j) and k of (c_ij^k)^2, i.e. twice the sum over increasing pairs.
     The constants are read-only, so a bracket caches what is derived from
-    them: the CE matrices by degree, its derivation space and its relative
+    them and read more than once: its derivation space and its relative
     Jacobi residual, which the constructor checks unless validate is False
     (as for the brackets that the group actions and the flows derive).
     """
@@ -211,17 +211,14 @@ def _ce_triples(k):
 
 
 def ce_matrix(mu, k: int) -> np.ndarray:
-    """Matrix of d_mu from degree k to degree k+1 coefficients.  mu is a
-    LieBracket, which caches the matrix, or flat packed constants."""
+    """Matrix of d_mu from degree k to degree k+1 coefficients, built on
+    each call.  mu is a LieBracket or flat packed constants."""
     if k >= DIM:
         raise ValueError("no forms of degree 8")
     if k == 0:
         return np.zeros((DIM, 1))
     if isinstance(mu, LieBracket):
-        cache = mu._cache
-        if k not in cache:
-            cache[k] = ce_matrix(mu.packed().reshape(-1), k)
-        return cache[k]
+        mu = mu.packed()
     rows, cols, vals = _ce_triples(k)
     y = np.asarray(mu, dtype=float).reshape(NCONST)
     d = np.bincount(rows, weights=vals * y[cols],

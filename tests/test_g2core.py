@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from g2flow import almostabelian as aa
 from g2flow import exterior, g2core
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
-from g2flow.errors import (BadMetric, ComponentError, G2FlowError, InconsistentTorsion,
-                           NonFiniteState, PositivityError, SingularSystem)
+from g2flow.errors import (BadMetric, G2FlowError, InconsistentTorsion, NonFiniteState,
+                           PositivityError, SingularSystem)
 from g2flow.exterior import (KForm, _interior_table, _star_table, _theta_tensor, act,
                              form_from_skew, hodge_star, interior, phi_canonical, pullback,
                              pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
@@ -194,8 +194,7 @@ def test_metric_and_structure_are_plain_values(rng):
         **{n: lambda n=n: getattr(s, n)
            for n in ("psi", "g2_basis", "q_basis", "q1_basis", "q7_basis", "q27_basis")},
         "sym_part": lambda: s.sym_part(A), "solve_Q": lambda: s.solve_Q(a),
-        "solve_Q_matrix": s.solve_Q_matrix, "q_components": lambda: s.q_components(A),
-        "iop": lambda: s.iop(A + A.T), "jop": lambda: s.jop(a),
+        "solve_Q_matrix": s.solve_Q_matrix,
         "torsion_forms": lambda: s.torsion_forms(ce_differential(mu, s.phi),
                                                  ce_differential(mu, s.psi))}
     assert set(metric_calls) == _public(exterior.Metric)
@@ -224,30 +223,6 @@ def test_solve_q_singular_system_surfaces(s_canonical, monkeypatch):
         g2core._canonical_tables.__wrapped__()
     with pytest.raises(SingularSystem):
         s_canonical.solve_Q(KForm(3, np.full(35, np.nan)))
-
-
-def test_iop_identity(s_canonical):
-    got = s_canonical.iop(np.eye(7))
-    assert (got - 6.0 * s_canonical.phi).norm() < 1e-12
-
-
-def test_jop_iop_composition(s_canonical, rng):
-    s = s_canonical
-    for _ in range(20):
-        X = rng.normal(size=(7, 7))
-        h = 0.5 * (X + X.T)
-        got = s.jop(s.iop(h))
-        want = 8.0 * h + 4.0 * np.trace(h) * np.eye(7)
-        assert np.abs(got - want).max() < 1e-9
-
-
-def test_jop_vanishes_on_vector_type(s_canonical):
-    s = s_canonical
-    for X in s.q7_basis:
-        psi = theta(X, s.phi)
-        assert np.abs(s.jop(psi)).max() < 1e-10
-        with pytest.raises(ComponentError):
-            s.jop(psi, strict=True)
 
 
 def test_torsion_zero_for_torsion_free(s_canonical):
@@ -538,11 +513,8 @@ def test_g2_algebra_is_the_svd_construction(rng):
         psi = KForm(3, rng.normal(size=35) * np.abs(phi.coeffs).max())
         assert _close(s.solve_Q(psi), o.solve_Q(psi))
         assert _close(s.solve_Q_matrix(), o.solve_Q_matrix())
-        assert _close(s.jop(psi), o.jop(psi))
-        Q = rng.normal(size=(7, 7))
-        got, want = s.q_components(Q), o.q_components(Q)
-        assert _close([got[k] for k in want], list(want.values()))
-        assert _close(_projector(s.g2_basis), _projector(o.g2_basis))
+        for name in ("g2_basis", "q7_basis", "q27_basis"):
+            assert _close(_projector(getattr(s, name)), _projector(getattr(o, name)))
 
 
 def test_torsion_forms_are_the_svd_construction(rng):

@@ -12,7 +12,7 @@ from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import InvalidBracket, SingularSystem
 from g2flow.exterior import (DIM, INDEX_SETS, KForm, Metric, NFORMS, RANK, act, phi_canonical,
                              sort_sign)
-from g2flow.flow import laplacian
+from g2flow.flow import _direct_velocity, laplacian
 from g2flow.liealg import (
     JACOBI_TOL,
     PAIRS,
@@ -259,6 +259,20 @@ def test_derivations_are_cached_read_only():
     assert not der.basis.flags.writeable
     with pytest.raises(ValueError):
         der.basis[0, 0, 0] = 1.0
+
+
+def test_the_bracket_caches_no_ce_matrix(s_nilpotent):
+    # the CE matrices are built on each call: after the direct velocity and
+    # the Laplacian have read them, the bracket holds only its Jacobi
+    # residual and derivations, and its matrices are those of its constants
+    mu = mu_nilpotent(1.0, 0.3, -0.3, 1.0)
+    _direct_velocity(mu)
+    laplacian(mu, s_nilpotent.metric, s_nilpotent.phi.coeffs)
+    derivations(mu)
+    assert set(mu._cache) == {"jacobi", "derivations"}
+    for k in range(1, 7):
+        assert np.array_equal(ce_matrix(mu, k), ce_matrix(mu.packed().reshape(-1), k))
+    assert set(mu._cache) == {"jacobi", "derivations"}
 
 
 def test_derivations_delta_map_is_the_einsum(rng, monkeypatch):
