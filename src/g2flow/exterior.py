@@ -210,13 +210,13 @@ class Metric:
     """Inner product on the fixed space: symmetric positive definite gram
     matrix plus an orientation sign.
 
-    A plain value: the constructor sets the volume factor o sqrt(det G) and
-    a Cholesky factor that :meth:`frame` reads, and nothing is filled in
-    later; the Hodge stars of the metric are :func:`hodge_matrix`'s.  The
-    constructor is the one check of a gram matrix: finite, symmetric and
-    positive definite.  :meth:`_trusted` takes a gram that is exactly
-    symmetric by construction, and checks it by the Cholesky factor and
-    the volume alone.
+    A plain value: the constructor sets a Cholesky factor of G, which
+    :meth:`frame` reads, and the volume factor o sqrt(det G), and nothing
+    is filled in later; the Hodge stars of the metric are
+    :func:`hodge_matrix`'s.  The constructor is the one check of a gram
+    matrix: finite, symmetric and positive definite.  :meth:`_trusted`
+    takes a gram with its factor and volume factor, already computed and
+    checked (by :func:`g2core._metric_parts`).
     """
 
     __slots__ = ("gram", "orientation", "volume", "_cholesky")
@@ -230,33 +230,29 @@ class Metric:
         atol = 1e-12 * max(1.0, float(a.max()))
         if not (np.abs(g - g.T) <= atol + 1e-5 * a.T).all():
             raise BadMetric("gram matrix must be symmetric")
-        self._factor(g, orientation)
-
-    @classmethod
-    def _trusted(cls, g, orientation):
-        """The metric of a (7, 7) float gram g, exactly symmetric, which it
-        keeps without a copy.  BadMetric as from the constructor: a g with
-        an infinite entry either has no Cholesky factor or an infinite
-        volume."""
-        m = cls.__new__(cls)
-        m._factor(g, orientation)
-        if not np.isfinite(m.volume):
-            raise BadMetric("gram matrix must be finite")
-        return m
-
-    def _factor(self, g, orientation):
-        """Set the fields from a symmetric gram g: BadMetric unless g
-        is positive definite and orientation is +1 or -1."""
         try:
             L = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise BadMetric("gram matrix must be positive definite") from None
         if orientation not in (1, -1):
             raise BadMetric("orientation must be +1 or -1")
+        self._set(g, L, orientation, orientation * np.sqrt(np.linalg.det(g)))
+
+    @classmethod
+    def _trusted(cls, g, volume, L):
+        """The metric of a (7, 7) float gram g, exactly symmetric and
+        positive definite, with L its Cholesky factor and volume o sqrt(det G)
+        finite and nonzero, o the orientation; it keeps g and L without a
+        copy, and checks nothing."""
+        m = cls.__new__(cls)
+        m._set(g, L, 1 if volume > 0 else -1, volume)
+        return m
+
+    def _set(self, g, L, orientation, volume):
         self.gram, self._cholesky = _frozen(g, L)
         self.orientation = int(orientation)
         #: o sqrt(det G), the coefficient of the volume form
-        self.volume = self.orientation * np.sqrt(np.linalg.det(g))
+        self.volume = float(volume)
 
     def frame(self):
         """Columns form an oriented orthonormal basis: M^T gram M = I, from

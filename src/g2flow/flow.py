@@ -14,7 +14,8 @@ from .errors import NonFiniteState, NotClosed
 from .exterior import (DIM, NFORMS, _PAIRS, KForm, Metric, _frozen, _skew_matrix, _star_table,
                        _theta_tensor, _wedge_table, hodge_matrix, phi_canonical, pullback3,
                        pullback_matrix)
-from .g2core import G2Structure, _canonical_tables, _frame_torsion, metric_from_3form
+from .g2core import (G2Structure, _canonical_tables, _frame_torsion, _metric_parts,
+                     metric_from_3form)
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
     NCONST,
@@ -105,8 +106,9 @@ def _direct_velocity(mu: LieBracket):
     matrix X of a 2-form to G^T X G.  So *d*d phi = H4 d3 H4 d3 phi is two
     pullbacks by G through A1 = S4 d3, and d*d* phi = d2 H5 d4 H3 phi is
     d2 P2(G) A2 P3(G^-1) phi with A2 = S5 d4 S3, v cancelling; A1, A2 and d2
-    are built here, once.  A phi off the positive cone raises
-    PositivityError (from :func:`metric_from_3form`), and an overflowing
+    are built here, once.  G and v come from :func:`g2core._metric_parts`, as
+    in :func:`metric_from_3form`, with no Metric built.  A phi off the
+    positive cone raises PositivityError from there, and an overflowing
     Delta NonFiniteState."""
     S3, S4, S5 = (_star_table(k) for k in (3, 4, 5))
     A1 = S4 @ ce_matrix(mu, 3)
@@ -114,8 +116,7 @@ def _direct_velocity(mu: LieBracket):
     d2 = ce_matrix(mu, 2)
 
     def velocity(a):
-        g = metric_from_3form(KForm(3, a))
-        G, v = g.gram, g.volume
+        G, v, _ = _metric_parts(a)
         with np.errstate(over="ignore", invalid="ignore"):
             dd = pullback3(G, A1 @ (pullback3(G, A1 @ a) / v)) / v
             X = _skew_matrix(A2 @ pullback3(np.linalg.inv(G), a))

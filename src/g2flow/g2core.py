@@ -10,7 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BadMetric, InconsistentTorsion, NonFiniteState, PositivityError, SingularSystem
+from .errors import InconsistentTorsion, NonFiniteState, PositivityError, SingularSystem
 from .exterior import (
     DIM,
     KForm,
@@ -32,42 +32,83 @@ from .exterior import (
 
 _KERNEL_CUT = 1e-8  # relative singular-value cutoff for rank decisions
 _LOG_RANGE = np.log([np.finfo(float).tiny, np.finfo(float).max])  # |det B| a normal float
+_ROOT_RANGE = np.exp(_LOG_RANGE / 18.0)  # the same range for |det B|^(1/18)
 _NOT_DEFINITE = "induced bilinear form is not definite"
 _OUT_OF_RANGE = "3-form coefficients out of range"
 
 def induced_bilinear(phi: KForm) -> np.ndarray:
     """The symmetric matrix B with B(u,v) e^{1..7} = (1/6) i_u(phi)^i_v(phi)^phi."""
+    return _bilinear(_coeffs_of_3form(phi))
+
+
+def _coeffs_of_3form(phi: KForm) -> np.ndarray:
     if phi.degree != 3:
         raise ValueError("a structure is built from a 3-form")
-    X = _interior_table(3) @ phi.coeffs  # 7 x 21, row u is i_u(phi)
+    return phi.coeffs
+
+
+def _bilinear(a):
+    """:func:`induced_bilinear` of the 3-form with coefficients a."""
+    X = _interior_table(3) @ a  # 7 x 21, row u is i_u(phi)
     rank, sign = _wedge_table(2, 2)  # e^{Ia} ^ e^{Ib} = sign e^{rank}
-    W2 = sign * (_wedge_table(4, 3)[1] @ phi.coeffs)[rank]  # e^{Ia} ^ e^{Ib} ^ phi
+    W2 = sign * (_wedge_table(4, 3)[1] @ a)[rank]  # e^{Ia} ^ e^{Ib} ^ phi
     B = X @ W2 @ X.T / 6.0
     return 0.5 * (B + B.T)
 
 
-def metric_from_3form(phi: KForm) -> Metric:
-    """The metric g = |det B|^(-1/9) o B of a positive 3-form, o = sign det B
-    (in dimension 7, the sign of a definite B); only :class:`Metric` decides
-    that g is definite, on its trusted path, as B is exactly symmetric.
-    PositivityError: phi not finite, det B not a normal float (B is cubic
-    in phi), g not finite, or B singular or not definite."""
-    if not np.isfinite(phi.coeffs).all():
-        raise PositivityError("3-form coefficients must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # range checked below
-        B = induced_bilinear(phi)
-        o, logdet = np.linalg.slogdet(B)  # det B = o exp(logdet), as np.linalg.det has it
+def _metric_parts(a):
+    """(G, v, L) of the 3-form with coefficients a, from one Cholesky factor
+    L_B of o B, o the sign of B[0, 0] (a definite B has diagonal entries of
+    one sign, and o is the sign of det B in dimension 7): with
+    r = prod diag(L_B)^(1/9) = |det B|^(1/18), the volume factor
+    v = o r^2 = o |det B|^(1/9), which is o sqrt(det G), the gram G = B / v
+    and its Cholesky factor L = L_B / r.  Each diagonal entry takes its own
+    ninth root, by two cube roots, so no product over- or underflows.  A
+    form that fails raises PositivityError, with :func:`_diagnosis`'s
+    message."""
+    with np.errstate(over="ignore", invalid="ignore"):  # failures: _diagnosis
+        B = _bilinear(a)
+        o = 1.0 if B[0, 0] > 0.0 else -1.0
+        try:  # a non-finite B has no factor either
+            L = np.linalg.cholesky(B if o > 0.0 else -B)
+        except np.linalg.LinAlgError:
+            raise PositivityError(_diagnosis(a, B)) from None
+        r = 1.0
+        for root in np.cbrt(np.cbrt(L.diagonal())).tolist():  # np.cbrt: < 1 ulp, math.cbrt: 2.6
+            r *= root
+        if _ROOT_RANGE[0] < r < _ROOT_RANGE[1]:
+            v = o * (r * r)
+            G = B / v
+            # G can overflow although B and det B do not, as for
+            # diag(1e160, 1e-30, ...) . phi_canonical
+            if np.isfinite(G).all():
+                return G, v, L / r
+    raise PositivityError(_diagnosis(a, B))
+
+
+def _diagnosis(a, B):
+    """Why the 3-form a, with bilinear form B, has no metric: "must be
+    finite" for a non-finite a; "out of range" where det B is not a normal
+    float (B is cubic in phi) or the gram overflows; "not definite" where B
+    is singular (also where it underflowed to a singular matrix: B of
+    a / max|a| cannot) or, in range, not definite."""
+    if not np.isfinite(a).all():
+        return "3-form coefficients must be finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        o, logdet = np.linalg.slogdet(B)  # det B = o exp(logdet)
         if not _LOG_RANGE[0] < logdet < _LOG_RANGE[1]:  # NaN fails too
-            # o = 0 for a singular B, and for one that underflowed; B(phi / max|phi|) cannot
-            s = np.abs(phi.coeffs).max()
-            singular = o == 0 and (s == 0 or np.linalg.slogdet(induced_bilinear(phi / s))[0] == 0)
-            raise PositivityError(_NOT_DEFINITE if singular else _OUT_OF_RANGE)
-        # g can overflow although B and det B do not, as for diag(1e160, 1e-30, ...) . phi0
-        g = math.exp(logdet) ** (-1.0 / 9.0) * (o * B)
-    try:
-        return Metric._trusted(g, int(o))
-    except BadMetric:
-        raise PositivityError(_NOT_DEFINITE if np.isfinite(g).all() else _OUT_OF_RANGE) from None
+            s = np.abs(a).max()
+            singular = o == 0 and (s == 0 or np.linalg.slogdet(_bilinear(a / s))[0] == 0)
+            return _NOT_DEFINITE if singular else _OUT_OF_RANGE
+        g = math.exp(logdet) ** (-1.0 / 9.0) * B
+    return _NOT_DEFINITE if np.isfinite(g).all() else _OUT_OF_RANGE
+
+
+def metric_from_3form(phi: KForm) -> Metric:
+    """The metric g = |det B|^(-1/9) o B of a positive 3-form, o = sign det B,
+    with the Cholesky factor and volume factor it was built from
+    (:func:`_metric_parts`); PositivityError as from there."""
+    return Metric._trusted(*_metric_parts(_coeffs_of_3form(phi)))
 
 
 def _sym0_basis():

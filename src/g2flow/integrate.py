@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, PositivityError, StepBudgetExhausted, StepUnderflow
+from .errors import (NonFiniteState, PositivityError, SingularSystem, StepBudgetExhausted,
+                     StepUnderflow)
 
 
 @dataclass(frozen=True)
@@ -529,6 +530,9 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
     - positivity-lost: a PositivityError (the 3-form of the direct flow
       stopped being definite) came from make_sample, from rhs with rk4, or
       from an rk45 stage at the smallest step, opts.hmin;
+    - singular-frame: any other SingularSystem came from make_sample or
+      rhs, as from the G2Structure of an ill-conditioned 3-form, whose
+      adapted frame misses phi_canonical by more than its bound;
     - step-underflow: no step of size >= opts.hmin met the tolerance;
     - step-budget-exhausted: opts.max_steps steps did not reach t_end.
     """
@@ -559,9 +563,11 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
         status = "positivity-lost"
     except NonFiniteState:
         status = "non-finite"
+    except SingularSystem:  # after NonFiniteState, one of its kinds
+        status = "singular-frame"
     if last is not None and not sampled_last:
         try:
             samples.append(make_sample(*last))
-        except (PositivityError, NonFiniteState):
+        except (PositivityError, SingularSystem):
             pass
     return Trajectory(samples, status)

@@ -448,6 +448,21 @@ def test_laplacian_flow_constant_for_abelian(s_nilpotent):
     assert max((s.phi - phi).norm() for s in traj.samples) == 0.0
 
 
+def test_an_ill_conditioned_form_ends_the_direct_flow_as_singular_frame():
+    # a positive form whose metric builds but whose adapted frame, with
+    # singular values from 1 to 10^4.5 in the move, misses phi_canonical by
+    # about 1e-4: the first sample's G2Structure raises SingularSystem, and
+    # the run ends with a status, not that exception
+    rng = np.random.default_rng(0)
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(7, 7)))[0] for _ in range(2))
+    phi = act(Q1 * np.logspace(0, 4.5, 7) @ Q2, phi_canonical())
+    metric_from_3form(phi)
+    with pytest.raises(SingularSystem, match="misses phi_canonical"):
+        G2Structure(phi)
+    traj = laplacian_flow(phi, mu_nilpotent(1, 2, 3, 4), IntegratorOptions(t_end=0.01))
+    assert traj.status == "singular-frame" and traj.samples == []
+
+
 def test_laplacian_flow_rejects_normalization():
     with pytest.raises(ValueError):
         laplacian_flow(phi_nilpotent_example(), LieBracket.zero(),
@@ -581,16 +596,22 @@ def test_reconstruct_refuses_a_direct_flow_trajectory(s_aa, rng):
 
 
 def test_stages_and_samples_take_no_stacked_determinants(monkeypatch):
-    # the metric, the stars and the pullbacks come from closed-form minors:
-    # np.linalg.det only ever sees single 7x7 matrices
-    ndims = []
-    det = np.linalg.det
+    # the metric comes from one Cholesky factor of B, the stars and the
+    # pullbacks from closed-form minors: no stage or sample of any flow
+    # calls np.linalg.det or np.linalg.slogdet, and a direct-flow stage
+    # takes one Cholesky factor and one inverse, of its gram
+    calls = []
 
-    def counting_det(a):
-        ndims.append(np.ndim(a))
-        return det(a)
+    def counted(name):
+        f = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "det", counting_det)
+        def counting(*args, **kw):
+            calls.append(name)
+            return f(*args, **kw)
+        return counting
+
+    for name in ("det", "slogdet", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
     mu0 = mu_nilpotent(1.0, 0.5, -0.3, 0.7)
     phi = act(np.eye(DIM) + 0.1 * np.tri(DIM), phi_canonical())
     one_step = IntegratorOptions(method="rk4", h0=0.01, t_end=0.01)
@@ -601,7 +622,12 @@ def test_stages_and_samples_take_no_stacked_determinants(monkeypatch):
     traj = bracket_flow(mu0, s, one_step)
     for side in ("i", "ii"):
         reconstruct_h(traj, side=side)
-    assert ndims and set(ndims) == {2}
+    assert calls and not {"det", "slogdet"} & set(calls)
+    velocity = flow._direct_velocity(mu0)
+    calls.clear()
+    for scale in (1e-3, 1.0, 1e3):
+        velocity(scale * phi.coeffs)
+    assert sorted(calls) == ["cholesky"] * 3 + ["inv"] * 3
 
 
 def test_reconstruct_side_i_on_a_pair_that_is_not_closed():

@@ -1,5 +1,6 @@
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -649,40 +650,89 @@ def metric_by_eigvalsh(phi):
     return orientation, np.linalg.det(B) ** (-1.0 / 9.0) * B
 
 
+_EPS = np.finfo(float).eps
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
 def test_metric_recovery_is_the_eigvalsh_rule(rng):
     # GL(7)-moved forms of both orientations, the moves scaled 1e-3 to 1e3:
-    # the same orientation and the same gram, bit for bit
+    # the same orientation, and the same gram up to the rounding of det B
+    # (at most 58 eps apart over 41 seeds of 200 forms; the mpmath oracle
+    # below says which of the two is closer)
     orientations = set()
     for phi in _moved_forms(rng, np.logspace(-3, 3, 200)):
         o, gram = metric_by_eigvalsh(phi)
         g = metric_from_3form(phi)
         assert g.orientation == o
-        assert g.gram.tobytes() == gram.tobytes()
+        assert _rel(g.gram, gram) <= 128 * _EPS
         orientations.add(o)
     assert orientations == {1, -1}
 
 
 def test_metric_recovery_is_the_public_metric(rng):
-    # the trusted path skips only re-checks: the public constructor on the
-    # same gram and orientation keeps the same fields, bit for bit
+    # the trusted path keeps the factor of B it was built from: the public
+    # constructor on the same gram and orientation keeps that gram, and
+    # factors it and takes det G again, to rounding (at most 12 eps in the
+    # factor and 69 eps in the volume over 41 seeds of 200 forms)
     orientations = set()
     for phi in _moved_forms(rng, np.logspace(-3, 3, 200)):
         g = metric_from_3form(phi)
         want = exterior.Metric(g.gram, g.orientation)
         assert g.gram.tobytes() == want.gram.tobytes()
-        assert g._cholesky.tobytes() == want._cholesky.tobytes()
-        assert (g.orientation, g.volume.tobytes()) == (want.orientation, want.volume.tobytes())
+        assert g.orientation == want.orientation
+        assert _rel(g._cholesky, want._cholesky) <= 32 * _EPS
+        assert abs(g.volume - want.volume) <= 160 * _EPS * abs(want.volume)
         orientations.add(g.orientation)
     assert orientations == {1, -1}
 
 
-def test_trusted_metric_refuses_what_the_constructor_refuses():
-    # a gram with no Cholesky factor, or an infinite one that has a factor
-    for gram in (np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-                 np.diag([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])):
-        for build in (exterior.Metric, exterior.Metric._trusted):
-            with pytest.raises(BadMetric):
-                build(gram, 1)
+def _mp_metric(B):
+    """The gram B / v and the volume factor v = o |det B|^(1/9) of a float
+    B at 50 digits, rounded to double at the end."""
+    with mpmath.workdps(50):
+        M = mpmath.matrix(B.tolist())
+        d = mpmath.det(M)
+        v = mpmath.sign(d) * abs(d) ** (mpmath.mpf(1) / 9)
+        return np.array([[float(M[i, j] / v) for j in range(7)] for i in range(7)]), float(v)
+
+
+def test_metric_recovery_against_50_digits(rng):
+    # moved forms of both orientations, scaled 1e-3 to 1e3: the gram and
+    # volume of one Cholesky factor of B against a 50-digit metric of the
+    # same float B.  Over 42 seeds the factor's rule was at most 6.8 eps
+    # off, the eigvalsh rule (det B by LU, as exp(log|det|)) up to 47 eps
+    # in the gram and 148 eps in the volume; so the factor's rule may be
+    # no farther off than the eigvalsh rule, and at most 16 eps
+    errors = []
+    for phi in _moved_forms(rng, np.logspace(-3, 3, 60)):
+        G, v = _mp_metric(induced_bilinear(phi))
+        g = metric_from_3form(phi)
+        o, old = metric_by_eigvalsh(phi)
+        errors.append((_rel(g.gram, G), _rel(old, G),
+                       abs(g.volume / v - 1.0), abs(exterior.Metric(old, o).volume / v - 1.0)))
+    gram, old_gram, volume, old_volume = np.max(errors, axis=0)
+    assert gram <= old_gram and volume <= old_volume
+    assert max(gram, volume) <= 16 * _EPS
+
+
+def test_metric_recovery_refuses_what_the_constructor_refuses():
+    # forms whose gram |det B|^(-1/9) o B has no Cholesky factor, or is
+    # infinite: the public constructor refuses that gram, and
+    # metric_from_3form the form, by the one diagnosis of the factor's rule
+    for phi, cause in ((phi_canonical() - 2.0 * KForm.basis((1, 2, 3)), "not definite"),
+                       (pullback(np.diag([1e160] + [1e-30] * 6), phi_canonical()),
+                        "out of range")):
+        B = induced_bilinear(phi)
+        o, logdet = np.linalg.slogdet(B)
+        with np.errstate(over="ignore"):
+            gram = np.exp(logdet) ** (-1.0 / 9.0) * (o * B)
+        with pytest.raises(BadMetric):
+            exterior.Metric(gram, int(o))
+        with pytest.raises(PositivityError, match=cause):
+            metric_from_3form(phi)
 
 
 @_BAD_FORMS

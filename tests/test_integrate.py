@@ -16,7 +16,7 @@ import pytest
 import g2flow
 from g2flow import almostabelian as aa
 from g2flow import cli
-from g2flow.errors import NonFiniteState, PositivityError
+from g2flow.errors import NonFiniteState, PositivityError, SingularSystem
 from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
 from g2flow.integrate import (_DOP_C, _DOP_STAGES, _DOP_W, _FIRST_TRIALS, IntegratorOptions,
                               Trajectory, _at, _extension, drive, rk45_steps)
@@ -204,6 +204,42 @@ def test_the_trial_stage_is_retried_a_bounded_number_of_times():
     trials = calls[1:1 + _FIRST_TRIALS]
     assert np.allclose(np.divide(trials[1:], trials[:-1]), 0.1, rtol=1e-14, atol=0)
     assert calls[1 + _FIRST_TRIALS] == pytest.approx(_DOP_C[1] * 0.1 * trials[-1], rel=1e-14)
+
+
+def test_a_singular_sample_ends_the_run_as_singular_frame():
+    # make_sample raises on its third call, as a G2Structure whose frame
+    # misses phi_canonical does: the run ends with its own status and keeps
+    # the two samples taken, and the failed state is not sampled again
+    samples = []
+
+    def make_sample(t, y):
+        samples.append(t)
+        if len(samples) == 3:
+            raise SingularSystem("adapted frame misses phi_canonical by 1e-5")
+        return SimpleNamespace(t=t, y=y)
+
+    opts = IntegratorOptions(method="rk4", h0=0.1, t_end=1.0, sample_every=1)
+    traj = drive(lambda t, y: -y, np.ones(3), opts, make_sample, np.linalg.norm)
+    assert traj.status == "singular-frame"
+    assert traj.times.tolist() == [0.0, 0.1] and len(samples) == 3
+
+
+def test_a_singular_stage_ends_the_run_and_samples_the_last_state():
+    # an rk45 stage that raises SingularSystem, as a side-"i" stage can,
+    # ends the run; the last accepted state is sampled, as for a stage
+    # that leaves the positive cone
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) > 40:
+            raise SingularSystem("adapted frame misses phi_canonical by 1e-5")
+        return -y
+
+    traj = drive(rhs, np.ones(3), IntegratorOptions(t_end=10.0, sample_every=1000),
+                 lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
+    assert traj.status == "singular-frame"
+    assert len(traj.samples) == 2 and 0.0 == traj.times[0] < traj.final.t < 10.0
 
 
 def test_rk45_is_of_order_eight():
