@@ -414,9 +414,12 @@ def detect_semialgebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:
     Qc, u, c = _in_frame(mu, s)
     if not _closed(u, c):
         raise NotClosed("semi-algebraic detection requires a closed structure")
-    cert = _fit_soliton("semi-algebraic", mu, s, s.sym_part, Qc, u, c)
+    g = s.metric.gram
+    ginv = np.linalg.inv(g)  # once, for every basis matrix: s.sym_part inverts g each call
+    cert = _fit_soliton("semi-algebraic", mu, s, lambda D: 0.5 * (D + ginv @ D.T @ g),
+                        Qc, u, c)
     if cert.kind == "semi-algebraic":
-        cert = replace(cert, skew=0.5 * (cert.D - s.metric.transpose(cert.D)))
+        cert = replace(cert, skew=0.5 * (cert.D - ginv @ cert.D.T @ g))
     return cert
 
 

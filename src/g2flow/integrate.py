@@ -217,7 +217,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     accepted step then evaluates f at its solution, and hands that to the
     next step as K[0] (first-same-as-last); a rejected step keeps K[0].  So
     a run makes 1 + 11 a + s evaluations, a attempted and s accepted steps,
-    and one more, the trial stage of :func:`_first_step`, when h0 is None.
+    and one more, the trial stage of :func:`_first_step`, when h0 is None
+    (a landing step taken again, below, is an attempt and one more).
 
     A stage whose f raises NonFiniteState (an overflowing trial state) or
     PositivityError (a trial 3-form off the positive cone) has no error
@@ -225,15 +226,23 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
 
     With scale_free, y is the state (x, ln r, t) of :func:`_scale_free`:
     the steps are in its time tau, and the run ends when its clock
-    t = y[-1], not tau, reaches t1.  The error of ln r (the relative error
-    of r) is measured against atol, and that of t against
+    t = y[-1], not tau, reaches t1.  The clock's rate dt/dtau = exp(-2 ln r)
+    is split in two (:func:`_clock_exponent`): a model eL exp(mu s), eL and
+    mu = -2a from K[0], whose integral over the step is exact, and the
+    residual, the stage rates less the model, which alone the pair
+    integrates and estimates the error of.  So a constant a, as along a
+    soliton, leaves the clock no error.  The error of ln r (the relative
+    error of r) is measured against atol, and that of t against
     atol dt/dtau + rtol |t|, so no tolerance depends on the scale of y.  A
     step is capped a little past where the clock would reach t1 were
     a = K[0][-2] constant (:func:`_clock_reach`).  The last state is that
     of the step that passes t1, taken where its clock is t1 on the
     seventh-order continuous extension (:func:`_extension`, three more
-    evaluations), with the clock set to t1.  An evaluation of the extension
-    that raises ends the run with that error.
+    evaluations; the clock's by its model and residual, :func:`_crossing`),
+    with the clock set to t1.  Outside the pair's stability region
+    (:func:`_stiffness`), where the extension amplifies rounding, that step
+    is taken again once instead, to where the model's clock reaches t1.  An
+    evaluation of the extension that raises ends the run with that error.
 
     Raises StepUnderflow when no step of size >= hmin meets the tolerance
     (the PositivityError of its stage when that is why), and
@@ -246,6 +255,7 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     h = None if h0 is None else abs(h0)  # each step is capped at t1 below
     yield t, y
     n = 0
+    retaken = False  # the landing step, once taken again (see _STABLE_HLAMB)
     K = np.empty((16, y.size))
     K[0] = f(t, y)
     while (t1 - end) * direction > 1e-15 * max(1.0, abs(t1)):
@@ -265,21 +275,36 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
             with np.errstate(over="ignore", invalid="ignore"):
                 W = _DOP_W @ K[:12]
                 yi = y + hh * W[0]
+                if scale_free:  # the clock: its model exactly, the residual by the pair
+                    z = _clock_exponent(K[0], hh)
+                    model = K[0][-1] * np.exp(z * _DOP_C)
+                    W[:, -1] = _DOP_W @ (K[:12, -1] - model[:12])
+                    yi[-1] = y[-1] + (K[0][-1] * hh * _phi1(z) + hh * W[0, -1])
                 err = _error_norm(h, W[1], W[2], _tol_scale(y, yi, K[0], atol, rtol, scale_free))
+                if scale_free and not math.isfinite(yi[-1]):  # an overflowing clock model
+                    err = math.inf
             if err <= 1.0:
                 K[12] = f(t + hh, yi)
         except (NonFiniteState, PositivityError) as exc:
             err, failure = math.inf, exc
         if err <= 1.0:
-            n += 1
             past = (yi[-1] - t1) * direction if scale_free else -math.inf
-            if past > _CLOCK_TOL * max(1.0, abs(t1)):
+            close = _CLOCK_TOL * max(1.0, abs(t1))
+            if past > close and not retaken and _stiffness(y, yi, K, hh) > _STABLE_HLAMB:
+                # outside the pair's stability region the extension amplifies
+                # rounding: step to where the model's clock reaches t1 instead
+                retaken = True
+                h = min(h, _clock_reach(K[0], abs(t1 - end), direction))
+                continue
+            n += 1
+            if past > close:
                 F = _extension(f, t, y, yi, K, hh)
-                x = _crossing(F[:, -1], t1 - y[-1])
+                x = _crossing(_coefficients(hh * W[0, -1], K[:, -1] - model, hh),
+                              K[0][-1] * hh, z, t1 - y[-1])
                 t, y = t + x * hh, y + _at(F, x)[0]
             else:
                 t, y = t + hh, yi
-            if past >= -_CLOCK_TOL * max(1.0, abs(t1)):
+            if past >= -close:
                 y[-1] = t1
             end = y[-1] if scale_free else t
             K[0] = K[12]
@@ -291,6 +316,25 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
                     raise failure
                 raise StepUnderflow(f"step {h:g} below hmin at t={end:g} (err={err:g})")
             h = max(hmin, h * max(0.2, 0.9 * err ** -0.125))
+
+
+def _stiffness(y, yi, K, hh):
+    """|hh lambda| along the end of an accepted scale-free step hh from y to
+    yi, as dop853 estimates it (Hairer and Wanner, Solving Ordinary
+    Differential Equations II, IV.2) from its two stages at the step's end:
+    |hh| |K[12] - K[11]| / |yi - y12|, y12 the input of stage 12, on x alone
+    (the clock's exponential is integrated exactly).  0 where yi and y12
+    agree to the rounding of x, which then tells nothing of lambda and
+    leaves nothing to amplify."""
+    y12 = y[:-2] + hh * (_DOP_A[11, :11] @ K[:11, :-2])
+    den = float(np.linalg.norm(yi[:-2] - y12))
+    if den <= np.finfo(float).eps * float(np.linalg.norm(yi[:-2])):
+        return 0.0
+    return abs(hh) * float(np.linalg.norm(K[12, :-2] - K[11, :-2])) / den
+
+
+# dop853's bound on _stiffness: the edge of the pair's stability region
+_STABLE_HLAMB = 6.1
 
 
 def _error_norm(h, e3, e5, scale):
@@ -307,8 +351,13 @@ def _extension(f, t, y, yi, K, hh):
     in K[:13]: it evaluates stages 14-16 into K.  :func:`_at` reads it."""
     for i, c, a in _DOP_EXTRA:
         K[i] = f(t + c * hh, y + hh * (a @ K[:i]))
-    dy = yi - y
-    F = np.empty((7, y.size))
+    return _coefficients(yi - y, K, hh)
+
+
+def _coefficients(dy, K, hh):
+    """The extension's coefficients for the increment dy of a step hh whose
+    16 stage rates are K, of one component or of all (K (16,) or (16, n))."""
+    F = np.empty((7,) + np.shape(dy))
     F[0] = dy
     F[1] = hh * K[0] - dy
     F[2] = 2.0 * dy - hh * (K[12] + K[0])
@@ -327,25 +376,46 @@ def _at(F, x):
     return x * v, v + x * dv
 
 
-def _crossing(Fc, left):
-    """The fraction x of a step at which the extension's clock, whose
-    coefficients are Fc, has moved by left: Newton from the chord, kept
-    inside the bracket [0, 1] that the step's clock spans by bisection."""
+def _crossing(Fc, c, z, left):
+    """The fraction x of a scale-free step at which its clock has moved by
+    left.  The clock moves by c x phi1(z x), the integral of its model rate
+    (:func:`_clock_exponent`, c = eL hh and z = mu hh), plus the extension of
+    the residual rates, whose coefficients are Fc.  Newton from the chord,
+    kept inside the bracket [0, 1] that the step's clock spans by bisection;
+    an overflowing slope bisects."""
     lo, hi = 0.0, 1.0
-    x = left / Fc[0]
-    for _ in range(_CROSSING_ITERS):
-        value, slope = _at(Fc, x)
-        miss = value - left
-        if miss * left < 0.0:
-            lo = x
-        else:
-            hi = x
-        if slope == 0.0 or not lo < (nxt := x - miss / slope) < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 4.0 * np.finfo(float).eps:
-            return nxt
-        x = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = left / (Fc[0] + c * _phi1(z))
+        for _ in range(_CROSSING_ITERS):
+            value, slope = _at(Fc, x)
+            value, slope = value + c * x * _phi1(z * x), slope + c * np.exp(z * x)
+            miss = value - left
+            if miss < 0.0 < left or left < 0.0 < miss:
+                lo = x
+            else:
+                hi = x
+            if slope == 0.0 or not lo < (nxt := x - miss / slope) < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= 4.0 * np.finfo(float).eps:
+                return nxt
+            x = nxt
     return x
+
+
+def _phi1(z):
+    """expm1(z) / z, and 1 at z = 0: an overflow is inf, under the caller's
+    np.errstate."""
+    return np.expm1(z) / z if z != 0.0 else 1.0
+
+
+def _clock_exponent(k, hh):
+    """z = mu hh of the clock's model over a scale-free step hh from a state
+    with rates k: dt/dtau = eL exp(mu s), s the time into the step, eL =
+    k[-1] and mu = -2 k[-2], which is exact while a = k[-2] stays constant,
+    and mu = 0 at the rate's cap, e^_LOG_RATE_MAX.  The model's rates at
+    the stages are eL exp(z _DOP_C), and its integral over the step is
+    eL hh phi1(z)."""
+    return 0.0 if k[-1] >= _RATE_MAX else -2.0 * k[-2] * hh
 
 
 # Newton steps of _crossing, at most: it converges in a handful
@@ -419,10 +489,13 @@ _REACH_MARGIN = 1.05
 def _clock_reach(k, left, direction):
     """The tau step after which the clock of a scale-free state, with rates
     k = dz/dtau, has moved by left, were a = k[-2] constant: then
-    dt/dtau = c exp(-2 a (tau - tau0)), c = k[-1].  Unbounded when the
-    clock slows down so fast that it does not get there."""
-    first = left / k[-1]
-    q = 2.0 * k[-2] * direction * first
+    dt/dtau = c exp(-2 a (tau - tau0)), c = k[-1], as :func:`_clock_exponent`
+    has it (a = 0 at the rate's cap).  Unbounded when the clock slows down so
+    fast that it does not get there."""
+    first = float(left) / float(k[-1])  # a float's overflow is inf, without a warning
+    if math.isinf(first):
+        return math.inf
+    q = 0.0 if k[-1] >= _RATE_MAX else 2.0 * float(k[-2]) * direction * first
     if q == 0.0:
         return first
     return first * (-math.log1p(-q) / q) if q < 1.0 else math.inf
@@ -461,6 +534,7 @@ def _scale_free(rhs, fixed_norm):
 # 1e-152), V moves y by less than its rounding over any t < 1e290, so the
 # rate no longer matters, and it stays finite
 _LOG_RATE_MAX = 700.0
+_RATE_MAX = math.exp(_LOG_RATE_MAX)
 
 
 def _scale_free_start(y0):

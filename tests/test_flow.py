@@ -314,12 +314,8 @@ def test_scale_free_runs_end_at_t_end_exactly(t_end, s_aa, rng):
         assert np.all(np.diff(traj.times) * t_end > 0)
 
 
-@pytest.mark.parametrize("t_end", [0.37, 10.0, 50.0])
-def test_a_scale_free_run_lands_on_t_end_without_a_sliver_step(t_end, rng, monkeypatch):
-    # the step that passes t_end is cut where its clock is t_end, on the
-    # continuous extension: the clock ends at t_end exactly, the last step
-    # is no sliver of the one before, and the landing costs three
-    # evaluations over the 2 + 11 a + s of a attempted and s accepted steps
+def _counting(monkeypatch):
+    """A list that records the time of every right-side evaluation of rk45."""
     calls = []
 
     def counting(f, *args, **kwargs):
@@ -329,6 +325,16 @@ def test_a_scale_free_run_lands_on_t_end_without_a_sliver_step(t_end, rng, monke
         return rk45_steps(counted, *args, **kwargs)
 
     monkeypatch.setattr(integrate, "rk45_steps", counting)
+    return calls
+
+
+@pytest.mark.parametrize("t_end", [0.37, 10.0, 50.0])
+def test_a_scale_free_run_lands_on_t_end_without_a_sliver_step(t_end, rng, monkeypatch):
+    # the step that passes t_end is cut where its clock is t_end, on the
+    # continuous extension: the clock ends at t_end exactly, the last step
+    # is no sliver of the one before, and the landing costs three
+    # evaluations over the 2 + 11 a + s of a attempted and s accepted steps
+    calls = _counting(monkeypatch)
     m = random_sl3c(rng, 1.0)
     traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=t_end, sample_every=1))
     assert traj.status == "completed" and traj.final.t == t_end
@@ -345,16 +351,11 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     # machine-independent costs of three fixed runs at atol = rtol = 1e-9;
     # in t, from h0 = 1e-3, they took 421, 361 and 391 evaluations with the
     # Dormand-Prince 5(4) pair, and in scale-free time 181, 151 and 229.  The
-    # default starting step (h0 = None) skips the ramp up from 1e-3
-    calls = []
-
-    def counting(f, *args, **kwargs):
-        def counted(t, y):
-            calls.append(t)
-            return f(t, y)
-        return rk45_steps(counted, *args, **kwargs)
-
-    monkeypatch.setattr(integrate, "rk45_steps", counting)
+    # default starting step (h0 = None) skips the ramp up from 1e-3.  Before
+    # the clock took its exponential exactly, DOP853 took 136, 124 and 148
+    # from 1e-3, and 113, 101 and 137 from the default step: the rotating
+    # soliton and n2 are solitons, whose steps the clock then limited
+    calls = _counting(monkeypatch)
     counts = {}
     for h0 in (1e-3, None):
         counts[h0] = []
@@ -369,7 +370,60 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
                             IntegratorOptions(h0=h0, t_end=10.0))
         assert traj.status == "completed"
         counts[h0].append(len(calls))
-    assert counts == {1e-3: [136, 124, 148], None: [113, 101, 137]}
+    assert counts == {1e-3: [100, 64, 172], None: [77, 41, 149]}
+
+
+def test_a_soliton_is_exact_in_t(s_nilpotent, monkeypatch):
+    # |mu|^2 = n0 / (1 + 5/6 n0 t) along the nilpotent soliton: x stays put,
+    # ln r is linear in tau and the clock's exponential is integrated
+    # exactly, so the run to t = 1e12 costs a few steps and no accuracy
+    calls = _counting(monkeypatch)
+    traj = bracket_flow(mu_nilpotent(1, 0, 0, 1), s_nilpotent, IntegratorOptions(t_end=1e12))
+    assert traj.status == "completed" and traj.final.t == 1e12
+    assert len(calls) <= 60
+    n0 = traj.samples[0].norm_mu ** 2
+    assert traj.final.norm_mu ** 2 == pytest.approx(n0 / (1 + 5 / 6 * n0 * 1e12), rel=1e-12)
+
+
+def test_the_n2_flow_is_exact_at_the_default_tolerance():
+    # n2 is an algebraic soliton: its 6x6 flow at atol = rtol = 1e-9 ends
+    # where the run at 1e-13 does, to rounding
+    m = aa.AAMatrix.from_complex(aa_n2())
+    traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
+    ref = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0, atol=1e-13, rtol=1e-13))
+    assert traj.final.t == ref.final.t == 50.0
+    assert np.abs(traj.final.A - ref.final.A).max() <= 1e-13 * np.abs(ref.final.A).max()
+
+
+def test_a_landing_step_outside_the_stability_region_is_taken_again(monkeypatch):
+    # a normal matrix is an algebraic soliton whose normalized flow turns
+    # about it at |lambda| = 1.47, so the step that reaches t_end grows to
+    # |h lambda| = 17.  The continuous extension there is 5e-8 off; the
+    # step taken again, to where the clock reaches t_end, is 3e-10 off
+    z = np.array([-0.619 + 1.223j, 0.373 - 0.803j, 0.246 - 0.42j])
+    rng = np.random.default_rng(1)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    m = aa.AAMatrix.from_complex(U @ np.diag(z) @ U.conj().T)
+    ref = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0, atol=1e-13, rtol=1e-13))
+    calls = _counting(monkeypatch)
+    traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
+    assert traj.final.t == 50.0 and len(calls) <= 70
+    assert np.abs(traj.final.A - ref.final.A).max() <= 1e-9 * np.abs(ref.final.A).max()
+
+
+def test_runs_to_1e300_end_typed(s_nilpotent):
+    # the clock's model, its landing and the step cap stay finite where the
+    # clock passes 1e155: an overflow rejects a step, and no numpy warning
+    # escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = aa.AAMatrix.from_complex(np.array([[0, 1, 0], [0, 0, 1.4], [0, 0, 0]]))
+        traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=1e300))
+        assert traj.status == "completed" and traj.final.t == 1e300
+        traj = bracket_flow(mu_nilpotent(1, 0, 0, 1), s_nilpotent,
+                            IntegratorOptions(t_end=1e300))
+        assert traj.status in ("completed", "blowup-detected")
+        assert all(np.isfinite(smp.norm_mu) for smp in traj.samples)
 
 
 def test_direct_flow_rejects_a_stage_off_the_positive_cone():
