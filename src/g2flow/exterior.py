@@ -10,6 +10,8 @@ One sign convention, that of :func:`sort_sign`, is tabulated once in
 other sign table derives from it by an identity: the interior product is the
 transpose of e^m ^ ., theta(E_ab) = -(e^b ^ .) o i_{e_a}, the star is the
 (k, 7-k) table, and so are liealg's CE triples and g2core's induced metric.
+liealg's derivation map takes theta_2, as the bracket flow's velocity does,
+and its unpacking of constants the skew layout of 2-forms, :data:`_SKEW`.
 The tables are cached and read-only.
 """
 

@@ -71,10 +71,9 @@ class SolitonCertificate:
     skew: np.ndarray | None = None
 
 
-def _soliton_label(kind, c, scale):
-    if kind == "none":
-        return "none"
-    if kind == "torsion-free" or abs(c) <= 1e-12 * scale:
+def _soliton_label(c, scale):
+    """The label of a soliton of constant c, Q = c I + D, for |Q| = scale."""
+    if abs(c) <= 1e-12 * scale:
         return "steady"
     # the self-similar rescaling constant is -3c, so c < 0 means expanding
     return "expanding" if c < 0 else "shrinking"
@@ -398,7 +397,7 @@ def _fit_soliton(kind, mu, s, project, Qc, u, cf):
                                   np.full((DIM, DIM), np.nan), residual, "none")
     c = float(x[0])
     D = np.einsum("n,nab->ab", x[1:], der.basis)
-    return SolitonCertificate(kind, c, D, residual, _soliton_label(kind, c, scale))
+    return SolitonCertificate(kind, c, D, residual, _soliton_label(c, scale))
 
 
 def detect_algebraic(mu: LieBracket, s: G2Structure) -> SolitonCertificate:

@@ -13,21 +13,15 @@ import numpy as np
 
 from .errors import InvalidBracket
 from .exterior import (
-    DIM, INDEX_SETS, KForm, Metric, NFORMS, PAIR_I, PAIR_J, _frozen, _wedge_table, inverse,
-    is_object_list, json_number,
+    DIM, INDEX_SETS, KForm, Metric, NFORMS, PAIR_I, PAIR_J, _SKEW, _frozen, _theta_tensor,
+    _wedge_table, inverse, is_object_list, json_number,
 )
 
 PAIRS = INDEX_SETS[2]
 NCONST = len(PAIRS) * DIM  # packed constants: pair p, index m at p * 7 + m
 
-# flat (7,7,7) positions of the packed constants c[i, j, m], i < j, and of
-# their negatives c[j, i, m]
+# flat (7,7,7) positions of the packed constants c[i, j, m], i < j
 _PACK_POS = ((PAIR_I * DIM + PAIR_J)[:, None] * DIM + np.arange(DIM)).ravel()
-_NEG_POS = ((PAIR_J * DIM + PAIR_I)[:, None] * DIM + np.arange(DIM)).ravel()
-# for each entry of the (7,7,7) tensor, its source in [0, y, -y]
-_UNPACK_SRC = np.zeros(DIM ** 3, dtype=int)
-_UNPACK_SRC[_PACK_POS] = 1 + np.arange(NCONST)
-_UNPACK_SRC[_NEG_POS] = 1 + NCONST + np.arange(NCONST)
 
 JACOBI_TOL = 1e-9
 
@@ -60,8 +54,11 @@ def pack_constants(c) -> np.ndarray:
 
 
 def unpack_constants(cp) -> np.ndarray:
-    cp = np.asarray(cp, dtype=float).reshape(NCONST)
-    return np.concatenate(([0.0], cp, -cp))[_UNPACK_SRC].reshape(DIM, DIM, DIM)
+    """(21,7) packed constants Y -> the (7,7,7) tensor: the rows (0, -Y, Y)
+    gathered by the skew layout of 2-forms, exterior._SKEW, which puts
+    -Y[p] at (j, i) and Y[p] at (i, j) for the pair p = (i, j), i < j."""
+    Y = np.asarray(cp, dtype=float).reshape(len(PAIRS), DIM)
+    return np.concatenate((np.zeros((1, DIM)), -Y, Y))[_SKEW].reshape(DIM, DIM, DIM)
 
 
 class LieBracket:
@@ -254,26 +251,15 @@ def delta_mu(mu, E) -> np.ndarray:
     return (Et @ c.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM) + Et @ c - c @ Et
 
 
-@functools.cache
-def _delta_places():
-    """Flat destinations in the packed (147, 49) delta map, and flat sources
-    in c, of its three terms: for row ijk = (pair p, k) and each a,
-    (ijk, ai) takes c[a,j,k], (ijk, aj) takes c[i,a,k] and (ijk, ka) minus
-    c[i,j,a].  Within a term no destination repeats."""
-    p, k, a = (x.ravel() for x in np.indices((len(PAIRS), DIM, DIM)))
-    i, j = PAIR_I[p], PAIR_J[p]
-    row = (p * DIM + k) * DIM * DIM
-    dst = (row + a * DIM + i, row + a * DIM + j, row + k * DIM + a)
-    src = ((a * DIM + j) * DIM + k, (i * DIM + a) * DIM + k, (i * DIM + j) * DIM + a)
-    return _frozen(*dst), _frozen(*src)
-
-
 @dataclass
 class DerivationSpace:
     """Basis of the kernel of E -> delta_mu(E)."""
 
     basis: np.ndarray  # (dim, 7, 7)
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
     def contains(self, D) -> bool:
         v = np.asarray(D, dtype=float).reshape(-1)
@@ -287,22 +273,20 @@ def derivations(mu: LieBracket) -> DerivationSpace:
     mu with a read-only basis."""
     if "derivations" in mu._cache:
         return mu._cache["derivations"]
-    # delta_mu(E_ab) placed by index into the packed rows of the delta map:
-    # row ijk (i < j), column ab takes d_ib c[a,j,k] + d_jb c[i,a,k] - d_ka c[i,j,b].
-    # Row jik is minus row ijk and row iik vanishes, so these 147 rows have the
-    # nullspace of all 343, and singular values smaller by sqrt 2 alike
-    (d1, d2, d3), (s1, s2, s3) = _delta_places()
-    c = mu.c.reshape(-1)
-    L = np.zeros(NCONST * DIM * DIM)
-    L[d1] += c[s1]
-    L[d2] += c[s2]
-    L[d3] -= c[s3]
-    L = L.reshape(NCONST, DIM * DIM)
+    # column ab of the packed delta map is -theta_2(E_ab) Y - Y E_ab^T, the
+    # packed velocity's formula (flow._bracket_velocity).  Row jik is minus
+    # row ijk and row iik vanishes, so these 147 rows have the nullspace of
+    # all 343, and singular values smaller by sqrt 2 alike.  0.0 - x keeps
+    # the zero entries +0.0
+    n2, Y = len(PAIRS), mu.packed()
+    TY = (_theta_tensor(2).reshape(-1, n2) @ Y).reshape(n2, DIM * DIM, DIM)
+    YE = np.einsum("ka,pb->pkab", np.eye(DIM), Y).reshape(n2, DIM, DIM * DIM)
+    L = (0.0 - (TY.transpose(0, 2, 1) + YE)).reshape(NCONST, DIM * DIM)
     _, s, Vh = np.linalg.svd(L, full_matrices=False)
     smax = s[0] if len(s) else 0.0
     mask = np.ones(Vh.shape[0], dtype=bool) if smax == 0.0 else s <= 1e-8 * smax
     mats = _frozen(Vh[mask].reshape(-1, DIM, DIM))
-    der = mu._cache["derivations"] = DerivationSpace(mats, mats.shape[0])
+    der = mu._cache["derivations"] = DerivationSpace(mats)
     return der
 
 

@@ -156,14 +156,19 @@ def test_verify_counts_any_exception_as_a_failure(capsys, monkeypatch):
     def singular():
         raise np.linalg.LinAlgError("SVD did not converge")
 
+    def off():  # a corpus check's failed assert; pytest would rewrite a bare one
+        raise AssertionError("residual 1 above 0.5")
+
     monkeypatch.setattr(corpus, "build_verify_corpus",
-                        lambda: [("singular", singular), ("fine", lambda: 0.0)])
+                        lambda: [("singular", singular), ("fine", lambda: 0.0), ("off", off)])
     code, out = run(capsys, "verify")
     assert code == 2
     lines = out.strip().split("\n")
-    assert [line.split()[0] for line in lines[:2]] == ["FAIL", "PASS"]
+    assert [line.split()[0] for line in lines[:3]] == ["FAIL", "PASS", "FAIL"]
     assert "LinAlgError: SVD did not converge" in lines[0]
-    assert lines[2] == "1/2 corpus checks passed"
+    # a failed assert prints its message alone, with no exception type
+    assert lines[2] == "FAIL  off       residual 1 above 0.5"
+    assert lines[3] == "1/3 corpus checks passed"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from g2flow.flow import (
     reconstruct_h,
 )
 from g2flow.g2core import G2Structure, metric_from_3form
-from g2flow.integrate import _DOP_A, _DOP_C, _DOP_E3, _DOP_E5, rk45_steps
+from g2flow.integrate import _DOP_A, _DOP_C, _DOP_E3, _DOP_E5, drive, rk45_steps
 from g2flow.liealg import (
     LieBracket,
     bracket_act,
@@ -490,8 +491,8 @@ def test_soliton_kinds_do_not_depend_on_the_scale(pair, s_nilpotent, s_aa):
         assert _kinds(mu.scale(10.0 ** e), s) == want, e
 
 
-_STATUSES = {"completed", "blowup-detected", "non-finite", "positivity-lost",
-             "step-underflow", "step-budget-exhausted"}
+# the statuses that drive documents, as test_integrate.py reads them
+_STATUSES = set(re.findall(r"^\s*- ([a-z-]+):", drive.__doc__, re.M))
 
 
 def test_laplacian_flow_constant_for_abelian(s_nilpotent):
@@ -1040,6 +1041,16 @@ def test_detect_torsion_free(s_aa, rng):
     cert = detect_algebraic(aa.bracket_of(random_su3(rng)), s_aa)
     assert cert.kind == "torsion-free" and cert.label == "steady"
     assert cert.residual < 1e-9
+
+
+def test_soliton_labels_follow_the_sign_of_c():
+    # Q = c I + D rescales by -3c: steady for |c| <= 1e-12 |Q|, expanding
+    # below, shrinking above
+    for c, label in [(0.0, "steady"), (1e-12, "steady"), (-1e-12, "steady"),
+                     (-2e-12, "expanding"), (-5.0, "expanding"),
+                     (2e-12, "shrinking"), (5.0, "shrinking")]:
+        assert flow._soliton_label(c, 1.0) == label, c
+    assert flow._soliton_label(1e-3, 1e9) == "steady"
 
 
 def test_detect_algebraic_rejects_rotating_soliton(s_aa):

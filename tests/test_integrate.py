@@ -242,6 +242,38 @@ def test_a_singular_stage_ends_the_run_and_samples_the_last_state():
     assert len(traj.samples) == 2 and 0.0 == traj.times[0] < traj.final.t < 10.0
 
 
+def test_a_stiff_stretch_ends_the_run_as_step_underflow():
+    # y' = -y until t = 0.25 and -1e4 y after: with hmin = h0 = 0.1 the
+    # steps to 0.1 and 0.2 pass, and every step across 0.25 fails its error
+    # test down to hmin; the run ends there and keeps the samples it took
+    def rhs(t, y):
+        return -y if t < 0.25 else -1e4 * y
+
+    opts = IntegratorOptions(h0=0.1, hmin=0.1, t_end=1.0, sample_every=1)
+    traj = drive(rhs, np.ones(2), opts, lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
+    assert traj.status == "step-underflow"
+    assert np.allclose(traj.times, [0.0, 0.1, 0.2], rtol=0, atol=1e-15)
+    assert np.allclose(traj.final.y, math.exp(-0.2), rtol=1e-12, atol=0)
+
+
+def test_a_last_state_that_cannot_be_sampled_is_left_out():
+    # the run completes at t = 1 between samples, and sampling that last
+    # state raises PositivityError: the status and the samples at 0, 0.4
+    # and 0.8 stay as they were
+    tried = []
+
+    def make_sample(t, y):
+        tried.append(t)
+        if t > 0.9:
+            raise PositivityError("off the positive cone")
+        return SimpleNamespace(t=t, y=y)
+
+    opts = IntegratorOptions(method="rk4", h0=0.1, t_end=1.0, sample_every=4)
+    traj = drive(lambda t, y: -y, np.ones(2), opts, make_sample, np.linalg.norm)
+    assert traj.status == "completed" and tried[-1] == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(traj.times, [0.0, 0.4, 0.8], rtol=0, atol=1e-15)
+
+
 def test_rk45_is_of_order_eight():
     # y' = y^2, y(0) = 1, is 1 / (1 - t).  Fixed steps (hmin = hmax = h, at
     # tolerances that every step meets) of 0.75/16 and 0.75/32 to t = 0.75
