@@ -310,11 +310,12 @@ def flow_rhs(A) -> np.ndarray:
     -1/2 [A, B] with B = A^T (A^T + 2 A): three matrix products.  S is
     symmetric, so tr S^2 is the sum of the squares of its entries.
 
-    The cubic cannot overflow while every entry of A is at most 1e100;
-    above that it is computed under np.errstate, and a velocity that
-    overflows raises NonFiniteState."""
+    The cubic cannot overflow while every entry of A is at most 1e100, as
+    |A|^2 <= 1e200 ensures (np.vdot, unlike @, overflows without a warning,
+    and is NaN for a NaN entry); otherwise it is computed under np.errstate,
+    and a velocity that overflows raises NonFiniteState."""
     A = np.asarray(A, dtype=float)
-    if np.abs(A).max() <= 1e100:
+    if np.vdot(A, A) <= 1e200:
         return _matrix_velocity(A)
     with np.errstate(over="ignore", invalid="ignore"):
         vel = _matrix_velocity(A)

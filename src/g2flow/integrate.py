@@ -217,8 +217,9 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     accepted step then evaluates f at its solution, and hands that to the
     next step as K[0] (first-same-as-last); a rejected step keeps K[0].  So
     a run makes 1 + 11 a + s evaluations, a attempted and s accepted steps,
-    and one more, the trial stage of :func:`_first_step`, when h0 is None
-    (a landing step taken again, below, is an attempt and one more).
+    and one more, the trial stage of :func:`_first_step`, when h0 is None,
+    none at a stationary start (a landing step taken again, below, is an
+    attempt and one more).
 
     A stage whose f raises NonFiniteState (an overflowing trial state) or
     PositivityError (a trial 3-form off the positive cone) has no error
@@ -235,7 +236,9 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     error of r) is measured against atol, and that of t against
     atol dt/dtau + rtol |t|, so no tolerance depends on the scale of y.  A
     step is capped a little past where the clock would reach t1 were
-    a = K[0][-2] constant (:func:`_clock_reach`).  The last state is that
+    a = K[0][-2] constant (:func:`_clock_reach`); a run whose x starts
+    stationary, as along an algebraic soliton, starts with that reach
+    (:func:`_first_step`).  The last state is that
     of the step that passes t1, taken where its clock is t1 on the
     seventh-order continuous extension (:func:`_extension`, three more
     evaluations; the clock's by its model and residual, :func:`_crossing`),
@@ -261,10 +264,10 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     while (t1 - end) * direction > 1e-15 * max(1.0, abs(t1)):
         if n >= max_steps:
             raise StepBudgetExhausted(f"{n} steps taken by t={end:g}")
+        reach = _clock_reach(K[0], abs(t1 - end), direction) if scale_free else None
         if h is None:
-            h = _first_step(f, t, y, K[0], direction, hmin, hmax, atol, rtol, scale_free)
-        h = min(h, _REACH_MARGIN * _clock_reach(K[0], abs(t1 - end), direction)
-                if scale_free else abs(t1 - t))
+            h = _first_step(f, t, y, K[0], direction, hmin, hmax, atol, rtol, reach)
+        h = min(h, _REACH_MARGIN * reach if scale_free else abs(t1 - t))
         hh = direction * h
         failure = None
         try:
@@ -294,7 +297,7 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
                 # outside the pair's stability region the extension amplifies
                 # rounding: step to where the model's clock reaches t1 instead
                 retaken = True
-                h = min(h, _clock_reach(K[0], abs(t1 - end), direction))
+                h = min(h, reach)
                 continue
             n += 1
             if past > close:
@@ -381,22 +384,26 @@ def _crossing(Fc, c, z, left):
     left.  The clock moves by c x phi1(z x), the integral of its model rate
     (:func:`_clock_exponent`, c = eL hh and z = mu hh), plus the extension of
     the residual rates, whose coefficients are Fc.  Newton from the chord,
-    kept inside the bracket [0, 1] that the step's clock spans by bisection;
-    an overflowing slope bisects."""
-    lo, hi = 0.0, 1.0
+    done once its correction is within 4 eps, and kept inside the bracket
+    [0, 1] that the step's clock spans by bisection; a zero or overflowing
+    slope bisects."""
+    lo, hi, tol = 0.0, 1.0, 4.0 * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
         x = left / (Fc[0] + c * _phi1(z))
         for _ in range(_CROSSING_ITERS):
             value, slope = _at(Fc, x)
             value, slope = value + c * x * _phi1(z * x), slope + c * np.exp(z * x)
             miss = value - left
+            step = miss / slope if 0.0 < abs(slope) < math.inf else math.nan
+            if abs(step) <= tol:
+                return x - step
             if miss < 0.0 < left or left < 0.0 < miss:
                 lo = x
             else:
                 hi = x
-            if slope == 0.0 or not lo < (nxt := x - miss / slope) < hi:
+            if not lo < (nxt := x - step) < hi:
                 nxt = 0.5 * (lo + hi)
-            if abs(nxt - x) <= 4.0 * np.finfo(float).eps:
+            if abs(nxt - x) <= tol:
                 return nxt
             x = nxt
     return x
@@ -436,7 +443,7 @@ def _tol_scale(y, yi, k0, atol, rtol, scale_free):
     return scale
 
 
-def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, scale_free):
+def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, reach):
     """The starting step of Hairer, Norsett and Wanner (Solving Ordinary
     Differential Equations I, II.4), as dopri5's hinit takes it, for rates
     k = f(t, y).  In the error test's norm, d0 = |y|, d1 = |k| and d2 =
@@ -445,15 +452,24 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, scale_free):
     [hmin, hmax], h1 = (0.01 / max(d1, d2))^(1/8) (max(1e-6, 1e-3 h') if
     both are below 1e-15).
 
-    With scale_free, d0 is taken on x alone: ln r, whose scale is atol,
-    would make the step depend on the scale of the state.  A trial stage
-    that raises NonFiniteState or PositivityError, or whose d2 is not
-    finite, is tried again at a tenth of h', at most _FIRST_TRIALS times in
-    all; when the last one fails too, the step is a tenth of its h'."""
+    reach is None for a run in t.  Otherwise y is a scale-free state
+    (x, ln r, t), whose clock reaches t1 after the tau step reach
+    (:func:`_clock_reach`), and d0 is taken on x alone: ln r, whose scale
+    is atol, would make the step depend on the scale of the state.  And when x's rates alone are below 1e-5 in
+    that norm, x is stationary, as along an algebraic soliton, where ln r
+    is linear in tau and the clock is exact: the step is the reach in
+    [hmin, hmax], with no trial stage, unless the reach is unbounded.  A
+    trial stage that raises NonFiniteState or PositivityError, or whose d2
+    is not finite, is tried again at a tenth of h', at most _FIRST_TRIALS
+    times in all; when the last one fails too, the step is a tenth of its
+    h'."""
+    scale_free = reach is not None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale = _tol_scale(y, y, k, atol, rtol, scale_free)
         x = slice(0, -2) if scale_free else slice(None)
         d0, d1 = _rms(y[x] / scale[x]), _rms(k / scale)
+        if scale_free and _rms(k[x] / scale[x]) < 1e-5 and math.isfinite(reach):
+            return min(max(reach, hmin), hmax)
     h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
     h = min(max(h, hmin), hmax)
     for _ in range(_FIRST_TRIALS):

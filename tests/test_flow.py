@@ -355,7 +355,10 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     # default starting step (h0 = None) skips the ramp up from 1e-3.  Before
     # the clock took its exponential exactly, DOP853 took 136, 124 and 148
     # from 1e-3, and 113, 101 and 137 from the default step: the rotating
-    # soliton and n2 are solitons, whose steps the clock then limited
+    # soliton and n2 are solitons, whose steps the clock then limited.
+    # Before a stationary start began at the clock's reach, n2 took 41 from
+    # the default step: a first step of 0.05 at an error of 1e-9 and one of
+    # 0.5 before the one that lands, set by the rates of ln r and of the clock
     calls = _counting(monkeypatch)
     counts = {}
     for h0 in (1e-3, None):
@@ -371,7 +374,7 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
                             IntegratorOptions(h0=h0, t_end=10.0))
         assert traj.status == "completed"
         counts[h0].append(len(calls))
-    assert counts == {1e-3: [100, 64, 172], None: [77, 41, 149]}
+    assert counts == {1e-3: [100, 64, 172], None: [77, 13, 149]}
 
 
 def test_a_soliton_is_exact_in_t(s_nilpotent, monkeypatch):
@@ -386,6 +389,79 @@ def test_a_soliton_is_exact_in_t(s_nilpotent, monkeypatch):
     assert traj.final.norm_mu ** 2 == pytest.approx(n0 / (1 + 5 / 6 * n0 * 1e12), rel=1e-12)
 
 
+def _algebraic_matrices():
+    """n2, a diagonal and a normal matrix of the same spectrum: algebraic
+    solitons of the 6x6 flow, whose normalized state stays put."""
+    z = np.array([-0.619 + 1.223j, 0.373 - 0.803j, 0.246 - 0.42j])
+    rng = np.random.default_rng(1)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return [aa_n2(), np.diag(z), U @ np.diag(z) @ U.conj().T]
+
+
+def test_a_stationary_start_takes_one_step(s_nilpotent, monkeypatch):
+    # along the nilpotent soliton x is a fixed point: the run starts at the
+    # step at which its clock reaches t_end, with no trial stage, and takes
+    # it alone in 1 + 11 + 1 evaluations; unit-bracket-norm freezes r too
+    calls = _counting(monkeypatch)
+    mu = mu_nilpotent(1, 0, 0, 1)
+    traj = bracket_flow(mu, s_nilpotent,
+                        IntegratorOptions(t_end=10.0, normalize="unit-bracket-norm"))
+    assert traj.status == "completed" and traj.final.t == 10.0
+    assert len(calls) <= 16
+    assert traj.final.norm_mu == traj.samples[0].norm_mu == mu.norm()
+
+
+def test_an_algebraic_soliton_of_the_matrix_flow_takes_one_step(monkeypatch):
+    # A(t) = A0 / sqrt(1 - 2 a t), a = <V(A0), A0> / |A0|^2.  The one step
+    # of the normal matrix turns its normalized flow by |h lambda| past the
+    # pair's stability region, which amplifies the rounding of x to 6e-11
+    # (started by the rates of every component, in 62 evaluations, the run
+    # ended 2.8e-10 off)
+    calls = _counting(monkeypatch)
+    for B, bound in zip(_algebraic_matrices(), (1e-12, 1e-12, 1e-10)):
+        m = aa.AAMatrix.from_complex(B)
+        calls.clear()
+        traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
+        assert traj.status == "completed" and traj.final.t == 50.0
+        assert len(calls) <= 25
+        y = m.A.reshape(-1)
+        a = aa.flow_rhs(m.A).reshape(-1) @ y / (y @ y)
+        exact = m.A / math.sqrt(1.0 - 2.0 * a * 50.0)
+        assert np.abs(traj.final.A - exact).max() <= bound * np.abs(exact).max()
+
+
+def test_a_long_run_from_a_stationary_start_keeps_its_accuracy(monkeypatch):
+    # to t = 1e12 the normal matrix's stationary first step is rejected, and
+    # the run leaves the unstable fixed point by rounding, as every long run
+    # does: it ends 1.6e-9 of max |A| off A0 / sqrt(1 - 2 a t), in 288
+    # evaluations.  From the start that took the rates of every component
+    # it ended 6.2e-10 off in 359, but 2.6e-9 off at t = 1e8 (2.8e-10 now)
+    calls = _counting(monkeypatch)
+    m = aa.AAMatrix.from_complex(_algebraic_matrices()[2])
+    traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=1e12))
+    assert traj.status == "completed" and traj.final.t == 1e12
+    assert len(calls) <= 300
+    y = m.A.reshape(-1)
+    a = aa.flow_rhs(m.A).reshape(-1) @ y / (y @ y)
+    exact = m.A / math.sqrt(1.0 - 2.0 * a * 1e12)
+    assert np.abs(traj.final.A - exact).max() <= 2e-9 * np.abs(exact).max()
+
+
+def test_a_start_near_a_soliton_is_not_stationary(monkeypatch):
+    # moved off n2 and off the diagonal soliton by 1e-10 of max |A|, x moves
+    # at rates far above the stationary bound: the run starts as any other
+    # does, in as many evaluations as before stationary starts, and as close
+    # to a run at 1e-13
+    calls = _counting(monkeypatch)
+    for B, most in zip(_algebraic_matrices(), (41, 62)):
+        m = aa.AAMatrix.from_complex(B + 1e-10 * np.abs(B).max() * np.diag([1, -1, 0]))
+        calls.clear()
+        traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
+        assert traj.status == "completed" and len(calls) <= most
+        ref = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0, atol=1e-13, rtol=1e-13))
+        assert np.abs(traj.final.A - ref.final.A).max() <= 1e-9 * np.abs(ref.final.A).max()
+
+
 def test_the_n2_flow_is_exact_at_the_default_tolerance():
     # n2 is an algebraic soliton: its 6x6 flow at atol = rtol = 1e-9 ends
     # where the run at 1e-13 does, to rounding
@@ -398,13 +474,12 @@ def test_the_n2_flow_is_exact_at_the_default_tolerance():
 
 def test_a_landing_step_outside_the_stability_region_is_taken_again(monkeypatch):
     # a normal matrix is an algebraic soliton whose normalized flow turns
-    # about it at |lambda| = 1.47, so the step that reaches t_end grows to
-    # |h lambda| = 17.  The continuous extension there is 5e-8 off; the
+    # about it at |lambda| = 1.47; moved off it by 1e-12 of max |A|, so that
+    # its start is not stationary, the step that reaches t_end grows to
+    # |h lambda| = 18.  The continuous extension there is 7e-8 off; the
     # step taken again, to where the clock reaches t_end, is 3e-10 off
-    z = np.array([-0.619 + 1.223j, 0.373 - 0.803j, 0.246 - 0.42j])
-    rng = np.random.default_rng(1)
-    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    m = aa.AAMatrix.from_complex(U @ np.diag(z) @ U.conj().T)
+    B = _algebraic_matrices()[2]
+    m = aa.AAMatrix.from_complex(B + 1e-12 * np.abs(B).max() * np.diag([1, -1, 0]))
     ref = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0, atol=1e-13, rtol=1e-13))
     calls = _counting(monkeypatch)
     traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
@@ -421,9 +496,10 @@ def test_runs_to_1e300_end_typed(s_nilpotent):
         m = aa.AAMatrix.from_complex(np.array([[0, 1, 0], [0, 0, 1.4], [0, 0, 0]]))
         traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=1e300))
         assert traj.status == "completed" and traj.final.t == 1e300
+        # the nilpotent soliton's stationary start keeps x on its fixed point
         traj = bracket_flow(mu_nilpotent(1, 0, 0, 1), s_nilpotent,
                             IntegratorOptions(t_end=1e300))
-        assert traj.status in ("completed", "blowup-detected")
+        assert traj.status == "completed" and traj.final.t == 1e300
         assert all(np.isfinite(smp.norm_mu) for smp in traj.samples)
 
 

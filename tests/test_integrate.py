@@ -15,7 +15,7 @@ import pytest
 
 import g2flow
 from g2flow import almostabelian as aa
-from g2flow import cli
+from g2flow import cli, integrate
 from g2flow.errors import NonFiniteState, PositivityError, SingularSystem
 from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
 from g2flow.integrate import (_DOP_C, _DOP_STAGES, _DOP_W, _FIRST_TRIALS, IntegratorOptions,
@@ -321,17 +321,43 @@ def test_the_continuous_extension_meets_the_step_at_order_seven():
     assert math.log2(errors[0] / errors[1]) >= 7.5
 
 
+@pytest.mark.parametrize("c, z, left", [(1.0, 0.0, 0.5), (3.0, 1.2, 2.0), (0.5, -3.0, 0.1)])
+def test_a_landing_ends_once_newton_has_converged(c, z, left, monkeypatch):
+    # a clock of its model rates alone moves by left at x = log1p(z left /
+    # c) / z.  There Newton's correction rounds to 0, or the miss is 0 (the
+    # chord of the first case is exact), which moves the bracket onto x: the
+    # search ends there in a handful of evaluations of the extension, rather
+    # than bisecting away from the root and halving its way back
+    calls = []
+    monkeypatch.setattr(integrate, "_at", lambda F, x: calls.append(x) or _at(F, x))
+    x = integrate._crossing(np.zeros(7), c, z, left)
+    root = math.log1p(z * left / c) / z if z else left / c
+    assert len(calls) <= 8
+    assert abs(x - root) <= 4.0 * np.finfo(float).eps
+
+
 def test_the_matrix_velocity_overflows_into_non_finite_state():
-    # below 1e100 an entry cannot overflow the cubic; above, an overflowing
-    # velocity raises NonFiniteState, without a warning
+    # below |A|^2 = 1e200 no entry exceeds 1e100 and the cubic cannot
+    # overflow: the velocity is _matrix_velocity's, bit for bit.  Above, it
+    # is computed under np.errstate, and an overflowing or NaN velocity
+    # raises NonFiniteState, without a warning
     m = random_sl3c(np.random.default_rng(4), 1.0)
     unit = m.A / np.abs(m.A).max()
-    vel = aa.flow_rhs(1e100 * unit)
-    assert np.isfinite(vel).all()
-    assert np.allclose(vel, 1e300 * aa.flow_rhs(unit), rtol=1e-13, atol=0)
-    assert np.isfinite(aa.flow_rhs(1e101 * unit)).all()
-    with pytest.raises(NonFiniteState):
-        aa.flow_rhs(1e200 * unit)
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-120, 1e-3, 1.0, 1e3, 1e99, 1e100, 1e101):
+            A = scale * rng.normal(size=(6, 6))
+            with np.errstate(over="ignore", invalid="ignore"):
+                vel = aa._matrix_velocity(A)
+            assert np.array_equal(aa.flow_rhs(A), vel)
+        vel = aa.flow_rhs(1e100 * unit)
+        assert np.isfinite(vel).all()
+        assert np.allclose(vel, 1e300 * aa.flow_rhs(unit), rtol=1e-13, atol=0)
+        assert np.isfinite(aa.flow_rhs(1e101 * unit)).all()
+        for A in (1e200 * unit, np.full((6, 6), np.nan), np.full((6, 6), np.inf)):
+            with pytest.raises(NonFiniteState):
+                aa.flow_rhs(A)
 
 
 def test_the_norm_300_matrix_flow_prints_one_json_document():
