@@ -10,12 +10,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteState, NotClosed
+from .errors import NonFiniteState, NotClosed, PositivityError, SingularSystem
 from .exterior import (DIM, NFORMS, _PAIRS, KForm, Metric, _frozen, _skew_matrix, _star_table,
                        _theta_tensor, _wedge_table, hodge_matrix, phi_canonical, pullback3,
                        pullback_matrix)
-from .g2core import (G2Structure, _canonical_tables, _frame_torsion, _metric_parts,
-                     metric_from_3form)
+from .g2core import G2Structure, _canonical_tables, _frame_torsion, _metric_parts
 from .integrate import IntegratorOptions, Trajectory, drive
 from .liealg import (
     NCONST,
@@ -94,7 +93,9 @@ def laplacian(mu: LieBracket, g: Metric, a):
 
 def _direct_velocity(mu: LieBracket):
     """The direct-flow right side for the fixed bracket mu, on the flat 35
-    coefficients a of phi: velocity(a) = Delta_phi phi, which
+    coefficients a of phi, which side "ii" of :func:`reconstruct_h` steps
+    and the tests take as the oracle of :func:`laplacian_flow`:
+    velocity(a) = Delta_phi phi, which
     :func:`laplacian` gives as laplacian(mu, metric_from_3form(phi), a), up
     to rounding, with no star matrix built per call.
 
@@ -274,26 +275,83 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 
 def laplacian_flow(phi0: KForm, mu: LieBracket,
                    opts: IntegratorOptions | None = None) -> Trajectory:
-    """Integrate dphi/dt = Delta_phi phi with the bracket held fixed.
+    """Integrate dphi/dt = Delta_phi phi with the bracket held fixed, by the
+    bracket flow: when mu(t) is the bracket flow of (mu, phi0) and
+    dh/dt = -Q_mu(t) h with h(0) = I, phi(t) = h(t)^* phi0.
 
-    The metric is recomputed from phi at every stage, and the right side is
-    the compiled :func:`_direct_velocity` of mu.  A phi0 that is not
-    positive raises PositivityError; loss of positivity later ends the run
-    with status positivity-lost.
+    drive steps (mu(t), h), h a tail of weight 0: rk45 in scale-free time,
+    dh/dtau = -Q_x h, and rk4 in t.  rk45 first takes t_end to [1/2, 2) by a
+    power of two p, running mu / p to p^2 t_end (Delta is quadratic in mu),
+    so the flow of (phi0, 2^k mu) at t / 4^k is that of (phi0, mu) at t,
+    bit for bit.  The normalization is needed, not only exact: rk45's
+    clock lands within _CLOCK_TOL max(1, |t1|) of t1, an absolute bound
+    below |t1| = 1, so a t_end under 1e-12 would end after one step.  An
+    infinite t_end, or one whose product with p^2 overflows, keeps p = 1
+    and runs as the bracket flow does.  h maps (mu, phi(t)) isometrically
+    onto (mu(t), phi0), so a sample is the :func:`_flow_sample` of
+    (mu(t), phi0), with Q as h^-1 Q h, phi = h^* phi0 and the fixed mu: no
+    sample builds a G2Structure.  blowup_norm bounds |phi(t)| at each
+    accepted step.
+
+    A phi0 that is not positive raises PositivityError, and one whose
+    G2Structure raises SingularSystem ends the run singular-frame with no
+    samples.  Once cond(h) passes sqrt(cond(g0) / eps), g0 the metric of
+    phi0, the gram h^T g0 h of phi(t) has a condition number above 1 / eps
+    (it is at least cond(h)^2 / cond(g0)): its least eigenvalue is below
+    the rounding of its largest, phi(t) is no longer definite in floats,
+    and the run ends positivity-lost, although phi(t) is positive in exact
+    arithmetic.  The test is one SVD of h at each accepted step.
     """
     opts = opts or IntegratorOptions()
     if opts.normalize != "none":
         raise ValueError("normalization applies to the bracket flow only")
-    metric_from_3form(phi0)
-    velocity = _direct_velocity(mu)
+    try:
+        s = G2Structure(phi0)
+    except SingularSystem:
+        return Trajectory([], "singular-frame")
+    velocity = _bracket_velocity(s)
+    # p as above, unless it takes |mu / p| past 2^400, where the clock's
+    # rate |mu(t)|^-2 would come near underflow.  rk4 keeps p = 1: its
+    # fixed step is in t
+    p = 1.0
+    if opts.method == "rk45":
+        top = math.frexp(float(np.abs(mu.c).max()))[1]
+        p = math.ldexp(1.0, max(-(math.frexp(opts.t_end)[1] // 2), top - 400))
+        if not math.isfinite(opts.t_end * p * p):
+            p = 1.0
+    y0 = np.concatenate([mu.packed().reshape(-1) / p, np.eye(DIM).reshape(-1)])
+    cond_max = math.sqrt(np.linalg.cond(s.metric.gram) / np.finfo(float).eps)
+    norm_mu = mu.norm()
 
     def rhs(t, y):
-        return velocity(y)
+        Q, dmu, _ = velocity(y[:NCONST])
+        with np.errstate(over="ignore", invalid="ignore"):
+            dh = Q @ y[NCONST:].reshape(DIM, DIM)
+        if not np.isfinite(dh).all():
+            raise NonFiniteState("non-finite Q h")
+        return np.concatenate([dmu, -dh.reshape(-1)])
+
+    def phi_of(y):
+        return pullback3(y[NCONST:].reshape(DIM, DIM), phi0.coeffs)
+
+    def norm_of(y):
+        norm = float(np.linalg.norm(phi_of(y)))
+        if math.isfinite(norm) and np.linalg.cond(y[NCONST:].reshape(DIM, DIM)) > cond_max:
+            raise PositivityError("phi(t) = h^* phi0 is not definite in floats")
+        return norm
 
     def make_sample(t, y):
-        return _flow_sample(t, mu, G2Structure(KForm(3, y)))
+        h = y[NCONST:].reshape(DIM, DIM)
+        with np.errstate(over="ignore", invalid="ignore"):  # a bracket mu(t) past 1e154
+            mu_t = LieBracket(unpack_constants(p * y[:NCONST]), validate=False)
+            smp = _flow_sample(t / p / p, mu_t, s)
+            Q = np.linalg.solve(h, smp.Q @ h)
+        if not np.isfinite([*Q.ravel(), smp.R, smp.torsion_norm, smp.velocity_norm]).all():
+            raise NonFiniteState("non-finite sample")
+        return replace(smp, mu=mu, phi=KForm(3, phi_of(y)), Q=Q, norm_mu=norm_mu)
 
-    return drive(rhs, phi0.coeffs.copy(), opts, make_sample, np.linalg.norm)
+    return drive(rhs, y0, replace(opts, t_end=opts.t_end * p * p), make_sample, norm_of,
+                 cubic=True, tail=DIM * DIM)
 
 
 # ---------------------------------------------------------------------------

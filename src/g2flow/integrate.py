@@ -225,10 +225,11 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     PositivityError (a trial 3-form off the positive cone) has no error
     estimate, and is rejected like one whose estimate is NaN.
 
-    With scale_free, y is the state (x, ln r, t) of :func:`_scale_free`:
-    the steps are in its time tau, and the run ends when its clock
-    t = y[-1], not tau, reaches t1.  The clock's rate dt/dtau = exp(-2 ln r)
-    is split in two (:func:`_clock_exponent`): a model eL exp(mu s), eL and
+    With scale_free, y is the state (x, w, ln r, t) of :func:`_scale_free`,
+    w a tail of weight 0 that may be empty: the steps are in its time tau,
+    and the run ends when its clock t = y[-1], not tau, reaches t1.  The
+    clock's rate dt/dtau = exp(-2 ln r) is split in two
+    (:func:`_clock_exponent`): a model eL exp(mu s), eL and
     mu = -2a from K[0], whose integral over the step is exact, and the
     residual, the stage rates less the model, which alone the pair
     integrates and estimates the error of.  So a constant a, as along a
@@ -325,10 +326,13 @@ def _stiffness(y, yi, K, hh):
     """|hh lambda| along the end of an accepted scale-free step hh from y to
     yi, as dop853 estimates it (Hairer and Wanner, Solving Ordinary
     Differential Equations II, IV.2) from its two stages at the step's end:
-    |hh| |K[12] - K[11]| / |yi - y12|, y12 the input of stage 12, on x alone
-    (the clock's exponential is integrated exactly).  0 where yi and y12
-    agree to the rounding of x, which then tells nothing of lambda and
-    leaves nothing to amplify."""
+    |hh| |K[12] - K[11]| / |yi - y12|, y12 the input of stage 12, on
+    y[:-2], x and the tail w, and not on ln r and the clock (whose
+    exponential is integrated exactly).  The tail is read as x is: along
+    the direct flow of an algebraic soliton x moves only by rounding while
+    h = exp(-tau Q_x) does not, and h's lambda is what the step must keep
+    stable.  0 where yi and y12 agree to the rounding of y[:-2], which then
+    tells nothing of lambda and leaves nothing to amplify."""
     y12 = y[:-2] + hh * (_DOP_A[11, :11] @ K[:11, :-2])
     den = float(np.linalg.norm(yi[:-2] - y12))
     if den <= np.finfo(float).eps * float(np.linalg.norm(yi[:-2])):
@@ -453,12 +457,17 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, reach):
     both are below 1e-15).
 
     reach is None for a run in t.  Otherwise y is a scale-free state
-    (x, ln r, t), whose clock reaches t1 after the tau step reach
-    (:func:`_clock_reach`), and d0 is taken on x alone: ln r, whose scale
-    is atol, would make the step depend on the scale of the state.  And when x's rates alone are below 1e-5 in
-    that norm, x is stationary, as along an algebraic soliton, where ln r
-    is linear in tau and the clock is exact: the step is the reach in
-    [hmin, hmax], with no trial stage, unless the reach is unbounded.  A
+    (x, w, ln r, t), whose clock reaches t1 after the tau step reach
+    (:func:`_clock_reach`), and d0 is taken on y[:-2], x and the tail w:
+    ln r, whose scale is atol, would make the step depend on the scale of
+    the state.  And when the rates of y[:-2] alone are below 1e-5 in that
+    norm, the start is stationary, as along an algebraic soliton, where
+    ln r is linear in tau and the clock is exact: the step is the reach in
+    [hmin, hmax], with no trial stage, unless the reach is unbounded.  The
+    test reads the tail with x, as the pair integrates both: along the
+    direct flow of an algebraic soliton x stays put but h = exp(-tau Q_x)
+    does not, so the rule sizes its first step for h, and the pair's
+    estimate on h judges it.  A
     trial stage that raises NonFiniteState or PositivityError, or whose d2
     is not finite, is tried again at a tenth of h', at most _FIRST_TRIALS
     times in all; when the last one fails too, the step is a tenth of its
@@ -522,7 +531,7 @@ def _along(v, x):
     return np.dot(v, x) / max(np.dot(x, x), 1e-300)
 
 
-def _scale_free(rhs, fixed_norm):
+def _scale_free(rhs, fixed_norm, head):
     """The scale-free form of y' = rhs(t, y), rhs a homogeneous cubic free
     of t.  With y = r x and dtau = r^2 dt, on z = (x, ln r, t):
 
@@ -531,15 +540,23 @@ def _scale_free(rhs, fixed_norm):
     a = <rhs(x), x> / <x, x>.  The split is exact for any |x|, and the flow
     leaves |x| where it is; x is the norm-normalized flow.  fixed_norm
     freezes ln r, which is the unit-bracket-norm flow with tau = r0^2 t.
-    The right side keeps rhs's name, so a profile charges it to the flow."""
+
+    x is z[:head].  Where head < z.size - 2, y = (y[:head], w) carries a
+    tail w of weight 0, which the scaling y[:head] -> s y[:head],
+    t -> t / s^2 leaves alone (the maps h of the direct flow), and rhs's
+    rate of w is quadratic in y[:head], so that rhs at (x, w) gives the
+    tail's tau-rate itself.  Then z = (x, w, ln r, t), a is taken over the
+    head alone, and dw/dtau is rhs's tail unscaled.  Without a tail, x is
+    z[:-2] and the right side is v - a x over all of it.  The right side
+    keeps rhs's name, so a profile charges it to the flow."""
     @functools.wraps(rhs)
     def tau_rhs(tau, z):
-        x = z[:-2]
-        v = rhs(z[-1], x)
-        a = _along(v, x)
+        x = z[:head]
+        v = rhs(z[-1], z[:-2])
+        a = _along(v[:head], x)
         dz = np.empty_like(z)
-        np.multiply(x, -a, out=dz[:-2])
-        dz[:-2] += v
+        dz[:-2] = v
+        dz[:head] -= a * x
         dz[-2] = 0.0 if fixed_norm else a
         dz[-1] = math.exp(min(-2.0 * z[-2], _LOG_RATE_MAX))
         return dz
@@ -553,22 +570,24 @@ _LOG_RATE_MAX = 700.0
 _RATE_MAX = math.exp(_LOG_RATE_MAX)
 
 
-def _scale_free_start(y0):
-    """(x0, ln r0, 0) with |x0| = 1 and y0 = r0 x0, by a norm that does not
-    overflow, and r0; a zero y0 is its own x0, with r0 = 1."""
-    top = float(np.abs(y0).max())
+def _scale_free_start(y0, head):
+    """(x0, w0, ln r0, 0) with |x0| = 1 and y0[:head] = r0 x0, by a norm that
+    does not overflow, and r0; w0 = y0[head:] is the tail of weight 0
+    (:func:`_scale_free`).  A zero head is its own x0, with r0 = 1."""
+    y, tail = y0[:head], y0[head:]
+    top = float(np.abs(y).max())
     if top == 0.0:
-        return np.concatenate([y0, (0.0, 0.0)]), 1.0
-    x = y0 / top
+        return np.concatenate([y, tail, (0.0, 0.0)]), 1.0
+    x = y / top
     norm = math.sqrt(x @ x)
-    return np.concatenate([x / norm, (math.log(top) + math.log(norm), 0.0)]), top * norm
+    return np.concatenate([x / norm, tail, (math.log(top) + math.log(norm), 0.0)]), top * norm
 
 
 # the step of rk4 when IntegratorOptions.h0 is None
 _RK4_STEP = 1e-3
 
 
-def _steps(rhs, y0, opts, cubic):
+def _steps(rhs, y0, opts, cubic, tail):
     if opts.method == "rk4":
         f = rhs
         if cubic and opts.normalize != "none":
@@ -582,24 +601,28 @@ def _steps(rhs, y0, opts, cubic):
         return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
                           opts.atol, opts.rtol, opts.max_steps)
     fixed_norm = opts.normalize != "none"
-    z0, r0 = _scale_free_start(y0)
+    head = y0.size - tail
+    z0, r0 = _scale_free_start(y0, head)
     # under a fixed norm |y| = r0 throughout, and atol, a tolerance on y, is
     # atol / r0 on x; otherwise atol applies to x, relative to |y|
     atol = opts.atol / r0 if fixed_norm else opts.atol
-    steps = rk45_steps(_scale_free(rhs, fixed_norm), z0, 0.0, opts.t_end, opts.h0,
-                       opts.hmin, opts.hmax, atol, opts.rtol, opts.max_steps, scale_free=True)
-    return _in_time(steps, y0)
+    steps = rk45_steps(_scale_free(rhs, fixed_norm, head), z0, 0.0,
+                       opts.t_end, opts.h0, opts.hmin, opts.hmax, atol, opts.rtol,
+                       opts.max_steps, scale_free=True)
+    return _in_time(steps, y0, head)
 
 
-def _in_time(steps, y0):
-    """The scale-free steps as (t, y = r x), starting at (0, y0) itself."""
+def _in_time(steps, y0, head):
+    """The scale-free steps as (t, y = (r x, w)), starting at (0, y0) itself."""
     next(steps)
     yield 0.0, y0
     for _, z in steps:
-        yield float(z[-1]), math.exp(z[-2]) * z[:-2]
+        y = z[:-2].copy()
+        y[:head] *= math.exp(z[-2])
+        yield float(z[-1]), y
 
 
-def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
+def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0) -> Trajectory:
     """Integrate y' = rhs(t, y) from t = 0 to opts.t_end.
 
     cubic says that rhs is a homogeneous cubic in y, free of t, as the
@@ -607,7 +630,10 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
     :func:`_scale_free`, whose h0, hmin and hmax bound steps in its time
     tau, and opts.normalize = unit-bracket-norm keeps |y| at |y0|: in
     scale-free form by freezing r, with rk4 by taking y' less its component
-    along y.
+    along y.  With tail, the last tail components of y have weight 0, as
+    the direct flow's h: their rate is quadratic in the head y[:-tail], the
+    scale-free form takes it as their tau-rate, and rk4 steps all of y in
+    t.
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
     the last state reached.  Returns a Trajectory whose status is one of
@@ -617,9 +643,9 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
     - non-finite: the state turned to NaN or overflowed (norm_of(y) is NaN
       or infinite), or rhs or make_sample raised a NonFiniteState; the last
       finite state is sampled;
-    - positivity-lost: a PositivityError (the 3-form of the direct flow
-      stopped being definite) came from make_sample, from rhs with rk4, or
-      from an rk45 stage at the smallest step, opts.hmin;
+    - positivity-lost: a PositivityError (a 3-form that is not, or no
+      longer in floats, definite) came from norm_of or make_sample, from
+      rhs with rk4, or from an rk45 stage at the smallest step, opts.hmin;
     - singular-frame: any other SingularSystem came from make_sample or
       rhs, as from the G2Structure of an ill-conditioned 3-form, whose
       adapted frame misses phi_canonical by more than its bound;
@@ -631,7 +657,7 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False) -> Trajectory:
     last = None
     sampled_last = False
     try:
-        for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic)):
+        for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic, tail)):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN ends the run
                 norm = norm_of(y)
             if not math.isfinite(norm):

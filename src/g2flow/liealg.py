@@ -27,9 +27,10 @@ JACOBI_TOL = 1e-9
 
 
 def pow2_above(a) -> float:
-    """The power of two above max|a|, 1 for a zero a: a / pow2_above(a) is
-    exact, and no square of its entries overflows."""
-    return math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1])
+    """The power of two above max|a|, 1 for a zero a, and 2^1023, the largest,
+    from max|a| = 2^1023 up: a / pow2_above(a) is exact, and no square of its
+    entries overflows."""
+    return math.ldexp(1.0, min(math.frexp(float(np.abs(a).max()))[1], 1023))
 
 
 def scaled_norm(a) -> float:

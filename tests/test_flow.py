@@ -616,6 +616,119 @@ def test_laplacian_flow_soliton_exact_solution(s_nilpotent):
     assert worst < 1e-6
 
 
+def test_laplacian_flow_soliton_is_within_1e_12_of_its_closed_form(s_nilpotent):
+    # by the bracket route x stays on its fixed point and h = exp(-tau Q_x)
+    # up to a scalar: every state to t = 1 is within 1e-12 of the closed
+    # form (1.2e-13 off; stepping the coefficients in t was 8.1e-11 off)
+    mu = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
+    phi = phi_nilpotent_example()
+    cert = detect_algebraic(mu, s_nilpotent)
+    c, D = cert.c, cert.D
+    traj = laplacian_flow(phi, mu, IntegratorOptions(t_end=1.0, sample_every=1))
+    assert traj.status == "completed" and traj.final.t == 1.0
+    for smp in traj.samples:
+        base = 1.0 - 2.0 * c * smp.t
+        exact = base ** 1.5 * (pullback_matrix(expm(math.log(base) / (2 * c) * D), 3) @ phi.coeffs)
+        assert np.abs(smp.phi.coeffs - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pair", ["nil1234", "almost-abelian-gl7"])
+def test_the_direct_flow_is_the_flow_of_its_velocity(pair):
+    # the oracle steps dphi/dt = Delta_phi phi on the 35 coefficients
+    # through _direct_velocity and samples its form by a G2Structure; the
+    # bracket route's final phi and its sample, read on (mu(t), phi0), agree
+    # with it at 1e-12 to 4e-12 (1e-10 asserted)
+    if pair == "nil1234":
+        mu, phi = mu_nilpotent(1, 2, 3, 4), phi_nilpotent_example()
+    else:
+        h = random_gl7(np.random.default_rng(3))
+        mu = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)).act(h)
+        phi = act(h, aa.phi_almost_abelian())
+    velocity = flow._direct_velocity(mu)
+    *_, (t, a) = rk45_steps(lambda t, a: velocity(a), phi.coeffs, 0.0, 0.5, None, 1e-12,
+                            math.inf, 1e-12, 1e-12)
+    want = _flow_sample(t, mu, G2Structure(KForm(3, a)))
+    got = laplacian_flow(phi, mu, IntegratorOptions(t_end=0.5, atol=1e-12, rtol=1e-12)).final
+    assert got.t == want.t == 0.5 and got.norm_mu == want.norm_mu
+    assert np.abs(got.phi.coeffs - a).max() <= 1e-10 * np.abs(a).max()
+    assert np.abs(got.Q - want.Q).max() <= 1e-10 * np.abs(want.Q).max()
+    for name in ("R", "torsion_norm", "velocity_norm"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-10 * abs(getattr(want, name))
+
+
+def test_laplacian_flow_to_t10_in_at_most_300_evaluations(monkeypatch):
+    # nil1234 to t = 10: stepping the 35 coefficients in t took 71,861
+    # evaluations, as the rounding of an ill-conditioned velocity (cond G =
+    # 1.4e12 at t = 10) set the step; the bracket flow and h in scale-free
+    # time take 209, and end within 1e-8 of a 1e-13 run
+    calls = _counting(monkeypatch)
+    mu, phi = mu_nilpotent(1, 2, 3, 4), phi_nilpotent_example()
+    traj = laplacian_flow(phi, mu, IntegratorOptions(t_end=10.0))
+    assert traj.status == "completed" and traj.final.t == 10.0
+    assert len(calls) <= 300
+    ref = laplacian_flow(phi, mu, IntegratorOptions(t_end=10.0, atol=1e-13, rtol=1e-13)).final
+    want = ref.phi.coeffs
+    assert np.abs(traj.final.phi.coeffs - want).max() <= 1e-8 * np.abs(want).max()
+    assert np.abs(traj.final.Q - ref.Q).max() <= 1e-8 * np.abs(ref.Q).max()
+
+
+def test_direct_flow_obeys_the_scaling_law(s_aa, rng):
+    # the direct flow of (phi0, 2^k mu) at t / 4^k is that of (phi0, mu) at
+    # t: rk45 takes t_end to [1/2, 2) by a power of two and mu with it, so
+    # both runs take the same steps, bit for bit, and their samples scale
+    # exactly: t by 4^-k, Q and R by 4^k, |tau| by 2^k, and phi is the same
+    mu = aa.bracket_of(random_sl3c(rng, 1.0))
+    base = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=0.75, sample_every=2))
+    assert base.status == "completed" and len(base.samples) >= 3
+    for k in range(-20, 21):
+        s = 2.0 ** k
+        run = laplacian_flow(s_aa.phi, mu.scale(s), IntegratorOptions(t_end=0.75 / s ** 2,
+                                                                      sample_every=2))
+        assert run.status == "completed" and len(run.samples) == len(base.samples)
+        for a, b in zip(run.samples, base.samples):
+            assert a.t == b.t / s ** 2 and np.array_equal(a.phi.coeffs, b.phi.coeffs)
+            assert np.array_equal(a.Q, s ** 2 * b.Q) and a.R == s ** 2 * b.R
+            assert a.torsion_norm == s * b.torsion_norm
+            assert a.velocity_norm == s ** 2 * b.velocity_norm
+
+
+def test_a_t_end_that_does_not_scale_runs_the_direct_flow_as_given(s_nilpotent):
+    # an infinite t_end, or one whose product with 4^k overflows (a bracket
+    # above 2^400 to t = 1e250), is not taken to [1/2, 2): the run ends as
+    # the bracket flow's does, and the overflowing one where the unscaled
+    # flow ends, positivity-lost at t = 35, times 4^-420
+    mu = mu_nilpotent(1, 2, 3, 4)
+    for t_end in (math.inf, -math.inf):
+        opts = IntegratorOptions(t_end=t_end)
+        got, want = laplacian_flow(s_nilpotent.phi, mu, opts), bracket_flow(mu, s_nilpotent, opts)
+        assert got.status == want.status and got.final.t == want.final.t
+    base = laplacian_flow(s_nilpotent.phi, mu, IntegratorOptions(t_end=100.0)).final
+    traj = laplacian_flow(s_nilpotent.phi, mu.scale(2.0 ** 420), IntegratorOptions(t_end=1e250))
+    assert traj.status == "positivity-lost"
+    assert traj.final.t == pytest.approx(base.t / 4.0 ** 420, rel=1e-6)
+
+
+def test_an_overflowing_q_h_raises_non_finite_state(monkeypatch):
+    # the direct flow's right side takes Q_x h under np.errstate: an h that
+    # overflows it raises NonFiniteState, with no warning, which rk45 takes
+    # as a rejected stage and drive as the status non-finite
+    seen = {}
+
+    def capture(rhs, y0, *args, **kwargs):
+        seen.update(rhs=rhs, y0=y0)
+        return integrate.Trajectory([], "completed")
+
+    monkeypatch.setattr(flow, "drive", capture)
+    laplacian_flow(phi_nilpotent_example(), mu_nilpotent(1, 2, 3, 4))
+    y = seen["y0"].copy()
+    assert np.isfinite(seen["rhs"](0.0, y)).all()
+    y[-49:] *= 1e308  # h = 1e308 I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="non-finite Q h"):
+            seen["rhs"](0.0, y)
+
+
 def test_laplacian_flow_refuses_a_degenerate_form_before_a_step(monkeypatch):
     from g2flow import flow
 
@@ -634,12 +747,19 @@ def test_samples_carry_the_fixed_half_of_the_pair(s_aa, rng):
     assert all(smp.phi is s_aa.phi for smp in bracket_flow(mu, s_aa, opts).samples)
 
 
-def test_laplacian_flow_positivity_loss_is_reported(s_nilpotent):
-    # backward in time the soliton scales to a degenerate form
+def test_laplacian_flow_positivity_loss_is_reported(s_nilpotent, monkeypatch):
+    # backward in time the soliton scales to a degenerate form at t = -0.3:
+    # h(t) = exp(-s D) up to a scalar, and once cond(h) passes
+    # 1 / sqrt(eps) (the metric of phi_nilpotent_example is the identity)
+    # phi(t) is no longer definite in floats.  The run ends there, in 194
+    # evaluations, not at a step underflow or the step budget
     mu = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
+    calls = _counting(monkeypatch)
     traj = laplacian_flow(phi_nilpotent_example(), mu,
                           IntegratorOptions(t_end=-0.31, sample_every=20))
-    assert traj.status in ("positivity-lost", "step-underflow")
+    assert traj.status == "positivity-lost"
+    assert -0.31 < traj.final.t < -0.29
+    assert len(calls) <= 250
 
 
 def test_trajectory_samples_satisfy_q_equation(s_nilpotent):
@@ -729,8 +849,9 @@ def test_reconstruct_refuses_a_direct_flow_trajectory(s_aa, rng):
 def test_stages_and_samples_take_no_stacked_determinants(monkeypatch):
     # the metric comes from one Cholesky factor of B, the stars and the
     # pullbacks from closed-form minors: no stage or sample of any flow
-    # calls np.linalg.det or np.linalg.slogdet, and a direct-flow stage
-    # takes one Cholesky factor and one inverse, of its gram
+    # calls np.linalg.det or np.linalg.slogdet, and a stage of the direct
+    # velocity (side "ii") takes one Cholesky factor and one inverse, of
+    # its gram
     calls = []
 
     def counted(name):
@@ -746,8 +867,9 @@ def test_stages_and_samples_take_no_stacked_determinants(monkeypatch):
     mu0 = mu_nilpotent(1.0, 0.5, -0.3, 0.7)
     phi = act(np.eye(DIM) + 0.1 * np.tri(DIM), phi_canonical())
     one_step = IntegratorOptions(method="rk4", h0=0.01, t_end=0.01)
-    # one rk4 step: four right-side evaluations, each sample a G2Structure
-    # with its star, frame and torsion tables
+    # one rk4 step: four right-side evaluations, each sample of the
+    # bracket flow and of side "i" a G2Structure with its star, frame and
+    # torsion tables
     laplacian_flow(phi, mu0, one_step)
     s = G2Structure(phi)
     traj = bracket_flow(mu0, s, one_step)
@@ -961,9 +1083,10 @@ def test_samples_and_detectors_solve_no_q_and_no_torsion(s_aa, rng, monkeypatch)
     # frame: once the canonical velocity is built, a bracket-flow run builds
     # the three stars of its velocity (H3 for psi, H4 and H5) and takes no
     # Q solve, torsion forms, metric norm or Laplacian, both detectors take
-    # none of these, and a direct-flow run, whose right side applies the
-    # stars to vectors, builds no star and calls no Laplacian either.  Stars
-    # are counted wherever a module looks hodge_matrix up
+    # none of these, and a direct-flow run, which integrates the bracket
+    # flow of its pair, builds one structure, of phi0, and its three stars,
+    # and no more: no sample builds a structure.  Stars are counted
+    # wherever a module looks hodge_matrix up
     flow._canonical_velocity()
     calls = []
 
@@ -983,6 +1106,7 @@ def test_samples_and_detectors_solve_no_q_and_no_torsion(s_aa, rng, monkeypatch)
     monkeypatch.setattr(exterior.Metric, "form_norm",
                         counted("form_norm", exterior.Metric.form_norm))
     monkeypatch.setattr(flow, "laplacian", counted("laplacian", flow.laplacian))
+    monkeypatch.setattr(flow, "G2Structure", counted("G2Structure", G2Structure))
     for module in (exterior, flow, g2core):
         monkeypatch.setattr(module, "hodge_matrix", star)
     mu = aa.bracket_of(random_sl3c(rng, 0.8))
@@ -993,8 +1117,9 @@ def test_samples_and_detectors_solve_no_q_and_no_torsion(s_aa, rng, monkeypatch)
     assert detect_algebraic(mu, s_aa).kind != "torsion-free"
     assert detect_semialgebraic(mu, s_aa).kind != "torsion-free"
     assert calls == []
-    assert laplacian_flow(s_aa.phi, mu, opts).status == "completed"
-    assert calls == []
+    every_step = IntegratorOptions(method="rk4", h0=1e-2, t_end=0.05, sample_every=1)
+    assert len(laplacian_flow(s_aa.phi, mu, every_step).samples) == 6
+    assert sorted(calls) == ["G2Structure", "H3", "H4", "H5"]
 
 
 _sym_embed_49x28 = None

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import mpmath
@@ -10,13 +11,13 @@ from g2flow import almostabelian as aa
 from g2flow import exterior, g2core
 from g2flow.corpus import mu_nilpotent, phi_nilpotent_example
 from g2flow.errors import (BadMetric, G2FlowError, InconsistentTorsion, NonFiniteState,
-                           PositivityError, SingularSystem)
+                           PositivityError, SingularSystem, StepBudgetExhausted)
 from g2flow.exterior import (KForm, _interior_table, _star_table, _theta_tensor, act,
                              form_from_skew, hodge_star, interior, phi_canonical, pullback,
                              pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
-from g2flow.flow import laplacian_flow
+from g2flow.flow import _direct_velocity
 from g2flow.g2core import G2Structure, _sym0_basis, induced_bilinear, metric_from_3form
-from g2flow.integrate import IntegratorOptions
+from g2flow.integrate import rk45_steps
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
 from conftest import hodge_laplacian, random_gl7, random_kform, random_positive_form, random_sl3c
@@ -587,14 +588,21 @@ def test_the_frame_bound_is_1e_9_on_a_well_conditioned_form(monkeypatch):
 
 @pytest.mark.parametrize("scale", [10.0, 1e4])
 def test_the_frame_bound_grows_with_the_rounding_of_the_pullback(scale):
-    # the direct flow of a scaled nil1234 samples forms whose adapted frame
-    # has |F| about 40: pullback3 rounds by about eps |F|^3 |phi| = 4e-7,
-    # and the frame misses phi_canonical by 3e-9 to 8e-9, above 1e-9
-    # |phi_canonical|.  The run ends at its step budget, not in a
-    # SingularSystem from a sample
-    traj = laplacian_flow(phi_nilpotent_example(), mu_nilpotent(1, 2, 3, 4).scale(scale),
-                          IntegratorOptions(t_end=0.1, sample_every=1, max_steps=150))
-    assert traj.status == "step-budget-exhausted" and len(traj.samples) == 151
+    # the direct flow of a scaled nil1234, stepped in t on its 35
+    # coefficients with the direct velocity, reaches forms whose adapted
+    # frame has |F| up to 81: pullback3 rounds by up to eps |F|^3 |phi| =
+    # 3e-5, and more than 100 of the 151 frames miss phi_canonical by 3e-9
+    # to 3e-7, above 1e-9 |phi_canonical|.  Each state builds a structure
+    velocity = _direct_velocity(mu_nilpotent(1, 2, 3, 4).scale(scale))
+    steps = rk45_steps(lambda t, a: velocity(a), phi_nilpotent_example().coeffs, 0.0, 0.1,
+                       None, 1e-12, math.inf, 1e-9, 1e-9, max_steps=150)
+    states = []
+    with pytest.raises(StepBudgetExhausted):
+        for _, a in steps:
+            states.append(a)
+    assert len(states) == 151
+    for a in states:
+        G2Structure(KForm(3, a))
 
 
 def test_no_svd_per_structure(rng, monkeypatch):
