@@ -285,9 +285,9 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     so the flow of (phi0, 2^k mu) at t / 4^k is that of (phi0, mu) at t,
     bit for bit.  The normalization is needed, not only exact: rk45's
     clock lands within _CLOCK_TOL max(1, |t1|) of t1, an absolute bound
-    below |t1| = 1, so a t_end under 1e-12 would end after one step.  An
-    infinite t_end, or one whose product with p^2 overflows, keeps p = 1
-    and runs as the bracket flow does.  h maps (mu, phi(t)) isometrically
+    below |t1| = 1, so a t_end under 1e-12 would end after one step.  A
+    t_end whose product with p^2 overflows keeps p = 1 and runs as the
+    bracket flow does.  h maps (mu, phi(t)) isometrically
     onto (mu(t), phi0), so a sample is the :func:`_flow_sample` of
     (mu(t), phi0), with Q as h^-1 Q h, phi = h^* phi0 and the fixed mu: no
     sample builds a G2Structure.  blowup_norm bounds |phi(t)| at each
@@ -393,6 +393,11 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     phi_direct(t) = h(t)^{-1} . phi and mu(t) = h(t) . mu0 along samples.
     The maps link the unnormalized flows only, so a trajectory of the
     norm-normalized bracket flow is refused.
+
+    rk45 steps in the bracket flow's scale-free time (:func:`integrate.drive`):
+    phi_direct's rate does not depend on mu(t), so it is a clocked tail, and
+    so is h on side "i"; on side "ii" h is a tail of weight 0, as in
+    :func:`laplacian_flow`.  rk4 steps all of it in t.
     """
     if side not in ("i", "ii"):
         raise ValueError("side must be 'i' or 'ii'")
@@ -425,7 +430,9 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
                        float(np.sqrt(np.sum(mu_res ** 2))))
 
     y0 = np.concatenate([mu0.packed().reshape(-1), np.eye(DIM).reshape(-1), phi_c])
-    run = drive(rhs, y0, opts, make_sample, _bracket_norm)
+    tail = DIM * DIM if side == "ii" else 0
+    run = drive(rhs, y0, opts, make_sample, _bracket_norm, cubic=True, tail=tail,
+                clocked=y0.size - NCONST - tail)
     return HReconstruction(run.samples, run.status, side)
 
 

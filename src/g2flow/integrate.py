@@ -20,12 +20,15 @@ class IntegratorOptions:
     """Knobs for the ODE integrators."""
 
     method: str = "rk45"  # rk45 (adaptive) or rk4 (fixed step)
-    h0: float | None = None  # None: rk45 picks it (_first_step), rk4 takes 1e-3
+    # None: rk45 picks it (_first_step: from a stationary scale-free start
+    # the clock's reach, else the step its eighth-order pair needs), rk4
+    # takes 1e-3
+    h0: float | None = None
     hmin: float = 1e-12
     hmax: float = math.inf
     atol: float = 1e-9
     rtol: float = 1e-9
-    t_end: float = 10.0
+    t_end: float = 10.0  # finite
     normalize: str = "none"  # none | unit-bracket-norm
     sample_every: int = 10
     blowup_norm: float = 1e8
@@ -37,6 +40,8 @@ class IntegratorOptions:
             raise ValueError("need hmin <= h0 <= hmax")
         if self.atol <= 0 or self.rtol <= 0:
             raise ValueError("tolerances must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.normalize not in ("none", "unit-bracket-norm"):
@@ -226,8 +231,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     estimate, and is rejected like one whose estimate is NaN.
 
     With scale_free, y is the state (x, w, ln r, t) of :func:`_scale_free`,
-    w a tail of weight 0 that may be empty: the steps are in its time tau,
-    and the run ends when its clock t = y[-1], not tau, reaches t1.  The
+    w its tails, which may be empty: the steps are in its time tau, and the
+    run ends when its clock t = y[-1], not tau, reaches t1.  The
     clock's rate dt/dtau = exp(-2 ln r) is split in two
     (:func:`_clock_exponent`): a model eL exp(mu s), eL and
     mu = -2a from K[0], whose integral over the step is exact, and the
@@ -238,15 +243,18 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     atol dt/dtau + rtol |t|, so no tolerance depends on the scale of y.  A
     step is capped a little past where the clock would reach t1 were
     a = K[0][-2] constant (:func:`_clock_reach`); a run whose x starts
-    stationary, as along an algebraic soliton, starts with that reach
-    (:func:`_first_step`).  The last state is that
+    stationary, as along an algebraic soliton, starts with that reach, and
+    any other with the step its pair needs (:func:`_first_step`).  Each
+    accepted step caps the next at |h lambda| <= _STABLE_HLAMB, the edge of
+    the pair's stability region, lambda as :func:`_stiffness` estimates it
+    at the step's end.  The last state is that
     of the step that passes t1, taken where its clock is t1 on the
     seventh-order continuous extension (:func:`_extension`, three more
     evaluations; the clock's by its model and residual, :func:`_crossing`),
-    with the clock set to t1.  Outside the pair's stability region
-    (:func:`_stiffness`), where the extension amplifies rounding, that step
-    is taken again once instead, to where the model's clock reaches t1.  An
-    evaluation of the extension that raises ends the run with that error.
+    with the clock set to t1.  Outside the pair's stability region, where
+    the extension amplifies rounding, that step is taken again once
+    instead, to where the model's clock reaches t1.  An evaluation of the
+    extension that raises ends the run with that error.
 
     Raises StepUnderflow when no step of size >= hmin meets the tolerance
     (the PositivityError of its stage when that is why), and
@@ -273,7 +281,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
         failure = None
         try:
             for i, c, a in _DOP_STAGES:
-                K[i] = f(t + c * hh, y + hh * (a @ K[:i]))
+                y12 = y + hh * (a @ K[:i])  # after the loop, stage 12's input
+                K[i] = f(t + c * hh, y12)
             # an increment or estimate that overflows rejects the step,
             # without a warning
             with np.errstate(over="ignore", invalid="ignore"):
@@ -294,7 +303,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
         if err <= 1.0:
             past = (yi[-1] - t1) * direction if scale_free else -math.inf
             close = _CLOCK_TOL * max(1.0, abs(t1))
-            if past > close and not retaken and _stiffness(y, yi, K, hh) > _STABLE_HLAMB:
+            stiff = _stiffness(y12, yi, K, hh) if scale_free else 0.0
+            if past > close and not retaken and stiff > _STABLE_HLAMB:
                 # outside the pair's stability region the extension amplifies
                 # rounding: step to where the model's clock reaches t1 instead
                 retaken = True
@@ -313,7 +323,10 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
             end = y[-1] if scale_free else t
             K[0] = K[12]
             yield t, y
-            h = min(hmax, h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)))
+            h_next = h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125))
+            if stiff > 0.0:  # keep the next step inside the stability region
+                h_next = min(h_next, _STABLE_HLAMB * h / stiff)
+            h = min(hmax, h_next)
         else:
             if h <= hmin * (1 + 1e-12):
                 if isinstance(failure, PositivityError):
@@ -322,19 +335,18 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
             h = max(hmin, h * max(0.2, 0.9 * err ** -0.125))
 
 
-def _stiffness(y, yi, K, hh):
-    """|hh lambda| along the end of an accepted scale-free step hh from y to
-    yi, as dop853 estimates it (Hairer and Wanner, Solving Ordinary
-    Differential Equations II, IV.2) from its two stages at the step's end:
+def _stiffness(y12, yi, K, hh):
+    """|hh lambda| along the end of an accepted scale-free step hh to yi, as
+    dop853 estimates it (Hairer and Wanner, Solving Ordinary Differential
+    Equations II, IV.2) from its two stages at the step's end:
     |hh| |K[12] - K[11]| / |yi - y12|, y12 the input of stage 12, on
-    y[:-2], x and the tail w, and not on ln r and the clock (whose
-    exponential is integrated exactly).  The tail is read as x is: along
+    y[:-2], x and the tails, and not on ln r and the clock (whose
+    exponential is integrated exactly).  The tails are read as x is: along
     the direct flow of an algebraic soliton x moves only by rounding while
     h = exp(-tau Q_x) does not, and h's lambda is what the step must keep
     stable.  0 where yi and y12 agree to the rounding of y[:-2], which then
     tells nothing of lambda and leaves nothing to amplify."""
-    y12 = y[:-2] + hh * (_DOP_A[11, :11] @ K[:11, :-2])
-    den = float(np.linalg.norm(yi[:-2] - y12))
+    den = float(np.linalg.norm(yi[:-2] - y12[:-2]))
     if den <= np.finfo(float).eps * float(np.linalg.norm(yi[:-2])):
         return 0.0
     return abs(hh) * float(np.linalg.norm(K[12, :-2] - K[11, :-2])) / den
@@ -458,16 +470,22 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, reach):
 
     reach is None for a run in t.  Otherwise y is a scale-free state
     (x, w, ln r, t), whose clock reaches t1 after the tau step reach
-    (:func:`_clock_reach`), and d0 is taken on y[:-2], x and the tail w:
+    (:func:`_clock_reach`), and d0 is taken on y[:-2], x and the tails w:
     ln r, whose scale is atol, would make the step depend on the scale of
     the state.  And when the rates of y[:-2] alone are below 1e-5 in that
     norm, the start is stationary, as along an algebraic soliton, where
     ln r is linear in tau and the clock is exact: the step is the reach in
     [hmin, hmax], with no trial stage, unless the reach is unbounded.  The
-    test reads the tail with x, as the pair integrates both: along the
+    test reads the tails with x, as the pair integrates both: along the
     direct flow of an algebraic soliton x stays put but h = exp(-tau Q_x)
     does not, so the rule sizes its first step for h, and the pair's
-    estimate on h judges it.  A
+    estimate on h judges it.  Any other scale-free start takes the step
+    its pair needs: h1 = (9! / max(d1, d2))^(1/9), where the eighth-order
+    step's Taylor remainder h^9 |y^(9)| / 9!, |y^(9)| taken as max(d1, d2),
+    meets the tolerance, and no further than |h1 lambda| = _STABLE_HLAMB,
+    lambda ~ d2 / d1, inside the pair's stability region.  dop853's h1 is
+    about a tenth of that at atol = rtol = 1e-9, and the controller's
+    largest growth, 10, then took the second step to it.  A
     trial stage that raises NonFiniteState or PositivityError, or whose d2
     is not finite, is tried again at a tenth of h', at most _FIRST_TRIALS
     times in all; when the last one fails too, the step is a tenth of its
@@ -495,8 +513,19 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, reach):
     if not (math.isfinite(d1) and math.isfinite(d2)):
         return h
     top = max(d1, d2)
-    h1 = (0.01 / top) ** 0.125 if top > 1e-15 else max(1e-6, 1e-3 * h)
+    if top <= 1e-15:
+        h1 = max(1e-6, 1e-3 * h)
+    elif scale_free:
+        h1 = (_FACT9 / top) ** (1.0 / 9.0)
+        if d2 > _STABLE_HLAMB * d1 * h1:  # |h1 lambda| <= _STABLE_HLAMB, lambda ~ d2 / d1
+            h1 = _STABLE_HLAMB * d1 / d2
+    else:
+        h1 = (0.01 / top) ** 0.125
     return min(max(min(100.0 * h, h1), hmin), hmax)
+
+
+# 9!, of the eighth-order step's Taylor remainder h^9 y^(9) / 9!
+_FACT9 = float(math.factorial(9))
 
 
 # trial evaluations of _first_step, at most
@@ -531,7 +560,7 @@ def _along(v, x):
     return np.dot(v, x) / max(np.dot(x, x), 1e-300)
 
 
-def _scale_free(rhs, fixed_norm, head):
+def _scale_free(rhs, fixed_norm, head, clocked):
     """The scale-free form of y' = rhs(t, y), rhs a homogeneous cubic free
     of t.  With y = r x and dtau = r^2 dt, on z = (x, ln r, t):
 
@@ -542,13 +571,16 @@ def _scale_free(rhs, fixed_norm, head):
     freezes ln r, which is the unit-bracket-norm flow with tau = r0^2 t.
 
     x is z[:head].  Where head < z.size - 2, y = (y[:head], w) carries a
-    tail w of weight 0, which the scaling y[:head] -> s y[:head],
-    t -> t / s^2 leaves alone (the maps h of the direct flow), and rhs's
-    rate of w is quadratic in y[:head], so that rhs at (x, w) gives the
-    tail's tau-rate itself.  Then z = (x, w, ln r, t), a is taken over the
-    head alone, and dw/dtau is rhs's tail unscaled.  Without a tail, x is
-    z[:-2] and the right side is v - a x over all of it.  The right side
-    keeps rhs's name, so a profile charges it to the flow."""
+    tail w that the scaling y[:head] -> s y[:head], t -> t / s^2 leaves
+    alone (the maps h of the direct flow), of two kinds.  A tail of weight 0
+    has a rate quadratic in y[:head], so that rhs at (x, w) gives its
+    tau-rate itself.  The last clocked components of w, a clocked tail,
+    have a rate that does not depend on the head (the direct flow of a
+    fixed bracket, which reconstruct_h steps), so their tau-rate is rhs's
+    times dt/dtau.  Then z = (x, w, ln r, t), and a is taken over the head
+    alone.  Without a tail, x is z[:-2] and the right side is v - a x over
+    all of it.  The right side keeps rhs's name, so a profile charges it to
+    the flow."""
     @functools.wraps(rhs)
     def tau_rhs(tau, z):
         x = z[:head]
@@ -559,6 +591,9 @@ def _scale_free(rhs, fixed_norm, head):
         dz[:head] -= a * x
         dz[-2] = 0.0 if fixed_norm else a
         dz[-1] = math.exp(min(-2.0 * z[-2], _LOG_RATE_MAX))
+        if clocked:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow rejects the step
+                dz[-2 - clocked:-2] *= dz[-1]
         return dz
     return tau_rhs
 
@@ -572,7 +607,7 @@ _RATE_MAX = math.exp(_LOG_RATE_MAX)
 
 def _scale_free_start(y0, head):
     """(x0, w0, ln r0, 0) with |x0| = 1 and y0[:head] = r0 x0, by a norm that
-    does not overflow, and r0; w0 = y0[head:] is the tail of weight 0
+    does not overflow, and r0; w0 = y0[head:] is the tail
     (:func:`_scale_free`).  A zero head is its own x0, with r0 = 1."""
     y, tail = y0[:head], y0[head:]
     top = float(np.abs(y).max())
@@ -587,7 +622,7 @@ def _scale_free_start(y0, head):
 _RK4_STEP = 1e-3
 
 
-def _steps(rhs, y0, opts, cubic, tail):
+def _steps(rhs, y0, opts, cubic, tail, clocked):
     if opts.method == "rk4":
         f = rhs
         if cubic and opts.normalize != "none":
@@ -601,12 +636,12 @@ def _steps(rhs, y0, opts, cubic, tail):
         return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
                           opts.atol, opts.rtol, opts.max_steps)
     fixed_norm = opts.normalize != "none"
-    head = y0.size - tail
+    head = y0.size - tail - clocked
     z0, r0 = _scale_free_start(y0, head)
     # under a fixed norm |y| = r0 throughout, and atol, a tolerance on y, is
     # atol / r0 on x; otherwise atol applies to x, relative to |y|
     atol = opts.atol / r0 if fixed_norm else opts.atol
-    steps = rk45_steps(_scale_free(rhs, fixed_norm, head), z0, 0.0,
+    steps = rk45_steps(_scale_free(rhs, fixed_norm, head, clocked), z0, 0.0,
                        opts.t_end, opts.h0, opts.hmin, opts.hmax, atol, opts.rtol,
                        opts.max_steps, scale_free=True)
     return _in_time(steps, y0, head)
@@ -622,7 +657,8 @@ def _in_time(steps, y0, head):
         yield float(z[-1]), y
 
 
-def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0) -> Trajectory:
+def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0,
+          clocked=0) -> Trajectory:
     """Integrate y' = rhs(t, y) from t = 0 to opts.t_end.
 
     cubic says that rhs is a homogeneous cubic in y, free of t, as the
@@ -630,10 +666,13 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0) -> Trajector
     :func:`_scale_free`, whose h0, hmin and hmax bound steps in its time
     tau, and opts.normalize = unit-bracket-norm keeps |y| at |y0|: in
     scale-free form by freezing r, with rk4 by taking y' less its component
-    along y.  With tail, the last tail components of y have weight 0, as
-    the direct flow's h: their rate is quadratic in the head y[:-tail], the
-    scale-free form takes it as their tau-rate, and rk4 steps all of y in
-    t.
+    along y.  y may end in a tail that the scaling of the head leaves
+    alone: tail components of weight 0, as the direct flow's h, whose rate
+    is quadratic in the head, and then clocked components, whose rate does
+    not depend on the head, as the direct flow of a fixed bracket that
+    reconstruct_h steps.  The scale-free form takes the first's rate as
+    their tau-rate and the second's times dt/dtau (:func:`_scale_free`);
+    rk4 steps all of y in t.
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
     the last state reached.  Returns a Trajectory whose status is one of
@@ -657,7 +696,7 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0) -> Trajector
     last = None
     sampled_last = False
     try:
-        for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic, tail)):
+        for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic, tail, clocked)):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN ends the run
                 norm = norm_of(y)
             if not math.isfinite(norm):

@@ -358,7 +358,9 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     # soliton and n2 are solitons, whose steps the clock then limited.
     # Before a stationary start began at the clock's reach, n2 took 41 from
     # the default step: a first step of 0.05 at an error of 1e-9 and one of
-    # 0.5 before the one that lands, set by the rates of ln r and of the clock
+    # 0.5 before the one that lands, set by the rates of ln r and of the clock.
+    # Before the default step was the eighth-order step's (about 0.5, not
+    # 0.05), the rotating soliton and nil1234 took 77 and 149 from it
     calls = _counting(monkeypatch)
     counts = {}
     for h0 in (1e-3, None):
@@ -374,7 +376,43 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
                             IntegratorOptions(h0=h0, t_end=10.0))
         assert traj.status == "completed"
         counts[h0].append(len(calls))
-    assert counts == {1e-3: [100, 64, 172], None: [77, 13, 149]}
+    assert counts == {1e-3: [100, 64, 172], None: [65, 13, 137]}
+
+
+def _accepted_times(monkeypatch):
+    """A list that records the time of every state that rk45 yields: tau,
+    in a scale-free run."""
+    times = []
+
+    def recording(*args, **kwargs):
+        for t, y in rk45_steps(*args, **kwargs):
+            times.append(t)
+            yield t, y
+
+    monkeypatch.setattr(integrate, "rk45_steps", recording)
+    return times
+
+
+def test_a_scale_free_run_starts_at_the_step_its_pair_needs(s_nilpotent, monkeypatch):
+    # the first step is the one at which the eighth-order step's Taylor
+    # remainder meets the tolerance, within the stability region.  The
+    # starting step of dop853's rule was a tenth of the second, which the
+    # controller's largest growth, 10, then took: about 0.05 against 0.5
+    taus = _accepted_times(monkeypatch)
+    h = random_gl7(np.random.default_rng(3))
+    mu = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)).act(h)
+    phi = act(h, aa.phi_almost_abelian())
+    runs = [
+        lambda: aa.matrix_bracket_flow(random_sl3c(np.random.default_rng(1), 1.0),
+                                       IntegratorOptions(t_end=50.0)),
+        lambda: bracket_flow(mu_nilpotent(1, 2, 3, 4), s_nilpotent, IntegratorOptions(t_end=10.0)),
+        lambda: laplacian_flow(phi, mu, IntegratorOptions(t_end=1.0)),
+    ]
+    for run in runs:
+        taus.clear()
+        assert run().status == "completed"
+        steps = np.diff(taus)
+        assert len(steps) >= 3 and steps[0] >= steps[1] / 3
 
 
 def test_a_soliton_is_exact_in_t(s_nilpotent, monkeypatch):
@@ -693,15 +731,13 @@ def test_direct_flow_obeys_the_scaling_law(s_aa, rng):
 
 
 def test_a_t_end_that_does_not_scale_runs_the_direct_flow_as_given(s_nilpotent):
-    # an infinite t_end, or one whose product with 4^k overflows (a bracket
-    # above 2^400 to t = 1e250), is not taken to [1/2, 2): the run ends as
-    # the bracket flow's does, and the overflowing one where the unscaled
-    # flow ends, positivity-lost at t = 35, times 4^-420
+    # an infinite t_end is refused; one whose product with 4^k overflows (a
+    # bracket above 2^400 to t = 1e250) is not taken to [1/2, 2), and ends
+    # where the unscaled flow ends, positivity-lost at t = 35, times 4^-420
     mu = mu_nilpotent(1, 2, 3, 4)
     for t_end in (math.inf, -math.inf):
-        opts = IntegratorOptions(t_end=t_end)
-        got, want = laplacian_flow(s_nilpotent.phi, mu, opts), bracket_flow(mu, s_nilpotent, opts)
-        assert got.status == want.status and got.final.t == want.final.t
+        with pytest.raises(ValueError):
+            IntegratorOptions(t_end=t_end)
     base = laplacian_flow(s_nilpotent.phi, mu, IntegratorOptions(t_end=100.0)).final
     traj = laplacian_flow(s_nilpotent.phi, mu.scale(2.0 ** 420), IntegratorOptions(t_end=1e250))
     assert traj.status == "positivity-lost"
@@ -892,6 +928,49 @@ def test_reconstruct_side_i_on_a_pair_that_is_not_closed():
     rec = reconstruct_h(traj, side="i")
     assert rec.status == "completed"
     assert rec.max_phi_residual < 1e-6 and rec.max_mu_residual < 1e-6
+
+
+@pytest.mark.parametrize("side", ["i", "ii"])
+def test_reconstruct_h_obeys_the_scaling_law(side, s_aa):
+    # in scale-free time the maps of 2^k mu at t / 4^k are those of mu at
+    # t: h has weight 0, and phi's rate, quadratic in the fixed mu0, is
+    # taken at the clock's rate |mu(t)|^-2, so both runs take the same
+    # steps in tau, to rounding
+    mu = aa.bracket_of(random_sl3c(np.random.default_rng(1), 0.7))
+    opts = IntegratorOptions(t_end=0.5, sample_every=1)
+    base = reconstruct_h(bracket_flow(mu, s_aa, opts), side=side)
+    assert base.status == "completed" and len(base.samples) >= 3
+    for k in range(-8, 9):
+        s = 2.0 ** k
+        run = reconstruct_h(bracket_flow(mu.scale(s), s_aa, replace(opts, t_end=0.5 / s ** 2)),
+                            side=side)
+        assert run.status == "completed" and len(run.samples) == len(base.samples)
+        for a, b in zip(run.samples, base.samples):
+            assert a.t * s ** 2 == pytest.approx(b.t, rel=1e-12)
+            assert np.abs(a.h - b.h).max() <= 1e-12 * np.abs(b.h).max()
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_a_reconstruction_takes_a_few_steps_at_its_tolerance(moved, monkeypatch):
+    # in scale-free time, with phi (and on side "i" h too) taken at the
+    # clock's rate, a reconstruction to t = 0.5 takes two or three steps
+    # (86 to 98 evaluations in t), and its final h is as close to a run at
+    # atol = rtol = 1e-13
+    mu, phi = aa.bracket_of(random_sl3c(np.random.default_rng(1), 0.7)), aa.phi_almost_abelian()
+    if moved:
+        h = random_gl7(np.random.default_rng(3))
+        mu, phi = mu.act(h), act(h, phi)
+    s = G2Structure(phi)
+    traj = bracket_flow(mu, s, IntegratorOptions(t_end=0.5))
+    ref = bracket_flow(mu, s, IntegratorOptions(t_end=0.5, atol=1e-13, rtol=1e-13))
+    calls = _counting(monkeypatch)
+    for side in ("ii", "i"):
+        calls.clear()
+        rec = reconstruct_h(traj, side=side)
+        assert rec.status == "completed" and rec.final.t == 0.5
+        assert len(calls) <= 45
+        want = reconstruct_h(ref, side=side).final.h
+        assert np.abs(rec.final.h - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def side_i_stage_by_structure(mu, phi):
@@ -1215,9 +1294,10 @@ def test_tau_agrees_across_the_three_flows(s_aa, rng):
 
 
 def test_tau_decreases_along_the_closed_direct_flow(s_aa, rng):
-    # closed case: R = -|tau|^2 / 2, and |tau| strictly decreases
+    # closed case: R = -|tau|^2 / 2, and |tau| strictly decreases; sampled
+    # at every step, as a run to t = 1 may take only three
     mu = aa.bracket_of(random_sl3c(rng))
-    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=1.0, sample_every=2))
+    traj = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=1.0, sample_every=1))
     assert traj.status == "completed" and len(traj.samples) > 3
     for smp in traj.samples:
         assert abs(smp.R + 0.5 * smp.torsion_norm ** 2) <= 1e-10 * max(1.0, abs(smp.R))

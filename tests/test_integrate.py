@@ -164,6 +164,22 @@ def test_the_default_first_step_costs_one_evaluation():
     assert len(calls) == 2 + 11 * attempts + len(steps) - 1
 
 
+def test_a_stiff_scale_free_start_stays_inside_the_stability_region():
+    # a scale-free state (x, ln r, t) whose x decays at lambda = 1000 along
+    # a component small against |x|: the eighth-order step's remainder
+    # allows a step of 0.13 and 100 h' one of 0.015, |h lambda| = 15, but
+    # the first step stops at |h lambda| = _STABLE_HLAMB, lambda ~ d2 / d1
+    lam = 1000.0
+
+    def f(t, z):
+        return np.array([0.0, -lam * z[1], 0.0, 1.0])
+
+    x = np.array([1.0, 0.05]) / math.hypot(1.0, 0.05)
+    z = np.concatenate([x, [0.0, 0.0]])
+    h = integrate._first_step(f, 0.0, z, f(0.0, z), 1.0, 1e-12, math.inf, 1e-9, 1e-9, 1.0)
+    assert 6.0 <= h * lam <= integrate._STABLE_HLAMB * (1 + 1e-3)
+
+
 def test_a_trial_stage_off_the_positive_cone_does_not_end_the_run():
     # the trial stage of the starting step raises PositivityError, as a
     # 3-form off the positive cone does: it is tried again at a tenth of its
