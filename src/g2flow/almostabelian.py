@@ -379,8 +379,7 @@ def matrix_bracket_flow(A0, opts: IntegratorOptions | None = None) -> Trajectory
                             sl3c_residual(A), _q_formula(A_nat),
                             _torsion_formula(A_nat).norm())
 
-    return drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample, np.linalg.norm,
-                 cubic=True)
+    return drive(rhs, aa0.A.reshape(-1).copy(), opts, make_sample, np.linalg.norm)
 
 
 # ---------------------------------------------------------------------------

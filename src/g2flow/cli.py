@@ -276,6 +276,22 @@ def _build_parser():
     return p
 
 
+# the flags that take a number
+_NUMBER_FLAGS = ("--t-end", "--atol", "--rtol", "--h0", "--sample-every")
+
+
+def _joined(argv):
+    """argv with a number flag and a next word that starts with '-' joined,
+    as --t-end=-1e-2: argparse reads '-1e-2' or '-inf' as an option (only a
+    plain decimal as a number); a word that is no number fails as the value."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _NUMBER_FLAGS and word.startswith("-"):
+            word = out.pop() + "=" + word
+        out.append(word)
+    return out
+
+
 _COMMANDS = {
     "flow": cmd_flow,
     "aa-flow": cmd_aa_flow,
@@ -287,7 +303,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except (G2FlowError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

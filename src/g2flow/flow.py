@@ -265,7 +265,7 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
         mu = LieBracket(unpack_constants(y), validate=False)
         return _flow_sample(t, mu, s)
 
-    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, _bracket_norm, cubic=True)
+    run = drive(rhs, mu0.packed().reshape(-1), opts, make_sample, _bracket_norm)
     return FlowTrajectory(run.samples, run.status, s, velocity, mu0, opts)
 
 
@@ -283,11 +283,10 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     dh/dtau = -Q_x h, and rk4 in t.  rk45 first takes t_end to [1/2, 2) by a
     power of two p, running mu / p to p^2 t_end (Delta is quadratic in mu),
     so the flow of (phi0, 2^k mu) at t / 4^k is that of (phi0, mu) at t,
-    bit for bit.  The normalization is needed, not only exact: rk45's
-    clock lands within _CLOCK_TOL max(1, |t1|) of t1, an absolute bound
-    below |t1| = 1, so a t_end under 1e-12 would end after one step.  A
-    t_end whose product with p^2 overflows keeps p = 1 and runs as the
-    bracket flow does.  h maps (mu, phi(t)) isometrically
+    bit for bit; without p, as for the bracket flow, the clock's rate
+    exp(-2 ln r) rounds apart at each scale, and over k = -20..20 sample
+    times and phi drift up to 2e-9 apart, relative.  A t_end whose product
+    with p^2 overflows keeps p = 1.  h maps (mu, phi(t)) isometrically
     onto (mu(t), phi0), so a sample is the :func:`_flow_sample` of
     (mu(t), phi0), with Q as h^-1 Q h, phi = h^* phi0 and the fixed mu: no
     sample builds a G2Structure.  blowup_norm bounds |phi(t)| at each
@@ -351,7 +350,7 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
         return replace(smp, mu=mu, phi=KForm(3, phi_of(y)), Q=Q, norm_mu=norm_mu)
 
     return drive(rhs, y0, replace(opts, t_end=opts.t_end * p * p), make_sample, norm_of,
-                 cubic=True, tail=DIM * DIM)
+                 tail=DIM * DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
 
     y0 = np.concatenate([mu0.packed().reshape(-1), np.eye(DIM).reshape(-1), phi_c])
     tail = DIM * DIM if side == "ii" else 0
-    run = drive(rhs, y0, opts, make_sample, _bracket_norm, cubic=True, tail=tail,
+    run = drive(rhs, y0, opts, make_sample, _bracket_norm, tail=tail,
                 clocked=y0.size - NCONST - tail)
     return HReconstruction(run.samples, run.status, side)
 

@@ -1,7 +1,8 @@
-"""Small explicit ODE integrators: fixed-step RK4 for reproducibility and the
-embedded Dormand-Prince 8(5,3) pair with step-size control for everything else.
-State vectors are flat float arrays; integration can run in either time
-direction.  `drive` is the one sampling loop every flow runs through."""
+"""Small explicit ODE integrators of homogeneous cubic flows: fixed-step RK4
+for reproducibility and, in scale-free time, the embedded Dormand-Prince
+8(5,3) pair with step-size control for everything else.  State vectors are
+flat float arrays, in either time direction.  `drive` is the one sampling
+loop every flow runs through."""
 
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ from .errors import (NonFiniteState, PositivityError, SingularSystem, StepBudget
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Knobs for the ODE integrators."""
+    """Knobs for the ODE integrators.  Under rk45, h0, hmin and hmax bound
+    steps in the scale-free time tau (:func:`drive`); under rk4 they are
+    steps in t, of which rk4 reads h0 alone, its fixed step."""
 
     method: str = "rk45"  # rk45 (adaptive) or rk4 (fixed step)
-    # None: rk45 picks it (_first_step: from a stationary scale-free start
-    # the clock's reach, else the step its eighth-order pair needs), rk4
-    # takes 1e-3
+    # None: rk45 picks it (_first_step), rk4 takes 1e-3
     h0: float | None = None
     hmin: float = 1e-12
     hmax: float = math.inf
@@ -36,10 +37,10 @@ class IntegratorOptions:
 
     def __post_init__(self):
         h0 = self.hmin if self.h0 is None else self.h0
-        if not (self.hmin <= h0 <= self.hmax):
-            raise ValueError("need hmin <= h0 <= hmax")
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.hmin <= h0 <= self.hmax and self.hmin < math.inf):
+            raise ValueError("need 0 < hmin <= h0 <= hmax, hmin finite")
+        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
         if self.method not in ("rk4", "rk45"):
@@ -208,10 +209,12 @@ def rk4_steps(f, y0, t0, t1, h, max_steps=math.inf):
         yield t, y
 
 
-def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
-               scale_free=False):
-    """Yield (t, y) after each accepted step of the Dormand-Prince 8(5,3)
-    pair (the name predates the pair).
+def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
+    """Yield (tau, y) after each accepted step of the Dormand-Prince 8(5,3)
+    pair (the name predates the pair), starting with (t0, y0).  y is the
+    scale-free state (x, w, ln r, t) of :func:`_scale_free`, w its tails,
+    which may be empty: the steps are in tau, and the run ends when the
+    clock t = y[-1] reaches t1, to within 1e-15 |t1|.
 
     The stages of a step live in the rows of one (16, n) array K: stage i
     takes y + h * (A[i, :i] @ K[:i]).  Eleven evaluations, stages 2-12, make
@@ -224,37 +227,33 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     a run makes 1 + 11 a + s evaluations, a attempted and s accepted steps,
     and one more, the trial stage of :func:`_first_step`, when h0 is None,
     none at a stationary start (a landing step taken again, below, is an
-    attempt and one more).
+    attempt and one more).  A stage whose f raises NonFiniteState (an
+    overflowing trial state) or PositivityError (a trial 3-form off the
+    positive cone) is rejected like one whose estimate is NaN.
 
-    A stage whose f raises NonFiniteState (an overflowing trial state) or
-    PositivityError (a trial 3-form off the positive cone) has no error
-    estimate, and is rejected like one whose estimate is NaN.
-
-    With scale_free, y is the state (x, w, ln r, t) of :func:`_scale_free`,
-    w its tails, which may be empty: the steps are in its time tau, and the
-    run ends when its clock t = y[-1], not tau, reaches t1.  The
-    clock's rate dt/dtau = exp(-2 ln r) is split in two
-    (:func:`_clock_exponent`): a model eL exp(mu s), eL and
-    mu = -2a from K[0], whose integral over the step is exact, and the
-    residual, the stage rates less the model, which alone the pair
-    integrates and estimates the error of.  So a constant a, as along a
-    soliton, leaves the clock no error.  The error of ln r (the relative
-    error of r) is measured against atol, and that of t against
-    atol dt/dtau + rtol |t|, so no tolerance depends on the scale of y.  A
-    step is capped a little past where the clock would reach t1 were
-    a = K[0][-2] constant (:func:`_clock_reach`); a run whose x starts
-    stationary, as along an algebraic soliton, starts with that reach, and
-    any other with the step its pair needs (:func:`_first_step`).  Each
-    accepted step caps the next at |h lambda| <= _STABLE_HLAMB, the edge of
-    the pair's stability region, lambda as :func:`_stiffness` estimates it
-    at the step's end.  The last state is that
-    of the step that passes t1, taken where its clock is t1 on the
-    seventh-order continuous extension (:func:`_extension`, three more
-    evaluations; the clock's by its model and residual, :func:`_crossing`),
-    with the clock set to t1.  Outside the pair's stability region, where
-    the extension amplifies rounding, that step is taken again once
-    instead, to where the model's clock reaches t1.  An evaluation of the
-    extension that raises ends the run with that error.
+    The clock's rate dt/dtau = exp(-2 ln r) is split in two
+    (:func:`_clock_exponent`): a model eL exp(mu s), eL and mu = -2a from
+    K[0], whose integral over the step is exact, and the residual, the
+    stage rates less the model, which alone the pair integrates and
+    estimates the error of.  So a constant a, as along a soliton, leaves
+    the clock no error.  The error of ln r (the relative error of r) is
+    measured against atol, and that of t against atol dt/dtau + rtol |t|,
+    so no tolerance depends on the scale of y.  A step is capped a little
+    past where the clock would reach t1 were a = K[0][-2] constant
+    (:func:`_clock_reach`); a run whose x starts stationary, as along an
+    algebraic soliton, starts with that reach, and any other with the step
+    its pair needs (:func:`_first_step`).  Each accepted step caps the next
+    at |h lambda| <= _STABLE_HLAMB, the edge of the pair's stability
+    region, lambda as :func:`_stiffness` estimates it at the step's end.
+    The step that ends past t1 by more than _CLOCK_TOL |t1| is cut where
+    its clock is t1 on the seventh-order continuous extension
+    (:func:`_extension`, three more evaluations; the clock's by its model
+    and residual, :func:`_crossing`), and the clock set to t1.  Outside the
+    pair's stability region, where the extension amplifies rounding, that
+    step is taken again once instead, to where the model's clock reaches
+    t1.  An evaluation of the extension that raises ends the run with that
+    error.  Both end tests are relative to |t1|, so the run of 2^k y0 to
+    t1 / 4^k takes the steps of y0's to t1.
 
     Raises StepUnderflow when no step of size >= hmin meets the tolerance
     (the PositivityError of its stage when that is why), and
@@ -262,21 +261,20 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
     """
     y = np.asarray(y0, dtype=float).copy()
     t = t0
-    end = y[-1] if scale_free else t
-    direction = 1.0 if t1 >= end else -1.0
+    direction = 1.0 if t1 >= y[-1] else -1.0
     h = None if h0 is None else abs(h0)  # each step is capped at t1 below
+    close = _CLOCK_TOL * abs(t1)
     yield t, y
-    n = 0
-    retaken = False  # the landing step, once taken again (see _STABLE_HLAMB)
+    n, retaken = 0, False  # retaken: the landing step, once taken again
     K = np.empty((16, y.size))
     K[0] = f(t, y)
-    while (t1 - end) * direction > 1e-15 * max(1.0, abs(t1)):
+    while (t1 - y[-1]) * direction > 1e-15 * abs(t1):
         if n >= max_steps:
-            raise StepBudgetExhausted(f"{n} steps taken by t={end:g}")
-        reach = _clock_reach(K[0], abs(t1 - end), direction) if scale_free else None
+            raise StepBudgetExhausted(f"{n} steps taken by t={y[-1]:g}")
+        reach = _clock_reach(K[0], abs(t1 - y[-1]), direction)
         if h is None:
             h = _first_step(f, t, y, K[0], direction, hmin, hmax, atol, rtol, reach)
-        h = min(h, _REACH_MARGIN * reach if scale_free else abs(t1 - t))
+        h = min(h, _REACH_MARGIN * reach)
         hh = direction * h
         failure = None
         try:
@@ -288,22 +286,21 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
             with np.errstate(over="ignore", invalid="ignore"):
                 W = _DOP_W @ K[:12]
                 yi = y + hh * W[0]
-                if scale_free:  # the clock: its model exactly, the residual by the pair
-                    z = _clock_exponent(K[0], hh)
-                    model = K[0][-1] * np.exp(z * _DOP_C)
-                    W[:, -1] = _DOP_W @ (K[:12, -1] - model[:12])
-                    yi[-1] = y[-1] + (K[0][-1] * hh * _phi1(z) + hh * W[0, -1])
-                err = _error_norm(h, W[1], W[2], _tol_scale(y, yi, K[0], atol, rtol, scale_free))
-                if scale_free and not math.isfinite(yi[-1]):  # an overflowing clock model
+                # the clock: its model exactly, the residual by the pair
+                z = _clock_exponent(K[0], hh)
+                model = K[0][-1] * np.exp(z * _DOP_C)
+                W[:, -1] = _DOP_W @ (K[:12, -1] - model[:12])
+                yi[-1] = y[-1] + (K[0][-1] * hh * _phi1(z) + hh * W[0, -1])
+                err = _error_norm(h, W[1], W[2], _tol_scale(y, yi, K[0], atol, rtol))
+                if not math.isfinite(yi[-1]):  # an overflowing clock model
                     err = math.inf
             if err <= 1.0:
                 K[12] = f(t + hh, yi)
         except (NonFiniteState, PositivityError) as exc:
             err, failure = math.inf, exc
         if err <= 1.0:
-            past = (yi[-1] - t1) * direction if scale_free else -math.inf
-            close = _CLOCK_TOL * max(1.0, abs(t1))
-            stiff = _stiffness(y12, yi, K, hh) if scale_free else 0.0
+            past = (yi[-1] - t1) * direction
+            stiff = _stiffness(y12, yi, K, hh)
             if past > close and not retaken and stiff > _STABLE_HLAMB:
                 # outside the pair's stability region the extension amplifies
                 # rounding: step to where the model's clock reaches t1 instead
@@ -320,7 +317,6 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
                 t, y = t + hh, yi
             if past >= -close:
                 y[-1] = t1
-            end = y[-1] if scale_free else t
             K[0] = K[12]
             yield t, y
             h_next = h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125))
@@ -331,21 +327,19 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf,
             if h <= hmin * (1 + 1e-12):
                 if isinstance(failure, PositivityError):
                     raise failure
-                raise StepUnderflow(f"step {h:g} below hmin at t={end:g} (err={err:g})")
+                raise StepUnderflow(f"step {h:g} below hmin at t={y[-1]:g} (err={err:g})")
             h = max(hmin, h * max(0.2, 0.9 * err ** -0.125))
 
 
 def _stiffness(y12, yi, K, hh):
-    """|hh lambda| along the end of an accepted scale-free step hh to yi, as
-    dop853 estimates it (Hairer and Wanner, Solving Ordinary Differential
-    Equations II, IV.2) from its two stages at the step's end:
-    |hh| |K[12] - K[11]| / |yi - y12|, y12 the input of stage 12, on
-    y[:-2], x and the tails, and not on ln r and the clock (whose
-    exponential is integrated exactly).  The tails are read as x is: along
-    the direct flow of an algebraic soliton x moves only by rounding while
-    h = exp(-tau Q_x) does not, and h's lambda is what the step must keep
-    stable.  0 where yi and y12 agree to the rounding of y[:-2], which then
-    tells nothing of lambda and leaves nothing to amplify."""
+    """|hh lambda| at the end of an accepted step hh to yi, as dop853
+    estimates it (Hairer and Wanner, Solving Ordinary Differential
+    Equations II, IV.2): |hh| |K[12] - K[11]| / |yi - y12|, y12 the input of
+    stage 12, on x and the tails y[:-2] (ln r and the clock's exponential
+    are integrated exactly).  The tails count as x does: along the direct
+    flow of an algebraic soliton x moves only by rounding, h does not.  0
+    where yi and y12 agree to the rounding of y[:-2], which then tells
+    nothing of lambda and leaves nothing to amplify."""
     den = float(np.linalg.norm(yi[:-2] - y12[:-2]))
     if den <= np.finfo(float).eps * float(np.linalg.norm(yi[:-2])):
         return 0.0
@@ -450,52 +444,41 @@ def _rms(r):
     return math.sqrt(float(r @ r) / r.size)
 
 
-def _tol_scale(y, yi, k0, atol, rtol, scale_free):
-    """The error test's scale of each component of a step from y to yi, k0
-    the rates at y (see :func:`rk45_steps`)."""
+def _tol_scale(y, yi, k0, atol, rtol):
+    """The error test's scale of each component of a scale-free step from y
+    to yi, k0 the rates at y (see :func:`rk45_steps`)."""
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-    if scale_free:
-        scale[-2:] = atol, atol * k0[-1] + rtol * max(abs(y[-1]), abs(yi[-1]))
+    scale[-2:] = atol, atol * k0[-1] + rtol * max(abs(y[-1]), abs(yi[-1]))
     return scale
 
 
 def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, reach):
-    """The starting step of Hairer, Norsett and Wanner (Solving Ordinary
-    Differential Equations I, II.4), as dopri5's hinit takes it, for rates
-    k = f(t, y).  In the error test's norm, d0 = |y|, d1 = |k| and d2 =
-    |f(t + h', y + h' k) - k| / h' at the trial step h' = 0.01 d0 / d1
-    (1e-6 if d0 or d1 is below 1e-5); the step is min(100 h', h1) in
-    [hmin, hmax], h1 = (0.01 / max(d1, d2))^(1/8) (max(1e-6, 1e-3 h') if
-    both are below 1e-15).
+    """The starting step of a scale-free state y = (x, w, ln r, t) with
+    rates k = f(t, y), whose clock reaches t1 after the tau step reach
+    (:func:`_clock_reach`).  After Hairer, Norsett and Wanner (Solving
+    Ordinary Differential Equations I, II.4), in the error test's norm:
+    d0 = |y[:-2]| (ln r, whose scale is atol, would make the step depend on
+    the scale of the state), d1 = |k| and d2 = |f(t + h', y + h' k) - k| / h'
+    at the trial step h' = 0.01 d0 / d1 (1e-6 if d0 or d1 is below 1e-5).
+    The step is min(100 h', h1) in [hmin, hmax], h1 = (9! / max(d1, d2))^(1/9),
+    at which the eighth-order step's Taylor remainder h^9 |y^(9)| / 9!,
+    |y^(9)| taken as max(d1, d2), meets the tolerance, and no further than
+    |h1 lambda| = _STABLE_HLAMB, lambda ~ d2 / d1, inside the pair's
+    stability region (h1 = max(1e-6, 1e-3 h') if d1 and d2 are below 1e-15).
 
-    reach is None for a run in t.  Otherwise y is a scale-free state
-    (x, w, ln r, t), whose clock reaches t1 after the tau step reach
-    (:func:`_clock_reach`), and d0 is taken on y[:-2], x and the tails w:
-    ln r, whose scale is atol, would make the step depend on the scale of
-    the state.  And when the rates of y[:-2] alone are below 1e-5 in that
-    norm, the start is stationary, as along an algebraic soliton, where
-    ln r is linear in tau and the clock is exact: the step is the reach in
-    [hmin, hmax], with no trial stage, unless the reach is unbounded.  The
-    test reads the tails with x, as the pair integrates both: along the
-    direct flow of an algebraic soliton x stays put but h = exp(-tau Q_x)
-    does not, so the rule sizes its first step for h, and the pair's
-    estimate on h judges it.  Any other scale-free start takes the step
-    its pair needs: h1 = (9! / max(d1, d2))^(1/9), where the eighth-order
-    step's Taylor remainder h^9 |y^(9)| / 9!, |y^(9)| taken as max(d1, d2),
-    meets the tolerance, and no further than |h1 lambda| = _STABLE_HLAMB,
-    lambda ~ d2 / d1, inside the pair's stability region.  dop853's h1 is
-    about a tenth of that at atol = rtol = 1e-9, and the controller's
-    largest growth, 10, then took the second step to it.  A
-    trial stage that raises NonFiniteState or PositivityError, or whose d2
-    is not finite, is tried again at a tenth of h', at most _FIRST_TRIALS
-    times in all; when the last one fails too, the step is a tenth of its
-    h'."""
-    scale_free = reach is not None
+    Where the rates of y[:-2] are below 1e-5 in that norm, the start is
+    stationary, as along an algebraic soliton, where ln r is linear in tau
+    and the clock is exact: the step is the reach in [hmin, hmax], with no
+    trial stage, unless the reach is unbounded.  The tails count with x, as
+    the pair integrates both: along the direct flow of an algebraic soliton
+    x stays put but h = exp(-tau Q_x) does not.  A trial stage that raises
+    NonFiniteState or PositivityError, or whose d2 is not finite, is tried
+    again at a tenth of h', at most _FIRST_TRIALS times in all; when the
+    last one fails too, the step is a tenth of its h'."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = _tol_scale(y, y, k, atol, rtol, scale_free)
-        x = slice(0, -2) if scale_free else slice(None)
-        d0, d1 = _rms(y[x] / scale[x]), _rms(k / scale)
-        if scale_free and _rms(k[x] / scale[x]) < 1e-5 and math.isfinite(reach):
+        scale = _tol_scale(y, y, k, atol, rtol)
+        d0, d1 = _rms(y[:-2] / scale[:-2]), _rms(k / scale)
+        if _rms(k[:-2] / scale[:-2]) < 1e-5 and math.isfinite(reach):
             return min(max(reach, hmin), hmax)
     h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
     h = min(max(h, hmin), hmax)
@@ -515,12 +498,10 @@ def _first_step(f, t, y, k, direction, hmin, hmax, atol, rtol, reach):
     top = max(d1, d2)
     if top <= 1e-15:
         h1 = max(1e-6, 1e-3 * h)
-    elif scale_free:
+    else:
         h1 = (_FACT9 / top) ** (1.0 / 9.0)
         if d2 > _STABLE_HLAMB * d1 * h1:  # |h1 lambda| <= _STABLE_HLAMB, lambda ~ d2 / d1
             h1 = _STABLE_HLAMB * d1 / d2
-    else:
-        h1 = (0.01 / top) ** 0.125
     return min(max(min(100.0 * h, h1), hmin), hmax)
 
 
@@ -622,19 +603,18 @@ def _scale_free_start(y0, head):
 _RK4_STEP = 1e-3
 
 
-def _steps(rhs, y0, opts, cubic, tail, clocked):
+def _steps(rhs, y0, opts, tail, clocked):
+    """(t, y) after each step; rk45's scale-free ones as (t, (r x, w)), from (0, y0) itself."""
     if opts.method == "rk4":
         f = rhs
-        if cubic and opts.normalize != "none":
+        if opts.normalize != "none":
             @functools.wraps(rhs)
             def f(t, y):  # y' less its component along y, which keeps |y|
                 v = rhs(t, y)
                 return v - _along(v, y) * y
         h = _RK4_STEP if opts.h0 is None else opts.h0
-        return rk4_steps(f, y0, 0.0, opts.t_end, h, opts.max_steps)
-    if not cubic:
-        return rk45_steps(rhs, y0, 0.0, opts.t_end, opts.h0, opts.hmin, opts.hmax,
-                          opts.atol, opts.rtol, opts.max_steps)
+        yield from rk4_steps(f, y0, 0.0, opts.t_end, h, opts.max_steps)
+        return
     fixed_norm = opts.normalize != "none"
     head = y0.size - tail - clocked
     z0, r0 = _scale_free_start(y0, head)
@@ -643,12 +623,7 @@ def _steps(rhs, y0, opts, cubic, tail, clocked):
     atol = opts.atol / r0 if fixed_norm else opts.atol
     steps = rk45_steps(_scale_free(rhs, fixed_norm, head, clocked), z0, 0.0,
                        opts.t_end, opts.h0, opts.hmin, opts.hmax, atol, opts.rtol,
-                       opts.max_steps, scale_free=True)
-    return _in_time(steps, y0, head)
-
-
-def _in_time(steps, y0, head):
-    """The scale-free steps as (t, y = (r x, w)), starting at (0, y0) itself."""
+                       opts.max_steps)
     next(steps)
     yield 0.0, y0
     for _, z in steps:
@@ -657,22 +632,20 @@ def _in_time(steps, y0, head):
         yield float(z[-1]), y
 
 
-def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0,
-          clocked=0) -> Trajectory:
+def drive(rhs, y0, opts, make_sample, norm_of, tail=0, clocked=0) -> Trajectory:
     """Integrate y' = rhs(t, y) from t = 0 to opts.t_end.
 
-    cubic says that rhs is a homogeneous cubic in y, free of t, as the
-    bracket flows are.  Then rk45 integrates the scale-free form of
-    :func:`_scale_free`, whose h0, hmin and hmax bound steps in its time
-    tau, and opts.normalize = unit-bracket-norm keeps |y| at |y0|: in
-    scale-free form by freezing r, with rk4 by taking y' less its component
-    along y.  y may end in a tail that the scaling of the head leaves
-    alone: tail components of weight 0, as the direct flow's h, whose rate
-    is quadratic in the head, and then clocked components, whose rate does
-    not depend on the head, as the direct flow of a fixed bracket that
-    reconstruct_h steps.  The scale-free form takes the first's rate as
-    their tau-rate and the second's times dt/dtau (:func:`_scale_free`);
-    rk4 steps all of y in t.
+    rhs is a homogeneous cubic in y, as the bracket flows are.  rk45
+    integrates the scale-free form of :func:`_scale_free`, whose h0, hmin
+    and hmax bound steps in its time tau, and rk4 steps y in t.
+    opts.normalize = unit-bracket-norm keeps |y| at |y0|: in scale-free
+    form by freezing r, with rk4 by taking y' less its component along y.
+    y may end in a tail that the scaling of the head leaves alone: tail
+    components of weight 0, as the direct flow's h, whose rate is quadratic
+    in the head, and then clocked components, whose rate does not depend on
+    the head, as the direct flow of a fixed bracket that reconstruct_h
+    steps.  The scale-free form takes the first's rate as their tau-rate
+    and the second's times dt/dtau (:func:`_scale_free`).
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
     the last state reached.  Returns a Trajectory whose status is one of
@@ -696,7 +669,7 @@ def drive(rhs, y0, opts, make_sample, norm_of, cubic=False, tail=0,
     last = None
     sampled_last = False
     try:
-        for n, (t, y) in enumerate(_steps(rhs, y0, opts, cubic, tail, clocked)):
+        for n, (t, y) in enumerate(_steps(rhs, y0, opts, tail, clocked)):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN ends the run
                 norm = norm_of(y)
             if not math.isfinite(norm):

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import settings
 
 from g2flow import almostabelian as aa
+from g2flow import integrate
 from g2flow.corpus import random_sl3c  # noqa: F401 - shared with the tests
 from g2flow.exterior import KForm, Metric, hodge_star, phi_canonical, act
 from g2flow.g2core import G2Structure
-from g2flow.integrate import _DOP_C
+from g2flow.integrate import _DOP_C, rk45_steps
 from g2flow.liealg import ce_differential
 
 SEED = int(os.environ.get("G2FLOW_SEED", "20260809"))
@@ -39,24 +41,69 @@ def s_aa():
     return aa.structure()
 
 
+def in_t(f):
+    """y' = f(t, y) as the rates of a scale-free state z = (y, ln r = 0, t):
+    (f(t, y), 0, 1).  r stays 1, tau is t, and the clock's model is exact."""
+    def rates(tau, z):
+        return np.concatenate([f(z[-1], z[:-2]), (0.0, 1.0)])
+    return rates
+
+
+def rk45_in_t(f, y0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
+    """rk45_steps on y' = f(t, y) from t = 0 to t1, carried as the
+    scale-free state of :func:`in_t`: (t, y) after each accepted step,
+    starting with (0, y0).  The pair steps y in t, and h0, hmin and hmax
+    bound steps in t."""
+    z0 = np.concatenate([np.asarray(y0, dtype=float), (0.0, 0.0)])
+    for _, z in rk45_steps(in_t(f), z0, 0.0, t1, h0, hmin, hmax, atol, rtol, max_steps):
+        yield z[-1], z[:-2]
+
+
+def record_rk45(monkeypatch):
+    """Two lists that fill as integrate.rk45_steps runs: the time tau of
+    every evaluation of its right side, and of every state it yields."""
+    calls, taus = [], []
+
+    def recording(f, *args, **kwargs):
+        def counted(tau, z):
+            calls.append(tau)
+            return f(tau, z)
+
+        for tau, z in rk45_steps(counted, *args, **kwargs):
+            taus.append(tau)
+            yield tau, z
+
+    monkeypatch.setattr(integrate, "rk45_steps", recording)
+    return calls, taus
+
+
 def rk45_attempts(calls, times):
-    """The attempted and the rejected steps of a t-form rk45 run whose
-    accepted times are times, read off the times of its evaluations after
-    the first stage: eleven at t + c_i h, c_2..c_12, per attempt, and one at
-    the new t after an accepted one."""
-    start, accepted = times[0], iter(times[1:])
-    end, i, attempts, rejected = next(accepted), 0, 0, 0
+    """The attempted and the rejected steps of an rk45 run whose accepted
+    states are at times, and whether its last step landed by the continuous
+    extension, read off the times of its evaluations after the first
+    stage: eleven at t + c_i h, c_2..c_12, per attempt, one at t + h after
+    an accepted one, and three at t + c_i h, c_14..c_16, after the last
+    step when it passes t1 and lands on it.  The times are tau, or those of
+    :func:`rk45_in_t`'s clock, which is tau to rounding."""
+    start, rest = times[0], list(times[1:])
+    i, attempts, rejected, landed = 0, 0, 0, False
     while i < len(calls):
         group = np.array(calls[i:i + 11])
         h = group[-1] - start
-        assert np.abs(group - (start + _DOP_C[1:12] * h)).max() <= 1e-14 * max(1.0, abs(start))
+        tol = 1e-14 * max(1.0, abs(start), abs(h))
+        assert np.abs(group - (start + _DOP_C[1:12] * h)).max() <= tol
         attempts, i = attempts + 1, i + 11
-        if group[-1] == end and i < len(calls) and calls[i] == end:
-            start, end, i = end, next(accepted, None), i + 1
+        if i < len(calls) and abs(calls[i] - group[-1]) <= tol:  # f at an accepted state
+            i += 1
+            if len(rest) == 1 and len(calls) - i == 3:
+                extension = np.array(calls[i:])
+                assert np.abs(extension - (start + _DOP_C[13:] * h)).max() <= tol
+                i, landed = i + 3, True
+            start = rest.pop(0)
         else:
             rejected += 1
-    assert end is None
-    return attempts, rejected
+    assert not rest
+    return attempts, rejected, landed
 
 
 def random_gl7(rng, spread=0.6):

@@ -146,6 +146,52 @@ def test_precondition_error_is_machine_readable(capsys, rng):
     assert json.loads(out)["error"]["type"] == "NotClosed"
 
 
+_B = json.dumps({"B": [[0, 1, 0], [0, 0, 1.4], [0, 0, 0]]})
+
+
+@pytest.mark.parametrize("command", ["flow", "aa-flow"])
+@pytest.mark.parametrize("value", ["-1e-2", "-1E-2", "-.5e-1"])
+def test_a_negative_number_in_exponent_notation_is_a_flag_value(capsys, command, value):
+    # argparse reads "-1e-2" as an option, not as --t-end's argument, unless
+    # it is joined to the flag: both spellings give the same run
+    payload = _B if command == "aa-flow" else json.dumps(
+        {"mu": corpus.mu_nilpotent(1, 2, 3, 4).to_json_dict()})
+    argv = ["--format", "json", "--input", payload]
+    code, out = run(capsys, command, "--t-end", value, *argv)
+    assert (code, out) == run(capsys, command, f"--t-end={value}", *argv)
+    assert code == 0 and json.loads(out)["rows"][-1][0] == float(value)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t-end", "-inf", "t_end must be finite"),
+    ("--atol", "-1e-2", "tolerances must be positive and finite"),
+    ("--atol", "nan", "tolerances must be positive and finite"),
+    ("--rtol", "-inf", "tolerances must be positive and finite"),
+    ("--h0", "-1e-3", "need 0 < hmin <= h0 <= hmax, hmin finite"),
+])
+def test_a_number_flag_out_of_range_is_a_one_line_error(capsys, flag, value, message):
+    # the value reaches IntegratorOptions, whose ValueError is the one JSON
+    # line of exit 1
+    code, out = run(capsys, "aa-flow", flag, value, "--input", _B)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_every_number_flag_is_joined_to_a_negative_value():
+    # the flags _joined reads are those that take a number
+    numbers = {flag for q in (cli._build_parser()._subparsers._group_actions[0].choices.values())
+               for action in q._actions if action.type in (float, int)
+               for flag in action.option_strings}
+    assert numbers == set(cli._NUMBER_FLAGS)
+
+
+def test_an_integer_flag_refuses_a_float(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["aa-flow", "--sample-every", "-1e2", "--input", _B])
+    assert exc.value.code == 2
+    assert "invalid int value: '-1e2'" in capsys.readouterr().err
+
+
 def test_missing_input_errors(capsys):
     code, out = run(capsys, "soliton")
     assert code == 1

@@ -36,7 +36,7 @@ from g2flow.flow import (
     reconstruct_h,
 )
 from g2flow.g2core import G2Structure, metric_from_3form
-from g2flow.integrate import _DOP_A, _DOP_C, _DOP_E3, _DOP_E5, drive, rk45_steps
+from g2flow.integrate import _DOP_A, _DOP_C, _DOP_E3, _DOP_E5, drive
 from g2flow.liealg import (
     LieBracket,
     bracket_act,
@@ -48,7 +48,8 @@ from g2flow.liealg import (
     unpack_constants,
 )
 
-from conftest import hodge_laplacian, random_gl7, random_sl3c, random_su3, rk45_attempts
+from conftest import (hodge_laplacian, in_t, random_gl7, random_sl3c, random_su3,
+                      record_rk45, rk45_attempts, rk45_in_t)
 
 
 def test_options_validation():
@@ -60,6 +61,16 @@ def test_options_validation():
         IntegratorOptions(method="euler")
     with pytest.raises(ValueError):
         IntegratorOptions(max_steps=0)
+
+
+@pytest.mark.parametrize("field", ["hmin", "atol", "rtol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_options_refuse_a_step_floor_or_tolerance_that_is_not_positive_and_finite(field, value):
+    # hmin <= 0 let a right side that turns NaN take accepted steps of
+    # length 0 until max_steps, and a NaN tolerance ran; each is refused
+    # before a step
+    with pytest.raises(ValueError):
+        IntegratorOptions(**{field: value})
 
 
 def test_abelian_bracket_is_a_fixed_point(s_nilpotent):
@@ -291,6 +302,26 @@ def test_scale_free_flow_obeys_the_scaling_law(s, s_aa, rng):
     assert np.abs(run.final.A - s * base.final.A).max() <= 1e-12 * s * np.abs(m.A).max()
 
 
+def test_the_scaling_law_holds_down_to_the_shortest_runs(s_aa):
+    # the end tests of rk45 are relative to |t_end|, so the flows of 2^k mu
+    # to 0.75 / 4^k, k = -20..20, take the steps of mu's to 0.75 and end at
+    # 2^k times its final state, to the rounding of the clock's rate
+    # exp(-2 ln r) (within 4.1e-15 relative).  End tests absolute below
+    # |t_end| = 1 ended the runs with k >= 17 up to 1.03 off
+    m = random_sl3c(np.random.default_rng(1), 1.0)
+    mu = aa.bracket_of(m)
+    base_mu = bracket_flow(mu, s_aa, IntegratorOptions(t_end=0.75)).final.mu.c
+    base_A = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=0.75)).final.A
+    for k in range(-20, 21):
+        s = 2.0 ** k
+        opts = IntegratorOptions(t_end=0.75 / s ** 2)
+        runs = [bracket_flow(mu.scale(s), s_aa, opts),
+                aa.matrix_bracket_flow(aa.AAMatrix.from_matrix(s * m.A), opts)]
+        for run, got, want in zip(runs, (runs[0].final.mu.c, runs[1].final.A), (base_mu, base_A)):
+            assert run.status == "completed" and run.final.t == opts.t_end
+            assert np.abs(got - s * want).max() <= 1e-14 * s * np.abs(want).max()
+
+
 def test_unit_bracket_norm_keeps_the_norm_over_long_runs(s_aa, rng):
     # |x| is neutral under dx/dtau = V(x) - <V(x), x> x / <x, x>, so |mu|
     # drifts only by the local errors (about 5 atol over t = 10); without
@@ -315,27 +346,13 @@ def test_scale_free_runs_end_at_t_end_exactly(t_end, s_aa, rng):
         assert np.all(np.diff(traj.times) * t_end > 0)
 
 
-def _counting(monkeypatch):
-    """A list that records the time of every right-side evaluation of rk45."""
-    calls = []
-
-    def counting(f, *args, **kwargs):
-        def counted(t, y):
-            calls.append(t)
-            return f(t, y)
-        return rk45_steps(counted, *args, **kwargs)
-
-    monkeypatch.setattr(integrate, "rk45_steps", counting)
-    return calls
-
-
 @pytest.mark.parametrize("t_end", [0.37, 10.0, 50.0])
 def test_a_scale_free_run_lands_on_t_end_without_a_sliver_step(t_end, rng, monkeypatch):
     # the step that passes t_end is cut where its clock is t_end, on the
     # continuous extension: the clock ends at t_end exactly, the last step
     # is no sliver of the one before, and the landing costs three
     # evaluations over the 2 + 11 a + s of a attempted and s accepted steps
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     m = random_sl3c(rng, 1.0)
     traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=t_end, sample_every=1))
     assert traj.status == "completed" and traj.final.t == t_end
@@ -361,7 +378,7 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     # 0.5 before the one that lands, set by the rates of ln r and of the clock.
     # Before the default step was the eighth-order step's (about 0.5, not
     # 0.05), the rotating soliton and nil1234 took 77 and 149 from it
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     counts = {}
     for h0 in (1e-3, None):
         counts[h0] = []
@@ -379,26 +396,12 @@ def test_scale_free_evaluation_counts(s_nilpotent, monkeypatch):
     assert counts == {1e-3: [100, 64, 172], None: [65, 13, 137]}
 
 
-def _accepted_times(monkeypatch):
-    """A list that records the time of every state that rk45 yields: tau,
-    in a scale-free run."""
-    times = []
-
-    def recording(*args, **kwargs):
-        for t, y in rk45_steps(*args, **kwargs):
-            times.append(t)
-            yield t, y
-
-    monkeypatch.setattr(integrate, "rk45_steps", recording)
-    return times
-
-
 def test_a_scale_free_run_starts_at_the_step_its_pair_needs(s_nilpotent, monkeypatch):
     # the first step is the one at which the eighth-order step's Taylor
     # remainder meets the tolerance, within the stability region.  The
     # starting step of dop853's rule was a tenth of the second, which the
     # controller's largest growth, 10, then took: about 0.05 against 0.5
-    taus = _accepted_times(monkeypatch)
+    _, taus = record_rk45(monkeypatch)
     h = random_gl7(np.random.default_rng(3))
     mu = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)).act(h)
     phi = act(h, aa.phi_almost_abelian())
@@ -419,7 +422,7 @@ def test_a_soliton_is_exact_in_t(s_nilpotent, monkeypatch):
     # |mu|^2 = n0 / (1 + 5/6 n0 t) along the nilpotent soliton: x stays put,
     # ln r is linear in tau and the clock's exponential is integrated
     # exactly, so the run to t = 1e12 costs a few steps and no accuracy
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     traj = bracket_flow(mu_nilpotent(1, 0, 0, 1), s_nilpotent, IntegratorOptions(t_end=1e12))
     assert traj.status == "completed" and traj.final.t == 1e12
     assert len(calls) <= 60
@@ -440,7 +443,7 @@ def test_a_stationary_start_takes_one_step(s_nilpotent, monkeypatch):
     # along the nilpotent soliton x is a fixed point: the run starts at the
     # step at which its clock reaches t_end, with no trial stage, and takes
     # it alone in 1 + 11 + 1 evaluations; unit-bracket-norm freezes r too
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     mu = mu_nilpotent(1, 0, 0, 1)
     traj = bracket_flow(mu, s_nilpotent,
                         IntegratorOptions(t_end=10.0, normalize="unit-bracket-norm"))
@@ -455,7 +458,7 @@ def test_an_algebraic_soliton_of_the_matrix_flow_takes_one_step(monkeypatch):
     # pair's stability region, which amplifies the rounding of x to 6e-11
     # (started by the rates of every component, in 62 evaluations, the run
     # ended 2.8e-10 off)
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     for B, bound in zip(_algebraic_matrices(), (1e-12, 1e-12, 1e-10)):
         m = aa.AAMatrix.from_complex(B)
         calls.clear()
@@ -474,7 +477,7 @@ def test_a_long_run_from_a_stationary_start_keeps_its_accuracy(monkeypatch):
     # does: it ends 1.6e-9 of max |A| off A0 / sqrt(1 - 2 a t), in 288
     # evaluations.  From the start that took the rates of every component
     # it ended 6.2e-10 off in 359, but 2.6e-9 off at t = 1e8 (2.8e-10 now)
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     m = aa.AAMatrix.from_complex(_algebraic_matrices()[2])
     traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=1e12))
     assert traj.status == "completed" and traj.final.t == 1e12
@@ -490,7 +493,7 @@ def test_a_start_near_a_soliton_is_not_stationary(monkeypatch):
     # at rates far above the stationary bound: the run starts as any other
     # does, in as many evaluations as before stationary starts, and as close
     # to a run at 1e-13
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     for B, most in zip(_algebraic_matrices(), (41, 62)):
         m = aa.AAMatrix.from_complex(B + 1e-10 * np.abs(B).max() * np.diag([1, -1, 0]))
         calls.clear()
@@ -519,7 +522,7 @@ def test_a_landing_step_outside_the_stability_region_is_taken_again(monkeypatch)
     B = _algebraic_matrices()[2]
     m = aa.AAMatrix.from_complex(B + 1e-12 * np.abs(B).max() * np.diag([1, -1, 0]))
     ref = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0, atol=1e-13, rtol=1e-13))
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     traj = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=50.0))
     assert traj.final.t == 50.0 and len(calls) <= 70
     assert np.abs(traj.final.A - ref.final.A).max() <= 1e-9 * np.abs(ref.final.A).max()
@@ -683,8 +686,8 @@ def test_the_direct_flow_is_the_flow_of_its_velocity(pair):
         mu = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)).act(h)
         phi = act(h, aa.phi_almost_abelian())
     velocity = flow._direct_velocity(mu)
-    *_, (t, a) = rk45_steps(lambda t, a: velocity(a), phi.coeffs, 0.0, 0.5, None, 1e-12,
-                            math.inf, 1e-12, 1e-12)
+    *_, (t, a) = rk45_in_t(lambda t, a: velocity(a), phi.coeffs, 0.5, None, 1e-12,
+                           math.inf, 1e-12, 1e-12)
     want = _flow_sample(t, mu, G2Structure(KForm(3, a)))
     got = laplacian_flow(phi, mu, IntegratorOptions(t_end=0.5, atol=1e-12, rtol=1e-12)).final
     assert got.t == want.t == 0.5 and got.norm_mu == want.norm_mu
@@ -699,7 +702,7 @@ def test_laplacian_flow_to_t10_in_at_most_300_evaluations(monkeypatch):
     # evaluations, as the rounding of an ill-conditioned velocity (cond G =
     # 1.4e12 at t = 10) set the step; the bracket flow and h in scale-free
     # time take 209, and end within 1e-8 of a 1e-13 run
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     mu, phi = mu_nilpotent(1, 2, 3, 4), phi_nilpotent_example()
     traj = laplacian_flow(phi, mu, IntegratorOptions(t_end=10.0))
     assert traj.status == "completed" and traj.final.t == 10.0
@@ -790,7 +793,7 @@ def test_laplacian_flow_positivity_loss_is_reported(s_nilpotent, monkeypatch):
     # phi(t) is no longer definite in floats.  The run ends there, in 194
     # evaluations, not at a step underflow or the step budget
     mu = mu_nilpotent(1.0, 0.0, 0.0, 1.0)
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     traj = laplacian_flow(phi_nilpotent_example(), mu,
                           IntegratorOptions(t_end=-0.31, sample_every=20))
     assert traj.status == "positivity-lost"
@@ -963,7 +966,7 @@ def test_a_reconstruction_takes_a_few_steps_at_its_tolerance(moved, monkeypatch)
     s = G2Structure(phi)
     traj = bracket_flow(mu, s, IntegratorOptions(t_end=0.5))
     ref = bracket_flow(mu, s, IntegratorOptions(t_end=0.5, atol=1e-13, rtol=1e-13))
-    calls = _counting(monkeypatch)
+    calls, _ = record_rk45(monkeypatch)
     for side in ("ii", "i"):
         calls.clear()
         rec = reconstruct_h(traj, side=side)
@@ -1425,8 +1428,7 @@ def test_step_underflow_raised():
         return np.array([1e12 * math.cos(1e12 * t)])
 
     with pytest.raises(StepUnderflow):
-        for _ in rk45_steps(stiff, np.zeros(1), 0.0, 1.0, 1e-3, 1e-6, math.inf,
-                            1e-12, 1e-12):
+        for _ in rk45_in_t(stiff, np.zeros(1), 1.0, 1e-3, 1e-6, math.inf, 1e-12, 1e-12):
             pass
 
 
@@ -1434,20 +1436,20 @@ def test_rk45_reuses_the_last_stage():
     # first-same-as-last: the derivative at an accepted state is the next
     # step's first stage, and a rejected step keeps it; so every attempted
     # step costs the eleven evaluations at t_n + c_i hh of the nodes
-    # c_2..c_12, an accepted one one more, at its new t, and none is at t_n
+    # c_2..c_12, an accepted one one more, at its new t, and none is at t_n;
+    # a last step that lands on t_end by the continuous extension three more
     calls = []
 
     def decay(t, y):
         calls.append(t)
         return -y
 
-    steps = list(rk45_steps(decay, np.ones(1), 0.0, 2.0, 0.5, 1e-12, math.inf,
-                            1e-10, 1e-10))
+    steps = list(rk45_in_t(decay, np.ones(1), 2.0, 0.5, 1e-12, math.inf, 1e-10, 1e-10))
     times = [t for t, _ in steps]
     assert calls[0] == 0.0
-    attempts, rejected = rk45_attempts(calls[1:], times)
+    attempts, rejected, landed = rk45_attempts(calls[1:], times)
     assert rejected >= 1
-    assert len(calls) == 1 + 11 * attempts + len(steps) - 1
+    assert len(calls) == 1 + 11 * attempts + len(steps) - 1 + 3 * landed
     assert times[-1] == 2.0
     assert abs(steps[-1][1][0] - math.exp(-2.0)) < 1e-9
 
@@ -1492,11 +1494,15 @@ def _counted(f):
 
 @pytest.mark.parametrize("flow", ["matrix", "bracket"])
 def test_rk45_stage_array_matches_the_stage_list(flow, rng, s_aa):
-    # same accepted steps and evaluations, and the same states up to
-    # rounding.  The error estimate cancels to about tol of the stages'
-    # size, so rounding in the stages moves each step size by about
-    # eps / tol relative; a state is compared after moving it to the
-    # reference's time along f
+    # both step y' = f(t, y) in t as the scale-free state of in_t, z = (y,
+    # 0, t), so that both error tests read the same components: the same
+    # accepted steps and evaluations, and the same states up to rounding.
+    # The error estimate cancels to about tol of the stages' size, so
+    # rounding in the stages moves each step size by about eps / tol
+    # relative; a state is compared after moving it to the reference's time
+    # along f.  The last step differs by design: rk45_steps caps it a little
+    # past t1 and lands on t1 by its continuous extension, where the
+    # reference steps to t1, so the two end at t1 within the tolerance
     m = random_sl3c(rng)
     if flow == "matrix":
         y0, t1 = m.A.reshape(-1), 5.0
@@ -1512,17 +1518,23 @@ def test_rk45_stage_array_matches_the_stage_list(flow, rng, s_aa):
     assert y0.size == (36 if flow == "matrix" else 147)
     f_new, calls_new = _counted(f)
     f_ref, calls_ref = _counted(f)
-    got = list(rk45_steps(f_new, y0, 0.0, t1, 1e-3, 1e-12, math.inf, 1e-9, 1e-9))
-    want = list(_rk45_stage_list(f_ref, y0, t1, 1e-3, 1e-9))
+    # (t, y, evaluations so far) per accepted step
+    got = [(t, y, len(calls_new))
+           for t, y in rk45_in_t(f_new, y0, t1, 1e-3, 1e-12, math.inf, 1e-9, 1e-9)]
+    want = [(t, z[:-2], len(calls_ref)) for t, z in _rk45_stage_list(
+        in_t(f_ref), np.concatenate([y0, (0.0, 0.0)]), t1, 1e-3, 1e-9)]
     assert len(got) == len(want) > 10
-    assert len(calls_new) == len(calls_ref)
-    for (t, y), (t_ref, y_ref) in zip(got, want):
+    for (t, y, n), (t_ref, y_ref, n_ref) in zip(got[:-1], want[:-1]):
+        assert n == n_ref
         assert abs(t - t_ref) <= 1e-8 * t1
         moved = y - (t - t_ref) * f(t_ref, y_ref)
         assert np.abs(moved - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
-    steps = np.diff([t for t, _ in got])
-    steps_ref = np.diff([t for t, _ in want])
+    steps = np.diff([t for t, *_ in got[:-1]])
+    steps_ref = np.diff([t for t, *_ in want[:-1]])
     assert np.abs(steps / steps_ref - 1).max() <= 1e-8
+    (t, y, _), (t_ref, y_ref, _) = got[-1], want[-1]
+    assert t == t1 and abs(t_ref - t1) <= 1e-15 * t1
+    assert np.abs(y - y_ref).max() <= 1e-8 * np.abs(y_ref).max()
 
 
 def test_step_budget_stops_the_run(s_nilpotent):

@@ -17,10 +17,10 @@ from g2flow.exterior import (KForm, _interior_table, _star_table, _theta_tensor,
                              pullback_matrix, skew_from_form, theta, wedge, wedge_matrix)
 from g2flow.flow import _direct_velocity
 from g2flow.g2core import G2Structure, _sym0_basis, induced_bilinear, metric_from_3form
-from g2flow.integrate import rk45_steps
 from g2flow.liealg import LieBracket, bracket_act, ce_differential, ricci
 
-from conftest import hodge_laplacian, random_gl7, random_kform, random_positive_form, random_sl3c
+from conftest import (hodge_laplacian, random_gl7, random_kform, random_positive_form,
+                      random_sl3c, rk45_in_t)
 
 
 def test_induced_bilinear_is_its_definition(rng):
@@ -594,8 +594,8 @@ def test_the_frame_bound_grows_with_the_rounding_of_the_pullback(scale):
     # 3e-5, and more than 100 of the 151 frames miss phi_canonical by 3e-9
     # to 3e-7, above 1e-9 |phi_canonical|.  Each state builds a structure
     velocity = _direct_velocity(mu_nilpotent(1, 2, 3, 4).scale(scale))
-    steps = rk45_steps(lambda t, a: velocity(a), phi_nilpotent_example().coeffs, 0.0, 0.1,
-                       None, 1e-12, math.inf, 1e-9, 1e-9, max_steps=150)
+    steps = rk45_in_t(lambda t, a: velocity(a), phi_nilpotent_example().coeffs, 0.1,
+                      None, 1e-12, math.inf, 1e-9, 1e-9, max_steps=150)
     states = []
     with pytest.raises(StepBudgetExhausted):
         for _, a in steps:

@@ -19,9 +19,9 @@ from g2flow import cli, integrate
 from g2flow.errors import NonFiniteState, PositivityError, SingularSystem
 from g2flow.flow import _bracket_velocity, bracket_flow, laplacian_flow, reconstruct_h
 from g2flow.integrate import (_DOP_C, _DOP_STAGES, _DOP_W, _FIRST_TRIALS, IntegratorOptions,
-                              Trajectory, _at, _extension, drive, rk45_steps)
+                              Trajectory, _at, _extension, drive)
 
-from conftest import random_sl3c, rk45_attempts
+from conftest import random_sl3c, record_rk45, rk45_attempts, rk45_in_t
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -99,10 +99,10 @@ def test_an_infinite_state_ends_the_run_as_non_finite():
 
 @pytest.mark.parametrize("scale", [1e3, 3e4])
 def test_rk45_rejects_a_step_whose_stage_overflows(scale):
-    # in t, a trial stage of the bracket flow overflows and its Q solve
-    # raises NonFiniteState: rk45 rejects that step and shrinks it, and
-    # reaches t_end without a warning.  In scale-free time no stage
-    # overflows, and both flows complete
+    # in t (rk45_in_t), a trial stage of the bracket flow overflows and its
+    # Q solve raises NonFiniteState: rk45 rejects that step and shrinks it,
+    # and reaches t_end without a warning.  In the flow's scale-free time no
+    # stage overflows, and both flows complete
     m = random_sl3c(np.random.default_rng(1), scale)
     velocity = _bracket_velocity(aa.structure())
     raised = []
@@ -114,8 +114,8 @@ def test_rk45_rejects_a_step_whose_stage_overflows(scale):
             raised.append(t)
             raise
 
-    steps = list(rk45_steps(rhs, aa.bracket_of(m).packed().reshape(-1), 0.0, 0.01, 1e-3,
-                            1e-12, math.inf, 1e-9, 1e-9))
+    steps = list(rk45_in_t(rhs, aa.bracket_of(m).packed().reshape(-1), 0.01, 1e-3,
+                           1e-12, math.inf, 1e-9, 1e-9))
     assert raised and steps[-1][0] == 0.01 and len(steps) > 2
     opts = IntegratorOptions(h0=1e-3, t_end=0.01)
     traj = bracket_flow(aa.bracket_of(m), aa.structure(), opts)
@@ -137,7 +137,7 @@ def test_rk45_rejects_a_step_whose_error_estimate_overflows():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        steps = rk45_steps(f, np.zeros(3), 0.0, 1.0, 1e-2, 1e-12, math.inf, 1e-300, 1e-300)
+        steps = rk45_in_t(f, np.zeros(3), 1.0, 1e-2, 1e-12, math.inf, 1e-300, 1e-300)
         assert [t for t, _ in (next(steps), next(steps))] == [0.0, 0.2 * 1e-2]
     # the first stage, eleven of each attempt, and f at the accepted state
     assert len(calls) == 1 + 11 + 11 + 1
@@ -147,21 +147,22 @@ def test_the_default_first_step_costs_one_evaluation():
     # with h0 = None a run of a attempted and s accepted steps makes
     # 2 + 11 a + s evaluations: f(t0, y0), the trial stage of the starting
     # step, eleven stages at t + c_i h for each attempt, and f at each
-    # accepted state.  The attempts are read off the stage times, so the
-    # rejected ones are counted too
+    # accepted state, and three more when the last step lands on t_end by
+    # the continuous extension.  The attempts are read off the stage times,
+    # so the rejected ones are counted too
     calls = []
 
     def van_der_pol(t, y):
         calls.append(t)
         return np.array([y[1], 10.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
 
-    steps = list(rk45_steps(van_der_pol, np.array([2.0, 0.0]), 0.0, 3.0, None,
-                            1e-12, math.inf, 1e-6, 1e-6))
+    steps = list(rk45_in_t(van_der_pol, np.array([2.0, 0.0]), 3.0, None,
+                           1e-12, math.inf, 1e-6, 1e-6))
     times = [t for t, _ in steps]
     assert times[-1] == 3.0
-    attempts, rejected = rk45_attempts(calls[2:], times)
+    attempts, rejected, landed = rk45_attempts(calls[2:], times)
     assert rejected > 0
-    assert len(calls) == 2 + 11 * attempts + len(steps) - 1
+    assert len(calls) == 2 + 11 * attempts + len(steps) - 1 + 3 * landed
 
 
 def test_a_stiff_scale_free_start_stays_inside_the_stability_region():
@@ -180,41 +181,48 @@ def test_a_stiff_scale_free_start_stays_inside_the_stability_region():
     assert 6.0 <= h * lam <= integrate._STABLE_HLAMB * (1 + 1e-3)
 
 
-def test_a_trial_stage_off_the_positive_cone_does_not_end_the_run():
+# y_i' = -y_i^3, a homogeneous cubic whose x = y / |y| moves from Y0:
+# y_i = y0_i / sqrt(1 + 2 y0_i^2 t)
+Y0 = np.array([1.0, 0.5, 0.25])
+
+
+def _cubic_decay(t, y):
+    return -y ** 3
+
+
+def test_a_trial_stage_off_the_positive_cone_does_not_end_the_run(monkeypatch):
     # the trial stage of the starting step raises PositivityError, as a
     # 3-form off the positive cone does: it is tried again at a tenth of its
     # step, and the run completes
-    calls = []
+    calls, taus = record_rk45(monkeypatch)
 
-    def decay(t, y):
-        calls.append(t)
+    def rhs(t, y):
         if len(calls) == 2:
             raise PositivityError("off the positive cone")
-        return -y
+        return _cubic_decay(t, y)
 
-    traj = drive(decay, np.ones(3), IntegratorOptions(t_end=1.0, sample_every=1),
+    traj = drive(rhs, Y0, IntegratorOptions(t_end=1.0, sample_every=1),
                  lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
     assert traj.status == "completed" and traj.final.t == 1.0
-    assert np.allclose(traj.final.y, math.exp(-1.0), rtol=1e-8, atol=0)
+    assert np.allclose(traj.final.y, Y0 / np.sqrt(1.0 + 2.0 * Y0 ** 2), rtol=1e-8, atol=0)
     assert calls[2] == pytest.approx(0.1 * calls[1], rel=1e-14)
-    attempts, _ = rk45_attempts(calls[3:], traj.times)
-    assert len(calls) == 3 + 11 * attempts + len(traj.samples) - 1
+    attempts, _, landed = rk45_attempts(calls[3:], taus)
+    assert len(calls) == 3 + 11 * attempts + len(traj.samples) - 1 + 3 * landed
 
 
-def test_the_trial_stage_is_retried_a_bounded_number_of_times():
+def test_the_trial_stage_is_retried_a_bounded_number_of_times(monkeypatch):
     # every trial raises: after _FIRST_TRIALS tries, each at a tenth of the
     # last, the first step is a tenth of the last trial step, and its stages
     # fail down to hmin as any stage off the cone does; the first of them is
     # at c_2 of that step
-    calls = []
+    calls, _ = record_rk45(monkeypatch)
 
     def off_the_cone(t, y):
-        calls.append(t)
         if len(calls) > 1:
             raise PositivityError("off the positive cone")
-        return -y
+        return _cubic_decay(t, y)
 
-    traj = drive(off_the_cone, np.ones(3), IntegratorOptions(t_end=1.0),
+    traj = drive(off_the_cone, Y0, IntegratorOptions(t_end=1.0),
                  lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
     assert traj.status == "positivity-lost" and traj.final.t == 0.0
     trials = calls[1:1 + _FIRST_TRIALS]
@@ -250,26 +258,28 @@ def test_a_singular_stage_ends_the_run_and_samples_the_last_state():
         calls.append(t)
         if len(calls) > 40:
             raise SingularSystem("adapted frame misses phi_canonical by 1e-5")
-        return -y
+        return _cubic_decay(t, y)
 
-    traj = drive(rhs, np.ones(3), IntegratorOptions(t_end=10.0, sample_every=1000),
+    traj = drive(rhs, Y0, IntegratorOptions(t_end=10.0, sample_every=1000),
                  lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
     assert traj.status == "singular-frame"
     assert len(traj.samples) == 2 and 0.0 == traj.times[0] < traj.final.t < 10.0
 
 
 def test_a_stiff_stretch_ends_the_run_as_step_underflow():
-    # y' = -y until t = 0.25 and -1e4 y after: with hmin = h0 = 0.1 the
-    # steps to 0.1 and 0.2 pass, and every step across 0.25 fails its error
-    # test down to hmin; the run ends there and keeps the samples it took
+    # y_i' = -y_i^3 until t = 0.25 and -30 y_i^3 after: with hmin = h0 =
+    # 0.1 in tau the steps to t = 0.081 and 0.172 pass, and every step
+    # across 0.25 fails its error test down to hmin; the run ends there and
+    # keeps the samples it took
     def rhs(t, y):
-        return -y if t < 0.25 else -1e4 * y
+        return _cubic_decay(t, y) * (1.0 if t < 0.25 else 30.0)
 
     opts = IntegratorOptions(h0=0.1, hmin=0.1, t_end=1.0, sample_every=1)
-    traj = drive(rhs, np.ones(2), opts, lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
+    traj = drive(rhs, Y0, opts, lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
     assert traj.status == "step-underflow"
-    assert np.allclose(traj.times, [0.0, 0.1, 0.2], rtol=0, atol=1e-15)
-    assert np.allclose(traj.final.y, math.exp(-0.2), rtol=1e-12, atol=0)
+    assert len(traj.samples) == 3 and 0.0 == traj.times[0] < traj.times[1] < traj.final.t < 0.25
+    exact = Y0 / np.sqrt(1.0 + 2.0 * Y0 ** 2 * traj.final.t)
+    assert np.allclose(traj.final.y, exact, rtol=1e-12, atol=0)
 
 
 def test_a_last_state_that_cannot_be_sampled_is_left_out():
@@ -291,13 +301,13 @@ def test_a_last_state_that_cannot_be_sampled_is_left_out():
 
 
 def test_rk45_is_of_order_eight():
-    # y' = y^2, y(0) = 1, is 1 / (1 - t).  Fixed steps (hmin = hmax = h, at
-    # tolerances that every step meets) of 0.75/16 and 0.75/32 to t = 0.75
-    # leave errors 2^8 apart, to within 2^0.3
+    # y' = y^2, y(0) = 1, is 1 / (1 - t).  Fixed steps in t (rk45_in_t;
+    # hmin = hmax = h, at tolerances that every step meets) of 0.75/16 and
+    # 0.75/32 to t = 0.75 leave errors 2^8 apart, to within 2^0.3
     errors = []
     for n in (16, 32):
         h = 0.75 / n
-        steps = list(rk45_steps(lambda t, y: y * y, np.ones(1), 0.0, 0.75, h, h, h, 1.0, 1.0))
+        steps = list(rk45_in_t(lambda t, y: y * y, np.ones(1), 0.75, h, h, h, 1.0, 1.0))
         assert len(steps) == n + 1
         errors.append(abs(steps[-1][1][0] - 4.0))
     assert 7.7 <= math.log2(errors[0] / errors[1]) <= 8.3
