@@ -273,23 +273,32 @@ def bracket_flow(mu0: LieBracket, s: G2Structure,
 # direct Laplacian flow
 # ---------------------------------------------------------------------------
 
+def _bracket_and_h(velocity, y):
+    """(delta_mu(Q_mu) packed, -Q_mu h flat), the rates of the bracket flow
+    by its compiled velocity and of dh/dt = -Q_mu h, at y = (mu packed, h,
+    ...).  An overflowing Q_mu h raises NonFiniteState, with no warning."""
+    Q, dmu, _ = velocity(y[:NCONST])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dh = Q @ y[NCONST:NCONST + DIM * DIM].reshape(DIM, DIM)
+    if not np.isfinite(dh).all():
+        raise NonFiniteState("non-finite Q h")
+    return dmu, -dh.reshape(-1)
+
+
 def laplacian_flow(phi0: KForm, mu: LieBracket,
                    opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate dphi/dt = Delta_phi phi with the bracket held fixed, by the
     bracket flow: when mu(t) is the bracket flow of (mu, phi0) and
     dh/dt = -Q_mu(t) h with h(0) = I, phi(t) = h(t)^* phi0.
 
-    drive steps (mu(t), h), h a tail of weight 0: rk45 in scale-free time,
-    dh/dtau = -Q_x h, and rk4 in t.  rk45 first takes t_end to [1/2, 2) by a
-    power of two p, running mu / p to p^2 t_end (Delta is quadratic in mu),
-    so the flow of (phi0, 2^k mu) at t / 4^k is that of (phi0, mu) at t,
-    bit for bit; without p, as for the bracket flow, the clock's rate
-    exp(-2 ln r) rounds apart at each scale, and over k = -20..20 sample
-    times and phi drift up to 2e-9 apart, relative.  A t_end whose product
-    with p^2 overflows keeps p = 1.  h maps (mu, phi(t)) isometrically
-    onto (mu(t), phi0), so a sample is the :func:`_flow_sample` of
-    (mu(t), phi0), with Q as h^-1 Q h, phi = h^* phi0 and the fixed mu: no
-    sample builds a G2Structure.  blowup_norm bounds |phi(t)| at each
+    drive steps (mu(t), h), h a tail of weight 0 (:func:`_bracket_and_h`):
+    rk45 in scale-free time, dh/dtau = -Q_x h, and rk4 in t.  As for the
+    bracket flow, the rk45 run of (phi0, 2^k mu) to t_end / 4^k ends where
+    that of (phi0, mu) to t_end does, Q and R by 4^k and |tau| by 2^k, to
+    rounding.  h maps (mu, phi(t)) isometrically onto (mu(t), phi0), so a
+    sample is the :func:`_flow_sample` of (mu(t), phi0), with Q as
+    h^-1 Q h, phi = h^* phi0 and the fixed mu: no sample builds a
+    G2Structure.  blowup_norm times max(1, |phi0|) bounds |phi(t)| at each
     accepted step.
 
     A phi0 that is not positive raises PositivityError, and one whose
@@ -309,26 +318,12 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     except SingularSystem:
         return Trajectory([], "singular-frame")
     velocity = _bracket_velocity(s)
-    # p as above, unless it takes |mu / p| past 2^400, where the clock's
-    # rate |mu(t)|^-2 would come near underflow.  rk4 keeps p = 1: its
-    # fixed step is in t
-    p = 1.0
-    if opts.method == "rk45":
-        top = math.frexp(float(np.abs(mu.c).max()))[1]
-        p = math.ldexp(1.0, max(-(math.frexp(opts.t_end)[1] // 2), top - 400))
-        if not math.isfinite(opts.t_end * p * p):
-            p = 1.0
-    y0 = np.concatenate([mu.packed().reshape(-1) / p, np.eye(DIM).reshape(-1)])
+    y0 = np.concatenate([mu.packed().reshape(-1), np.eye(DIM).reshape(-1)])
     cond_max = math.sqrt(np.linalg.cond(s.metric.gram) / np.finfo(float).eps)
     norm_mu = mu.norm()
 
     def rhs(t, y):
-        Q, dmu, _ = velocity(y[:NCONST])
-        with np.errstate(over="ignore", invalid="ignore"):
-            dh = Q @ y[NCONST:].reshape(DIM, DIM)
-        if not np.isfinite(dh).all():
-            raise NonFiniteState("non-finite Q h")
-        return np.concatenate([dmu, -dh.reshape(-1)])
+        return np.concatenate(_bracket_and_h(velocity, y))
 
     def phi_of(y):
         return pullback3(y[NCONST:].reshape(DIM, DIM), phi0.coeffs)
@@ -342,15 +337,14 @@ def laplacian_flow(phi0: KForm, mu: LieBracket,
     def make_sample(t, y):
         h = y[NCONST:].reshape(DIM, DIM)
         with np.errstate(over="ignore", invalid="ignore"):  # a bracket mu(t) past 1e154
-            mu_t = LieBracket(unpack_constants(p * y[:NCONST]), validate=False)
-            smp = _flow_sample(t / p / p, mu_t, s)
+            mu_t = LieBracket(unpack_constants(y[:NCONST]), validate=False)
+            smp = _flow_sample(t, mu_t, s)
             Q = np.linalg.solve(h, smp.Q @ h)
         if not np.isfinite([*Q.ravel(), smp.R, smp.torsion_norm, smp.velocity_norm]).all():
             raise NonFiniteState("non-finite sample")
         return replace(smp, mu=mu, phi=KForm(3, phi_of(y)), Q=Q, norm_mu=norm_mu)
 
-    return drive(rhs, y0, replace(opts, t_end=opts.t_end * p * p), make_sample, norm_of,
-                 tail=DIM * DIM)
+    return drive(rhs, y0, opts, make_sample, norm_of, tail=DIM * DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +403,12 @@ def reconstruct_h(traj: FlowTrajectory, side: str = "ii") -> HReconstruction:
     direct = _direct_velocity(mu0) if side == "ii" else None
 
     def rhs(t, y):
-        h = y[NCONST:NCONST + 49].reshape(DIM, DIM)
         phi_d = y[NCONST + 49:]
-        Qmu, dmu, _ = velocity(y[:NCONST])
         if side == "ii":
-            lap = direct(phi_d)
-            dh = -Qmu @ h
-        else:
-            Q, lap = _natural_q(mu0, phi_d)
-            dh = -h @ Q
+            return np.concatenate([*_bracket_and_h(velocity, y), direct(phi_d)])
+        dmu = velocity(y[:NCONST])[1]
+        Q, lap = _natural_q(mu0, phi_d)
+        dh = -y[NCONST:NCONST + 49].reshape(DIM, DIM) @ Q
         return np.concatenate([dmu, dh.reshape(-1), lap])
 
     def make_sample(t, y):

@@ -20,7 +20,8 @@ from .errors import (NonFiniteState, PositivityError, SingularSystem, StepBudget
 class IntegratorOptions:
     """Knobs for the ODE integrators.  Under rk45, h0, hmin and hmax bound
     steps in the scale-free time tau (:func:`drive`); under rk4 they are
-    steps in t, of which rk4 reads h0 alone, its fixed step."""
+    steps in t, of which rk4 reads h0 alone, its fixed step.  blowup_norm
+    is relative to max(1, the norm of the start) (:func:`drive`)."""
 
     method: str = "rk45"  # rk45 (adaptive) or rk4 (fixed step)
     # None: rk45 picks it (_first_step), rk4 takes 1e-3
@@ -229,7 +230,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
     none at a stationary start (a landing step taken again, below, is an
     attempt and one more).  A stage whose f raises NonFiniteState (an
     overflowing trial state) or PositivityError (a trial 3-form off the
-    positive cone) is rejected like one whose estimate is NaN.
+    positive cone) is rejected like one whose estimate is NaN, and one that
+    overflows, under np.errstate, without a warning.
 
     The clock's rate dt/dtau = exp(-2 ln r) is split in two
     (:func:`_clock_exponent`): a model eL exp(mu s), eL and mu = -2a from
@@ -278,12 +280,12 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
         hh = direction * h
         failure = None
         try:
-            for i, c, a in _DOP_STAGES:
-                y12 = y + hh * (a @ K[:i])  # after the loop, stage 12's input
-                K[i] = f(t + c * hh, y12)
-            # an increment or estimate that overflows rejects the step,
-            # without a warning
+            # a stage, increment or estimate that overflows rejects the
+            # step, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
+                for i, c, a in _DOP_STAGES:
+                    y12 = y + hh * (a @ K[:i])  # after the loop, stage 12's input
+                    K[i] = f(t + c * hh, y12)
                 W = _DOP_W @ K[:12]
                 yi = y + hh * W[0]
                 # the clock: its model exactly, the residual by the pair
@@ -294,8 +296,8 @@ def rk45_steps(f, y0, t0, t1, h0, hmin, hmax, atol, rtol, max_steps=math.inf):
                 err = _error_norm(h, W[1], W[2], _tol_scale(y, yi, K[0], atol, rtol))
                 if not math.isfinite(yi[-1]):  # an overflowing clock model
                     err = math.inf
-            if err <= 1.0:
-                K[12] = f(t + hh, yi)
+                if err <= 1.0:
+                    K[12] = f(t + hh, yi)
         except (NonFiniteState, PositivityError) as exc:
             err, failure = math.inf, exc
         if err <= 1.0:
@@ -640,18 +642,15 @@ def drive(rhs, y0, opts, make_sample, norm_of, tail=0, clocked=0) -> Trajectory:
     and hmax bound steps in its time tau, and rk4 steps y in t.
     opts.normalize = unit-bracket-norm keeps |y| at |y0|: in scale-free
     form by freezing r, with rk4 by taking y' less its component along y.
-    y may end in a tail that the scaling of the head leaves alone: tail
-    components of weight 0, as the direct flow's h, whose rate is quadratic
-    in the head, and then clocked components, whose rate does not depend on
-    the head, as the direct flow of a fixed bracket that reconstruct_h
-    steps.  The scale-free form takes the first's rate as their tau-rate
-    and the second's times dt/dtau (:func:`_scale_free`).
+    y may end in tail components of weight 0, then clocked ones, which the
+    scaling of the head leaves alone (:func:`_scale_free`).
 
     Samples make_sample(t, y) every ``sample_every`` accepted steps and at
     the last state reached.  Returns a Trajectory whose status is one of
 
     - completed: t_end was reached;
-    - blowup-detected: norm_of(y), still finite, rose above opts.blowup_norm;
+    - blowup-detected: norm_of(y), still finite, rose above opts.blowup_norm
+      times max(1, norm_of(y0)), a bound that scales with the start;
     - non-finite: the state turned to NaN or overflowed (norm_of(y) is NaN
       or infinite), or rhs or make_sample raised a NonFiniteState; the last
       finite state is sampled;
@@ -676,7 +675,9 @@ def drive(rhs, y0, opts, make_sample, norm_of, tail=0, clocked=0) -> Trajectory:
                 status = "non-finite"
                 break
             last = (t, y)
-            blown = norm > opts.blowup_norm
+            if n == 0:
+                bound = opts.blowup_norm * max(1.0, norm)
+            blown = norm > bound
             sampled_last = (n % opts.sample_every == 0) or blown
             if sampled_last:
                 samples.append(make_sample(t, y))

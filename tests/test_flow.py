@@ -302,24 +302,38 @@ def test_scale_free_flow_obeys_the_scaling_law(s, s_aa, rng):
     assert np.abs(run.final.A - s * base.final.A).max() <= 1e-12 * s * np.abs(m.A).max()
 
 
-def test_the_scaling_law_holds_down_to_the_shortest_runs(s_aa):
-    # the end tests of rk45 are relative to |t_end|, so the flows of 2^k mu
-    # to 0.75 / 4^k, k = -20..20, take the steps of mu's to 0.75 and end at
-    # 2^k times its final state, to the rounding of the clock's rate
-    # exp(-2 ln r) (within 4.1e-15 relative).  End tests absolute below
-    # |t_end| = 1 ended the runs with k >= 17 up to 1.03 off
+def _assert_scaled_runs(s_aa, ks, bound):
+    """The bracket flow and the 6x6 flow of 2^k mu to 0.75 / 4^k complete,
+    at t_end exactly, within bound of 2^k times mu's, for each k in ks."""
     m = random_sl3c(np.random.default_rng(1), 1.0)
     mu = aa.bracket_of(m)
     base_mu = bracket_flow(mu, s_aa, IntegratorOptions(t_end=0.75)).final.mu.c
     base_A = aa.matrix_bracket_flow(m, IntegratorOptions(t_end=0.75)).final.A
-    for k in range(-20, 21):
+    for k in ks:
         s = 2.0 ** k
         opts = IntegratorOptions(t_end=0.75 / s ** 2)
         runs = [bracket_flow(mu.scale(s), s_aa, opts),
                 aa.matrix_bracket_flow(aa.AAMatrix.from_matrix(s * m.A), opts)]
         for run, got, want in zip(runs, (runs[0].final.mu.c, runs[1].final.A), (base_mu, base_A)):
             assert run.status == "completed" and run.final.t == opts.t_end
-            assert np.abs(got - s * want).max() <= 1e-14 * s * np.abs(want).max()
+            assert np.abs(got - s * want).max() <= bound * s * np.abs(want).max()
+
+
+def test_the_scaling_law_holds_down_to_the_shortest_runs(s_aa):
+    # the end tests of rk45 are relative to |t_end|, so the flows of 2^k mu
+    # to 0.75 / 4^k, k = -20..20, take the steps of mu's to 0.75 and end at
+    # 2^k times its final state, to the rounding of the clock's rate
+    # exp(-2 ln r) (within 4.1e-15 relative).  End tests absolute below
+    # |t_end| = 1 ended the runs with k >= 17 up to 1.03 off
+    _assert_scaled_runs(s_aa, range(-20, 21), 1e-14)
+
+
+def test_the_scaling_law_holds_above_the_blowup_norm(s_aa):
+    # blowup_norm bounds a run's norm relative to its start's, so brackets
+    # and matrices of norm 2^30 to 2^500 flow as those of norm 1 do.  An
+    # absolute bound of 1e8 ended every run with k >= 30 blowup-detected at
+    # t = 0, with one sample
+    _assert_scaled_runs(s_aa, (30, 100, 300, 500), 1e-13)
 
 
 def test_unit_bracket_norm_keeps_the_norm_over_long_runs(s_aa, rng):
@@ -673,18 +687,22 @@ def test_laplacian_flow_soliton_is_within_1e_12_of_its_closed_form(s_nilpotent):
         assert np.abs(smp.phi.coeffs - exact).max() <= 1e-12
 
 
+def _direct_pair(pair):
+    """(mu, phi) of nil1234, or of an almost-abelian pair moved by GL(7)."""
+    if pair == "nil1234":
+        return mu_nilpotent(1, 2, 3, 4), phi_nilpotent_example()
+    h = random_gl7(np.random.default_rng(3))
+    mu = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)).act(h)
+    return mu, act(h, aa.phi_almost_abelian())
+
+
 @pytest.mark.parametrize("pair", ["nil1234", "almost-abelian-gl7"])
 def test_the_direct_flow_is_the_flow_of_its_velocity(pair):
     # the oracle steps dphi/dt = Delta_phi phi on the 35 coefficients
     # through _direct_velocity and samples its form by a G2Structure; the
     # bracket route's final phi and its sample, read on (mu(t), phi0), agree
     # with it at 1e-12 to 4e-12 (1e-10 asserted)
-    if pair == "nil1234":
-        mu, phi = mu_nilpotent(1, 2, 3, 4), phi_nilpotent_example()
-    else:
-        h = random_gl7(np.random.default_rng(3))
-        mu = aa.bracket_of(random_sl3c(np.random.default_rng(0), 1.0)).act(h)
-        phi = act(h, aa.phi_almost_abelian())
+    mu, phi = _direct_pair(pair)
     velocity = flow._direct_velocity(mu)
     *_, (t, a) = rk45_in_t(lambda t, a: velocity(a), phi.coeffs, 0.5, None, 1e-12,
                            math.inf, 1e-12, 1e-12)
@@ -715,28 +733,38 @@ def test_laplacian_flow_to_t10_in_at_most_300_evaluations(monkeypatch):
 
 def test_direct_flow_obeys_the_scaling_law(s_aa, rng):
     # the direct flow of (phi0, 2^k mu) at t / 4^k is that of (phi0, mu) at
-    # t: rk45 takes t_end to [1/2, 2) by a power of two and mu with it, so
-    # both runs take the same steps, bit for bit, and their samples scale
-    # exactly: t by 4^-k, Q and R by 4^k, |tau| by 2^k, and phi is the same
+    # t, with Q and R by 4^k and |tau| by 2^k.  In scale-free time both runs
+    # take the same steps up to the rounding of the clock's rate, which the
+    # step control's err^(-1/8) amplifies: sample times in between drift
+    # apart by up to about 1e-8, relative, but every run takes as many
+    # samples, ends at t_end exactly and ends where the base run ends, to
+    # rounding (5.1e-14 apart at most over 12 seeds)
     mu = aa.bracket_of(random_sl3c(rng, 1.0))
     base = laplacian_flow(s_aa.phi, mu, IntegratorOptions(t_end=0.75, sample_every=2))
     assert base.status == "completed" and len(base.samples) >= 3
+    want = base.final
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     for k in range(-20, 21):
         s = 2.0 ** k
-        run = laplacian_flow(s_aa.phi, mu.scale(s), IntegratorOptions(t_end=0.75 / s ** 2,
-                                                                      sample_every=2))
+        opts = IntegratorOptions(t_end=0.75 / s ** 2, sample_every=2)
+        run = laplacian_flow(s_aa.phi, mu.scale(s), opts)
         assert run.status == "completed" and len(run.samples) == len(base.samples)
-        for a, b in zip(run.samples, base.samples):
-            assert a.t == b.t / s ** 2 and np.array_equal(a.phi.coeffs, b.phi.coeffs)
-            assert np.array_equal(a.Q, s ** 2 * b.Q) and a.R == s ** 2 * b.R
-            assert a.torsion_norm == s * b.torsion_norm
-            assert a.velocity_norm == s ** 2 * b.velocity_norm
+        got = run.final
+        assert got.t == opts.t_end
+        assert close(got.phi.coeffs, want.phi.coeffs) and close(got.Q / s ** 2, want.Q)
+        assert close(got.R / s ** 2, want.R)
+        assert close(got.torsion_norm / s, want.torsion_norm)
+        assert close(got.velocity_norm / s ** 2, want.velocity_norm)
 
 
 def test_a_t_end_that_does_not_scale_runs_the_direct_flow_as_given(s_nilpotent):
-    # an infinite t_end is refused; one whose product with 4^k overflows (a
-    # bracket above 2^400 to t = 1e250) is not taken to [1/2, 2), and ends
-    # where the unscaled flow ends, positivity-lost at t = 35, times 4^-420
+    # an infinite t_end is refused; a finite one runs as given, even where
+    # a bracket above 2^400 meets t = 1e250, whose product with 4^420
+    # overflows: the run ends where the flow of the bracket at scale 1 ends,
+    # positivity-lost at t = 35, times 4^-420
     mu = mu_nilpotent(1, 2, 3, 4)
     for t_end in (math.inf, -math.inf):
         with pytest.raises(ValueError):
@@ -747,10 +775,14 @@ def test_a_t_end_that_does_not_scale_runs_the_direct_flow_as_given(s_nilpotent):
     assert traj.final.t == pytest.approx(base.t / 4.0 ** 420, rel=1e-6)
 
 
-def test_an_overflowing_q_h_raises_non_finite_state(monkeypatch):
-    # the direct flow's right side takes Q_x h under np.errstate: an h that
-    # overflows it raises NonFiniteState, with no warning, which rk45 takes
-    # as a rejected stage and drive as the status non-finite
+@pytest.mark.parametrize("run", ["laplacian_flow", "reconstruct_h"])
+def test_an_overflowing_q_h_raises_non_finite_state(run, s_nilpotent, monkeypatch):
+    # the direct flow's right side and side "ii" of reconstruct_h take
+    # Q_mu h through one function, under np.errstate: an h that overflows
+    # it raises NonFiniteState, with no warning, which rk45 takes as a
+    # rejected stage and drive as the status non-finite
+    mu = mu_nilpotent(1, 2, 3, 4)
+    traj = bracket_flow(mu, s_nilpotent, IntegratorOptions(t_end=0.1))
     seen = {}
 
     def capture(rhs, y0, *args, **kwargs):
@@ -758,14 +790,31 @@ def test_an_overflowing_q_h_raises_non_finite_state(monkeypatch):
         return integrate.Trajectory([], "completed")
 
     monkeypatch.setattr(flow, "drive", capture)
-    laplacian_flow(phi_nilpotent_example(), mu_nilpotent(1, 2, 3, 4))
+    if run == "laplacian_flow":
+        laplacian_flow(phi_nilpotent_example(), mu)
+    else:
+        reconstruct_h(traj, side="ii")
     y = seen["y0"].copy()
     assert np.isfinite(seen["rhs"](0.0, y)).all()
-    y[-49:] *= 1e308  # h = 1e308 I
+    y[liealg.NCONST:liealg.NCONST + 49] *= 1e308  # h = 1e308 I
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState, match="non-finite Q h"):
             seen["rhs"](0.0, y)
+
+
+@pytest.mark.parametrize("pair", ["nil1234", "almost-abelian-gl7"])
+def test_side_ii_steps_the_maps_of_the_direct_flow(pair):
+    # laplacian_flow and side "ii" of reconstruct_h step (mu, h) by the same
+    # rates, so under rk4 the reconstruction's h pulls phi0 back to the
+    # direct flow's phi(t), bit for bit, at the same times
+    mu, phi = _direct_pair(pair)
+    opts = IntegratorOptions(method="rk4", h0=1e-2, t_end=0.5)
+    rec = reconstruct_h(bracket_flow(mu, G2Structure(phi), opts), side="ii")
+    run = laplacian_flow(phi, mu, opts)
+    assert rec.status == run.status == "completed" and len(rec.samples) == len(run.samples)
+    for a, b in zip(rec.samples, run.samples):
+        assert a.t == b.t and np.array_equal(exterior.pullback3(a.h, phi.coeffs), b.phi.coeffs)
 
 
 def test_laplacian_flow_refuses_a_degenerate_form_before_a_step(monkeypatch):

@@ -282,6 +282,27 @@ def test_a_stiff_stretch_ends_the_run_as_step_underflow():
     assert np.allclose(traj.final.y, exact, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("c", [2e4, 5e4, 1e5, 1e9])
+def test_a_stage_that_overflows_ends_the_run_without_a_warning(c):
+    # y_i' = -y_i^3 until t = 0.25 and -c y_i^3 after: the stage states of
+    # the steps across 0.25 grow cubically, and from c = 5e4 on the scale-free
+    # form's <v, x> of a stage overflows although the rates are finite.  The
+    # attempt is rejected without a warning, and the run ends step-underflow
+    # at hmin = 0.1, as at c = 2e4
+    def rhs(t, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _cubic_decay(t, y) * (1.0 if t < 0.25 else c)
+        if not np.isfinite(v).all():
+            raise NonFiniteState("non-finite rates")
+        return v
+
+    opts = IntegratorOptions(h0=0.1, hmin=0.1, t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = drive(rhs, Y0, opts, lambda t, y: SimpleNamespace(t=t, y=y), np.linalg.norm)
+    assert traj.status == "step-underflow" and 0.0 < traj.final.t < 0.25
+
+
 def test_a_last_state_that_cannot_be_sampled_is_left_out():
     # the run completes at t = 1 between samples, and sampling that last
     # state raises PositivityError: the status and the samples at 0, 0.4
